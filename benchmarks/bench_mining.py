@@ -113,22 +113,15 @@ def _throughput_history(runs) -> list:
         "programs_per_second_sequential": round(
             runs[1]["mining"]["programs_per_second"], 3),
         "supervised_jobs4": runs[4]["mining"]["supervised"],
-        "seconds_extract_resident": round(
-            runs[4]["mining"]["seconds_extract"], 3),
-        "seconds_extract_resident_off": round(
-            runs["resident_off"]["mining"]["seconds_extract"], 3),
-        "affinity_hit_rate_jobs4": round(
-            runs[4]["mining"]["affinity_hit_rate"], 3),
         "seconds_distributed": round(runs["distributed"]["seconds"], 3),
         "distributed_workers": runs["distributed"]["n_workers"],
     })
     return history[-HISTORY_LIMIT:]
 
 
-def _mine(programs, jobs, cache_dir=None, resident=True):
+def _mine(programs, jobs, cache_dir=None):
     engine = MiningEngine(mining=MiningConfig(
-        jobs=jobs, cache_dir=str(cache_dir) if cache_dir else None,
-        resident=resident))
+        jobs=jobs, cache_dir=str(cache_dir) if cache_dir else None))
     # benchmark hygiene: everything retained by earlier runs (specs,
     # reports, the corpus) would otherwise be re-scanned by every gen-2
     # collection *inside* the timed region, so later configurations
@@ -201,14 +194,6 @@ def test_mining_throughput(benchmark, tmp_path, floors):
                 "specs": specs_to_json(learned.specs, learned.scores),
                 "mining": learned.mining.to_dict(),
             }
-        # extract-phase streaming: same pool, bundles served from
-        # worker memory (resident) vs re-unpickled from the cache
-        no_res, no_res_s = _mine(programs, 4, resident=False)
-        runs["resident_off"] = {
-            "seconds": no_res_s,
-            "specs": specs_to_json(no_res.specs, no_res.scores),
-            "mining": no_res.mining.to_dict(),
-        }
         cold, cold_s = _mine(programs, 1, cache_dir=tmp_path / "cache")
         warm, warm_s = _mine(programs, 1, cache_dir=tmp_path / "cache")
         runs["warm_cache"] = {
@@ -257,15 +242,6 @@ def test_mining_throughput(benchmark, tmp_path, floors):
         "results_identical_across_jobs": (
             runs[1]["specs"] == runs[2]["specs"] == runs[4]["specs"]
         ),
-        "seconds_extract_resident": round(
-            runs[4]["mining"]["seconds_extract"], 3),
-        "seconds_extract_resident_off": round(
-            runs["resident_off"]["mining"]["seconds_extract"], 3),
-        "affinity_hit_rate_jobs4": round(
-            runs[4]["mining"]["affinity_hit_rate"], 3),
-        "results_identical_resident_off": (
-            runs["resident_off"]["specs"] == runs[1]["specs"]
-        ),
         "seconds_distributed": round(runs["distributed"]["seconds"], 3),
         "distributed_workers": runs["distributed"]["n_workers"],
         "results_identical_distributed": (
@@ -282,14 +258,6 @@ def test_mining_throughput(benchmark, tmp_path, floors):
          f"{record['speedup_jobs2']:.2f}×"],
         ["--jobs 4", f"{record['seconds_jobs4']:.2f}s",
          f"{record['speedup_jobs4']:.2f}×"],
-        ["--jobs 4 --no-residency",
-         f"{runs['resident_off']['seconds']:.2f}s",
-         f"{baseline / runs['resident_off']['seconds']:.2f}×"],
-        ["extract phase, resident "
-         f"({100 * record['affinity_hit_rate_jobs4']:.0f}% affinity)",
-         f"{record['seconds_extract_resident']:.2f}s", "—"],
-        ["extract phase, cache only",
-         f"{record['seconds_extract_resident_off']:.2f}s", "—"],
         ["warm cache (--jobs 1)", f"{record['seconds_warm_cache']:.2f}s",
          f"{record['warm_cache_speedup']:.2f}×"],
         ["distributed (2 loopback workers)",
@@ -305,17 +273,11 @@ def test_mining_throughput(benchmark, tmp_path, floors):
     # machine-independent guarantees
     assert record["results_identical_across_jobs"]
     assert record["results_identical_distributed"]
-    assert record["results_identical_resident_off"]
-    # at the extract barrier every analyze owner is alive and idle, so
-    # its first extract task is always served from resident memory
-    assert record["affinity_hit_rate_jobs4"] > 0.0
     assert record["warm_cache_programs_reanalyzed"] == 0
     # the cache can only pay for the analyze phase; training and
-    # extraction are per-run, so assert the phase, not total wall-clock
+    # scoring are per-run, so assert the phase, not total wall-clock
     assert runs["warm_cache"]["mining"]["cache_hit_rate"] == 1.0
-    # a fully-cached run takes the samples-sidecar path: no bundle is
-    # unpickled, re-packed, or shipped anywhere on the warm path
-    assert runs["warm_cache"]["mining"]["n_bundles_shipped"] == 0
+    # a fully-cached run takes the sidecar path: no bundle is unpickled
     assert runs["warm_cache"]["mining"]["n_sample_hits"] == N_FILES
     # parallel speedup needs parallel hardware; on fewer cores the
     # jobs4 number measures pool overhead, not the engine
@@ -334,11 +296,6 @@ def test_mining_throughput(benchmark, tmp_path, floors):
         assert record["speedup_jobs4"] >= floors.parallel_speedup, (
             f"parallel speedup {record['speedup_jobs4']}× below "
             f"floor {floors.parallel_speedup}×")
-        assert (record["seconds_extract_resident"]
-                <= record["seconds_extract_resident_off"] * 1.05), (
-            f"resident extract {record['seconds_extract_resident']}s "
-            f"slower than cache-only "
-            f"{record['seconds_extract_resident_off']}s")
 
 
 # ----------------------------------------------------------------------

@@ -120,7 +120,6 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
         cache_budget=args.cache_budget,
         supervision=_supervision_config(args),
         parallel_train=args.parallel_train,
-        resident=not args.no_residency,
         store_dir=args.store_dir,
         append=args.append,
     )
@@ -155,8 +154,7 @@ def _make_coordinator(args: argparse.Namespace):
 
 
 def _print_mining(mining) -> None:
-    rate = mining.cache_hit_rate
-    hit = "n/a: ephemeral cache" if rate is None else f"{100.0 * rate:.0f}%"
+    hit = f"{100.0 * mining.cache_hit_rate:.0f}%"
     print(f"mining: {mining.n_programs} programs / {mining.n_shards} "
           f"shard(s) / {mining.jobs} job(s) in {mining.seconds_total:.2f}s "
           f"({mining.programs_per_second:.1f} programs/s)")
@@ -186,16 +184,6 @@ def _print_mining(mining) -> None:
     if mining.n_evicted:
         print(f"  cache budget: evicted {mining.n_evicted} entr"
               f"{'y' if mining.n_evicted == 1 else 'ies'}")
-    if mining.resident and (mining.n_affinity_hits
-                            or mining.n_affinity_misses):
-        print(f"  bundle residency: {mining.n_affinity_hits} extract "
-              f"task(s) served resident, {mining.n_affinity_misses} "
-              f"reloaded from cache "
-              f"({100.0 * mining.affinity_hit_rate:.0f}% affinity)")
-    if mining.n_cache_repairs or mining.n_bundles_shipped:
-        print(f"  cache healing: {mining.n_cache_repairs} "
-              f"re-analyzed, {mining.n_bundles_shipped} reloaded and "
-              f"shipped after eviction")
     if mining.distributed and mining.cluster:
         c = mining.cluster
         print(f"cluster: {c['n_workers_seen']} worker(s) "
@@ -701,7 +689,7 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "shard count)")
     learn.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for corpus analysis and "
-                            "candidate extraction (default 1 = "
+                            "candidate matching (default 1 = "
                             "sequential); results are byte-identical "
                             "for any N, and --strict failures still "
                             "exit with codes 3/4")
@@ -776,12 +764,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "(p95 × slack × task size) so slow-but-"
                             "healthy shards are not killed as hangs; "
                             "--shard-deadline stays as the floor")
-    learn.add_argument("--no-residency", action="store_true",
-                       help="disable bundle residency: extract tasks "
-                            "always reload analysed bundles from "
-                            "--cache-dir (or memory) instead of the "
-                            "worker that produced them; specs are "
-                            "byte-identical either way")
     learn.add_argument("--parallel-train", action="store_true",
                        help="run the training reduce in the worker "
                             "pool (one task per position-key ensemble "
@@ -908,8 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--reconnect", action="store_true",
                         help="survive a dropped coordinator connection: "
                              "retry with exponential backoff (up to 8 "
-                             "consecutive rounds) instead of exiting; "
-                             "resident bundles survive the outage")
+                             "consecutive rounds) instead of exiting")
     worker.add_argument("--jitter", type=float, default=0.5,
                         metavar="F",
                         help="scale each reconnect backoff by a uniform "
@@ -963,7 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="resident spec-query daemon (alias/spec/taint over HTTP)",
+        help="long-running spec-query daemon (alias/spec/taint over "
+             "HTTP)",
     )
     srv.add_argument("--bind", type=_parse_endpoint,
                      default=("127.0.0.1", 8151), metavar="HOST:PORT",

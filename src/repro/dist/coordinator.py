@@ -151,9 +151,6 @@ class _Remote:
     registered: bool = False
     idle: bool = False
     assignment: Optional["_Assignment"] = None
-    #: residency groups the worker advertised in its last ``ready``
-    #: frame — the bundles its process still holds in memory
-    resident: Set[str] = field(default_factory=set)
 
     @property
     def label(self) -> str:
@@ -199,8 +196,10 @@ class Coordinator(TaskScheduler):
     """Socket server that leases shard tasks to remote workers.
 
     One instance serves every phase of one mining run: workers stay
-    registered between the analyse, train and extract phases.  Like
-    the supervisor, ``clock`` is injectable and must be monotone.
+    registered between the analyse and train phases.  Like the
+    supervisor, ``clock`` is injectable and must be monotone.  The
+    inherited ``dispatch`` counters are filled where task frames are
+    written and worker frames read.
     """
 
     def __init__(
@@ -307,7 +306,6 @@ class Coordinator(TaskScheduler):
         splitter: Callable[[object], Optional[Tuple[object, object]]],
         poisoner: Callable[[object, str, str], object],
         validator: Callable[[object], bool],
-        healer: Optional[Callable] = None,
     ) -> List[object]:
         """Dispatch ``(shard_id, payload)`` tasks across the cluster.
 
@@ -315,15 +313,10 @@ class Coordinator(TaskScheduler):
         :meth:`~repro.mining.supervisor.ShardSupervisor.run_phase`;
         ``runner`` must be a module-level function under ``repro.`` —
         it crosses the wire by name and the worker imports it.
-        ``healer`` repairs recoverable payload failures in the parent
-        (see ``TaskScheduler._heal``) — for remote workers the repaired
-        payload additionally *ships* the restored bundles, so a worker
-        without the coordinator's filesystem can still finish.
         """
         self.bind()
         state = _Phase(runner, splitter, poisoner, validator)
         self._phase = state
-        self._healer = healer
         for shard_id, payload in tasks:
             task = self._make_task(str(shard_id), shard_id, phase, payload)
             state.queue.append(task)
@@ -342,7 +335,6 @@ class Coordinator(TaskScheduler):
             # late results of an abandoned phase must not leak into
             # the next one
             self._phase = None
-            self._healer = None
             for remote in self._remotes:
                 remote.assignment = None
         return state.results
@@ -383,6 +375,7 @@ class Coordinator(TaskScheduler):
             if not data:
                 closed = True
                 break
+            self.dispatch.bytes_received += len(data)
             chunks.append(data)
         for chunk in chunks:
             try:
@@ -398,9 +391,12 @@ class Coordinator(TaskScheduler):
             self._worker_lost(remote, "connection closed")
 
     def _send(self, remote: _Remote, message: Dict[str, object]) -> bool:
+        return self._send_frame(remote, encode_frame(message))
+
+    def _send_frame(self, remote: _Remote, frame: bytes) -> bool:
         try:
             remote.sock.settimeout(_SEND_TIMEOUT)
-            remote.sock.sendall(encode_frame(message))
+            remote.sock.sendall(frame)
             remote.sock.setblocking(False)
             return True
         except OSError:
@@ -435,11 +431,6 @@ class Coordinator(TaskScheduler):
             })
         elif kind == "ready":
             remote.idle = True
-            advertised = message.get("resident")
-            if isinstance(advertised, list):
-                remote.resident = {
-                    str(group) for group in advertised
-                }
         elif kind == "heartbeat":
             assignment = remote.assignment
             if (assignment is not None
@@ -477,11 +468,14 @@ class Coordinator(TaskScheduler):
         if status == "ok":
             result: object = None
             valid = False
+            started = time.perf_counter()
             try:
                 result = unpack_payload(str(message.get("payload")))
                 valid = state.validator(result)
             except Exception:
                 valid = False
+            self.dispatch.seconds_deserialize += \
+                time.perf_counter() - started
             if valid:
                 self._accept_result(state, remote, task, mine, result,
                                     seconds, now)
@@ -505,10 +499,6 @@ class Coordinator(TaskScheduler):
             ))
             if mine is not None:
                 self._unassign(state, tid, mine)
-            # heal before strict: a vanished cache entry is a repairable
-            # payload problem, not a policy failure
-            if self._heal(task, err, now, state.queue):
-                return
             if self.strict:
                 # fail fast with the worker's typed error intact
                 state.error = err
@@ -553,7 +543,6 @@ class Coordinator(TaskScheduler):
         if mine is not None and mine.speculative:
             self.stats.n_speculation_wins += 1
         self.stats.credit(remote.label)
-        self._note_owner(task, remote.label)
         tid = _wire_id(task)
         state.results.append(result)
         state.done.add(tid)
@@ -624,19 +613,8 @@ class Coordinator(TaskScheduler):
 
     def _dispatch(self, state: _Phase, now: float) -> None:
         state.queue.sort(key=lambda t: (t.ready_at, t.seq))
-        alive = frozenset(
-            r.label for r in self._remotes if r.registered
-        )
         for remote in self._idle_workers():
-            if not state.queue or state.queue[0].ready_at > now:
-                break
-            # affinity-aware: prefer the task whose bundles this worker
-            # analysed (by owner label, or by its advertised residency
-            # groups — which survive a reconnect under the same name)
-            task = self._select_task(
-                state.queue, now, label=remote.label,
-                resident=remote.resident, alive=alive,
-            )
+            task = self._pop_ready(state.queue, now)
             if task is None:
                 break
             self._assign(state, remote, task, now)
@@ -661,17 +639,23 @@ class Coordinator(TaskScheduler):
         )
         remote.idle = False
         remote.assignment = assignment
-        if not self._send(remote, {
+        started = time.perf_counter()
+        frame = encode_frame({
             "type": "task",
             "task_id": tid,
             "phase": task.record.phase,
             "attempt": task.attempt,
             "runner": state.runner_ref,
             "payload": pack_payload(task.payload),
-        }):
+        })
+        self.dispatch.seconds_serialize += time.perf_counter() - started
+        if not self._send_frame(remote, frame):
             return  # _worker_lost already requeued it
         state.inflight.setdefault(tid, []).append(assignment)
         self.stats.n_tasks_dispatched += 1
+        self.dispatch.n_round_trips += 1
+        self.dispatch.n_tasks_dispatched += 1
+        self.dispatch.bytes_sent += len(frame)
         if speculative:
             self.stats.n_speculated += 1
 

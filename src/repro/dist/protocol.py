@@ -3,11 +3,11 @@
 Frames are **length-prefixed JSON**: a 4-byte big-endian unsigned
 length followed by a UTF-8 JSON object.  JSON keeps the control plane
 debuggable (``tcpdump`` of a coordinator port reads almost like a
-log), while bulk payloads — pickled shard tasks, partials, models and
-typed exceptions — ride inside frames as base64 strings (zlib-packed
-past a size threshold; a one-byte marker ahead of the pickle says
-which), so one framing layer serves both and large bundles cross WANs
-compressed.
+log), while bulk payloads — pickled shard tasks, partials, trained
+ensembles and typed exceptions — ride inside frames as base64 strings
+(zlib-packed past a size threshold; a one-byte marker ahead of the
+pickle says which), so one framing layer serves both and large
+payloads cross WANs compressed.
 
 Everything here is Python stdlib (``socket``/``struct``/``json``/
 ``base64``): the cluster adds no dependencies over single-machine
@@ -20,8 +20,7 @@ type       direction    meaning
 ========== ============ ====================================================
 hello      worker→coord register: name, pid, protocol version
 welcome    coord→worker registration accepted (echoes protocol version)
-ready      worker→coord idle, willing to run a task; advertises the
-                        residency groups its process still holds
+ready      worker→coord idle, willing to run a task
 task       coord→worker one shard task: id, phase, attempt, runner, payload
 heartbeat  worker→coord lease renewal while a task is running
 result     worker→coord task finished: status ok / error / corrupt
@@ -50,7 +49,9 @@ from typing import Callable, Dict, List, Optional
 #: bumped on any incompatible frame/message change; hello/welcome
 #: exchange it so mismatched versions fail loudly at registration.
 #: v2: payloads carry a compression marker byte (raw / zlib)
-PROTOCOL_VERSION = 2
+#: v3: analyze results carry match records; the extract phase and the
+#: ``ready`` frame's bundle advertisement are gone
+PROTOCOL_VERSION = 3
 
 #: frame length prefix: 4-byte big-endian unsigned
 _LENGTH = struct.Struct("!I")
@@ -76,8 +77,8 @@ _PAYLOAD_RAW = b"\x00"
 _PAYLOAD_ZLIB = b"\x01"
 
 #: pickles below this stay raw — zlib on tiny control payloads costs
-#: CPU for nothing; above it (models, partials, shipped bundles) the
-#: wire savings dominate
+#: CPU for nothing; above it (partials, training tasks) the wire
+#: savings dominate
 COMPRESS_THRESHOLD = 1024
 
 

@@ -17,13 +17,8 @@ mirror the supervised child's pipe protocol: ``ok`` with a pickled
 result, ``corrupt`` for a :class:`~repro.runtime.faults.CorruptResult`
 chaos marker, ``error`` with the pickled typed exception otherwise.
 
-Every ``ready`` frame advertises the residency groups this process
-still holds (see :mod:`repro.mining.residency`), letting the
-coordinator route extract tasks back to the worker whose memory
-already contains their analysed bundles.  With ``reconnect=True`` a
-lost coordinator connection is retried with bounded exponential
-backoff instead of ending the worker — residency survives the outage
-because the process does.
+With ``reconnect=True`` a lost coordinator connection is retried with
+bounded exponential backoff instead of ending the worker.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from repro.dist.protocol import (
     send_frame,
     unpack_payload,
 )
-from repro.mining.residency import process_residency
 from repro.runtime.faults import CorruptResult
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
@@ -56,10 +50,6 @@ _BEATS_PER_LEASE = 3.0
 #: floor/ceiling on the heartbeat period (seconds)
 _MIN_BEAT = 0.05
 _MAX_BEAT = 30.0
-
-#: cap on residency groups advertised per ready frame — keeps control
-#: frames small even when a long-lived worker has touched many runs
-_MAX_ADVERTISED = 1024
 
 #: how often an idle worker checks its stop event while waiting for a
 #: frame (seconds) — bounds SIGTERM reaction time between tasks
@@ -122,15 +112,6 @@ def _recv_or_stop(
             sock.settimeout(original)
         except OSError:
             pass
-
-
-def _ready_frame() -> Dict[str, object]:
-    """A ``ready`` frame advertising this process's resident groups."""
-    frame: Dict[str, object] = {"type": "ready"}
-    groups = process_residency().groups()
-    if groups:
-        frame["resident"] = groups[:_MAX_ADVERTISED]
-    return frame
 
 
 class _Heartbeat:
@@ -367,7 +348,7 @@ def _serve(
     beat = min(_MAX_BEAT, max(_MIN_BEAT, lease / _BEATS_PER_LEASE))
     log(f"{label}: registered (lease {lease:g}s)")
     with send_lock:
-        send_frame(sock, _ready_frame())
+        send_frame(sock, {"type": "ready"})
     while True:
         message = _recv_or_stop(sock, decoder, pending, stop)
         if message is _STOP:
@@ -418,4 +399,4 @@ def _serve(
                 log(f"{label}: stop requested; deregistered after "
                     f"{done[0]} task(s)")
                 return True
-            send_frame(sock, _ready_frame())
+            send_frame(sock, {"type": "ready"})

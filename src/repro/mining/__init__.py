@@ -12,31 +12,22 @@ map/reduce job:
   LRU-by-mtime size budgeting;
 * :mod:`supervisor` — fault-tolerant shard dispatch over a persistent
   worker pool: watchdogs, bounded retry/backoff, poison-shard
-  bisection, worker-affinity scheduling, failure ledger;
-* :mod:`residency` — in-process registry of analysed bundles, so the
-  extract phase streams from worker memory instead of re-unpickling
-  the cache;
-* :mod:`engine` — the orchestrator; byte-identical output for any
+  bisection, failure ledger;
+* :mod:`engine` — the orchestrator: one analyse pass emits each
+  program's samples and Alg. 1 match records, the parent trains and
+  scores; byte-identical output for any
   worker count, with or without injected chaos (modulo quarantined
   toxic programs).
 """
 
 from repro.mining.cache import (
     AnalysisCache,
-    CacheEntryVanished,
     CacheHit,
     pipeline_fingerprint,
     program_fingerprint,
 )
 from repro.mining.engine import MiningConfig, MiningEngine, learn_sharded
 from repro.mining.partial import MiningReport, ShardMetrics, ShardPartial
-from repro.mining.residency import (
-    BundleResidency,
-    pack_bundle,
-    process_residency,
-    residency_group,
-    unpack_bundle,
-)
 from repro.mining.sharding import ShardPlan, shard_of
 from repro.mining.supervisor import (
     FailureLedger,
@@ -46,8 +37,6 @@ from repro.mining.supervisor import (
 
 __all__ = [
     "AnalysisCache",
-    "BundleResidency",
-    "CacheEntryVanished",
     "CacheHit",
     "FailureLedger",
     "MiningConfig",
@@ -59,11 +48,7 @@ __all__ = [
     "ShardSupervisor",
     "SupervisionConfig",
     "learn_sharded",
-    "pack_bundle",
     "pipeline_fingerprint",
-    "process_residency",
     "program_fingerprint",
-    "residency_group",
     "shard_of",
-    "unpack_bundle",
 ]

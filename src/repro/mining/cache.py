@@ -40,7 +40,7 @@ import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.printer import format_program
 from repro.ir.program import Program
@@ -48,15 +48,17 @@ from repro.model.dataset import GraphBundle
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.runtime.manifest import QuarantineEntry
 
-# 2: bundle entries carry a CRC trailer (schema is part of the pipeline
-# fingerprint, so bumping it retires every pre-CRC entry as a miss)
-CACHE_SCHEMA = 2
+# 2: bundle entries carry a CRC trailer; 3: samples sidecars carry the
+# program's Alg. 1 match records (schema is part of the pipeline
+# fingerprint, so bumping it retires every older entry as a miss)
+CACHE_SCHEMA = 3
 
 BUNDLE_SUFFIX = ".bundle.pkl"
 QUARANTINE_SUFFIX = ".quarantine.json"
-#: sidecar of already-encoded training samples next to a bundle entry:
-#: a warm re-run absorbs a program's statistics from it without
-#: unpickling the bundle or re-running sampling/feature hashing
+#: sidecar of a program's encoded training samples and match records
+#: next to its bundle entry: a warm re-run takes everything it needs
+#: from it without unpickling the bundle or re-running sampling,
+#: matching or feature hashing
 SAMPLES_SUFFIX = ".samples.pkl"
 
 # trailer appended to every bundle entry: magic + crc32(payload)
@@ -110,44 +112,18 @@ class CacheHit:
 
 @dataclass(frozen=True)
 class CachedSamples:
-    """One program's sample sidecar: encoded samples + graph counts.
+    """One program's sidecar: encoded samples, match records, counts.
 
-    Everything the analyze phase needs from a warm program *except*
-    the bundle itself (which only the extract phase reads, straight
-    from its own cache entry).  Samples are position-independent only
-    for source-named programs (``bundle_seed`` keys on the source), so
+    Everything a run needs from a warm program, so the bundle itself is
+    never read.  Samples are position-independent only for
+    source-named programs (``bundle_seed`` keys on the source), so
     sidecars exist only for those.
     """
 
     samples: Tuple
+    records: Tuple
     n_events: int
     n_edges: int
-
-
-class CacheEntryVanished(RuntimeError):
-    """An extract task's bundle was gone from cache *and* residency.
-
-    Carries the ``(program key, cache key)`` refs it could not resolve,
-    so the scheduler's healer can restore exactly those bundles (reload
-    or re-analyse) and requeue the task with them attached.  Crosses
-    process/socket boundaries pickled, hence the ``__reduce__``.
-    """
-
-    def __init__(
-        self,
-        refs: Sequence[Tuple[str, str]],
-        cache_dir: Optional[str],
-    ) -> None:
-        self.refs: Tuple[Tuple[str, str], ...] = tuple(refs)
-        self.cache_dir = cache_dir
-        names = ", ".join(repr(key) for key, _ in self.refs) or "<none>"
-        super().__init__(
-            f"analysis cache entr{'y' if len(self.refs) == 1 else 'ies'} "
-            f"vanished for {names} (cache dir {cache_dir!r})"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.refs, self.cache_dir))
 
 
 class AnalysisCache:
@@ -161,9 +137,6 @@ class AnalysisCache:
         #: (read-only cache dir), so lookups degrade to no-touch
         #: instead of attempting — or worse, crashing on — every entry
         self._touchable = True
-        #: cache keys this run still needs (analyzed but not yet
-        #: extracted); :meth:`evict_to_budget` never deletes them
-        self._pinned: set = set()
         #: corrupt/truncated entries detected (and deleted) by reads on
         #: this instance; surfaced as ``n_cache_corrupt`` in reports
         self.n_corrupt = 0
@@ -199,50 +172,22 @@ class AnalysisCache:
     def load_bundle_by_key(self, cache_key: str) -> Optional[GraphBundle]:
         return self._load_bundle(self.directory / f"{cache_key}{BUNDLE_SUFFIX}")
 
-    def load_bundle_payload(self, cache_key: str) -> Optional[bytes]:
-        """The CRC-verified raw pickle bytes of a bundle entry.
-
-        For forwarding a cached bundle verbatim (the extract healer's
-        shipment): the caller gets exactly the bytes ``store_bundle``
-        pickled, integrity-checked but *not* unpickled, so shipping
-        skips the decode→re-encode round trip.  None on miss/damage
-        (damage is quarantined like any other read).
-        """
-        return self._read_verified(
-            self.directory / f"{cache_key}{BUNDLE_SUFFIX}"
-        )
-
     def has_bundle(self, program_fp: str) -> bool:
         """Whether a bundle entry exists on disk (one stat, no load)."""
         cache_key = self.key_of(program_fp)
         return (self.directory / f"{cache_key}{BUNDLE_SUFFIX}").exists()
 
-    def verify_bundle(self, program_fp: str) -> bool:
-        """Whether a bundle entry is present *and* passes its CRC.
-
-        The warm analyze fast path takes a program's statistics from
-        the samples sidecar without unpickling the bundle — but the
-        extract phase will still need that bundle, so damage must be
-        detected (and the entry quarantined, forcing re-analysis) here,
-        not deferred to a mid-extract healing round trip.  One read +
-        crc32, no object construction.
-        """
-        cache_key = self.key_of(program_fp)
-        return self._read_verified(
-            self.directory / f"{cache_key}{BUNDLE_SUFFIX}"
-        ) is not None
-
     # ------------------------------------------------------------------
-    # sample sidecars (the warm analyze fast path)
+    # sidecars (the warm analyze fast path)
 
     def store_samples(
-        self, program_fp: str, samples: Sequence, n_events: int,
-        n_edges: int,
+        self, program_fp: str, samples: Sequence, records: Sequence,
+        n_events: int, n_edges: int,
     ) -> str:
-        """Persist one program's encoded samples next to its bundle."""
+        """Persist one program's samples and match records."""
         cache_key = self.key_of(program_fp)
         payload = pickle.dumps(
-            (tuple(samples), int(n_events), int(n_edges)),
+            (tuple(samples), tuple(records), int(n_events), int(n_edges)),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         payload += _TRAILER.pack(TRAILER_MAGIC, zlib.crc32(payload)
@@ -253,12 +198,10 @@ class AnalysisCache:
         return cache_key
 
     def load_samples(self, program_fp: str) -> Optional[CachedSamples]:
-        """One program's sample sidecar, or None (miss/damage).
+        """One program's sidecar, or None (miss/damage).
 
-        A hit refreshes the recency of the sidecar *and* its bundle:
-        the warm path never opens the bundle during analyze, but the
-        extract phase still needs it, so both must survive LRU sweeps
-        together.
+        A hit refreshes the recency of the sidecar *and* its bundle, so
+        the two survive LRU sweeps together.
         """
         cache_key = self.key_of(program_fp)
         path = self.directory / f"{cache_key}{SAMPLES_SUFFIX}"
@@ -266,16 +209,16 @@ class AnalysisCache:
         if payload is None:
             return None
         try:
-            samples, n_events, n_edges = pickle.loads(payload)
+            samples, records, n_events, n_edges = pickle.loads(payload)
         except Exception:
             self._quarantine_corrupt(path)
             return None
-        if not isinstance(samples, tuple):
+        if not isinstance(samples, tuple) or not isinstance(records, tuple):
             self._quarantine_corrupt(path)
             return None
         self._touch(path)
         self._touch(self.directory / f"{cache_key}{BUNDLE_SUFFIX}")
-        return CachedSamples(samples, n_events, n_edges)
+        return CachedSamples(samples, records, n_events, n_edges)
 
     # ------------------------------------------------------------------
 
@@ -318,29 +261,7 @@ class AnalysisCache:
                 continue  # evicted/renamed concurrently
         return total
 
-    def pin(self, cache_keys: Sequence[str]) -> None:
-        """Shield entries from :meth:`evict_to_budget` for this run.
-
-        Pinning is per cache *instance* (in-memory, not on disk): the
-        engine pins every bundle the current run has analysed but not
-        yet extracted, so a mid-run budget sweep can reclaim cold
-        entries from previous runs without pulling the rug out from
-        under the extract phase.
-        """
-        self._pinned.update(cache_keys)
-
-    def unpin(self, cache_keys: Optional[Sequence[str]] = None) -> None:
-        """Release pins (all of them when ``cache_keys`` is None)."""
-        if cache_keys is None:
-            self._pinned.clear()
-        else:
-            self._pinned.difference_update(cache_keys)
-
-    def evict_to_budget(
-        self,
-        max_bytes: int,
-        pinned: FrozenSet[str] = frozenset(),
-    ) -> int:
+    def evict_to_budget(self, max_bytes: int) -> int:
         """Delete least-recently-used entries until the cache fits.
 
         Recency is entry mtime — refreshed on every lookup hit, so a
@@ -348,14 +269,10 @@ class AnalysisCache:
         is every file sharing one cache key (bundle plus its samples
         sidecar): they are touched together, evicted together, and
         counted once — a sidecar without its bundle (or vice versa) is
-        dead weight.  Entries whose cache key is pinned (``pinned``
-        argument or :meth:`pin`) are skipped even if the budget is
-        still exceeded — an in-flight run's working set outranks the
-        byte budget, which is restored by the unpinned sweep at the end
-        of the run.  Returns the number of entries evicted.  Concurrent
-        misses of unlinked files degrade to recomputes, never errors.
+        dead weight.  Returns the number of entries evicted.
+        Concurrent misses of unlinked files degrade to recomputes, never
+        errors.
         """
-        protected = self._pinned | set(pinned)
         grouped: Dict[str, List[Tuple[float, int, Path]]] = {}
         for path in self._entry_files():
             try:
@@ -377,8 +294,6 @@ class AnalysisCache:
         for _, cache_key, files in entries:
             if total <= max_bytes:
                 break
-            if cache_key in protected:
-                continue
             removed = False
             for _, size, path in files:
                 try:

@@ -7,15 +7,19 @@ map/reduce phases over deterministic corpus shards
 1. **map: analyse** — each shard independently runs corpus analysis
    under the :mod:`repro.runtime` failure discipline, consulting the
    incremental :class:`~repro.mining.cache.AnalysisCache` first, and
-   produces a :class:`~repro.mining.partial.ShardPartial`;
+   produces a :class:`~repro.mining.partial.ShardPartial`: per program,
+   its hashed training samples *and* its Alg. 1 match records
+   (:func:`~repro.specs.candidates.match_records`) — the single-edge
+   matches with their hashed ``ftr(e1, e2)``, which need no model;
 2. **reduce: train** — partials fold through ``ShardPartial.merge``
    into one canonical set of sufficient statistics; the model trains
    over their key-sorted, seed-shuffled sample stream;
-3. **map: extract** — each shard re-loads its analysed bundles (from
-   memory when sequential, from the cache when parallel) and runs
-   Alg. 1 candidate extraction against the broadcast model;
-4. **finalize** — extractions merge, candidates are scored and the τ
-   threshold selects the specification set.
+3. **finalize** — the parent scores every match record in canonical
+   program-key order (:func:`~repro.specs.candidates.score_records`)
+   and the τ threshold selects the specification set.
+
+Event graphs never leave the process that built them: only samples,
+match records and quarantine verdicts cross process boundaries.
 
 Determinism guarantee: because per-program work depends only on the
 program identity and the corpus seed, and every merge is canonicalised
@@ -29,29 +33,15 @@ runs in its own worker process under a wall-clock deadline, dead or
 hung workers trigger bounded retries with exponential backoff, and a
 shard that keeps killing workers is bisected until the toxic program
 is isolated and quarantined with a ``worker-*`` taxonomy label.
-Bundles stay **resident** in the worker that analysed them
-(:mod:`repro.mining.residency`): workers persist across the
-analyse→extract barrier and each shard's extract task is routed back
-to its analysing worker, so the hot path re-unpickles nothing.  The
-cache directory — a temp spill dir if the user did not name one —
-remains the durable copy and the fallback whenever affinity misses
-(owner died, bisection, speculation), so the only pickles crossing
-process boundaries are compact partials, the sparse model, and
-healer-shipped bundles after a vanished cache entry.  ``strict=True``
-aborts propagate out of the workers with their type intact (exit
-codes 3/4 survive parallelism and supervision).
+``strict=True`` aborts propagate out of the workers with their type
+intact (exit codes 3/4 survive parallelism and supervision).
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
-import pickle
-import shutil
-import tempfile
 import time
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -78,7 +68,7 @@ from repro.model.model import (
     member_configs,
     train_members,
 )
-from repro.runtime.checkpoint import atomic_write_bytes, program_key
+from repro.runtime.checkpoint import program_key
 from repro.runtime.errors import WorkerCrash
 from repro.runtime.executor import (
     CorpusExecutor,
@@ -87,7 +77,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.faults import ChaosPlan
 from repro.runtime.manifest import QuarantineEntry, TierAttempt
-from repro.specs.candidates import CandidateExtraction, extract_candidates
+from repro.specs.candidates import match_records, score_records
 from repro.specs.pipeline import (
     LearnedSpecs,
     PipelineConfig,
@@ -95,19 +85,11 @@ from repro.specs.pipeline import (
 )
 from repro.mining.cache import (
     AnalysisCache,
-    CacheEntryVanished,
     pipeline_fingerprint,
     program_fingerprint,
 )
 from repro.mining.partial import MiningReport, ShardPartial
 from repro.store.stats import SpecDrift, StatsStore, StoredProgram
-from repro.mining.residency import (
-    BundleResidency,
-    pack_bundle,
-    process_residency,
-    residency_group,
-    unpack_shipment,
-)
 from repro.mining.sharding import ShardPlan
 from repro.mining.supervisor import (
     FailureLedger,
@@ -128,7 +110,7 @@ SHARDS_PER_JOB = 4
 TIER_CACHE = "cache"
 
 #: outcome tier label for programs satisfied from the statistics store
-#: (``--append``: stats from the journal, bundle still in the cache)
+#: (``--append``: samples and match records from the journal)
 TIER_STORE = "store"
 
 #: attempt tier label for supervisor-level quarantines (the program
@@ -148,11 +130,10 @@ class MiningConfig:
     jobs: int = 1
     #: shard count; None = 1 for sequential runs, jobs×4 for parallel
     shards: Optional[int] = None
-    #: incremental analysis cache directory; None = no cache for
-    #: sequential runs, a private temp spill dir for supervised runs
+    #: incremental analysis cache directory; None = no cache
     cache_dir: Optional[str] = None
-    #: cache size budget in bytes; LRU-by-mtime eviction runs after the
-    #: extract phase (None = unbounded, the pre-PR-3 behaviour)
+    #: cache size budget in bytes; LRU-by-mtime eviction runs at the
+    #: end of the run (None = unbounded)
     cache_budget: Optional[int] = None
     #: multiprocessing start method; None = fork if available
     mp_context: Optional[str] = None
@@ -164,18 +145,13 @@ class MiningConfig:
     #: position-key ensemble plus the shared fallback, specs
     #: byte-identical to the sequential reduce
     parallel_train: bool = False
-    #: keep analysed bundles resident in the worker that produced them
-    #: and route each shard's extract task back to that worker; False
-    #: forces every extract onto the cache-reload path (a debugging and
-    #: benchmarking knob — results are byte-identical either way)
-    resident: bool = True
     #: durable statistics store directory (repro.store.StatsStore);
     #: None = no persistence.  When set and no --cache-dir was named,
     #: the analysis cache co-locates under the store.
     store_dir: Optional[str] = None
     #: incremental mode: programs whose fingerprint is already in the
-    #: store (with a live cache bundle) skip analysis — their persisted
-    #: statistics fold straight into the merge
+    #: store skip analysis — their persisted samples and match records
+    #: fold straight into the merge
     append: bool = False
 
     def resolve_jobs(self) -> int:
@@ -223,41 +199,6 @@ class AnalyzeTask:
     #: process-level fault injection; rides on the payload (not the
     #: pipeline config) so it can never perturb the cache fingerprint
     chaos: Optional[ChaosPlan] = None
-    #: publish analysed bundles into the worker's residency registry
-    resident: bool = False
-    #: the cache dir is a run-private spill that dies with the run —
-    #: skip warm-run accelerators (sample sidecars) nothing will read
-    ephemeral: bool = False
-
-
-@dataclass(frozen=True)
-class ExtractTask:
-    """One extract-phase payload; self-contained and picklable."""
-
-    config: PipelineConfig
-    cache_dir: Optional[str]
-    fingerprint: str
-    shard_id: int
-    refs: Tuple[Tuple[str, Optional[str]], ...]
-    #: the broadcast model, inline (distributed runs) — or None with
-    #: ``model_ref`` set (local runs), so N shard tasks do not ship N
-    #: copies of the same multi-megabyte pickle through the pipes
-    model: Optional[EventPairModel]
-    #: ``(path, digest)`` of the model pickle written once to the cache
-    #: dir; workers memoise the loaded model per digest
-    model_ref: Optional[Tuple[str, str]] = None
-    #: label of the worker whose residency holds this shard's bundles
-    #: (a scheduling hint — any worker can run the task via the cache)
-    affinity: Optional[str] = None
-    #: bisection lineage of this ref slice within its shard (root = ());
-    #: tags empty-ref results uniquely in the sorted-ref merge
-    fragment: Tuple[int, ...] = ()
-    #: packed bundles attached by the healer after a vanished-entry
-    #: failure; sorted ``(key, pack_bundle(...))`` pairs
-    shipped: Tuple[Tuple[str, bytes], ...] = ()
-    #: consult the worker's residency registry before the cache
-    resident: bool = False
-    chaos: Optional[ChaosPlan] = None
 
 
 def _analyze_shard(
@@ -266,98 +207,71 @@ def _analyze_shard(
     items: Sequence[Unit],
     cache_dir: Optional[str],
     fingerprint: str,
-    bundle_sink: Optional[Dict[str, GraphBundle]] = None,
     before=None,
-    residency: Optional[BundleResidency] = None,
-    ephemeral: bool = False,
 ) -> ShardPartial:
     """Analyse one shard: cache lookups, then the executor over misses.
 
-    Results are persisted to the cache *per program* (via the executor
-    sink), so a run killed mid-shard keeps everything that completed.
-    ``bundle_sink`` (sequential mode) additionally keeps analysed
-    bundles in memory so the extract phase needs no reloads.
-    ``before`` is threaded into the executor as its pre-program hook
-    (the supervisor's chaos probe).  ``residency`` (supervised mode)
-    publishes every absorbed bundle — cache hits included, so warm
-    re-runs extract from memory too — into the worker's registry for
-    the shard's affinity-routed extract task.
+    Every analysed program contributes its encoded training samples and
+    its Alg. 1 match records to the partial; its event graph is dropped
+    here.  Results are persisted to the cache *per program* (via the
+    executor sink), so a run killed mid-shard keeps everything that
+    completed.  ``before`` is threaded into the executor as its
+    pre-program hook (the supervisor's chaos probe).
     """
     started = time.monotonic()
     cache = AnalysisCache(cache_dir, fingerprint) if cache_dir else None
     partial = ShardPartial.empty(shard_id)
     metrics = partial.metrics[0]
-    group = residency_group(fingerprint, shard_id)
-    # an ephemeral spill with residency keeps bundles in worker memory:
-    # writing each one to disk up front is wasted work on the happy
-    # path, so bundles spill lazily (on capacity eviction) and a worker
-    # crash falls back to the healer's re-analysis repair
-    lazy_spill = ephemeral and residency is not None
+
+    def fold(key: str, samples, records, n_events: int,
+             n_edges: int) -> None:
+        partial.stats.add(key, list(samples))
+        partial.records[key] = tuple(records)
+        partial.program_meta[key] = (n_events, n_edges)
+        metrics.n_samples += len(samples)
+        metrics.n_events += n_events
+        metrics.n_edges += n_edges
 
     def absorb(index: int, key: str, bundle: GraphBundle,
-               cache_key: Optional[str], fp: Optional[str]) -> None:
-        samples = collect_bundle_samples(
-            bundle,
-            config.feature,
-            config.max_positives_per_graph,
-            config.negative_ratio,
-            bundle_seed(config.seed, bundle.program.source, index),
-        )
-        encoded = [
+               fp: Optional[str]) -> None:
+        samples = [
             encode_sample(s.feature, s.label, config.feature)
-            for s in samples
-        ]
-        partial.stats.add(key, encoded)
-        partial.bundle_refs.append((key, cache_key))
-        partial.program_meta[key] = (
-            len(bundle.graph.events), bundle.graph.edge_count
-        )
-        metrics.n_samples += len(samples)
-        metrics.n_events += len(bundle.graph.events)
-        metrics.n_edges += bundle.graph.edge_count
-        if (cache is not None and fp is not None and not ephemeral
-                and bundle.program.source is not None):
-            # sidecar the encoded samples so the next warm run absorbs
-            # them without reloading the bundle or re-encoding
-            # (source-less programs are skipped: their sample seed is
-            # positional, so the sidecar would not survive reordering;
-            # ephemeral spill dirs are skipped: there is no next run)
-            cache.store_samples(
-                fp, encoded, len(bundle.graph.events),
-                bundle.graph.edge_count,
+            for s in collect_bundle_samples(
+                bundle,
+                config.feature,
+                config.max_positives_per_graph,
+                config.negative_ratio,
+                bundle_seed(config.seed, bundle.program.source, index),
             )
-        if bundle_sink is not None:
-            bundle_sink[key] = bundle
-        if residency is not None:
-            for _, evicted in residency.publish(group, key, bundle):
-                if lazy_spill and cache is not None:
-                    # a capacity-evicted bundle leaves memory before
-                    # extraction consumed it: demote it to the spill
-                    # cache so the extract phase can still reload it
-                    cache.store_bundle(
-                        program_fingerprint(evicted.program), evicted
-                    )
+        ]
+        records = match_records(
+            bundle, config.feature, config.max_receiver_distance,
+            config.enable_retrecv,
+        )
+        graph = bundle.graph
+        fold(key, samples, records, len(graph.events), graph.edge_count)
+        if (cache is not None and fp is not None
+                and bundle.program.source is not None):
+            # sidecar samples and records so the next warm run needs
+            # neither the bundle nor any re-sampling or re-matching
+            # (source-less programs are skipped: their sample seed is
+            # positional, so the sidecar would not survive reordering)
+            cache.store_samples(
+                fp, samples, records, len(graph.events), graph.edge_count,
+            )
 
     pending: List[Tuple[int, str, Program, Optional[str]]] = []
     for index, key, program in items:
         fp = program_fingerprint(program) if cache is not None else None
-        if (cache is not None and program.source is not None):
+        if cache is not None and program.source is not None:
             side = cache.load_samples(fp)
-            if side is not None and cache.verify_bundle(fp):
-                # fully warm: statistics come straight from the
-                # sidecar — no bundle unpickle, no sampling, no
-                # feature hashing, no residency publish (the extract
-                # phase reads the bundle from its cache entry)
+            if side is not None:
                 partial.outcomes.append(ProgramOutcome(
                     key=key, source=program.source, tier=TIER_CACHE,
                     cached=True,
                 ))
-                partial.stats.add(key, list(side.samples))
-                partial.bundle_refs.append((key, cache.key_of(fp)))
-                partial.program_meta[key] = (side.n_events, side.n_edges)
-                metrics.n_samples += len(side.samples)
-                metrics.n_events += side.n_events
-                metrics.n_edges += side.n_edges
+                fold(key, side.samples, side.records, side.n_events,
+                     side.n_edges)
                 metrics.n_sample_hits += 1
                 continue
         hit = cache.lookup(fp, key) if cache is not None else None
@@ -368,8 +282,7 @@ def _analyze_shard(
             partial.outcomes.append(ProgramOutcome(
                 key=key, source=program.source, tier=TIER_CACHE, cached=True,
             ))
-            absorb(index, key, hit.bundle,
-                   cache.key_of(fp) if fp is not None else None, fp)
+            absorb(index, key, hit.bundle, fp)
         else:
             partial.outcomes.append(ProgramOutcome(
                 key=key, source=program.source, cached=True,
@@ -389,13 +302,9 @@ def _analyze_shard(
         def sink(outcome, bundle, entry) -> None:
             index, fp = by_key[outcome.key]
             if bundle is not None:
-                if cache is None:
-                    cache_key = None
-                elif lazy_spill:
-                    cache_key = cache.key_of(fp)
-                else:
-                    cache_key = cache.store_bundle(fp, bundle)
-                absorb(index, outcome.key, bundle, cache_key, fp)
+                if cache is not None:
+                    cache.store_bundle(fp, bundle)
+                absorb(index, outcome.key, bundle, fp)
             elif entry is not None and cache is not None:
                 cache.store_quarantine(fp, entry)
             if not outcome.resumed:
@@ -421,90 +330,6 @@ def _analyze_shard(
     return partial
 
 
-def _extract_tag(
-    shard_id: int,
-    refs: Sequence[Tuple[str, Optional[str]]],
-    fragment: Tuple[int, ...],
-) -> str:
-    """The merge-order tag of one extract result.
-
-    Normally the first ref key; an empty-ref fragment gets a synthetic
-    tag derived from its bisection lineage instead of the old shared
-    ``""`` — several empty fragments of one shard must not collide in
-    the sorted-ref merge (``\\x00`` sorts before every real key, so the
-    canonical order of non-empty results is untouched).
-    """
-    if refs:
-        return refs[0][0]
-    # the unbisected root keeps an empty lineage — "0" would collide
-    # with the first child fragment (0,)
-    lineage = ".".join(str(i) for i in fragment)
-    return f"\x00empty/{shard_id}/{lineage}"
-
-
-def _extract_shard(
-    config: PipelineConfig,
-    shard_id: int,
-    refs: Sequence[Tuple[str, Optional[str]]],
-    model: EventPairModel,
-    cache_dir: Optional[str],
-    fingerprint: str,
-    bundle_sink: Optional[Dict[str, GraphBundle]] = None,
-    residency: Optional[BundleResidency] = None,
-    shipped: Optional[Dict[str, GraphBundle]] = None,
-    fragment: Tuple[int, ...] = (),
-    before=None,
-) -> Tuple[int, str, CandidateExtraction]:
-    """Run Alg. 1 over one shard's analysed bundles.
-
-    Bundle resolution order per ref: the sequential in-memory sink,
-    healer-shipped bundles attached to the payload, the worker's
-    residency registry, then the cache.  A ref that resolves nowhere
-    is collected (the rest of the refs are still scanned so one repair
-    round restores everything) and raised as
-    :class:`~repro.mining.cache.CacheEntryVanished` for the scheduler's
-    healer.  All four sources yield pickle-round-trip-identical
-    bundles, so the extraction is byte-identical however each ref
-    resolved.
-
-    The return value is tagged ``(shard_id, tag, extraction)`` so the
-    engine can merge extractions in the canonical sorted-ref order
-    even when supervision bisected a shard's refs into several
-    results.  ``before`` (the extract-phase chaos probe) fires per ref
-    before its bundle is resolved.
-    """
-    cache = AnalysisCache(cache_dir, fingerprint) if cache_dir else None
-    group = residency_group(fingerprint, shard_id)
-    extraction = CandidateExtraction()
-    missing: List[Tuple[str, str]] = []
-    for key, cache_key in refs:
-        if before is not None:
-            before(key)
-        bundle = bundle_sink.get(key) if bundle_sink is not None else None
-        if bundle is None and shipped is not None:
-            bundle = shipped.get(key)
-        if bundle is None and residency is not None:
-            bundle = residency.get(group, key)
-        if bundle is None and cache is not None and cache_key is not None:
-            bundle = cache.load_bundle_by_key(cache_key)
-        if bundle is None:
-            missing.append((key, cache_key or ""))
-            continue
-        if missing:
-            continue  # result is doomed; just finish the missing scan
-        extraction.merge(extract_candidates(
-            [bundle], model, config.feature,
-            config.max_receiver_distance,
-            enable_retrecv=config.enable_retrecv,
-        ))
-    if missing:
-        raise CacheEntryVanished(missing, cache_dir)
-    if residency is not None:
-        # consumed: a long-lived worker must not accumulate bundles
-        residency.discard(group, [key for key, _ in refs])
-    return shard_id, _extract_tag(shard_id, refs, fragment), extraction
-
-
 # ----------------------------------------------------------------------
 # supervised runners / splitters / validators (module-level: they cross
 # the process boundary by pickle under the spawn start method)
@@ -516,71 +341,6 @@ def _supervised_analyze(payload: AnalyzeTask, attempt: int) -> ShardPartial:
     return _analyze_shard(
         payload.config, payload.shard_id, payload.items,
         payload.cache_dir, payload.fingerprint, before=before,
-        residency=process_residency() if payload.resident else None,
-        ephemeral=payload.ephemeral,
-    )
-
-
-class ModelRefVanished(RuntimeError):
-    """A worker could not load the broadcast model file.
-
-    Raised by :func:`_resolve_model` when the ``model_ref`` path is
-    unreadable or fails its digest check (a concurrent run sharing the
-    cache dir replaced it, an eviction raced the read).  Healable: the
-    scheduler's healer re-attaches the model inline and requeues.
-    """
-
-    def __init__(self, detail: str) -> None:
-        self.detail = detail
-        super().__init__(detail)
-
-    def __reduce__(self):
-        return (type(self), (self.detail,))
-
-
-#: per-process memo of the broadcast model, keyed by digest; one entry
-#: only — a worker serves one run (and so one model) at a time
-_MODEL_MEMO: Dict[str, EventPairModel] = {}
-
-
-def _resolve_model(payload: ExtractTask) -> EventPairModel:
-    """The payload's model: inline, memoised, or loaded from its ref."""
-    if payload.model is not None:
-        return payload.model
-    path, digest = payload.model_ref
-    model = _MODEL_MEMO.get(digest)
-    if model is not None:
-        return model
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as err:
-        raise ModelRefVanished(f"model broadcast {path}: {err}")
-    if hashlib.sha256(raw).hexdigest()[:16] != digest:
-        raise ModelRefVanished(f"model broadcast {path}: digest mismatch")
-    model = pickle.loads(raw)
-    if not isinstance(model, EventPairModel):
-        raise ModelRefVanished(f"model broadcast {path}: wrong type")
-    _MODEL_MEMO.clear()
-    _MODEL_MEMO[digest] = model
-    return model
-
-
-def _supervised_extract(
-    payload: ExtractTask, attempt: int
-) -> Tuple[int, str, CandidateExtraction]:
-    before = (
-        payload.chaos.probe(attempt, phase="extract")
-        if payload.chaos is not None else None
-    )
-    return _extract_shard(
-        payload.config, payload.shard_id, payload.refs,
-        _resolve_model(payload),
-        payload.cache_dir, payload.fingerprint,
-        residency=process_residency() if payload.resident else None,
-        shipped=unpack_shipment(payload.shipped) if payload.shipped
-        else None,
-        fragment=payload.fragment,
-        before=before,
     )
 
 
@@ -591,18 +351,6 @@ def _split_analyze(payload: AnalyzeTask):
     return (
         replace(payload, items=payload.items[:mid]),
         replace(payload, items=payload.items[mid:]),
-    )
-
-
-def _split_extract(payload: ExtractTask):
-    if len(payload.refs) <= 1:
-        return None
-    mid = len(payload.refs) // 2
-    return (
-        replace(payload, refs=payload.refs[:mid],
-                fragment=payload.fragment + (0,)),
-        replace(payload, refs=payload.refs[mid:],
-                fragment=payload.fragment + (1,)),
     )
 
 
@@ -669,14 +417,6 @@ def _valid_partial(result) -> bool:
     return isinstance(result, ShardPartial)
 
 
-def _valid_extraction(result) -> bool:
-    return (
-        isinstance(result, tuple) and len(result) == 3
-        and isinstance(result[0], int) and isinstance(result[1], str)
-        and isinstance(result[2], CandidateExtraction)
-    )
-
-
 # ----------------------------------------------------------------------
 
 
@@ -734,8 +474,8 @@ class MiningEngine:
             if self.mining.supervision.chaos is None:
                 batch = max(1, -(-len(programs) // jobs))
             # the pool never oversubscribes the host: extra CPU-bound
-            # workers on a smaller machine only add fork, broadcast and
-            # timeshare overhead.  Shard count (and therefore results)
+            # workers on a smaller machine only add fork and timeshare
+            # overhead.  Shard count (and therefore results)
             # still follows --jobs — specs are byte-identical for any
             # worker count by construction.  Chaos runs keep the full
             # pool: fault injection targets the requested worker
@@ -766,42 +506,21 @@ class MiningEngine:
             for shard_id in range(n_shards)
         ]
         tasks = [(sid, items) for sid, items in shard_items if items]
-        unit_sources = {key: program.source for _, key, program in units}
-        unit_programs = {key: program for _, key, program in units}
 
         fingerprint = pipeline_fingerprint(self.config)
         store: Optional[StatsStore] = None
         if self.mining.store_dir:
             store = StatsStore(self.mining.store_dir, fingerprint)
-        spill: Optional[str] = None
         cache_dir = self.mining.cache_dir
         if cache_dir is None and store is not None:
-            # bundles must outlive the run for --append to skip their
-            # re-analysis next time: co-locate the cache with the store
+            # analysis results must outlive the run for a crashed run's
+            # rerun to reuse them: co-locate the cache with the store
             cache_dir = str(store.cache_dir)
-        if cache_dir is None and supervised:
-            # supervised bundles must cross process boundaries somewhere;
-            # a private spill dir keeps them off the result pipes
-            spill = tempfile.mkdtemp(prefix="uspec-mining-spill-")
-            cache_dir = spill
-        bundle_sink: Optional[Dict[str, GraphBundle]] = \
-            None if supervised else {}
-        #: residency needs worker processes that outlive single tasks —
-        #: the local pool and remote daemons both qualify
-        resident = bool(self.mining.resident) and supervised
-
-        chaos = self.mining.supervision.chaos
         n_evicted = 0
-        heal_counts = {"repaired": 0, "shipped": 0}
-        #: the persistent cache dir budget sweeps may prune (spill dirs
-        #: are excluded — they die with the run anyway)
-        budget_dir = self.mining.cache_dir or (
-            str(store.cache_dir) if store is not None else None
-        )
 
         # --append: programs already in the store (same content
-        # fingerprint, bundle still cached) skip analysis entirely —
-        # their persisted statistics become ready-made shard partials
+        # fingerprint) skip analysis entirely — their persisted samples
+        # and match records become ready-made shard partials
         fps: Dict[str, str] = {}
         if store is not None:
             fps = {
@@ -811,9 +530,7 @@ class MiningEngine:
             }
         store_partials: List[ShardPartial] = []
         if store is not None and self.mining.append and store.programs:
-            tasks, store_partials = self._fold_from_store(
-                store, tasks, fps, cache_dir, fingerprint
-            )
+            tasks, store_partials = self._fold_from_store(store, tasks, fps)
         drift: Optional[SpecDrift] = None
 
         try:
@@ -825,8 +542,7 @@ class MiningEngine:
                     "analyze",
                     [(sid, AnalyzeTask(self.config, cache_dir,
                                        fingerprint, sid, tuple(items),
-                                       chaos, resident,
-                                       ephemeral=spill is not None))
+                                       self.mining.supervision.chaos))
                      for sid, items in tasks],
                     runner=_supervised_analyze,
                     splitter=_split_analyze,
@@ -836,7 +552,7 @@ class MiningEngine:
             else:
                 partials = [
                     _analyze_shard(self.config, sid, items, cache_dir,
-                                   fingerprint, bundle_sink)
+                                   fingerprint)
                     for sid, items in tasks
                 ]
             partials = list(partials) + store_partials
@@ -854,163 +570,38 @@ class MiningEngine:
                 # analysis work is complete and durable even if a later
                 # phase crashes
                 self._persist_stats(store, units, fps, merged)
-            # enforce the cache budget *between* the phases (cold
-            # entries from previous runs go now, not only at the end) —
-            # pinning this run's bundle refs so the sweep can never eat
-            # the extract phase's own working set
-            if self.mining.cache_budget is not None and budget_dir:
-                pinned = frozenset(
-                    ck for _, ck in merged.bundle_refs if ck
-                )
-                n_evicted += AnalysisCache(
-                    budget_dir, fingerprint
-                ).evict_to_budget(self.mining.cache_budget, pinned=pinned)
             if supervisor is not None and self.mining.parallel_train:
                 model = self._parallel_train(supervisor, merged.stats)
             else:
                 model = self.pipeline.train_from_stats(merged.stats)
             t2 = time.monotonic()
 
-            # phase 3: map-extract ------------------------------------
-            # regroup refs per shard: bisection may have split one
-            # shard's analysis across several partials, but extraction
-            # must still visit refs in one canonical sorted order
-            refs_by_shard: Dict[int, List[Tuple[str, Optional[str]]]] = {}
-            for p in partials:
-                refs_by_shard.setdefault(
-                    p.metrics[0].shard_id, []
-                ).extend(p.bundle_refs)
-            extract_tasks = [
-                (sid, sorted(refs))
-                for sid, refs in sorted(refs_by_shard.items())
-                if refs
-            ]
-            model_ref: Optional[Tuple[str, str]] = None
-            model_broadcast_bytes = 0
-            if supervisor is not None and not distributed and cache_dir:
-                # broadcast the model by reference: one pickle on disk
-                # instead of a copy of the model in every task frame
-                # (remote daemons keep the inline copy — they may not
-                # share a filesystem with the coordinator).  Extraction
-                # only scores, so the broadcast drops the optimiser
-                # state — half the bytes to hash, write and unpickle.
-                raw_model = pickle.dumps(
-                    model.scoring_clone(),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                digest = hashlib.sha256(raw_model).hexdigest()[:16]
-                model_path = Path(cache_dir) / f"model-{digest}.pkl"
-                if not model_path.exists():
-                    atomic_write_bytes(model_path, raw_model)
-                for stale in Path(cache_dir).glob("model-*.pkl"):
-                    if stale.name != model_path.name:
-                        try:
-                            stale.unlink()
-                        except OSError:
-                            pass
-                model_broadcast_bytes = len(raw_model)
-                model_ref = (str(model_path), digest)
-            if supervisor is not None:
-                healer = self._heal_extract(
-                    cache_dir, fingerprint, unit_programs, heal_counts,
-                    model=model,
-                )
-                payloads = []
-                for sid, refs in extract_tasks:
-                    payload = ExtractTask(
-                        self.config, cache_dir, fingerprint, sid,
-                        tuple(refs),
-                        model=None if model_ref is not None else model,
-                        model_ref=model_ref,
-                        affinity=supervisor.owner_of(sid),
-                        resident=resident, chaos=chaos,
-                    )
-                    if (spill is not None and resident
-                            and not supervisor.owner_alive(sid)):
-                        # lazy spill keeps bundles only in the analyse
-                        # owner's memory; if that process died, nothing
-                        # holds them — heal the payload up front (ship
-                        # restored bundles) instead of letting the
-                        # first attempt fail on a vanished entry
-                        healed = healer(
-                            payload,
-                            CacheEntryVanished(list(refs), cache_dir),
-                        )
-                        if healed is not None:
-                            payload = healed
-                    payloads.append((sid, payload))
-                results = supervisor.run_phase(
-                    "extract",
-                    payloads,
-                    runner=_supervised_extract,
-                    splitter=_split_extract,
-                    poisoner=self._poison_extract(
-                        merged, unit_sources, cache_dir, fingerprint,
-                        unit_programs,
-                    ),
-                    validator=_valid_extraction,
-                    healer=healer,
-                )
-            else:
-                results = []
-                for sid, refs in extract_tasks:
-                    try:
-                        results.append(_extract_shard(
-                            self.config, sid, refs, model,
-                            cache_dir, fingerprint, bundle_sink,
-                        ))
-                    except CacheEntryVanished as err:
-                        # sequential append runs extract from a
-                        # persistent cache with no supervisor healer:
-                        # restore vanished bundles in place and retry
-                        restored = self._restore_bundles(
-                            err, cache_dir, fingerprint, unit_programs,
-                            heal_counts,
-                        )
-                        if restored is None:
-                            raise
-                        results.append(_extract_shard(
-                            self.config, sid, refs, model,
-                            cache_dir, fingerprint, bundle_sink,
-                            shipped=restored,
-                        ))
-            extraction = CandidateExtraction()
-            for _, _, shard_extraction in sorted(
-                results, key=lambda r: (r[0], r[1])
-            ):
-                extraction.merge(shard_extraction)
-            t3 = time.monotonic()
-
-            # phase 4: finalize ---------------------------------------
+            # phase 3: finalize ---------------------------------------
+            extraction = score_records(
+                (record for key in sorted(merged.records)
+                 for record in merged.records[key]),
+                model,
+            )
             scores = self.pipeline.score(extraction)
             specs = self.pipeline.select(scores)
+            t3 = time.monotonic()
 
             if store is not None:
                 drift = store.record_generation(specs, scores)
                 store.maybe_compact()
 
-            if self.mining.cache_budget is not None and budget_dir:
-                # final unpinned sweep: the run is over, the byte
-                # budget is the only constraint again
-                n_evicted += AnalysisCache(
-                    budget_dir, fingerprint
+            if self.mining.cache_budget is not None and cache_dir:
+                n_evicted = AnalysisCache(
+                    cache_dir, fingerprint
                 ).evict_to_budget(self.mining.cache_budget)
         finally:
             if store is not None:
                 store.close()
             if supervisor is not None and supervisor is not self.coordinator:
                 supervisor.close()
-            if spill is not None:
-                shutil.rmtree(spill, ignore_errors=True)
 
         run = CorpusRunReport(
-            bundles=(
-                [bundle_sink[key] for key, _ in merged.bundle_refs
-                 if key in bundle_sink]
-                if bundle_sink is not None else []
-            ),
-            outcomes=merged.outcomes,
-            manifest=merged.manifest,
+            outcomes=merged.outcomes, manifest=merged.manifest,
         )
         report = self._report(
             jobs, n_shards, merged, t0, t1, t2, t3,
@@ -1022,21 +613,13 @@ class MiningEngine:
             cluster=(
                 self.coordinator.stats.to_dict() if distributed else None
             ),
-            resident=resident,
-            n_affinity_hits=getattr(supervisor, "affinity_hits", 0),
-            n_affinity_misses=getattr(supervisor, "affinity_misses", 0),
-            n_cache_repairs=heal_counts["repaired"],
-            n_bundles_shipped=heal_counts["shipped"],
             store_generation=store.generation if store is not None else None,
             drift=drift.to_dict() if drift is not None else None,
-            cache_dir=budget_dir,
-            cache_ephemeral=(spill is not None),
+            cache_dir=cache_dir,
             dispatch=(
                 supervisor.dispatch.to_dict()
-                if supervisor is not None
-                and hasattr(supervisor, "dispatch") else None
+                if supervisor is not None else None
             ),
-            model_broadcast_bytes=model_broadcast_bytes,
         )
         return LearnedSpecs(
             specs, scores, extraction, model, self.config,
@@ -1103,46 +686,40 @@ class MiningEngine:
         store: StatsStore,
         tasks: List[Tuple[int, List[Unit]]],
         fps: Dict[str, str],
-        cache_dir: Optional[str],
-        fingerprint: str,
     ) -> Tuple[List[Tuple[int, List[Unit]]], List[ShardPartial]]:
         """Partition shard tasks into fresh work and store-satisfied work.
 
         A unit is satisfied from the store when its content fingerprint
-        has a journal record *and* its analysed bundle is still in the
-        cache (extraction needs the bundle; if it was evicted the unit
-        just re-analyses).  Satisfied units become ready-made per-shard
-        partials — re-stamped to the unit's *current* corpus key, which
-        is sound because persisted samples derive from the source name
-        (``bundle_seed``), not the corpus position; source-less
-        programs are never stored (their key is their position).
+        has a journal record, which carries everything the run needs
+        from it: samples, match records and graph counts.  Satisfied
+        units become ready-made per-shard partials — re-stamped to the
+        unit's *current* corpus key, which is sound because persisted
+        samples derive from the source name (``bundle_seed``), not the
+        corpus position; source-less programs are never stored (their
+        key is their position).
         """
-        cache = AnalysisCache(cache_dir, fingerprint) if cache_dir \
-            else None
         remaining: List[Tuple[int, List[Unit]]] = []
         store_partials: List[ShardPartial] = []
         for sid, items in tasks:
             fresh: List[Unit] = []
-            held: List[Tuple[Unit, str, StoredProgram]] = []
+            held: List[Tuple[Unit, StoredProgram]] = []
             for unit in items:
-                _, key, program = unit
-                fp = fps.get(key)
+                fp = fps.get(unit[1])
                 rec = store.get(fp) if fp is not None else None
-                if rec is not None and cache is not None \
-                        and cache.has_bundle(fp):
-                    held.append((unit, fp, rec))
+                if rec is not None:
+                    held.append((unit, rec))
                 else:
                     fresh.append(unit)
             if held:
                 sp = ShardPartial.empty(sid)
                 metrics = sp.metrics[0]
-                for (_, key, program), fp, rec in held:
+                for (_, key, program), rec in held:
                     sp.outcomes.append(ProgramOutcome(
                         key=key, source=program.source,
                         tier=TIER_STORE, cached=True,
                     ))
                     sp.stats.add(key, list(rec.samples))
-                    sp.bundle_refs.append((key, cache.key_of(fp)))
+                    sp.records[key] = tuple(rec.records)
                     sp.program_meta[key] = (rec.n_events, rec.n_edges)
                     metrics.n_programs += 1
                     metrics.n_cached += 1
@@ -1163,6 +740,8 @@ class MiningEngine:
         merged: ShardPartial,
     ) -> None:
         """Journal this run's per-program statistics (and retirements).
+
+        A program's record carries its samples and its match records.
 
         Only programs that produced statistics are stored (quarantined
         ones re-attempt next run); a record whose fingerprint and key
@@ -1188,149 +767,10 @@ class MiningEngine:
                 samples=tuple(merged.stats.blocks[key]),
                 n_events=meta[0],
                 n_edges=meta[1],
+                records=merged.records.get(key, ()),
             ))
         stale = [fp for fp in store.programs if fp not in live]
         store.retire(stale)
-
-    # ------------------------------------------------------------------
-
-    def _heal_extract(
-        self,
-        cache_dir: Optional[str],
-        fingerprint: str,
-        unit_programs: Dict[str, Program],
-        heal_counts: Dict[str, int],
-        model: Optional[EventPairModel] = None,
-    ):
-        """Build the extract-phase healer for the scheduler.
-
-        ``heal(payload, err)`` repairs a :class:`CacheEntryVanished`
-        failure in the parent: each missing bundle is reloaded from the
-        cache (it may have reappeared — another worker's write, or the
-        eviction raced the read) or **re-analysed** from the program
-        source, then packed onto the payload as a shipment the retried
-        task can extract from directly.  A :class:`ModelRefVanished`
-        failure (the broadcast model file went away under a worker) is
-        healed by re-attaching the model inline.  Returns the repaired
-        payload, or None when the failure is not healable — then the
-        ordinary retry/bisect/poison ladder takes over.
-        """
-
-        def heal(payload: ExtractTask, err: BaseException):
-            if isinstance(err, ModelRefVanished):
-                if payload.model is not None or model is None:
-                    # already inline: healing again cannot help
-                    return None
-                return replace(payload, model=model, model_ref=None)
-            if not isinstance(err, CacheEntryVanished):
-                return None
-            already = dict(payload.shipped)
-            if any(key in already for key, _ in err.refs):
-                # a shipped bundle cannot vanish: this failure is not
-                # about cache entries, so healing again cannot help
-                # (and refusing keeps the heal loop bounded)
-                return None
-            shipped = dict(already)
-            cache = (
-                AnalysisCache(cache_dir, fingerprint) if cache_dir else None
-            )
-            missing: List[Tuple[str, str]] = []
-            for key, cache_key in err.refs:
-                # fast path: ship the cache's CRC-verified pickle bytes
-                # as-is (wire format of pack_bundle, minus the
-                # decode→re-encode round trip in the parent)
-                raw = (
-                    cache.load_bundle_payload(cache_key)
-                    if cache is not None and cache_key else None
-                )
-                if raw is not None:
-                    shipped[key] = zlib.compress(raw, 6)
-                    heal_counts["shipped"] += 1
-                else:
-                    missing.append((key, cache_key))
-            if missing:
-                restored = self._restore_bundles(
-                    CacheEntryVanished(missing, cache_dir),
-                    cache_dir, fingerprint, unit_programs, heal_counts,
-                )
-                if restored is None:
-                    return None
-                for key, bundle in restored.items():
-                    shipped[key] = pack_bundle(bundle)
-            return replace(
-                payload, shipped=tuple(sorted(shipped.items()))
-            )
-
-        return heal
-
-    def _restore_bundles(
-        self,
-        err: CacheEntryVanished,
-        cache_dir: Optional[str],
-        fingerprint: str,
-        unit_programs: Dict[str, Program],
-        heal_counts: Dict[str, int],
-    ) -> Optional[Dict[str, GraphBundle]]:
-        """Reload-or-reanalyse every bundle a vanished-entry error names.
-
-        Shared by the supervised healer (which packs the result onto
-        the retried payload) and the sequential retry path (which hands
-        the bundles to ``_extract_shard`` directly).  Returns None when
-        any ref is unrecoverable.
-        """
-        cache = (
-            AnalysisCache(cache_dir, fingerprint) if cache_dir else None
-        )
-        restored: Dict[str, GraphBundle] = {}
-        for key, cache_key in err.refs:
-            bundle = None
-            if cache is not None and cache_key:
-                bundle = cache.load_bundle_by_key(cache_key)
-            if bundle is not None:
-                heal_counts["shipped"] += 1
-            else:
-                program = unit_programs.get(key)
-                if program is None:
-                    return None  # not a unit of this run: unhealable
-                bundle = self._reanalyze(program, key, cache)
-                if bundle is None:
-                    return None  # the program no longer analyses
-                heal_counts["repaired"] += 1
-            restored[key] = bundle
-        return restored
-
-    def _reanalyze(
-        self,
-        program: Program,
-        key: str,
-        cache: Optional[AnalysisCache],
-    ) -> Optional[GraphBundle]:
-        """Re-run the analysis ladder over one program, in the parent.
-
-        Analysis is deterministic given the program and the pipeline
-        config, so the rebuilt bundle is byte-identical (as a pickle)
-        to the vanished one — extraction results cannot drift.  The
-        bundle is re-stored to the cache (re-pinning is pointless: the
-        shipment on the retried payload is the durable copy).
-        """
-        runtime = replace(self.config.runtime, checkpoint_dir=None)
-        executor = CorpusExecutor(
-            self.config.pointsto, self.config.history, runtime
-        )
-        holder: Dict[str, GraphBundle] = {}
-
-        def sink(outcome, bundle, entry) -> None:
-            if bundle is not None:
-                holder["bundle"] = bundle
-
-        try:
-            executor.run([program], keys=[key], sink=sink)
-        except Exception:
-            return None
-        bundle = holder.get("bundle")
-        if bundle is not None and cache is not None:
-            cache.store_bundle(program_fingerprint(program), bundle)
-        return bundle
 
     # ------------------------------------------------------------------
 
@@ -1363,40 +803,6 @@ class MiningEngine:
 
         return poison
 
-    def _poison_extract(
-        self,
-        merged: ShardPartial,
-        unit_sources: Dict[str, Optional[str]],
-        cache_dir: Optional[str],
-        fingerprint: str,
-        unit_programs: Dict[str, Program],
-    ):
-        def poison(payload: ExtractTask, label: str, error: str):
-            # the program analysed fine but extraction keeps killing
-            # workers: quarantine it (its candidates are dropped; its
-            # training samples already contributed — recorded honestly
-            # in the manifest entry)
-            ((key, _),) = payload.refs
-            entry = QuarantineEntry(
-                program=key,
-                source=unit_sources.get(key),
-                error_kind=label,
-                error=f"extract phase: {error}",
-                attempts=[TierAttempt(
-                    tier=TIER_SUPERVISED, error_kind=label, error=error,
-                )],
-            )
-            if cache_dir and key in unit_programs:
-                AnalysisCache(cache_dir, fingerprint).store_quarantine(
-                    program_fingerprint(unit_programs[key]), entry
-                )
-            merged.manifest.add(entry)
-            return payload.shard_id, key, CandidateExtraction()
-
-        return poison
-
-    # ------------------------------------------------------------------
-
     def _report(
         self,
         jobs: int,
@@ -1409,17 +815,10 @@ class MiningEngine:
         distributed: bool = False,
         parallel_train: bool = False,
         cluster: Optional[Dict[str, object]] = None,
-        resident: bool = False,
-        n_affinity_hits: int = 0,
-        n_affinity_misses: int = 0,
-        n_cache_repairs: int = 0,
-        n_bundles_shipped: int = 0,
         store_generation: Optional[int] = None,
         drift: Optional[Dict[str, object]] = None,
         cache_dir: Optional[str] = None,
-        cache_ephemeral: bool = False,
         dispatch: Optional[Dict[str, object]] = None,
-        model_broadcast_bytes: int = 0,
     ) -> MiningReport:
         def total(attr: str) -> int:
             return sum(getattr(m, attr) for m in merged.metrics)
@@ -1441,25 +840,18 @@ class MiningEngine:
             seconds_total=time.monotonic() - t0,
             shards=list(merged.metrics),
             analyzed_keys=list(merged.analyzed_keys),
-            cache_dir=cache_dir if cache_dir else self.mining.cache_dir,
+            cache_dir=cache_dir,
             ledger=ledger,
             n_evicted=n_evicted,
             supervised=supervised,
             distributed=distributed,
             parallel_train=parallel_train,
             cluster=cluster,
-            resident=resident,
-            n_affinity_hits=n_affinity_hits,
-            n_affinity_misses=n_affinity_misses,
-            n_cache_repairs=n_cache_repairs,
-            n_bundles_shipped=n_bundles_shipped,
             n_from_store=total("n_from_store"),
             n_cache_corrupt=total("n_cache_corrupt"),
             store_generation=store_generation,
             drift=drift,
-            cache_ephemeral=cache_ephemeral,
             dispatch=dispatch,
-            model_broadcast_bytes=model_broadcast_bytes,
             n_sample_hits=total("n_sample_hits"),
         )
 

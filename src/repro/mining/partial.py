@@ -16,8 +16,8 @@ The partial carries:
 * :class:`~repro.model.logistic.SufficientStats` — the hashed training
   samples of the shard's programs, keyed by program so the merged
   stream has one canonical order;
-* bundle references (program key → cache key) so the extraction phase
-  can reload analysed bundles without re-shipping them through pickles;
+* per-program Alg. 1 match records (:func:`repro.specs.candidates.
+  match_records`), which the parent scores once the model is trained;
 * :class:`ShardMetrics` — event/edge counts, cache hits, wall-clock.
 """
 
@@ -32,10 +32,6 @@ from repro.runtime.manifest import QuarantineManifest
 
 if TYPE_CHECKING:  # avoid the partial → supervisor import cycle
     from repro.mining.supervisor import FailureLedger
-
-#: (program key, cache key) — cache key is None when the bundle stayed
-#: in memory (sequential runs without a cache directory)
-BundleRef = Tuple[str, Optional[str]]
 
 
 @dataclass
@@ -84,7 +80,8 @@ class ShardPartial:
     outcomes: List[ProgramOutcome] = field(default_factory=list)
     manifest: QuarantineManifest = field(default_factory=QuarantineManifest)
     stats: SufficientStats = field(default_factory=SufficientStats)
-    bundle_refs: List[BundleRef] = field(default_factory=list)
+    #: program key → its match records (``MatchRecord`` tuples)
+    records: Dict[str, Tuple] = field(default_factory=dict)
     #: keys actually *computed* this run (neither cached nor resumed)
     analyzed_keys: List[str] = field(default_factory=list)
     #: program key → (n_events, n_edges) — the per-program graph sizes
@@ -109,7 +106,7 @@ class ShardPartial:
         self.outcomes.extend(other.outcomes)
         self.manifest.merge(other.manifest)
         self.stats.merge(other.stats)
-        self.bundle_refs.extend(other.bundle_refs)
+        self.records.update(other.records)
         self.analyzed_keys.extend(other.analyzed_keys)
         self.program_meta.update(other.program_meta)
         return self
@@ -120,7 +117,7 @@ class ShardPartial:
         After this, two folds of the same shard set in different orders
         compare equal field-by-field — the property the monoid-law
         tests check, and the one the engine relies on before handing
-        outcomes/refs to the order-sensitive downstream stages.
+        outcomes to the order-sensitive downstream stages.
 
         Metrics carrying the same shard id — the sub-partials a
         supervised bisection produced for one shard — are coalesced
@@ -143,7 +140,6 @@ class ShardPartial:
         self.metrics.sort(key=lambda m: m.shard_id)
         self.outcomes.sort(key=lambda o: o.key)
         self.manifest.entries.sort(key=lambda e: e.program)
-        self.bundle_refs.sort(key=lambda ref: ref[0])
         self.analyzed_keys.sort()
         return self
 
@@ -190,6 +186,8 @@ class MiningReport:
     n_samples: int
     seconds_analyze: float
     seconds_train: float
+    #: scoring every match record with the trained model, plus τ
+    #: selection (the name predates one-pass mining)
     seconds_extract: float
     seconds_total: float
     shards: List[ShardMetrics] = field(default_factory=list)
@@ -208,19 +206,6 @@ class MiningReport:
     parallel_train: bool = False
     #: repro.dist ClusterStats.to_dict() of a distributed run
     cluster: Optional[Dict[str, object]] = None
-    #: whether bundles stayed resident in workers across the
-    #: analyze→extract barrier (worker-affinity scheduling)
-    resident: bool = False
-    #: extract tasks that landed on the worker holding their bundles
-    n_affinity_hits: int = 0
-    #: extract tasks that carried an affinity hint but ran elsewhere
-    #: (owner died / was busy) and reloaded bundles from the cache
-    n_affinity_misses: int = 0
-    #: vanished cache entries restored by re-analysis in the parent
-    n_cache_repairs: int = 0
-    #: vanished cache entries restored by reload + shipment (the entry
-    #: reappeared, or another worker's copy was still on disk)
-    n_bundles_shipped: int = 0
     #: programs whose statistics came from the durable store (--append)
     n_from_store: int = 0
     #: corrupt cache entries detected on read, deleted, and re-analysed
@@ -230,36 +215,19 @@ class MiningReport:
     #: SpecDrift.to_dict() vs the previous generation (None without a
     #: store; a first generation reports ``previous: None``)
     drift: Optional[Dict[str, object]] = None
-    #: whether the bundle cache was a run-private spill directory — no
-    #: entry can predate the run, so a hit rate is meaningless (the
-    #: report shows null instead of a misleading 0.0)
-    cache_ephemeral: bool = False
-    #: DispatchStats.to_dict() of the supervised scheduler (round
+    #: DispatchStats.to_dict() of the supervisor or coordinator (round
     #: trips, batching, serialize/deserialize time, IPC bytes)
     dispatch: Optional[Dict[str, object]] = None
-    #: size of the pickled model broadcast to extract workers by disk
-    #: ref (0 when the model was shipped inline in every task)
+    #: always 0: the trained model never leaves the parent.  Kept
+    #: because benchmarks/perf/child.py reads it
     model_broadcast_bytes: int = 0
-    #: cache hits served from the pre-encoded samples sidecar
+    #: cache hits served from the samples sidecar
     n_sample_hits: int = 0
 
     @property
-    def cache_hit_rate(self) -> Optional[float]:
-        """Fraction of programs satisfied from the incremental cache.
-
-        None when the cache was a run-private spill directory: nothing
-        could possibly have been hit, so 0.0 would read as "the cache
-        did not work" rather than "there was no cache to hit".
-        """
-        if self.cache_ephemeral:
-            return None
+    def cache_hit_rate(self) -> float:
+        """Fraction of programs satisfied from the incremental cache."""
         return self.n_cached / self.n_programs if self.n_programs else 0.0
-
-    @property
-    def affinity_hit_rate(self) -> float:
-        """Fraction of affinity-hinted extract tasks served resident."""
-        total = self.n_affinity_hits + self.n_affinity_misses
-        return self.n_affinity_hits / total if total else 0.0
 
     @property
     def programs_per_second(self) -> float:
@@ -279,10 +247,7 @@ class MiningReport:
             "n_edges": self.n_edges,
             "n_samples": self.n_samples,
             "n_sample_hits": self.n_sample_hits,
-            "cache_hit_rate": (
-                round(self.cache_hit_rate, 6)
-                if self.cache_hit_rate is not None else None
-            ),
+            "cache_hit_rate": round(self.cache_hit_rate, 6),
             "programs_per_second": round(self.programs_per_second, 6),
             "seconds_analyze": round(self.seconds_analyze, 6),
             "seconds_train": round(self.seconds_train, 6),
@@ -292,12 +257,6 @@ class MiningReport:
             "supervised": self.supervised,
             "distributed": self.distributed,
             "parallel_train": self.parallel_train,
-            "resident": self.resident,
-            "n_affinity_hits": self.n_affinity_hits,
-            "n_affinity_misses": self.n_affinity_misses,
-            "affinity_hit_rate": round(self.affinity_hit_rate, 6),
-            "n_cache_repairs": self.n_cache_repairs,
-            "n_bundles_shipped": self.n_bundles_shipped,
             "n_from_store": self.n_from_store,
             "n_cache_corrupt": self.n_cache_corrupt,
             "model_broadcast_bytes": self.model_broadcast_bytes,

@@ -12,13 +12,6 @@ worker processes** (one per job slot, respawned on death):
   shard wall-clock deadline is *terminated* and recorded as a
   *timeout*, and a result that does not decode to the expected shape
   is *corrupt*;
-* **worker affinity + bundle residency** — workers persist across the
-  analyze→extract barrier, so the bundles a worker analysed stay in
-  its process (:mod:`repro.mining.residency`); the scheduler records
-  which worker analysed each shard and routes the shard's extract
-  task back to it, falling back to any idle worker (cache reload)
-  when the owner died, was respawned, or is busy while the queue
-  drains;
 * **bounded retries with exponential backoff** — a failed task is
   re-queued with a deterministic backoff schedule (``base × factor^n``,
   capped); backoff is implemented as a not-before timestamp so the
@@ -41,10 +34,7 @@ idempotent and content-addressed), a retried attempt recomputes or
 cache-hits the same per-program values, and bisected halves produce the
 same mergeable partials the whole shard would have — so specs and
 manifest stay byte-identical with chaos on or off, for any ``--jobs``
-and ``--shards``, modulo the quarantined toxic programs.  Affinity is
-part of scheduling, not results: a resident bundle is the same object
-a cache reload would deserialise, so hit and miss paths extract
-identically.
+and ``--shards``, modulo the quarantined toxic programs.
 
 ``strict=True`` keeps fail-fast semantics: a typed error shipped back
 by a worker re-raises in the parent with its type intact (``--strict``
@@ -61,7 +51,6 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import (
     Callable,
-    Container,
     Dict,
     List,
     Optional,
@@ -69,7 +58,6 @@ from typing import (
     Tuple,
 )
 
-from repro.mining.residency import residency_group
 from repro.runtime.errors import (
     WORKER_CRASH,
     WORKER_TIMEOUT,
@@ -378,9 +366,7 @@ def _pool_main(conn) -> None:
     :mod:`repro.serve.pool`) or as a coalesced ``("jobs", runner,
     [(payload, attempt), ...])`` frame, answered with a list of one
     message per entry; ``None`` is the shutdown sentinel.  The process
-    persists across jobs *and phases* — that persistence is what keeps
-    :func:`repro.mining.residency.process_residency` bundles alive
-    from a shard's analyze task to its extract task.
+    persists across jobs and phases.
     """
     while True:
         try:
@@ -445,8 +431,6 @@ class DispatchStats:
     #: result-shape revalidations run vs skipped on the warm batch path
     n_validations: int = 0
     n_validations_skipped: int = 0
-    #: selections that skipped the 3-pass affinity scan outright
-    n_select_fast: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -460,7 +444,6 @@ class DispatchStats:
             "seconds_deserialize": round(self.seconds_deserialize, 6),
             "n_validations": self.n_validations,
             "n_validations_skipped": self.n_validations_skipped,
-            "n_select_fast": self.n_select_fast,
         }
 
 
@@ -475,10 +458,6 @@ class _Task:
     attempt: int = 0
     ready_at: float = 0.0
     seq: int = 0  # launch-order tiebreak
-    #: label of the worker whose residency holds this task's bundles
-    affinity: Optional[str] = None
-    #: residency group token, matched against worker advertisements
-    group: Optional[str] = None
 
 
 @dataclass
@@ -486,7 +465,6 @@ class _PoolWorker:
     """One persistent slot of the local worker pool."""
 
     slot: int
-    generation: int
     process: object
     conn: object
     #: the in-flight frame: one task, or several coalesced into one
@@ -495,16 +473,6 @@ class _PoolWorker:
     started: float = 0.0
     deadline: Optional[float] = None
     allowed: Optional[float] = None  # the deadline in relative seconds
-
-    @property
-    def label(self) -> str:
-        """Identity for affinity bookkeeping.
-
-        The generation is part of the label: a respawned slot is a
-        *different* process with an empty residency, so tasks bound to
-        the dead generation must not match its successor.
-        """
-        return f"w{self.slot}#{self.generation}"
 
     @property
     def idle(self) -> bool:
@@ -538,12 +506,6 @@ class TaskScheduler:
         self._clock = clock
         self._seq = 0
         self._deadlines = DeadlineTracker(self.supervision)
-        #: shard_id → label of the worker whose OK analyze attempt won
-        self._owners: Dict[int, str] = {}
-        #: engine-provided payload repair hook (see ``_heal``)
-        self._healer: Optional[Callable] = None
-        self.affinity_hits = 0
-        self.affinity_misses = 0
         self.dispatch = DispatchStats()
 
     # ------------------------------------------------------------------
@@ -556,127 +518,21 @@ class TaskScheduler:
             task_id=task_id, shard_id=shard_id, phase=phase,
             n_programs=self._payload_size(payload),
         ))
-        group = None
-        if hasattr(payload, "affinity"):
-            fingerprint = getattr(payload, "fingerprint", None)
-            if fingerprint:
-                group = residency_group(fingerprint, shard_id)
         return _Task(
             task_id=task_id, shard_id=shard_id, payload=payload,
             record=record, seq=self._seq,
-            affinity=getattr(payload, "affinity", None), group=group,
         )
 
-    # ------------------------------------------------------------------
-    # worker affinity
-
-    def _note_owner(self, task: _Task, label: str) -> None:
-        """Record which worker's residency now holds a shard's bundles."""
-        if task.record.phase == "analyze":
-            self._owners[task.shard_id] = label
-
-    def owner_of(self, shard_id: int) -> Optional[str]:
-        """The label of the worker that analysed ``shard_id``, if any."""
-        return self._owners.get(shard_id)
-
-    def owner_alive(self, shard_id: int) -> bool:
-        """Whether ``shard_id``'s analyse owner can still serve its
-        residency.  Dispatchers that cannot tell report True — a wrong
-        answer only costs a vanished-entry retry through the healer."""
-        return self.owner_of(shard_id) is not None
-
-    def _select_task(
-        self,
-        queue: List[_Task],
-        now: float,
-        *,
-        label: Optional[str] = None,
-        resident: Optional[Container[str]] = None,
-        alive: Optional[Container[str]] = None,
-    ) -> Optional[_Task]:
-        """Pop the best ready task for one idle worker, or None.
-
-        ``queue`` must already be sorted by ``(ready_at, seq)``.  Three
-        passes, best placement first:
-
-        1. a task whose affinity names this worker — or whose residency
-           group the worker advertises — extracts from memory (*hit*);
-        2. a task with no affinity, or whose owner is known dead
-           (``alive``), has nothing to lose by running here (*miss*);
-        3. otherwise *steal* the oldest ready task: its owner is alive
-           but busy, and an idle pool beats perfect placement — the
-           bundles just come off disk instead (*miss*).
-
-        Hit/miss counters track only tasks that carried an affinity
-        hint; unhinted tasks (analyze, train) say nothing about
-        residency.
-        """
-        def take(index: int, hit: bool) -> _Task:
-            task = queue.pop(index)
-            if task.affinity is not None:
-                if hit:
-                    self.affinity_hits += 1
-                else:
-                    self.affinity_misses += 1
-            return task
-
-        for i, task in enumerate(queue):
-            if task.ready_at > now:
-                break  # sorted: nothing ready past this point
-            if label is not None and task.affinity == label:
-                return take(i, hit=True)
-            if (resident is not None and task.group is not None
-                    and task.group in resident):
-                return take(i, hit=True)
-        for i, task in enumerate(queue):
-            if task.ready_at > now:
-                break
-            if task.affinity is None:
-                return take(i, hit=False)
-            if alive is not None and task.affinity not in alive:
-                return take(i, hit=False)
-        for i, task in enumerate(queue):
-            if task.ready_at > now:
-                break
-            return take(i, hit=False)
-        return None
-
-    # ------------------------------------------------------------------
-    # payload healing (extract-phase bundle restoration)
-
-    def _heal(
-        self, task: _Task, err: BaseException, now: float,
-        queue: List[_Task],
-    ) -> bool:
-        """Offer a failed payload to the engine's healer; requeue if fixed.
-
-        The healer (see ``MiningEngine``) understands
-        :class:`~repro.mining.cache.CacheEntryVanished`: it restores
-        the missing bundles (cache reload or re-analysis) and returns a
-        replacement payload with them attached, or None when it cannot
-        help — in which case the normal retry/bisect/poison ladder
-        takes over.  Healing consumes no retry budget: the repaired
-        payload cannot fail the same way twice (shipped bundles cannot
-        vanish), so the loop is bounded by the task's ref count.
-        """
-        if self._healer is None:
-            return False
-        try:
-            replacement = self._healer(task.payload, err)
-        except Exception:
-            return False
-        if replacement is None:
-            return False
-        task.payload = replacement
-        task.ready_at = now
-        queue.append(task)
-        return True
+    @staticmethod
+    def _pop_ready(queue: List[_Task], now: float) -> Optional[_Task]:
+        """Pop the oldest ready task (``queue`` sorted by ready time)."""
+        if not queue or queue[0].ready_at > now:
+            return None
+        return queue.pop(0)
 
     @staticmethod
     def _payload_size(payload: object) -> int:
         items = getattr(payload, "items", None)
-        if items is None:
-            items = getattr(payload, "refs", None)
         try:
             return len(items) if items is not None else 1
         except TypeError:
@@ -733,13 +589,12 @@ class TaskScheduler:
 class ShardSupervisor(TaskScheduler):
     """Watchdog dispatcher for one mining run's shard tasks.
 
-    One instance supervises both engine phases (analyse, extract) and
-    accumulates their histories in a shared :class:`FailureLedger`.
-    The worker pool is lazily spawned on the first phase and persists
-    across phases (that persistence carries bundle residency across
-    the analyze→extract barrier); callers must :meth:`close` the
-    supervisor when the run ends.  ``clock`` is injectable for tests
-    and must be monotone.
+    One instance supervises every engine phase (analyse, and training
+    under ``--parallel-train``) and accumulates their histories in a
+    shared :class:`FailureLedger`.  The worker pool is lazily spawned
+    on the first phase and persists across phases; callers must
+    :meth:`close` the supervisor when the run ends.  ``clock`` is
+    injectable for tests and must be monotone.
     """
 
     def __init__(
@@ -760,7 +615,6 @@ class ShardSupervisor(TaskScheduler):
         self.jobs = max(1, jobs)
         self._sleep = sleep
         self._workers: List[_PoolWorker] = []
-        self._generation = 0
         #: coalescing floor: first-attempt tasks are packed into one
         #: round trip until the frame carries at least this many
         #: programs (0 disables batching; the engine passes 0 whenever
@@ -772,7 +626,6 @@ class ShardSupervisor(TaskScheduler):
     # pool lifecycle
 
     def _spawn_worker(self, slot: int) -> _PoolWorker:
-        self._generation += 1
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         process = self.ctx.Process(
             target=_pool_main, args=(child_conn,), daemon=True,
@@ -780,34 +633,15 @@ class ShardSupervisor(TaskScheduler):
         process.start()
         child_conn.close()
         return _PoolWorker(
-            slot=slot, generation=self._generation,
-            process=process, conn=parent_conn,
+            slot=slot, process=process, conn=parent_conn,
         )
 
     def _ensure_pool(self) -> None:
         while len(self._workers) < self.jobs:
             self._workers.append(self._spawn_worker(len(self._workers)))
 
-    def owner_alive(self, shard_id: int) -> bool:
-        """Whether the analysing generation of ``shard_id`` still runs.
-
-        A respawned slot carries a new generation label, so a shard
-        whose owner died reports False here — its bundles exist in no
-        process's residency any more.
-        """
-        owner = self.owner_of(shard_id)
-        return owner is not None and any(
-            worker.label == owner for worker in self._workers
-        )
-
     def _replace_worker(self, worker: _PoolWorker) -> None:
-        """Respawn one slot after its process died or was killed.
-
-        The successor gets a fresh generation (and thus a fresh
-        label): whatever residency the dead process held is gone, so
-        tasks bound to the old label must fall through to the
-        dead-owner pass of ``_select_task``.
-        """
+        """Respawn one slot after its process died or was killed."""
         try:
             worker.conn.close()
         except Exception:
@@ -835,9 +669,6 @@ class ShardSupervisor(TaskScheduler):
                 pass
         self._workers = []
 
-    def _alive_labels(self) -> frozenset:
-        return frozenset(w.label for w in self._workers)
-
     # ------------------------------------------------------------------
 
     def run_phase(
@@ -849,7 +680,6 @@ class ShardSupervisor(TaskScheduler):
         splitter: Callable[[object], Optional[Tuple[object, object]]],
         poisoner: Callable[[object, str, str], object],
         validator: Callable[[object], bool],
-        healer: Optional[Callable] = None,
     ) -> List[object]:
         """Dispatch ``tasks`` (``(shard_id, payload)``) under supervision.
 
@@ -861,9 +691,6 @@ class ShardSupervisor(TaskScheduler):
         toxic singleton into a phase result (quarantine entry + empty
         partial); it runs in the parent, so it may close over engine
         state.  ``validator(result)`` rejects corrupt result payloads.
-        ``healer(payload, error)`` may repair a payload whose typed
-        error is recoverable (vanished cache bundles) — see
-        ``TaskScheduler._heal``.
 
         Returns one result per surviving leaf task, in no particular
         order — callers merge through the order-insensitive partials.
@@ -873,7 +700,6 @@ class ShardSupervisor(TaskScheduler):
             for shard_id, payload in tasks
         ]
         results: List[object] = []
-        self._healer = healer
         self._ensure_pool()
         try:
             while queue or any(not w.idle for w in self._workers):
@@ -904,43 +730,19 @@ class ShardSupervisor(TaskScheduler):
             # a later phase, so the pool dies with the phase
             self.close()
             raise
-        finally:
-            self._healer = None
         return results
 
     # ------------------------------------------------------------------
 
-    def _pop_first_ready(
-        self, queue: List[_Task], now: float, label: str
-    ) -> Optional[_Task]:
-        """Fast selection: pop the oldest ready task, no affinity scan.
-
-        Valid only when every queued task's affinity is either unset or
-        this worker itself (checked by the caller): then pass 1/2 of
-        :meth:`_select_task` would pick the same task, and pass 3
-        (stealing) can never trigger, so the 3-pass scan is pure
-        overhead.  ``n_select_fast`` counts how often it was skipped.
-        """
-        if not queue or queue[0].ready_at > now:
-            return None
-        task = queue.pop(0)
-        if task.affinity is not None:
-            self.affinity_hits += 1
-        self.dispatch.n_select_fast += 1
-        return task
-
     def _coalesce(
         self, batch: List[_Task], queue: List[_Task], now: float,
-        label: str,
     ) -> None:
         """Pack more small first-attempt tasks into one worker frame.
 
         Greedy over the (sorted) ready queue until the frame carries at
         least ``batch_programs`` programs.  Only clean first attempts
         ride along — retries keep their own frame so failures stay
-        attributable — and only tasks that would run on this worker
-        anyway (no affinity, or affinity to this very worker), so
-        batching never steals residency from a better-placed worker.
+        attributable.
         """
         total = self._payload_size(batch[0].payload)
         i = 0
@@ -948,12 +750,8 @@ class ShardSupervisor(TaskScheduler):
             task = queue[i]
             if task.ready_at > now:
                 break  # sorted: nothing ready past this point
-            if (task.attempt == 0
-                    and (task.affinity is None
-                         or task.affinity == label)):
+            if task.attempt == 0:
                 queue.pop(i)
-                if task.affinity is not None:
-                    self.affinity_hits += 1
                 batch.append(task)
                 total += self._payload_size(task.payload)
             else:
@@ -969,25 +767,15 @@ class ShardSupervisor(TaskScheduler):
         poisoner,
     ) -> None:
         queue.sort(key=lambda t: (t.ready_at, t.seq))
-        alive = self._alive_labels()
         for worker in list(self._workers):
             if not worker.idle or not queue:
                 continue
-            # locally the residency `group` token never routes (only
-            # the dist coordinator advertises residency), so the full
-            # scan is needed only when some task is pinned elsewhere
-            if all(t.affinity is None or t.affinity == worker.label
-                   for t in queue):
-                task = self._pop_first_ready(queue, now, worker.label)
-            else:
-                task = self._select_task(
-                    queue, now, label=worker.label, alive=alive,
-                )
+            task = self._pop_ready(queue, now)
             if task is None:
                 break  # nothing ready yet (backoff cooldowns)
             batch = [task]
             if self.batch_programs > 0 and task.attempt == 0:
-                self._coalesce(batch, queue, now, worker.label)
+                self._coalesce(batch, queue, now)
             if len(batch) == 1:
                 frame: object = (runner, task.payload, task.attempt)
             else:
@@ -1105,7 +893,7 @@ class ShardSupervisor(TaskScheduler):
         any_ok = False
         for index, (task, reply) in enumerate(zip(batch, replies)):
             any_ok |= self._settle(
-                task, reply, index, seconds, straggler, worker.label,
+                task, reply, index, seconds, straggler,
                 now, queue, results, splitter, poisoner, validator,
             )
         if any_ok:
@@ -1120,7 +908,6 @@ class ShardSupervisor(TaskScheduler):
         index: int,
         seconds: float,
         straggler: bool,
-        label: str,
         now: float,
         queue: List[_Task],
         results: List[object],
@@ -1151,7 +938,6 @@ class ShardSupervisor(TaskScheduler):
                     attempt=task.attempt, outcome=OUTCOME_OK,
                     seconds=seconds, straggler=straggler,
                 ))
-                self._note_owner(task, label)
                 results.append(reply[1])
                 return True
         elif (isinstance(reply, tuple) and len(reply) == 2
@@ -1162,8 +948,6 @@ class ShardSupervisor(TaskScheduler):
                 attempt=task.attempt, outcome=OUTCOME_ERROR,
                 seconds=seconds, error=f"{type(err).__name__}: {err}",
             ))
-            if self._heal(task, err, now, queue):
-                return False  # repaired payload requeued; no budget used
             if self.strict:
                 # fail fast with the worker's typed error intact
                 # (exit codes 3/4 survive supervision)

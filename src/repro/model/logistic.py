@@ -158,8 +158,6 @@ class LogisticRegression:
 
     def partial_fit(self, indices: Sequence[int], label: int) -> float:
         """One Adagrad step; returns the example's log-loss before update."""
-        if self._grad_sq is None:  # resumed scoring clone: fresh optimiser
-            self._grad_sq = np.full(self.dim, 1e-8, dtype=np.float64)
         if isinstance(indices, np.ndarray):
             idx = indices
         else:
@@ -189,50 +187,26 @@ class LogisticRegression:
             losses.append(total / max(1, len(examples)))
         return losses
 
-    def scoring_clone(self) -> "LogisticRegression":
-        """A scoring-only view of this model for cheap broadcast.
-
-        Shares the weight vector (no copy) and drops the Adagrad
-        accumulator, which prediction never reads — its sparse state
-        pickles to roughly half the bytes of the full model.  The
-        unpickled clone scores identically and can even resume training
-        (``partial_fit`` re-seeds a fresh accumulator on demand), it
-        just loses the optimiser history.
-        """
-        clone = object.__new__(LogisticRegression)
-        clone.dim = self.dim
-        clone.config = self.config
-        clone.weights = self.weights
-        clone._grad_sq = None
-        clone.n_trained = self.n_trained
-        return clone
-
     # ------------------------------------------------------------------
     # pickling: the dense weight/accumulator vectors are almost entirely
     # zeros (hashed-feature models touch only observed indices), so the
     # pickle stores sparse (index, value) pairs.  This is what makes
-    # broadcasting a trained model to mining workers cheap — kilobytes
-    # instead of 2 × dim × 8 bytes per member.
+    # shipping trained ensembles back from training workers cheap —
+    # kilobytes instead of 2 × dim × 8 bytes per member.
 
     def __getstate__(self) -> Dict:
         # Sparse state is kept as flat numpy arrays: pickling an array is
-        # one buffer copy, where the old list-of-python-numbers form paid
-        # tolist() plus a per-element opcode on both ends of every
-        # broadcast.  __setstate__ still accepts the legacy list form.
+        # one buffer copy, where a list-of-python-numbers form would pay
+        # tolist() plus a per-element opcode on both ends of every pickle.
         nz = np.nonzero(self.weights)[0]
         wv = self.weights[nz]
-        if self._grad_sq is None:  # scoring_clone: no optimiser state
-            gz = None
-            gv = None
-        else:
-            gz = np.nonzero(self._grad_sq != 1e-8)[0]
-            gv = self._grad_sq[gz]
+        gz = np.nonzero(self._grad_sq != 1e-8)[0]
+        gv = self._grad_sq[gz]
         # hashed dimensions fit comfortably in 32-bit indices; the cast
-        # is lossless and halves the index payload of every broadcast
+        # is lossless and halves the index payload of every pickle
         if self.dim <= np.iinfo(np.int32).max:
             nz = nz.astype(np.int32)
-            if gz is not None:
-                gz = gz.astype(np.int32)
+            gz = gz.astype(np.int32)
         return {
             "dim": self.dim,
             "config": self.config,
@@ -249,14 +223,8 @@ class LogisticRegression:
         self.n_trained = state["n_trained"]
         self.weights = np.zeros(self.dim, dtype=np.float64)
         self.weights[state["w_idx"]] = state["w_val"]
-        if state["g_idx"] is None:
-            # a broadcast scoring clone: skip the dense accumulator
-            # rebuild entirely (prediction never reads it; the first
-            # partial_fit re-seeds it on demand)
-            self._grad_sq = None
-        else:
-            self._grad_sq = np.full(self.dim, 1e-8, dtype=np.float64)
-            self._grad_sq[state["g_idx"]] = state["g_val"]
+        self._grad_sq = np.full(self.dim, 1e-8, dtype=np.float64)
+        self._grad_sq[state["g_idx"]] = state["g_val"]
 
     def __repr__(self) -> str:
         nnz = int(np.count_nonzero(self.weights))

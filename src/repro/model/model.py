@@ -140,32 +140,22 @@ class EventPairModel:
 
     # ------------------------------------------------------------------
 
-    def scoring_clone(self) -> "EventPairModel":
-        """A prediction-only copy for broadcast to mining workers.
-
-        Member weight vectors are shared (no copies); only the Adagrad
-        accumulators — dead weight for scoring — are dropped, roughly
-        halving the serialized model.  ``predict`` is bit-identical.
-        """
-        clone = EventPairModel(
-            self.feature_config, self.train_config, self.n_members)
-        clone._models = {
-            key: [m.scoring_clone() for m in members]
-            for key, members in self._models.items()
-        }
-        clone._fallback = [m.scoring_clone() for m in self._fallback]
-        clone.n_samples = self.n_samples
-        return clone
-
     def predict(self, feature: PairFeature) -> float:
         """ϕ(ftr(e1, e2)) — edge probability in [0, 1]."""
-        encoded = encode_feature(feature, self.feature_config)
-        members = self._models.get(feature.position_key)
+        return self.predict_encoded(
+            feature.position_key,
+            encode_feature(feature, self.feature_config),
+        )
+
+    def predict_encoded(self, position_key: PositionKey,
+                        indices: Sequence[int]) -> float:
+        """ϕ of an already-hashed feature (see :func:`encode_feature`)."""
+        members = self._models.get(position_key)
         if not members or members[0].n_trained == 0:
             members = self._fallback
         if not members:
             return 0.5
-        return sum(m.predict_proba(encoded) for m in members) / len(members)
+        return sum(m.predict_proba(indices) for m in members) / len(members)
 
     @property
     def position_keys(self) -> List[PositionKey]:

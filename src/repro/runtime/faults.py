@@ -120,9 +120,6 @@ CHAOS_CORRUPT = "corrupt"
 
 CHAOS_MODES = (CHAOS_KILL, CHAOS_HANG, CHAOS_CORRUPT)
 
-#: Mining phases a :class:`ChaosSpec` can target.
-CHAOS_PHASES = ("analyze", "extract")
-
 #: Exit code of a chaos-killed worker (distinguishable from a clean 0
 #: and from Python's uncaught-exception 1 in supervisor diagnostics).
 CHAOS_EXIT_CODE = 86
@@ -147,17 +144,13 @@ class ChaosSpec:
     is below it, so ``until_attempt=1`` models a *transient* failure
     (first attempt dies, the retry succeeds) while ``None`` models a
     *toxic* program that kills every worker that touches it and can
-    only be removed by bisection + quarantine.  ``phase`` selects the
-    mining phase whose workers the spec targets (``analyze`` — the
-    default, preserving the pre-phase semantics — or ``extract``, for
-    staging owner death *after* a shard's bundles went resident).
+    only be removed by bisection + quarantine.
     """
 
     program: str
     mode: str
     until_attempt: Optional[int] = None
     hang_seconds: float = 3600.0
-    phase: str = "analyze"
 
     def __post_init__(self) -> None:
         if self.mode not in CHAOS_MODES:
@@ -165,46 +158,21 @@ class ChaosSpec:
                 f"unknown chaos mode {self.mode!r}; "
                 f"expected one of {CHAOS_MODES}"
             )
-        if self.phase not in CHAOS_PHASES:
-            raise ValueError(
-                f"unknown chaos phase {self.phase!r}; "
-                f"expected one of {CHAOS_PHASES}"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "ChaosSpec":
-        """Parse the CLI form ``mode:program[:until_attempt][:phase]``.
-
-        The third segment is ``until_attempt`` when it is an integer
-        and a phase name otherwise; the four-segment form allows both
-        (``kill:prog:1:extract``) or an empty attempt bound
-        (``kill:prog::extract`` = toxic extract-phase kill).
-        """
+        """Parse the CLI form ``mode:program[:until_attempt]``."""
         parts = text.split(":")
-        if len(parts) not in (2, 3, 4) or not parts[0] or not parts[1]:
+        if (len(parts) not in (2, 3) or not parts[0] or not parts[1]
+                or (len(parts) == 3 and not parts[2].isdigit())):
             raise ValueError(
                 f"malformed chaos spec {text!r}; "
-                f"expected mode:program[:until_attempt][:phase]"
+                f"expected mode:program[:until_attempt]"
             )
-        until: Optional[int] = None
-        phase = "analyze"
-        if len(parts) == 3:
-            if parts[2].isdigit():
-                until = int(parts[2])
-            else:
-                phase = parts[2]
-        elif len(parts) == 4:
-            if parts[2]:
-                until = int(parts[2])
-            phase = parts[3]
-        return cls(program=parts[1], mode=parts[0],
-                   until_attempt=until, phase=phase)
+        until = int(parts[2]) if len(parts) == 3 else None
+        return cls(program=parts[1], mode=parts[0], until_attempt=until)
 
-    def matches(
-        self, program_key: str, attempt: int, phase: str = "analyze"
-    ) -> bool:
-        if self.phase != phase:
-            return False
+    def matches(self, program_key: str, attempt: int) -> bool:
         if self.program not in program_key:
             return False
         if self.until_attempt is not None and attempt >= self.until_attempt:
@@ -227,27 +195,24 @@ class ChaosPlan:
     def __init__(self, specs: Sequence[ChaosSpec] = ()) -> None:
         self.specs: Tuple[ChaosSpec, ...] = tuple(specs)
 
-    def fire(
-        self, program_key: str, attempt: int, phase: str = "analyze"
-    ) -> None:
+    def fire(self, program_key: str, attempt: int) -> None:
         """Trip the first matching spec, if any."""
         for spec in self.specs:
-            if spec.matches(program_key, attempt, phase):
+            if spec.matches(program_key, attempt):
                 spec.trip()
 
-    def probe(self, attempt: int, phase: str = "analyze"):
+    def probe(self, attempt: int):
         """A per-program callback bound to one task attempt, or None.
 
         The mining worker threads this into
         :meth:`~repro.runtime.executor.CorpusExecutor.run` as its
-        ``before`` hook (and the extract loop calls it per bundle), so
-        chaos strikes exactly when the worker *reaches* the matching
-        program — earlier programs of the shard have already been
-        analysed and persisted.
+        ``before`` hook, so chaos strikes exactly when the worker
+        *reaches* the matching program — earlier programs of the shard
+        have already been analysed and persisted.
         """
-        if not any(spec.phase == phase for spec in self.specs):
+        if not self.specs:
             return None
-        return lambda key: self.fire(key, attempt, phase)
+        return lambda key: self.fire(key, attempt)
 
     def __bool__(self) -> bool:
         return bool(self.specs)

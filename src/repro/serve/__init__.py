@@ -1,4 +1,4 @@
-"""``repro.serve`` — the resident spec-query service.
+"""``repro.serve`` — the long-running spec-query service.
 
 The mining side of the repo learns aliasing specifications offline;
 this package serves them: a fault-tolerant asyncio daemon

@@ -1,4 +1,4 @@
-"""``uspec serve`` — the resident spec-query daemon.
+"""``uspec serve`` — the long-running spec-query daemon.
 
 A minimal asyncio HTTP/1.1 server wrapping the analysis pool
 (:mod:`repro.serve.pool`) behind the robustness layers of
@@ -605,10 +605,9 @@ async def serve(config: ServeConfig, *, signals: bool = True,
                 server: Optional[SpecServer] = None) -> None:
     """Boot a daemon and run until SIGTERM (the CLI entry point)."""
     instance = server or SpecServer(config)
-    await instance.start()
+    host, port = await instance.start()
     if signals:
         instance.install_signals()
-    host, port = instance.config.host, instance.config.port
     sys.stderr.write(f"[serve] listening on {host}:{port} "
                      f"(workers={config.workers}, "
                      f"max_queue={config.max_queue})\n")

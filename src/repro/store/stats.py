@@ -2,8 +2,8 @@
 
 A :class:`StatsStore` persists, per pipeline fingerprint, the encoded
 per-program sufficient statistics (the :class:`EncodedSample` lists
-that feed ``SufficientStats``) plus the specification set of each
-training generation.  State lives in one directory per fingerprint::
+that feed ``SufficientStats``) and Alg. 1 match records, plus the
+specification set of each training generation.  State lives in one directory per fingerprint::
 
     <store_dir>/<fingerprint-prefix>/
         journal.uspj     append-only record journal (see journal.py)
@@ -12,8 +12,8 @@ training generation.  State lives in one directory per fingerprint::
 
 Record kinds:
 
-* ``PROGRAM`` — a program's statistics, keyed by its content
-  fingerprint.  Samples are derived from the *source name*
+* ``PROGRAM`` — a program's statistics and match records, keyed by its
+  content fingerprint.  Samples are derived from the *source name*
   (``bundle_seed`` hashes the name, not the corpus position), so a
   stored record stays valid when the corpus is reordered — only the
   corpus key is re-stamped on load.
@@ -53,7 +53,7 @@ DEFAULT_COMPACT_BYTES = 4 << 20
 
 @dataclass
 class StoredProgram:
-    """One program's persisted sufficient statistics."""
+    """One program's persisted sufficient statistics and matches."""
 
     fingerprint: str            # content fingerprint (source + IR)
     key: str                    # corpus key at the time of storing
@@ -61,6 +61,7 @@ class StoredProgram:
     samples: Tuple             # Tuple[EncodedSample, ...]
     n_events: int = 0
     n_edges: int = 0
+    records: Tuple = ()        # Tuple[MatchRecord, ...]
 
 
 def spec_key(spec: Spec) -> str:

@@ -3,9 +3,11 @@ cluster, byte-identity with local mining, worker death, lease expiry,
 chaos on workers, speculation, the parallel training reduce, and the
 distributed CLI."""
 
+import base64
 import contextlib
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import threading
@@ -156,6 +158,31 @@ def test_payload_roundtrip_preserves_types():
     assert isinstance(restored, BudgetExceeded)
 
 
+def test_payload_compression_markers_roundtrip():
+    small = {"kind": "control"}
+    text = pack_payload(small)
+    assert base64.b64decode(text)[:1] == b"\x00"  # below threshold
+    assert unpack_payload(text) == small
+    big = {"blob": "spec " * 4096}
+    text = pack_payload(big)
+    body = base64.b64decode(text)
+    assert body[:1] == b"\x01"
+    assert len(body) < len(pickle.dumps(big))  # actually compressed
+    assert unpack_payload(text) == big
+    forced = pack_payload(big, compress=False)
+    assert base64.b64decode(forced)[:1] == b"\x00"
+    assert unpack_payload(forced) == big
+
+
+def test_unpack_payload_rejects_garbage():
+    with pytest.raises(ProtocolError):
+        unpack_payload(base64.b64encode(b"").decode("ascii"))
+    with pytest.raises(ProtocolError):
+        unpack_payload(base64.b64encode(b"\x07junk").decode("ascii"))
+    with pytest.raises(ProtocolError):
+        unpack_payload(base64.b64encode(b"\x01not-zlib").decode("ascii"))
+
+
 def test_runner_ref_roundtrip_and_namespace_restriction():
     ref = runner_ref(_supervised_analyze)
     assert ref.startswith("repro.")
@@ -195,9 +222,26 @@ def test_loopback_cluster_matches_jobs_3(tmp_path):
     assert dist.mining.supervised
     assert dist.mining.cluster["n_workers_seen"] == 3
     assert dist.mining.cluster["n_workers_lost"] == 0
-    assert dist.mining.cluster["n_tasks_dispatched"] >= dist.mining.n_shards
+    # every non-empty shard was dispatched (empty shards never are)
+    assert dist.mining.cluster["n_tasks_dispatched"] \
+        >= len(dist.mining.shards)
     # every worker should have been credited with at least one result
     assert len(dist.mining.cluster["by_worker"]) == 3
+
+
+def test_loopback_run_reports_dispatch_and_only_analyze_tasks():
+    programs = java_corpus(n=6)
+    with cluster(2) as (coordinator, _, _):
+        dist = learn(programs, coordinator=coordinator)
+    dispatch = dist.mining.dispatch
+    assert dispatch["n_round_trips"] > 0
+    assert dispatch["n_tasks_dispatched"] \
+        == dist.mining.cluster["n_tasks_dispatched"]
+    assert dispatch["bytes_sent"] > 0 and dispatch["bytes_received"] > 0
+    assert dispatch["seconds_serialize"] > 0
+    # the model never leaves the coordinator: every task is an analyze
+    assert {t.phase for t in dist.mining.ledger.tasks} == {"analyze"}
+    assert dist.mining.model_broadcast_bytes == 0
 
 
 def test_parallel_train_matches_sequential_locally():
@@ -631,6 +675,90 @@ def test_recv_or_stop_treats_idle_timeout_as_waiting():
     finally:
         left.close()
         right.close()
+
+
+# ----------------------------------------------------------------------
+# worker reconnect
+
+
+def _serve_sessions(listener, sessions, ready_frames):
+    """Accept ``sessions`` worker sessions; welcome each, record its
+    first ready frame, then drop all but the last, which is shut down
+    cleanly."""
+    for index in range(sessions):
+        conn, _ = listener.accept()
+        decoder, pending = FrameDecoder(), []
+        try:
+            hello = recv_frame(conn, decoder, pending)
+            assert hello and hello["type"] == "hello"
+            send_frame(conn, {
+                "type": "welcome", "version": PROTOCOL_VERSION,
+                "lease": 5.0,
+            })
+            ready = recv_frame(conn, decoder, pending)
+            ready_frames.append(ready)
+            if index + 1 < sessions:
+                continue  # drop: the finally closes the socket
+            send_frame(conn, {"type": "shutdown"})
+            recv_frame(conn, decoder, pending)  # goodbye
+        finally:
+            conn.close()
+
+
+def _run_against_sessions(sessions, **worker_kw):
+    ready_frames = []
+    with _stub_coordinator() as (listener, (host, port)):
+        server = threading.Thread(
+            target=_serve_sessions, args=(listener, sessions, ready_frames),
+            daemon=True)
+        server.start()
+        try:
+            done = run_worker(host, port, name="rw", sleep=lambda s: None,
+                              **worker_kw)
+        finally:
+            server.join(timeout=10)
+    return done, ready_frames
+
+
+def test_worker_reconnects_after_coordinator_hangup():
+    done, ready_frames = _run_against_sessions(
+        2, reconnect=True, retry_delay=0.0)
+    assert done == 0
+    assert len(ready_frames) == 2  # one registration per session
+
+
+def test_worker_without_reconnect_stops_on_hangup():
+    done, ready_frames = _run_against_sessions(1)
+    assert done == 0
+    assert len(ready_frames) == 1
+
+
+def test_worker_reconnect_budget_is_finite():
+    port = _free_port()  # nothing listens: every connect fails
+    with pytest.raises(ConnectionError):
+        run_worker("127.0.0.1", port, reconnect=True, connect_retries=1,
+                   retry_delay=0.0, reconnect_rounds=2,
+                   sleep=lambda s: None)
+
+
+def test_worker_reconnect_does_not_mask_protocol_errors():
+    with _stub_coordinator() as (listener, (host, port)):
+        def reject():
+            conn, _ = listener.accept()
+            decoder, pending = FrameDecoder(), []
+            recv_frame(conn, decoder, pending)
+            send_frame(conn, {"type": "error",
+                              "error": "version mismatch"})
+            conn.close()
+
+        server = threading.Thread(target=reject, daemon=True)
+        server.start()
+        try:
+            with pytest.raises(ProtocolError):
+                run_worker(host, port, reconnect=True,
+                           sleep=lambda s: None)
+        finally:
+            server.join(timeout=10)
 
 
 # ----------------------------------------------------------------------

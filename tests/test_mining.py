@@ -123,7 +123,7 @@ def test_mine_directory_shards_partition_the_tree(tmp_path):
 def make_partial(shard_id, key, n_samples=0):
     partial = ShardPartial.empty(shard_id)
     partial.outcomes.append(ProgramOutcome(key=key, source=key, tier="t"))
-    partial.bundle_refs.append((key, None))
+    partial.records[key] = ()
     partial.analyzed_keys.append(key)
     partial.stats.add(key, [])
     return partial
@@ -135,7 +135,7 @@ def canonical_view(partial):
         [m.shard_id for m in partial.metrics],
         [o.key for o in partial.outcomes],
         [e.program for e in partial.manifest.entries],
-        partial.bundle_refs,
+        sorted(partial.records),
         partial.analyzed_keys,
         sorted(partial.stats.blocks),
     )
@@ -195,6 +195,7 @@ def test_budget_exceeded_pickles_across_process_boundary():
 
 def test_model_pickle_is_sparse_and_prediction_preserving():
     from repro.model.features import extract_feature
+    from repro.specs.pipeline import USpecPipeline
 
     programs = java_corpus(6)
     learned = learn(programs)
@@ -203,9 +204,10 @@ def test_model_pickle_is_sparse_and_prediction_preserving():
     # megabytes per member; sparse state must stay far below that
     assert len(payload) < 2_000_000
     restored = pickle.loads(payload)
-    graph = learned.run.bundles[0].graph
+    bundle = USpecPipeline().run_corpus(programs).bundles[0]
+    graph = bundle.graph
     events = sorted(graph.events, key=repr)[:6]
-    guard = learned.run.bundles[0].guard_index
+    guard = bundle.guard_index
     for e1 in events:
         for e2 in events:
             if e1 is e2:

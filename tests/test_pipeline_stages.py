@@ -1,12 +1,30 @@
 """Stage-level tests for the pipeline and the table renderers."""
 
+import pickle
+
 import pytest
 
-from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
+from repro.corpus import (
+    CorpusConfig,
+    CorpusGenerator,
+    java_registry,
+    python_registry,
+)
 from repro.eval.tables import format_table, tab3_rows, specs_by_package
+from repro.model.features import extract_feature
 from repro.model.model import EventPairModel
 from repro.specs import PipelineConfig, RetArg, RetSame, SpecSet, USpecPipeline
-from repro.specs.candidates import CandidateExtraction, CandidateStats
+from repro.specs.candidates import (
+    CandidateExtraction,
+    CandidateStats,
+    match_records,
+    score_records,
+)
+from repro.specs.matching import (
+    find_matches,
+    find_retrecv_matches,
+    induced_edges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +70,60 @@ def test_custom_scorer_passthrough(small_setup):
     extraction = pipeline.extract_candidates(bundles, model)
     ones = pipeline.score(extraction, scorer=lambda confs, m: 1.0)
     assert all(v == 1.0 for v in ones.values())
+
+
+def _per_match_reference(bundles, model, config):
+    """Alg. 1 as written: ϕ applied to each single-edge match's
+    structured feature, one match at a time."""
+    reference = CandidateExtraction()
+    for bundle in bundles:
+        graph = bundle.graph
+        matches = [
+            match
+            for pair in graph.receiver_pairs(config.max_receiver_distance)
+            for match in find_matches(graph, pair)
+        ]
+        if config.enable_retrecv:
+            matches.extend(find_retrecv_matches(graph))
+        for match in matches:
+            edges = induced_edges(match, graph)
+            if len(edges) != 1:
+                continue
+            ((e1, e2),) = edges
+            feature = extract_feature(graph, e1, e2, bundle.guard_index,
+                                      config.feature)
+            reference.stats.setdefault(match.spec, CandidateStats()).add(
+                model.predict(feature), bundle.program.source)
+    return reference
+
+
+@pytest.mark.parametrize("retrecv", [False, True])
+@pytest.mark.parametrize("language", ["java", "python"])
+def test_score_records_of_match_records_equals_extract_candidates(
+        language, retrecv):
+    registry = java_registry() if language == "java" else python_registry()
+    programs = CorpusGenerator(
+        registry, CorpusConfig(n_files=12, seed=5)).programs()
+    config = PipelineConfig(enable_retrecv=retrecv)
+    pipeline = USpecPipeline(config)
+    bundles = pipeline.analyze_corpus(programs)
+    model = pipeline.train_model(bundles)
+    records = [
+        record for bundle in bundles
+        for record in match_records(bundle, config.feature,
+                                    config.max_receiver_distance, retrecv)
+    ]
+    # records cross process boundaries and disks pickled
+    one_pass = score_records(pickle.loads(pickle.dumps(records)), model)
+    reference = _per_match_reference(bundles, model, config)
+    assert len(reference) > 0
+    for extraction in (one_pass, pipeline.extract_candidates(bundles, model)):
+        assert set(extraction.stats) == set(reference.stats)
+        for spec, want in reference.stats.items():
+            got = extraction.stats[spec]
+            assert got.matches == want.matches
+            assert got.files == want.files
+            assert got.confidences == want.confidences  # float-equal
 
 
 def test_pipeline_config_disable_extension():

@@ -6,10 +6,16 @@ drain, and the load harness's zero-drop contract."""
 import asyncio
 import contextlib
 import json
+import os
 import pickle
 import random
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +363,34 @@ def test_serve_health_ready_statz(daemon):
     assert stats["admission_limit"] == 8
     assert stats["n_specs"] == 2
     assert stats["pool"]["size"] == 2
+
+
+def test_cli_serve_on_port_zero_announces_the_bound_port():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--bind", "127.0.0.1:0", "--workers", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=env,
+    )
+    try:
+        line = proc.stderr.readline()
+        match = re.search(r"listening on ([\d.]+):(\d+)", line)
+        assert match, line
+        host, port = match.group(1), int(match.group(2))
+        assert port != 0
+        assert http_request(host, port, "GET", "/healthz") \
+            == (200, {"status": "alive"})
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 def test_serve_alias_then_cache_hit(daemon):

@@ -8,6 +8,7 @@ from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.mining import MiningConfig, MiningEngine
 from repro.mining.cache import (
     BUNDLE_SUFFIX,
+    SAMPLES_SUFFIX,
     AnalysisCache,
     pipeline_fingerprint,
 )
@@ -465,6 +466,9 @@ def test_corrupt_entry_recounted_in_mining_report(tmp_path):
     config = PipelineConfig(runtime=RuntimeConfig())
     mining = MiningConfig(jobs=1, cache_dir=str(tmp_path / "cache"))
     MiningEngine(config, mining).learn(programs)
+    # without sidecars the warm run reads every bundle back
+    for sidecar in (tmp_path / "cache").glob(f"*{SAMPLES_SUFFIX}"):
+        sidecar.unlink()
     bundles = sorted((tmp_path / "cache").glob(f"*{BUNDLE_SUFFIX}"))
     assert len(bundles) == 4
     data = bytearray(bundles[0].read_bytes())
@@ -560,29 +564,29 @@ def test_append_run_crash_is_recoverable(tmp_path, spec):
     assert rerun.mining.n_from_store >= 5
 
 
-def test_sequential_append_heals_vanished_bundle(tmp_path, monkeypatch):
+def test_warm_and_append_runs_never_unpickle_a_bundle(tmp_path,
+                                                     monkeypatch):
     programs = java_corpus(5, seed=7)
+
+    def cache_learn():
+        mining = MiningConfig(cache_dir=str(tmp_path / "cache"))
+        return MiningEngine(PipelineConfig(), mining).learn(programs)
+
+    cold = cache_learn()
     first = store_learn(programs, tmp_path / "store")
-    real = AnalysisCache.load_bundle_by_key
-    zapped = []
 
-    def vanish_once(self, cache_key):
-        # simulate an eviction racing the extract phase: the bundle
-        # disappears from disk after the store declared it present
-        if not zapped:
-            zapped.append(cache_key)
-            target = self.directory / f"{cache_key}{BUNDLE_SUFFIX}"
-            if target.exists():
-                target.unlink()
-            return None
-        return real(self, cache_key)
+    def no_bundle_reads(self, path):
+        raise AssertionError(f"bundle unpickled: {path}")
 
-    monkeypatch.setattr(AnalysisCache, "load_bundle_by_key", vanish_once)
-    second = store_learn(programs, tmp_path / "store", append=True)
-    assert zapped  # the fault actually fired
-    assert second.mining.n_from_store == 5
-    assert second.mining.n_cache_repairs == 1  # re-analysed in place
-    assert spec_text(second) == spec_text(first)
+    # samples and match records come from the sidecar (warm cache) or
+    # the journal (--append): nothing needs an event graph any more
+    monkeypatch.setattr(AnalysisCache, "_load_bundle", no_bundle_reads)
+    warm = cache_learn()
+    assert warm.mining.n_sample_hits == 5 and warm.mining.n_analyzed == 0
+    assert spec_text(warm) == spec_text(cold)
+    appended = store_learn(programs, tmp_path / "store", append=True)
+    assert appended.mining.n_from_store == 5
+    assert spec_text(appended) == spec_text(first) == spec_text(cold)
 
 
 def test_store_survives_corrupted_journal_mid_history(tmp_path):

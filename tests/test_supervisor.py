@@ -4,6 +4,7 @@ ledger, cache-budget eviction, and spawn-context dispatch."""
 
 import json
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -17,7 +18,11 @@ from repro.mining.cache import (
     BUNDLE_SUFFIX,
     QUARANTINE_SUFFIX,
 )
-from repro.mining.supervisor import DeadlineTracker, SupervisionConfig
+from repro.mining.supervisor import (
+    DeadlineTracker,
+    ShardSupervisor,
+    SupervisionConfig,
+)
 from repro.runtime import (
     ChaosPlan,
     ChaosSpec,
@@ -173,6 +178,18 @@ def test_strict_toxic_kill_raises_worker_crash():
         learn(programs, jobs=2, chaos=chaos, strict=True, max_retries=1)
 
 
+def test_chaos_spec_parse_rejects_phase_forms():
+    assert ChaosSpec.parse("kill:prog") == ChaosSpec("prog", "kill")
+    assert ChaosSpec.parse("kill:prog:1") == ChaosSpec(
+        "prog", "kill", until_attempt=1)
+    # chaos targets the analyze phase, the only worker phase of a run:
+    # the old ``:extract`` segment is a malformed spec now
+    for text in ("hang:prog:extract", "kill:prog:2:extract",
+                 "kill:prog::extract", "kill:prog:banana"):
+        with pytest.raises(ValueError):
+            ChaosSpec.parse(text)
+
+
 def test_cli_chaos_everything_poisoned_exits_4(tmp_path, capsys):
     code = main([
         "learn", "--files", "3", "--jobs", "2", "--max-retries", "0",
@@ -223,6 +240,45 @@ def test_poisoned_program_is_never_reattempted_warm(tmp_path):
     assert warm.mining.n_quarantined == 1
     assert specs_text(warm) == specs_text(cold)
     assert [e.error_kind for e in warm.run.manifest.entries] == [WORKER_CRASH]
+
+
+# ----------------------------------------------------------------------
+# the persistent pool
+
+
+def _echo_pid(payload, attempt):
+    return ("pid", os.getpid())
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork")
+def test_worker_pool_persists_across_phases():
+    ctx = multiprocessing.get_context("fork")
+    supervisor = ShardSupervisor(
+        ctx, 2, SupervisionConfig(backoff_base=0.01))
+    kwargs = dict(
+        runner=_echo_pid,
+        splitter=lambda payload: None,
+        poisoner=lambda payload, kind, error: ("pid", -1),
+        validator=lambda result: (
+            isinstance(result, tuple) and result[0] == "pid"),
+    )
+    try:
+        tasks = [(0, "shard-0"), (1, "shard-1")]
+        first = supervisor.run_phase("analyze", tasks, **kwargs)
+        second = supervisor.run_phase("train", tasks, **kwargs)
+        pids_first = {pid for _, pid in first}
+        pids_second = {pid for _, pid in second}
+        assert len(pids_first) == 2  # both workers served a task
+        # the same processes crossed the phase barrier — no respawn
+        assert pids_first == pids_second
+        processes = [w.process for w in supervisor._workers]
+        assert all(p.is_alive() for p in processes)
+    finally:
+        supervisor.close()
+    assert supervisor._workers == []
+    assert all(not p.is_alive() for p in processes)
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +348,34 @@ def test_engine_cache_budget_reports_evictions(tmp_path):
     assert specs_text(again) == specs_text(learned)
 
 
+def test_budget_starved_supervised_run_matches_clean(tmp_path):
+    programs = java_corpus()
+    clean = learn(programs)
+    starved = learn(programs, jobs=2, cache_dir=tmp_path / "cache",
+                    cache_budget=1)
+    assert specs_text(starved) == specs_text(clean)
+    assert (starved.run.manifest.to_json(timings=False)
+            == clean.run.manifest.to_json(timings=False))
+    # the end-of-run sweep enforces the budget
+    assert starved.mining.n_evicted > 0
+    assert starved.mining.n_quarantined == 0
+
+
+def test_cli_budget_starved_parallel_run_matches_clean(tmp_path, capsys):
+    clean = tmp_path / "clean.json"
+    starved = tmp_path / "starved.json"
+    assert main(["learn", "--files", "8", "--out", str(clean)]) == 0
+    capsys.readouterr()
+    code = main([
+        "learn", "--files", "8", "--jobs", "2",
+        "--cache-dir", str(tmp_path / "cache"), "--cache-budget", "1",
+        "--out", str(starved),
+    ])
+    assert code == 0
+    assert "evicted" in capsys.readouterr().out
+    assert clean.read_bytes() == starved.read_bytes()
+
+
 def test_cli_cache_budget_flag(tmp_path, capsys):
     cache = tmp_path / "cache"
     code = main([
@@ -336,11 +420,11 @@ def test_small_shards_coalesce_into_few_round_trips():
     learned = learn(programs, jobs=2, shards=8)
     dispatch = learned.mining.dispatch
     assert dispatch is not None
-    # 8 analyze + 8 extract tasks, but the coalescing floor packs each
-    # worker's fair share of the corpus into one frame: at most
-    # jobs round trips per phase, not one per shard task
-    assert dispatch["n_tasks_dispatched"] == 16
-    assert dispatch["n_round_trips"] <= 2 * 2
+    # 8 analyze tasks (the only phase), but the coalescing floor packs
+    # each worker's fair share of the corpus into one frame: at most
+    # jobs round trips, not one per shard task
+    assert dispatch["n_tasks_dispatched"] == 8
+    assert dispatch["n_round_trips"] <= 2
     assert dispatch["n_batches"] >= 2
     assert dispatch["n_tasks_batched"] > dispatch["n_batches"]
     # only the first reply of each healthy frame is shape-revalidated
@@ -370,39 +454,14 @@ def test_chaos_disables_coalescing():
     assert dispatch["n_validations_skipped"] == 0
 
 
-def test_affinity_fast_path_skips_selection_scan():
-    programs = java_corpus(n=8)
-    # one supervised worker: every task's affinity can only name this
-    # worker (or nothing), steals are impossible, and the 3-pass scan
-    # must short-circuit on every single dispatch
-    learned = learn(programs, jobs=1, shards=4, shard_deadline=60.0)
-    dispatch = learned.mining.dispatch
-    assert dispatch["n_round_trips"] > 0
-    assert dispatch["n_select_fast"] == dispatch["n_round_trips"]
-    # with several workers the extract queue mixes affinities, so only
-    # some dispatches (the unpinned analyze phase) stay on the fast
-    # path — but it must still fire
-    mixed = learn(programs, jobs=2, shards=4).mining.dispatch
-    assert 0 < mixed["n_select_fast"] <= mixed["n_round_trips"]
-
-
 # ----------------------------------------------------------------------
-# cache hit-rate reporting (ephemeral spill vs a real cache dir)
-
-
-def test_spill_cache_hit_rate_is_null_not_zero():
-    programs = java_corpus(n=4)
-    learned = learn(programs, jobs=2)  # no cache dir: private spill
-    assert learned.mining.cache_ephemeral is True
-    assert learned.mining.cache_hit_rate is None
-    assert learned.mining.to_dict()["cache_hit_rate"] is None
+# cache hit-rate reporting
 
 
 def test_real_cache_dir_still_reports_hit_rate(tmp_path):
     programs = java_corpus(n=4)
     cold = learn(programs, jobs=2, cache_dir=tmp_path)
-    assert cold.mining.cache_ephemeral is False
-    assert cold.mining.cache_hit_rate == 0.0  # cold but real: 0.0 is true
+    assert cold.mining.cache_hit_rate == 0.0
     warm = learn(programs, jobs=2, cache_dir=tmp_path)
     assert warm.mining.cache_hit_rate == 1.0
     assert specs_text(warm) == specs_text(cold)
