@@ -12,9 +12,11 @@ Two caveats are recorded rather than papered over:
   *default* ≥2× speedup assertion only applies when the host actually
   has ≥4 CPUs.  ``cpu_count`` is part of the JSON record so
   downstream readers can interpret the numbers.  Under
-  ``--assert-floors`` the configured parallel floor is gated
-  *unconditionally* — the CI floor of 0.9 says "dispatch overhead is
-  bounded even with zero extra compute", which must hold on any box;
+  ``--assert-floors`` the configured parallel floor gates
+  ``speedup_jobs4`` *unconditionally* — the CI floor of 0.9 says
+  "dispatch overhead is bounded even with zero extra compute", which
+  must hold on any box — and ``speedup_jobs2`` on hosts with at least
+  2 CPUs;
 * what must hold on *any* machine — and is asserted unconditionally —
   is that worker count never changes the learned specifications, and
   that a warm cache eliminates re-analysis entirely.
@@ -283,8 +285,6 @@ def test_mining_throughput(benchmark, tmp_path, floors):
     # jobs4 number measures pool overhead, not the engine
     if cpu_count >= 4:
         assert record["speedup_jobs4"] >= 2.0
-    elif cpu_count >= 2:
-        assert record["speedup_jobs2"] >= 1.2
 
     # opt-in floors (--assert-floors): gate on the configured minimums
     # on every machine — a slow runner loosens a floor explicitly via
@@ -296,6 +296,13 @@ def test_mining_throughput(benchmark, tmp_path, floors):
         assert record["speedup_jobs4"] >= floors.parallel_speedup, (
             f"parallel speedup {record['speedup_jobs4']}× below "
             f"floor {floors.parallel_speedup}×")
+        # training runs in the parent whatever --jobs says, so only the
+        # analyze share of the run parallelizes: on two CPUs the jobs2
+        # ratio is capped near 1.3× and gets the same overhead floor
+        if cpu_count >= 2:
+            assert record["speedup_jobs2"] >= floors.parallel_speedup, (
+                f"jobs2 speedup {record['speedup_jobs2']}× below "
+                f"floor {floors.parallel_speedup}×")
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,6 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
         cache_dir=args.cache_dir,
         cache_budget=args.cache_budget,
         supervision=_supervision_config(args),
-        parallel_train=args.parallel_train,
         store_dir=args.store_dir,
         append=args.append,
     )
@@ -192,9 +191,6 @@ def _print_mining(mining) -> None:
               f"{c['n_tasks_dispatched']} tasks dispatched, "
               f"{c['n_speculated']} speculated "
               f"({c['n_speculation_wins']} wins)")
-    if mining.parallel_train:
-        print(f"  training reduce ran in the worker pool "
-              f"({mining.seconds_train:.2f}s)")
     ledger = mining.ledger
     if ledger is not None and not ledger.clean:
         print(f"supervision: {ledger.n_retries} retried "
@@ -764,11 +760,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "(p95 × slack × task size) so slow-but-"
                             "healthy shards are not killed as hangs; "
                             "--shard-deadline stays as the floor")
-    learn.add_argument("--parallel-train", action="store_true",
-                       help="run the training reduce in the worker "
-                            "pool (one task per position-key ensemble "
-                            "plus the shared fallback); specs stay "
-                            "byte-identical to the sequential reduce")
     learn.add_argument("--distributed", action="store_true",
                        help="dispatch shard tasks to remote uspec "
                             "workers instead of local processes (see "

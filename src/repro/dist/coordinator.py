@@ -195,8 +195,7 @@ def _wire_id(task: _Task) -> str:
 class Coordinator(TaskScheduler):
     """Socket server that leases shard tasks to remote workers.
 
-    One instance serves every phase of one mining run: workers stay
-    registered between the analyse and train phases.  Like the
+    One instance serves every phase of one mining run.  Like the
     supervisor, ``clock`` is injectable and must be monotone.  The
     inherited ``dispatch`` counters are filled where task frames are
     written and worker frames read.

@@ -77,7 +77,7 @@ _PAYLOAD_RAW = b"\x00"
 _PAYLOAD_ZLIB = b"\x01"
 
 #: pickles below this stay raw — zlib on tiny control payloads costs
-#: CPU for nothing; above it (partials, training tasks) the wire
+#: CPU for nothing; above it (partials, analyse tasks) the wire
 #: savings dominate
 COMPRESS_THRESHOLD = 1024
 

@@ -55,21 +55,8 @@ from typing import (
 
 from repro.ir.program import Program
 from repro.model.dataset import GraphBundle, bundle_seed, collect_bundle_samples
-from repro.model.features import FeatureConfig, encode_sample
-from repro.model.logistic import (
-    LogisticRegression,
-    SparseExample,
-    SufficientStats,
-    TrainConfig,
-)
-from repro.model.model import (
-    EventPairModel,
-    PositionKey,
-    member_configs,
-    train_members,
-)
+from repro.model.features import encode_sample
 from repro.runtime.checkpoint import program_key
-from repro.runtime.errors import WorkerCrash
 from repro.runtime.executor import (
     CorpusExecutor,
     CorpusRunReport,
@@ -141,10 +128,6 @@ class MiningConfig:
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig
     )
-    #: run the training reduce in the worker pool: one task per
-    #: position-key ensemble plus the shared fallback, specs
-    #: byte-identical to the sequential reduce
-    parallel_train: bool = False
     #: durable statistics store directory (repro.store.StatsStore);
     #: None = no persistence.  When set and no --cache-dir was named,
     #: the analysis cache co-locates under the store.
@@ -179,8 +162,7 @@ class MiningConfig:
     def supervised(self) -> bool:
         """Whether shard tasks run in supervised worker processes."""
         return (self.resolve_jobs() > 1
-                or self.supervision.wants_supervision
-                or self.parallel_train)
+                or self.supervision.wants_supervision)
 
 
 # ----------------------------------------------------------------------
@@ -354,65 +336,6 @@ def _split_analyze(payload: AnalyzeTask):
     )
 
 
-@dataclass(frozen=True)
-class TrainTask:
-    """One training-reduce payload: a single ensemble's example stream.
-
-    ``key`` is the position key whose ensemble this task trains, or
-    None for the shared fallback (which sees every example).  The
-    examples arrive already in canonical stream order, so training is
-    float-identical to the sequential reduce.
-    """
-
-    feature: FeatureConfig
-    train: TrainConfig
-    n_members: int
-    group_id: int
-    key: Optional[PositionKey]
-    examples: Tuple[SparseExample, ...]
-
-    @property
-    def items(self) -> Tuple[SparseExample, ...]:
-        # sized like its example stream so adaptive deadlines scale
-        # with the actual work (see TaskScheduler._payload_size)
-        return self.examples
-
-
-def _supervised_train(
-    payload: TrainTask, attempt: int
-) -> Tuple[int, Optional[PositionKey], List[LogisticRegression]]:
-    configs = member_configs(payload.train, payload.n_members)
-    members = train_members(
-        payload.feature.dim, configs, payload.examples
-    )
-    return payload.group_id, payload.key, members
-
-
-def _split_train(payload: TrainTask):
-    # an ensemble is atomic: its members must see the full example
-    # stream, so a failing train task cannot be bisected
-    return None
-
-
-def _poison_train(payload: TrainTask, label: str, error: str):
-    # dropping an ensemble would silently change the learned specs, so
-    # an unrecoverable training failure is fatal even outside --strict
-    what = "fallback" if payload.key is None else f"key {payload.key}"
-    raise WorkerCrash(
-        f"training task for {what} failed permanently ({label}): {error}"
-    )
-
-
-def _valid_training(result) -> bool:
-    return (
-        isinstance(result, tuple) and len(result) == 3
-        and isinstance(result[0], int)
-        and (result[1] is None or isinstance(result[1], tuple))
-        and isinstance(result[2], list) and len(result[2]) > 0
-        and all(isinstance(m, LogisticRegression) for m in result[2])
-    )
-
-
 def _valid_partial(result) -> bool:
     return isinstance(result, ShardPartial)
 
@@ -570,10 +493,7 @@ class MiningEngine:
                 # analysis work is complete and durable even if a later
                 # phase crashes
                 self._persist_stats(store, units, fps, merged)
-            if supervisor is not None and self.mining.parallel_train:
-                model = self._parallel_train(supervisor, merged.stats)
-            else:
-                model = self.pipeline.train_from_stats(merged.stats)
+            model = self.pipeline.train_from_stats(merged.stats)
             t2 = time.monotonic()
 
             # phase 3: finalize ---------------------------------------
@@ -607,9 +527,6 @@ class MiningEngine:
             jobs, n_shards, merged, t0, t1, t2, t3,
             ledger=ledger, n_evicted=n_evicted, supervised=supervised,
             distributed=distributed,
-            parallel_train=bool(
-                supervised and self.mining.parallel_train
-            ),
             cluster=(
                 self.coordinator.stats.to_dict() if distributed else None
             ),
@@ -627,56 +544,6 @@ class MiningEngine:
         )
 
     # ------------------------------------------------------------------
-
-    def _parallel_train(
-        self, dispatcher, stats: SufficientStats
-    ) -> EventPairModel:
-        """The training reduce as a supervised/distributed phase.
-
-        The canonical seed-shuffled stream is built in the parent, then
-        split into one task per position-key ensemble plus one for the
-        shared fallback.  Each ensemble depends only on its own
-        (stream-ordered) example subsequence and the member seed
-        configs, so the reassembled model — and therefore the specs —
-        is float-identical to the sequential reduce.
-        """
-        cfg = self.config
-        n_members = EventPairModel(cfg.feature, cfg.train).n_members
-        stream = stats.stream(cfg.seed)
-        grouped: Dict[PositionKey, List[SparseExample]] = {}
-        all_examples: List[SparseExample] = []
-        for sample in stream:
-            example = (sample.indices, sample.label)
-            grouped.setdefault(sample.position_key, []).append(example)
-            all_examples.append(example)
-        tasks: List[Tuple[int, TrainTask]] = []
-        for group_id, (key, examples) in enumerate(sorted(grouped.items())):
-            tasks.append((group_id, TrainTask(
-                cfg.feature, cfg.train, n_members, group_id, key,
-                tuple(examples),
-            )))
-        tasks.append((len(tasks), TrainTask(
-            cfg.feature, cfg.train, n_members, len(tasks), None,
-            tuple(all_examples),
-        )))
-        results = dispatcher.run_phase(
-            "train", tasks,
-            runner=_supervised_train,
-            splitter=_split_train,
-            poisoner=_poison_train,
-            validator=_valid_training,
-        )
-        models: Dict[PositionKey, List[LogisticRegression]] = {}
-        fallback: List[LogisticRegression] = []
-        for _, key, members in results:
-            if key is None:
-                fallback = members
-            else:
-                models[key] = members
-        return EventPairModel.from_trained(
-            cfg.feature, cfg.train, models, fallback, len(stream),
-            n_members=n_members,
-        )
 
     # ------------------------------------------------------------------
     # the durable statistics store (--store-dir / --append)
@@ -813,7 +680,6 @@ class MiningEngine:
         n_evicted: int = 0,
         supervised: bool = False,
         distributed: bool = False,
-        parallel_train: bool = False,
         cluster: Optional[Dict[str, object]] = None,
         store_generation: Optional[int] = None,
         drift: Optional[Dict[str, object]] = None,
@@ -845,7 +711,6 @@ class MiningEngine:
             n_evicted=n_evicted,
             supervised=supervised,
             distributed=distributed,
-            parallel_train=parallel_train,
             cluster=cluster,
             n_from_store=total("n_from_store"),
             n_cache_corrupt=total("n_cache_corrupt"),

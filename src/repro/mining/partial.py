@@ -202,8 +202,6 @@ class MiningReport:
     supervised: bool = False
     #: whether shard tasks were dispatched to a repro.dist cluster
     distributed: bool = False
-    #: whether the training reduce ran in the worker pool
-    parallel_train: bool = False
     #: repro.dist ClusterStats.to_dict() of a distributed run
     cluster: Optional[Dict[str, object]] = None
     #: programs whose statistics came from the durable store (--append)
@@ -256,7 +254,6 @@ class MiningReport:
             "n_evicted": self.n_evicted,
             "supervised": self.supervised,
             "distributed": self.distributed,
-            "parallel_train": self.parallel_train,
             "n_from_store": self.n_from_store,
             "n_cache_corrupt": self.n_cache_corrupt,
             "model_broadcast_bytes": self.model_broadcast_bytes,

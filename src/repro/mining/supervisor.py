@@ -589,10 +589,10 @@ class TaskScheduler:
 class ShardSupervisor(TaskScheduler):
     """Watchdog dispatcher for one mining run's shard tasks.
 
-    One instance supervises every engine phase (analyse, and training
-    under ``--parallel-train``) and accumulates their histories in a
-    shared :class:`FailureLedger`.  The worker pool is lazily spawned
-    on the first phase and persists across phases; callers must
+    One instance supervises a mining run's analyse phase and
+    accumulates its history in a shared :class:`FailureLedger`.  The
+    worker pool is lazily spawned on the first phase and persists
+    across phases; callers must
     :meth:`close` the supervisor when the run ends.  ``clock`` is
     injectable for tests and must be monotone.
     """

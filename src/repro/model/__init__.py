@@ -3,8 +3,9 @@
 * :mod:`features` — the feature ``ftr(e1, e2) = (x1, x2, ctx(e1),
   ctx(e2), γ)`` with γ capturing argument types and guarding
   control-flow conditions, plus the hashing-trick encoder;
-* :mod:`logistic` — a from-scratch sparse logistic regression trained
-  with Adagrad SGD (the stand-in for Vowpal Wabbit);
+* :mod:`logistic` — from-scratch sparse logistic regressions trained
+  with Adagrad SGD, many models in one lockstep loop (the stand-in for
+  Vowpal Wabbit);
 * :mod:`dataset` — positive samples from event-graph edges (with the
   §4.2 path-removal rule so the model cannot simply learn the
   transitive closure) and subsampled negatives;
@@ -21,7 +22,7 @@ from repro.model.features import (
     encode_sample,
     extract_feature,
 )
-from repro.model.logistic import LogisticRegression, SufficientStats, TrainConfig
+from repro.model.logistic import SufficientStats, TrainConfig
 from repro.model.dataset import (
     GraphBundle,
     LabeledSample,
@@ -38,7 +39,6 @@ __all__ = [
     "GraphBundle",
     "GuardIndex",
     "LabeledSample",
-    "LogisticRegression",
     "PairFeature",
     "SufficientStats",
     "TrainConfig",

@@ -1,13 +1,22 @@
-"""Sparse logistic regression trained with Adagrad SGD.
+"""Sparse logistic regression trained with Adagrad SGD, many models at once.
 
 A minimal, dependency-light stand-in for the Vowpal Wabbit models the
 paper uses (§7.1).  Features are sparse binary index tuples (from the
-hashing trick in :mod:`repro.model.features`); the model keeps a dense
-weight vector of the hashed dimension.
+hashing trick in :mod:`repro.model.features`).
+
+:func:`train_lanes` trains a set of independent models in one loop.
+Each model sees its examples in its own seeded per-epoch shuffle and
+takes one Adagrad step per example, as a per-sample trainer would; the
+loop only interleaves the models.  Models are grouped into equally
+long *lanes* that run their models back to back, and one iteration
+advances every lane by one step with a fixed handful of numpy calls,
+so the Python iteration count is one lane's step count rather than the
+sum over all models.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -17,7 +26,13 @@ import numpy as np
 
 from repro.model.features import EncodedSample
 
-SparseExample = Tuple[Tuple[int, ...], int]  # (active indices, label 0/1)
+#: one model of a lane: (weight-matrix row, ids of its examples in
+#: stream order, shuffle seed)
+LaneModel = Tuple[int, Sequence[int], int]
+
+#: steps whose gather indices are built in one batch, so index memory
+#: stays flat however long the lanes are
+CHUNK_STEPS = 256
 
 
 def as_index_array(indices: Sequence[int]) -> np.ndarray:
@@ -126,106 +141,114 @@ class TrainConfig:
     seed: int = 7
 
 
-def _sigmoid(z: float) -> float:
+def sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
 
 
-class LogisticRegression:
-    """Binary logistic regression over hashed sparse features."""
+def _lane_schedule(
+    lane: Sequence[LaneModel], epochs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, example id) of every step of one lane, in step order.
 
-    def __init__(self, dim: int, config: TrainConfig = TrainConfig()) -> None:
-        self.dim = dim
-        self.config = config
-        self.weights = np.zeros(dim, dtype=np.float64)
-        self._grad_sq = np.full(dim, 1e-8, dtype=np.float64)
-        self.n_trained = 0
-
-    # ------------------------------------------------------------------
-
-    def decision(self, indices: Sequence[int]) -> float:
-        return float(self.weights[list(indices)].sum()) if indices else 0.0
-
-    def predict_proba(self, indices: Sequence[int]) -> float:
-        return _sigmoid(self.decision(indices))
-
-    def predict(self, indices: Sequence[int]) -> int:
-        return 1 if self.predict_proba(indices) >= 0.5 else 0
-
-    # ------------------------------------------------------------------
-
-    def partial_fit(self, indices: Sequence[int], label: int) -> float:
-        """One Adagrad step; returns the example's log-loss before update."""
-        if isinstance(indices, np.ndarray):
-            idx = indices
-        else:
-            idx = np.fromiter(indices, dtype=np.int64)
-        p = _sigmoid(float(self.weights[idx].sum()))
-        gradient = p - label  # dLoss/dz for each active binary feature
-        self._grad_sq[idx] += gradient * gradient
-        lr = self.config.learning_rate / np.sqrt(self._grad_sq[idx])
-        self.weights[idx] -= lr * (gradient + self.config.l2 * self.weights[idx])
-        self.n_trained += 1
-        eps = 1e-12
-        return -(label * math.log(p + eps) + (1 - label) * math.log(1 - p + eps))
-
-    def fit(self, examples: Sequence[SparseExample]) -> List[float]:
-        """Multi-epoch SGD over a shuffled copy; returns per-epoch mean loss."""
-        rng = random.Random(self.config.seed)
+    Each model reshuffles its example positions once per epoch with a
+    ``random.Random(seed)`` of its own.
+    """
+    rows: List[np.ndarray] = [np.empty(0, np.int64)]
+    ids: List[np.ndarray] = [np.empty(0, np.int64)]
+    for row, examples, seed in lane:
+        examples = np.asarray(examples, dtype=np.int64)
+        rng = random.Random(seed)
         order = list(range(len(examples)))
-        # Hash indices → int64 arrays once, not once per epoch × member:
-        # the Adagrad step's arithmetic sees identical values either way.
-        prepared = [as_index_array(indices) for indices, _ in examples]
-        losses: List[float] = []
-        for _ in range(self.config.epochs):
+        for _ in range(epochs):
             rng.shuffle(order)
-            total = 0.0
-            for i in order:
-                total += self.partial_fit(prepared[i], examples[i][1])
-            losses.append(total / max(1, len(examples)))
-        return losses
+            ids.append(examples[order])
+        rows.append(np.full(epochs * len(examples), row, dtype=np.int64))
+    return np.concatenate(rows), np.concatenate(ids)
 
-    # ------------------------------------------------------------------
-    # pickling: the dense weight/accumulator vectors are almost entirely
-    # zeros (hashed-feature models touch only observed indices), so the
-    # pickle stores sparse (index, value) pairs.  This is what makes
-    # shipping trained ensembles back from training workers cheap —
-    # kilobytes instead of 2 × dim × 8 bytes per member.
 
-    def __getstate__(self) -> Dict:
-        # Sparse state is kept as flat numpy arrays: pickling an array is
-        # one buffer copy, where a list-of-python-numbers form would pay
-        # tolist() plus a per-element opcode on both ends of every pickle.
-        nz = np.nonzero(self.weights)[0]
-        wv = self.weights[nz]
-        gz = np.nonzero(self._grad_sq != 1e-8)[0]
-        gv = self._grad_sq[gz]
-        # hashed dimensions fit comfortably in 32-bit indices; the cast
-        # is lossless and halves the index payload of every pickle
-        if self.dim <= np.iinfo(np.int32).max:
-            nz = nz.astype(np.int32)
-            gz = gz.astype(np.int32)
-        return {
-            "dim": self.dim,
-            "config": self.config,
-            "n_trained": self.n_trained,
-            "w_idx": nz,
-            "w_val": wv,
-            "g_idx": gz,
-            "g_val": gv,
-        }
+def train_lanes(
+    examples: Sequence[Tuple[Sequence[int], int]],
+    lanes: Sequence[Sequence[LaneModel]],
+    n_rows: int,
+    config: TrainConfig = TrainConfig(),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Train ``n_rows`` logistic regressions over shared ``examples``.
 
-    def __setstate__(self, state: Dict) -> None:
-        self.dim = state["dim"]
-        self.config = state["config"]
-        self.n_trained = state["n_trained"]
-        self.weights = np.zeros(self.dim, dtype=np.float64)
-        self.weights[state["w_idx"]] = state["w_val"]
-        self._grad_sq = np.full(self.dim, 1e-8, dtype=np.float64)
-        self._grad_sq[state["g_idx"]] = state["g_val"]
+    ``examples`` are ``(sorted unique hashed indices, label)``; each
+    lane lists the models it trains back to back, and every lane must
+    take the same number of steps.  Returns ``(columns, weights)``:
+    ``columns`` holds every hashed index seen in training, sorted,
+    behind a ``-1`` sentinel at position 0, and ``weights[row, j]`` is
+    model ``row``'s weight of index ``columns[j]``.  Column 0 stays
+    zero, so an index absent from training can map to it.
 
-    def __repr__(self) -> str:
-        nnz = int(np.count_nonzero(self.weights))
-        return f"<LogisticRegression dim={self.dim} nnz={nnz} trained={self.n_trained}>"
+    Every step is the per-sample Adagrad update of each lane's model:
+    the decision sums the gathered weights behind the zero column (the
+    same float sum as ``weights[idx].sum()`` over a dense vector), and
+    the update is elementwise, so vectorizing across lanes changes no
+    operation of any single model.
+    """
+    lengths = np.fromiter((len(ix) for ix, _ in examples), np.int64,
+                          count=len(examples))
+    hashed = np.fromiter(
+        itertools.chain.from_iterable(ix for ix, _ in examples),
+        np.int64, count=int(lengths.sum()),
+    )
+    seen, inverse = np.unique(hashed, return_inverse=True)
+    columns = np.concatenate([np.array([-1], np.int64), seen])
+    width = len(columns)
+    weights = np.zeros((n_rows, width))
+    # every example's columns behind the zero column: [0, c1, c2, ...]
+    firsts = np.cumsum(lengths) - lengths
+    example_cols = np.insert(inverse.ravel() + 1, firsts, 0)
+    starts = firsts + np.arange(len(examples))
+    labels = np.fromiter((label for _, label in examples), np.int64,
+                         count=len(examples))
+
+    schedules = [_lane_schedule(lane, config.epochs) for lane in lanes]
+    if not schedules or not len(schedules[0][0]):
+        return columns, weights
+    n_lanes = len(schedules)
+    step_rows = np.stack([rows for rows, _ in schedules], axis=1)
+    step_ids = np.stack([ids for _, ids in schedules], axis=1)
+
+    grad_sq = np.full((n_rows, width), 1e-8)
+    w_flat = weights.reshape(-1)
+    g_flat = grad_sq.reshape(-1)
+    lr, l2 = config.learning_rate, config.l2
+    for t0 in range(0, len(step_rows), CHUNK_STEPS):
+        # the chunk's (step, lane) pairs, step-major, and their
+        # elements: one flat weight index per gathered column
+        pair_row = step_rows[t0:t0 + CHUNK_STEPS].ravel()
+        pair_id = step_ids[t0:t0 + CHUNK_STEPS].ravel()
+        counts = lengths[pair_id] + 1
+        pair_end = np.cumsum(counts)
+        pair_start = pair_end - counts
+        source = np.arange(int(pair_end[-1])) \
+            + np.repeat(starts[pair_id] - pair_start, counts)
+        elem_flat = example_cols[source] \
+            + np.repeat(pair_row * width, counts)
+        # each element's gradient slot: its lane's, or for the zero
+        # column a trailing zero gradient, so that column never moves
+        elem_slot = np.repeat(
+            np.tile(np.arange(n_lanes), len(counts) // n_lanes), counts)
+        elem_slot[pair_start] = n_lanes
+        bounds = [0] + pair_end[n_lanes - 1::n_lanes].tolist()
+        segments = (pair_start.reshape(-1, n_lanes)
+                    - np.array(bounds[:-1])[:, None])
+        ys = labels[pair_id].reshape(-1, n_lanes).tolist()
+        for t, y in enumerate(ys):
+            a, b = bounds[t], bounds[t + 1]
+            flat = elem_flat[a:b]
+            w = w_flat.take(flat)
+            z = np.add.reduceat(w, segments[t])
+            g = [sigmoid(v) - label for v, label in zip(z.tolist(), y)]
+            g.append(0.0)
+            grad = np.array(g)[elem_slot[a:b]]
+            gs = g_flat.take(flat) + grad * grad
+            g_flat[flat] = gs
+            w_flat[flat] = w - lr / np.sqrt(gs) * (grad + l2 * w)
+    return columns, weights

@@ -3,13 +3,34 @@
 ``ϕ(ftr(e1, e2)) = ψ_(x1, x2)(c1, c2, d)`` — one logistic regression
 per argument-position pair, plus a shared fallback model used for
 position pairs unseen at training time.
+
+Each position key, and the fallback, is a bagging-style ensemble of
+:data:`N_MEMBERS` logistic regressions that differ only in their SGD
+shuffle seed; ϕ averages their probabilities.  SGD order noise is the
+dominant variance source at our (laptop-scale) corpus sizes, and
+averaging it out keeps the learned specification set stable across
+runs.
+
+**Training.**  Every member of every ensemble trains in one
+:func:`~repro.model.logistic.train_lanes` pass.  Member ``m`` has two
+lanes: one runs each position key's model back to back, the other runs
+the fallback over the whole stream, so both take ``epochs ×
+len(stream)`` steps.  Each model still sees exactly its own examples in
+stream order, reshuffled every epoch by ``random.Random(seed + 101·m)``,
+and takes the Adagrad steps it would take if trained alone.
+
+**State.**  One weight matrix over the hashed indices seen in training
+(``columns``): rows ``0 … N_MEMBERS-1`` are the fallback's members,
+and each position key owns the next ``N_MEMBERS`` rows.  An index
+absent from training maps to column 0, which is zero in every row —
+the weight it would have in a dense hashed weight vector.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.model.dataset import LabeledSample
 from repro.model.features import (
@@ -20,90 +41,34 @@ from repro.model.features import (
     encode_sample,
 )
 from repro.model.logistic import (
-    LogisticRegression,
-    SparseExample,
+    LaneModel,
     TrainConfig,
     as_index_array,
+    sigmoid,
+    train_lanes,
 )
 
 PositionKey = Tuple[str, str]
 
-
-def member_configs(
-    train_config: TrainConfig, n_members: int
-) -> List[TrainConfig]:
-    """The per-member SGD configs of one ensemble (seed-offset bagging)."""
-    return [replace(train_config, seed=train_config.seed + 101 * i)
-            for i in range(max(1, n_members))]
-
-
-def train_members(
-    dim: int,
-    configs: Sequence[TrainConfig],
-    examples: Sequence[SparseExample],
-) -> List[LogisticRegression]:
-    """Train one ensemble's members over one example sequence.
-
-    Module-level so the parallel training reduce can ship it to worker
-    processes/daemons: each per-position-key ensemble (and the shared
-    fallback) depends only on its own example sequence — in canonical
-    stream order — and the member configs, so training ensembles in
-    parallel is float-for-float identical to the sequential loop in
-    :meth:`EventPairModel.fit_encoded`.
-    """
-    members: List[LogisticRegression] = []
-    for config in configs:
-        model = LogisticRegression(dim, config)
-        model.fit(list(examples))
-        members.append(model)
-    return members
+#: ensemble members per position key and for the fallback
+N_MEMBERS = 3
 
 
 class EventPairModel:
-    """ϕ: probability that two events are connected by an edge.
-
-    A small bagging-style ensemble: ``n_members`` logistic regressions
-    are trained per position key with different SGD shuffling seeds and
-    their probabilities averaged.  SGD order noise is the dominant
-    variance source at our (laptop-scale) corpus sizes; averaging it
-    out makes the learned specification set stable across runs.
-    """
+    """ϕ: probability that two events are connected by an edge."""
 
     def __init__(self, feature_config: FeatureConfig = FeatureConfig(),
-                 train_config: TrainConfig = TrainConfig(),
-                 n_members: int = 3) -> None:
+                 train_config: TrainConfig = TrainConfig()) -> None:
         self.feature_config = feature_config
         self.train_config = train_config
-        self.n_members = max(1, n_members)
-        self._models: Dict[PositionKey, List[LogisticRegression]] = {}
-        self._fallback: List[LogisticRegression] = []
+        #: hashed index of each weight column, sorted; ``columns[0]``
+        #: is a -1 sentinel naming the all-zero column
+        self.columns = np.array([-1], dtype=np.int64)
+        #: one row per ensemble member: the fallback's, then each key's
+        self.weights = np.zeros((N_MEMBERS, 1))
+        #: first weight row of each position key's ensemble
+        self._rows: Dict[PositionKey, int] = {}
         self.n_samples = 0
-
-    def _member_configs(self) -> List[TrainConfig]:
-        return member_configs(self.train_config, self.n_members)
-
-    @classmethod
-    def from_trained(
-        cls,
-        feature_config: FeatureConfig,
-        train_config: TrainConfig,
-        models: Dict[PositionKey, List[LogisticRegression]],
-        fallback: List[LogisticRegression],
-        n_samples: int,
-        n_members: int = 3,
-    ) -> "EventPairModel":
-        """Assemble a model from externally trained ensembles.
-
-        The parallel training reduce trains each position key's members
-        (and the fallback) via :func:`train_members` on workers and
-        reassembles here; given the same per-key example sequences this
-        is float-identical to :meth:`fit_encoded`.
-        """
-        model = cls(feature_config, train_config, n_members)
-        model._models = dict(models)
-        model._fallback = list(fallback)
-        model.n_samples = n_samples
-        return model
 
     # ------------------------------------------------------------------
 
@@ -122,20 +87,22 @@ class EventPairModel:
         stream here is float-for-float identical to :meth:`fit` on the
         corresponding :class:`LabeledSample` sequence.
         """
-        grouped: Dict[PositionKey, List[SparseExample]] = defaultdict(list)
-        all_examples: List[SparseExample] = []
-        for sample in samples:
-            # One index-array conversion per unique sample, shared by the
-            # per-key ensemble and the fallback across every epoch/member
-            # (previously re-converted on each of the ~36 SGD visits).
-            example = (as_index_array(sample.indices), sample.label)
-            grouped[sample.position_key].append(example)
-            all_examples.append(example)
-        configs = self._member_configs()
-        dim = self.feature_config.dim
-        for key, examples in grouped.items():
-            self._models[key] = train_members(dim, configs, examples)
-        self._fallback = train_members(dim, configs, all_examples)
+        by_key: Dict[PositionKey, List[int]] = {}
+        for i, sample in enumerate(samples):
+            by_key.setdefault(sample.position_key, []).append(i)
+        self._rows = {key: (k + 1) * N_MEMBERS
+                      for k, key in enumerate(by_key)}
+        stream = np.arange(len(samples))
+        lanes: List[List[LaneModel]] = []
+        for m in range(N_MEMBERS):
+            seed = self.train_config.seed + 101 * m
+            lanes.append([(self._rows[key] + m, ids, seed)
+                          for key, ids in by_key.items()])
+            lanes.append([(m, stream, seed)])
+        self.columns, self.weights = train_lanes(
+            [(s.indices, s.label) for s in samples], lanes,
+            (len(by_key) + 1) * N_MEMBERS, self.train_config,
+        )
         self.n_samples = len(samples)
 
     # ------------------------------------------------------------------
@@ -150,17 +117,20 @@ class EventPairModel:
     def predict_encoded(self, position_key: PositionKey,
                         indices: Sequence[int]) -> float:
         """ϕ of an already-hashed feature (see :func:`encode_feature`)."""
-        members = self._models.get(position_key)
-        if not members or members[0].n_trained == 0:
-            members = self._fallback
-        if not members:
-            return 0.5
-        return sum(m.predict_proba(indices) for m in members) / len(members)
+        idx = as_index_array(indices)
+        pos = np.searchsorted(self.columns, idx, side="right") - 1
+        cols = np.where(self.columns[pos] == idx, pos, 0)
+        row = self._rows.get(position_key, 0)
+        # take() yields C-ordered rows, whose sums are the same floats
+        # as each member's 1-D weights[idx].sum()
+        decisions = self.weights[row:row + N_MEMBERS].take(
+            cols, axis=1).sum(axis=1)
+        return sum(sigmoid(z) for z in decisions.tolist()) / N_MEMBERS
 
     @property
     def position_keys(self) -> List[PositionKey]:
-        return sorted(self._models)
+        return sorted(self._rows)
 
     def __repr__(self) -> str:
-        return (f"<EventPairModel {len(self._models)} position keys × "
-                f"{self.n_members} members, {self.n_samples} samples>")
+        return (f"<EventPairModel {len(self._rows)} position keys × "
+                f"{N_MEMBERS} members, {self.n_samples} samples>")

@@ -1,7 +1,6 @@
 """repro.dist: protocol framing, the loopback coordinator/worker
 cluster, byte-identity with local mining, worker death, lease expiry,
-chaos on workers, speculation, the parallel training reduce, and the
-distributed CLI."""
+chaos on workers, speculation, and the distributed CLI."""
 
 import base64
 import contextlib
@@ -53,7 +52,7 @@ def java_corpus(n=12, seed=7):
 
 def learn(programs, *, coordinator=None, jobs=1, shards=None,
           cache_dir=None, strict=False, chaos=None, max_retries=2,
-          parallel_train=False, adaptive_deadline=False, budget=None):
+          adaptive_deadline=False, budget=None):
     config = PipelineConfig(runtime=RuntimeConfig(
         strict=strict, budget=budget or Budget(),
     ))
@@ -66,7 +65,7 @@ def learn(programs, *, coordinator=None, jobs=1, shards=None,
     mining = MiningConfig(
         jobs=jobs, shards=shards,
         cache_dir=str(cache_dir) if cache_dir else None,
-        supervision=supervision, parallel_train=parallel_train,
+        supervision=supervision,
     )
     return MiningEngine(config, mining, coordinator).learn(programs)
 
@@ -242,29 +241,6 @@ def test_loopback_run_reports_dispatch_and_only_analyze_tasks():
     # the model never leaves the coordinator: every task is an analyze
     assert {t.phase for t in dist.mining.ledger.tasks} == {"analyze"}
     assert dist.mining.model_broadcast_bytes == 0
-
-
-def test_parallel_train_matches_sequential_locally():
-    programs = java_corpus()
-    sequential = learn(programs)
-    parallel = learn(programs, jobs=2, parallel_train=True)
-    assert specs_text(parallel) == specs_text(sequential)
-    assert parallel.mining.parallel_train
-    assert not sequential.mining.parallel_train
-    train_tasks = [t for t in parallel.mining.ledger.tasks
-                   if t.phase == "train"]
-    # one task per position-key ensemble plus the shared fallback
-    assert len(train_tasks) == len(parallel.model.position_keys) + 1
-
-
-def test_parallel_train_matches_sequential_distributed():
-    programs = java_corpus()
-    sequential = learn(programs)
-    with cluster(2) as (coordinator, _, _):
-        dist = learn(programs, coordinator=coordinator,
-                     parallel_train=True)
-    assert specs_text(dist) == specs_text(sequential)
-    assert dist.mining.parallel_train
 
 
 def test_adaptive_deadline_distributed_matches_baseline():
@@ -816,7 +792,7 @@ def test_cli_distributed_learn_matches_local(tmp_path):
     coordinator_thread = threading.Thread(target=lambda: outcome.update(
         code=main(["coordinator", "--files", "8", "--jobs", "2",
                    "--bind", f"127.0.0.1:{port}", "--min-workers", "2",
-                   "--parallel-train", "--out", str(dist_path)])
+                   "--out", str(dist_path)])
     ), daemon=True)
     workers = [
         threading.Thread(target=main, args=([

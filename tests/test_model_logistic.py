@@ -1,27 +1,43 @@
-"""Tests for the from-scratch sparse logistic regression."""
+"""Tests for the from-scratch sparse logistic regression.
+
+Each test trains ϕ on a single position key, so it exercises one
+ensemble trained by the lockstep Adagrad loop.
+"""
 
 import math
 import random
 
-import pytest
+from repro.model.features import EncodedSample
+from repro.model.logistic import TrainConfig, sigmoid, train_lanes
+from repro.model.model import EventPairModel
 
-from repro.model.logistic import LogisticRegression, TrainConfig
+KEY = ("0", "ret")
+
+
+def _fit(examples, config=TrainConfig()):
+    model = EventPairModel(train_config=config)
+    model.fit_encoded([EncodedSample(KEY, tuple(indices), label)
+                       for indices, label in examples])
+    return model
+
+
+def _mean_log_loss(model, examples):
+    total = 0.0
+    for indices, label in examples:
+        p = model.predict_encoded(KEY, indices)
+        total -= label * math.log(p) + (1 - label) * math.log(1 - p)
+    return total / len(examples)
 
 
 def test_untrained_predicts_half():
-    model = LogisticRegression(dim=128)
-    assert model.predict_proba((1, 2, 3)) == pytest.approx(0.5)
+    assert EventPairModel().predict_encoded(KEY, (1, 2, 3)) == 0.5
 
 
 def test_learns_linearly_separable_data():
-    model = LogisticRegression(dim=64, config=TrainConfig(epochs=12))
     # feature 1 present → positive; feature 2 present → negative
-    examples = [((0, 1), 1), ((0, 2), 0)] * 50
-    model.fit(examples)
-    assert model.predict_proba((0, 1)) > 0.9
-    assert model.predict_proba((0, 2)) < 0.1
-    assert model.predict((0, 1)) == 1
-    assert model.predict((0, 2)) == 0
+    model = _fit([((0, 1), 1), ((0, 2), 0)] * 50, TrainConfig(epochs=12))
+    assert model.predict_encoded(KEY, (0, 1)) > 0.9
+    assert model.predict_encoded(KEY, (0, 2)) < 0.1
 
 
 def test_loss_decreases_over_epochs():
@@ -32,43 +48,42 @@ def test_loss_decreases_over_epochs():
         base = 10 if label else 20
         noise = rng.randrange(30, 40)
         examples.append(((base, noise), label))
-    model = LogisticRegression(dim=64, config=TrainConfig(epochs=8))
-    losses = model.fit(examples)
-    assert losses[-1] < losses[0]
+    first = _fit(examples, TrainConfig(epochs=1))
+    last = _fit(examples, TrainConfig(epochs=8))
+    assert _mean_log_loss(last, examples) < _mean_log_loss(first, examples)
 
 
 def test_training_is_deterministic():
     examples = [((0, 1), 1), ((0, 2), 0)] * 20
-    m1 = LogisticRegression(dim=64)
-    m2 = LogisticRegression(dim=64)
-    m1.fit(examples)
-    m2.fit(examples)
-    assert m1.predict_proba((0, 1)) == m2.predict_proba((0, 1))
+    m1, m2 = _fit(examples), _fit(examples)
+    assert m1.predict_encoded(KEY, (0, 1)) == m2.predict_encoded(KEY, (0, 1))
 
 
 def test_colliding_features_share_weight():
-    model = LogisticRegression(dim=8)
-    model.fit([((3,), 1)] * 30)
-    # any index congruent to 3 gets the same weight cell
-    assert model.predict_proba((3,)) > 0.9
+    # a hashed index is one weight cell, whatever token produced it
+    model = _fit([((3,), 1)] * 30)
+    assert model.predict_encoded(KEY, (3,)) > 0.9
 
 
 def test_l2_shrinks_weights():
-    big_l2 = LogisticRegression(dim=16, config=TrainConfig(epochs=10, l2=0.5))
-    no_l2 = LogisticRegression(dim=16, config=TrainConfig(epochs=10, l2=0.0))
     examples = [((1,), 1), ((2,), 0)] * 30
-    big_l2.fit(examples)
-    no_l2.fit(examples)
-    assert abs(big_l2.weights[1]) < abs(no_l2.weights[1])
+    big_l2 = _fit(examples, TrainConfig(epochs=10, l2=0.5))
+    no_l2 = _fit(examples, TrainConfig(epochs=10, l2=0.0))
+    assert abs(big_l2.predict_encoded(KEY, (1,)) - 0.5) \
+        < abs(no_l2.predict_encoded(KEY, (1,)) - 0.5)
 
 
-def test_partial_fit_returns_logloss():
-    model = LogisticRegression(dim=16)
-    loss = model.partial_fit((1,), 1)
-    assert loss == pytest.approx(math.log(2), rel=1e-6)
+def test_single_step_is_one_adagrad_update():
+    config = TrainConfig(epochs=1)
+    columns, weights = train_lanes(
+        [((5,), 1)], [[(0, [0], config.seed)]], 1, config)
+    # p = 0.5, so g = -0.5 and the accumulator becomes 1e-8 + 0.25
+    g = sigmoid(0.0) - 1
+    expected = -config.learning_rate / math.sqrt(1e-8 + g * g) * g
+    assert columns.tolist() == [-1, 5]
+    assert weights.tolist() == [[0.0, expected]]
 
 
 def test_empty_indices_decision_zero():
-    model = LogisticRegression(dim=16)
-    assert model.decision(()) == 0.0
-    assert model.predict_proba(()) == pytest.approx(0.5)
+    model = _fit([((0, 1), 1), ((0, 2), 0)] * 5)
+    assert model.predict_encoded(KEY, ()) == 0.5

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.events import RET, HistoryBuilder, HistoryOptions, build_event_graph
 from repro.ir import FunctionBuilder, ProgramBuilder, Var
-from repro.model.logistic import LogisticRegression, TrainConfig
+from repro.model.features import EncodedSample
+from repro.model.logistic import TrainConfig
+from repro.model.model import EventPairModel
 from repro.pointsto import analyze
 from repro.pointsto.ghost import ArgValues, ghost_reads, ghost_writes
 from repro.pointsto.objects import LitVal
@@ -252,12 +254,14 @@ def test_ghost_writes_only_with_stored_objects(args, coverage):
 
 
 @given(st.lists(st.tuples(
+    st.sampled_from([("0", "ret"), ("1", "2"), ("ret", "ret")]),
     st.frozensets(st.integers(min_value=0, max_value=63), min_size=1,
                   max_size=6),
     st.integers(min_value=0, max_value=1)), min_size=1, max_size=40))
 def test_logistic_probabilities_valid(examples):
-    model = LogisticRegression(dim=64, config=TrainConfig(epochs=2))
-    model.fit([(tuple(sorted(f)), label) for f, label in examples])
-    for f, _ in examples:
-        p = model.predict_proba(tuple(sorted(f)))
+    model = EventPairModel(train_config=TrainConfig(epochs=2))
+    model.fit_encoded([EncodedSample(key, tuple(sorted(f)), label)
+                       for key, f, label in examples])
+    for key, f, _ in examples:
+        p = model.predict_encoded(key, tuple(sorted(f)))
         assert 0.0 <= p <= 1.0
