@@ -4,18 +4,23 @@ A minimal, dependency-light stand-in for the Vowpal Wabbit models the
 paper uses (§7.1).  Features are sparse binary index tuples (from the
 hashing trick in :mod:`repro.model.features`).
 
-:func:`train_lanes` trains a set of independent models in one loop.
-Each model sees its examples in its own seeded per-epoch shuffle and
-takes one Adagrad step per example, as a per-sample trainer would; the
-loop only interleaves the models.  Models are grouped into equally
-long *lanes* that run their models back to back, and one iteration
-advances every lane by one step with a fixed handful of numpy calls,
-so the Python iteration count is one lane's step count rather than the
-sum over all models.
+Training is two steps.  :func:`compile_examples` turns the examples
+into flat arrays over the columns they use, once; :func:`run_lanes`
+then trains any set of independent models over them into given weight
+rows.  Each model sees its examples in its own seeded per-epoch shuffle
+and takes one Adagrad step per example, as a per-sample trainer would;
+the loop only interleaves the models.  Models are grouped into *lanes*
+that run their models back to back, and one iteration advances every
+lane by one step with a fixed handful of numpy calls, so the Python
+iteration count is the longest lane's step count rather than the sum
+over all models.  :func:`pack_lanes` balances models of unequal size
+over lanes, and a lane that finishes early idles until the longest is
+done.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -112,9 +117,6 @@ class SufficientStats:
         return {"packed": packed}
 
     def __setstate__(self, state: Dict) -> None:
-        if "blocks" in state:  # legacy object-list pickles
-            self.blocks = state["blocks"]
-            return
         self.blocks = {}
         for key, (uniq, kid, labels, counts, flat) in \
                 state["packed"].items():
@@ -169,21 +171,93 @@ def _lane_schedule(
     return np.concatenate(rows), np.concatenate(ids)
 
 
-def train_lanes(
-    examples: Sequence[Tuple[Sequence[int], int]],
-    lanes: Sequence[Sequence[LaneModel]],
-    n_rows: int,
-    config: TrainConfig = TrainConfig(),
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Train ``n_rows`` logistic regressions over shared ``examples``.
+def pack_lanes(models: Sequence[LaneModel]) -> List[List[LaneModel]]:
+    """Spread models, each with at least one example, over lanes so
+    that the longest lane stays short.
 
-    ``examples`` are ``(sorted unique hashed indices, label)``; each
-    lane lists the models it trains back to back, and every lane must
-    take the same number of steps.  Returns ``(columns, weights)``:
-    ``columns`` holds every hashed index seen in training, sorted,
-    behind a ``-1`` sentinel at position 0, and ``weights[row, j]`` is
-    model ``row``'s weight of index ``columns[j]``.  Column 0 stays
-    zero, so an index absent from training can map to it.
+    There are ``⌈total examples / longest model's examples⌉`` lanes,
+    the fewest that could all finish with the longest model; models go
+    longest first onto the least-loaded lane (ties to the lowest lane,
+    equal models in input order).  Packing changes no model, only the
+    loop length.
+    """
+    if not models:
+        return []
+    sizes = [len(examples) for _, examples, _ in models]
+    n_lanes = -(-sum(sizes) // max(sizes))
+    lanes: List[List[LaneModel]] = [[] for _ in range(n_lanes)]
+    loads = [(0, j) for j in range(n_lanes)]
+    for k in sorted(range(len(models)), key=lambda k: -sizes[k]):
+        load, j = heapq.heappop(loads)
+        lanes[j].append(models[k])
+        heapq.heappush(loads, (load + sizes[k], j))
+    return lanes
+
+
+@dataclass(frozen=True)
+class CompiledExamples:
+    """Training examples as flat arrays, compiled once for any lane run.
+
+    ``columns`` holds every hashed index seen, sorted, behind a ``-1``
+    sentinel at position 0.  Example ``i`` is ``cols[starts[i]:
+    starts[i] + lengths[i] + 1]``: the zero column 0, then the
+    positions in ``columns`` of its indices.  The last example, id
+    :attr:`idle`, is empty, so its only element is the zero column.
+    """
+
+    columns: np.ndarray
+    lengths: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def idle(self) -> int:
+        """The empty example a finished lane steps on."""
+        return len(self.labels) - 1
+
+
+def compile_examples(
+    examples: Sequence[Tuple[Sequence[int], int]],
+) -> CompiledExamples:
+    """Compact ``(sorted unique hashed indices, label)`` examples onto
+    the columns they use, and append the idle example."""
+    n = len(examples)
+    lengths = np.zeros(n + 1, np.int64)
+    lengths[:n] = np.fromiter((len(ix) for ix, _ in examples), np.int64,
+                              count=n)
+    hashed = np.fromiter(
+        itertools.chain.from_iterable(ix for ix, _ in examples),
+        np.int64, count=int(lengths.sum()),
+    )
+    seen, inverse = np.unique(hashed, return_inverse=True)
+    labels = np.zeros(n + 1, np.int64)
+    labels[:n] = np.fromiter((label for _, label in examples), np.int64,
+                             count=n)
+    firsts = np.cumsum(lengths) - lengths
+    return CompiledExamples(
+        columns=np.concatenate([np.array([-1], np.int64), seen]),
+        lengths=lengths,
+        cols=np.insert(inverse.ravel() + 1, firsts, 0),
+        starts=firsts + np.arange(n + 1),
+        labels=labels,
+    )
+
+
+def run_lanes(
+    examples: CompiledExamples,
+    lanes: Sequence[Sequence[LaneModel]],
+    weights: np.ndarray,
+    config: TrainConfig = TrainConfig(),
+) -> None:
+    """Train the lanes' models into rows of ``weights``, in place.
+
+    ``weights`` is a C-contiguous ``(rows, len(examples.columns))``
+    matrix of untrained (zero) rows, and each lane lists the models it
+    trains back to back.  Lanes may differ in length: a finished lane
+    steps on the idle example, whose zero column takes the zero
+    gradient, until the longest lane is done.  Column 0 stays zero in
+    every row, so an index absent from training can map to it.
 
     Every step is the per-sample Adagrad update of each lane's model:
     the decision sums the gathered weights behind the zero column (the
@@ -191,45 +265,35 @@ def train_lanes(
     the update is elementwise, so vectorizing across lanes changes no
     operation of any single model.
     """
-    lengths = np.fromiter((len(ix) for ix, _ in examples), np.int64,
-                          count=len(examples))
-    hashed = np.fromiter(
-        itertools.chain.from_iterable(ix for ix, _ in examples),
-        np.int64, count=int(lengths.sum()),
-    )
-    seen, inverse = np.unique(hashed, return_inverse=True)
-    columns = np.concatenate([np.array([-1], np.int64), seen])
-    width = len(columns)
-    weights = np.zeros((n_rows, width))
-    # every example's columns behind the zero column: [0, c1, c2, ...]
-    firsts = np.cumsum(lengths) - lengths
-    example_cols = np.insert(inverse.ravel() + 1, firsts, 0)
-    starts = firsts + np.arange(len(examples))
-    labels = np.fromiter((label for _, label in examples), np.int64,
-                         count=len(examples))
-
     schedules = [_lane_schedule(lane, config.epochs) for lane in lanes]
-    if not schedules or not len(schedules[0][0]):
-        return columns, weights
+    n_steps = max((len(ids) for _, ids in schedules), default=0)
+    if not n_steps:
+        return
     n_lanes = len(schedules)
-    step_rows = np.stack([rows for rows, _ in schedules], axis=1)
-    step_ids = np.stack([ids for _, ids in schedules], axis=1)
+    # idle steps gather row 0's zero column, possibly in several lanes
+    # at once; every write leaves that cell as it was
+    step_rows = np.zeros((n_steps, n_lanes), np.int64)
+    step_ids = np.full((n_steps, n_lanes), examples.idle, np.int64)
+    for j, (rows, ids) in enumerate(schedules):
+        step_rows[:len(rows), j] = rows
+        step_ids[:len(ids), j] = ids
 
-    grad_sq = np.full((n_rows, width), 1e-8)
+    width = weights.shape[1]
+    grad_sq = np.full(weights.shape, 1e-8)
     w_flat = weights.reshape(-1)
     g_flat = grad_sq.reshape(-1)
     lr, l2 = config.learning_rate, config.l2
-    for t0 in range(0, len(step_rows), CHUNK_STEPS):
+    for t0 in range(0, n_steps, CHUNK_STEPS):
         # the chunk's (step, lane) pairs, step-major, and their
         # elements: one flat weight index per gathered column
         pair_row = step_rows[t0:t0 + CHUNK_STEPS].ravel()
         pair_id = step_ids[t0:t0 + CHUNK_STEPS].ravel()
-        counts = lengths[pair_id] + 1
+        counts = examples.lengths[pair_id] + 1
         pair_end = np.cumsum(counts)
         pair_start = pair_end - counts
         source = np.arange(int(pair_end[-1])) \
-            + np.repeat(starts[pair_id] - pair_start, counts)
-        elem_flat = example_cols[source] \
+            + np.repeat(examples.starts[pair_id] - pair_start, counts)
+        elem_flat = examples.cols[source] \
             + np.repeat(pair_row * width, counts)
         # each element's gradient slot: its lane's, or for the zero
         # column a trailing zero gradient, so that column never moves
@@ -239,7 +303,7 @@ def train_lanes(
         bounds = [0] + pair_end[n_lanes - 1::n_lanes].tolist()
         segments = (pair_start.reshape(-1, n_lanes)
                     - np.array(bounds[:-1])[:, None])
-        ys = labels[pair_id].reshape(-1, n_lanes).tolist()
+        ys = examples.labels[pair_id].reshape(-1, n_lanes).tolist()
         for t, y in enumerate(ys):
             a, b = bounds[t], bounds[t + 1]
             flat = elem_flat[a:b]
@@ -251,4 +315,3 @@ def train_lanes(
             gs = g_flat.take(flat) + grad * grad
             g_flat[flat] = gs
             w_flat[flat] = w - lr / np.sqrt(gs) * (grad + l2 * w)
-    return columns, weights

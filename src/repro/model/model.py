@@ -11,24 +11,29 @@ dominant variance source at our (laptop-scale) corpus sizes, and
 averaging it out keeps the learned specification set stable across
 runs.
 
-**Training.**  Every member of every ensemble trains in one
-:func:`~repro.model.logistic.train_lanes` pass.  Member ``m`` has two
-lanes: one runs each position key's model back to back, the other runs
-the fallback over the whole stream, so both take ``epochs ×
-len(stream)`` steps.  Each model still sees exactly its own examples in
-stream order, reshuffled every epoch by ``random.Random(seed + 101·m)``,
-and takes the Adagrad steps it would take if trained alone.
+**Training.**  :meth:`EventPairModel.fit_encoded` compiles the stream
+once and trains every position key's members in one
+:func:`~repro.model.logistic.run_lanes` pass, packed onto lanes by
+:func:`~repro.model.logistic.pack_lanes`, so the loop is about as long
+as the largest key's model.  The fallback trains over the whole stream
+from the same compiled examples, the first time a prediction asks for
+a key without an ensemble of its own; many runs never do.  Each model
+still sees exactly its own examples in stream order, reshuffled every
+epoch by ``random.Random(seed + 101·m)``, and takes the Adagrad steps
+it would take if trained alone.
 
 **State.**  One weight matrix over the hashed indices seen in training
-(``columns``): rows ``0 … N_MEMBERS-1`` are the fallback's members,
-and each position key owns the next ``N_MEMBERS`` rows.  An index
-absent from training maps to column 0, which is zero in every row —
-the weight it would have in a dense hashed weight vector.
+(``columns``): rows ``0 … N_MEMBERS-1`` are the fallback's members
+(zero until it is trained), and each position key owns the next
+``N_MEMBERS`` rows.  An index absent from training maps to column 0,
+which is zero in every row — the weight it would have in a dense hashed
+weight vector.  Because prediction may train the fallback, a model
+belongs to one thread.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +46,14 @@ from repro.model.features import (
     encode_sample,
 )
 from repro.model.logistic import (
+    CompiledExamples,
     LaneModel,
     TrainConfig,
     as_index_array,
+    compile_examples,
+    pack_lanes,
+    run_lanes,
     sigmoid,
-    train_lanes,
 )
 
 PositionKey = Tuple[str, str]
@@ -68,12 +76,17 @@ class EventPairModel:
         self.weights = np.zeros((N_MEMBERS, 1))
         #: first weight row of each position key's ensemble
         self._rows: Dict[PositionKey, int] = {}
+        #: the training examples, kept until the fallback trains on them
+        self._examples: Optional[CompiledExamples] = None
         self.n_samples = 0
+
+    def _seed(self, member: int) -> int:
+        return self.train_config.seed + 101 * member
 
     # ------------------------------------------------------------------
 
     def fit(self, samples: Sequence[LabeledSample]) -> None:
-        """Train the per-position ensembles (and the shared fallback)."""
+        """Train the per-position ensembles (the fallback on first use)."""
         self.fit_encoded([
             encode_sample(s.feature, s.label, self.feature_config)
             for s in samples
@@ -92,18 +105,27 @@ class EventPairModel:
             by_key.setdefault(sample.position_key, []).append(i)
         self._rows = {key: (k + 1) * N_MEMBERS
                       for k, key in enumerate(by_key)}
-        stream = np.arange(len(samples))
-        lanes: List[List[LaneModel]] = []
-        for m in range(N_MEMBERS):
-            seed = self.train_config.seed + 101 * m
-            lanes.append([(self._rows[key] + m, ids, seed)
-                          for key, ids in by_key.items()])
-            lanes.append([(m, stream, seed)])
-        self.columns, self.weights = train_lanes(
-            [(s.indices, s.label) for s in samples], lanes,
-            (len(by_key) + 1) * N_MEMBERS, self.train_config,
-        )
+        self._examples = compile_examples(
+            [(s.indices, s.label) for s in samples])
+        self.columns = self._examples.columns
+        self.weights = np.zeros(
+            ((len(by_key) + 1) * N_MEMBERS, len(self.columns)))
+        models: List[LaneModel] = [
+            (k * N_MEMBERS + m, ids, self._seed(m))
+            for k, ids in enumerate(by_key.values())
+            for m in range(N_MEMBERS)
+        ]
+        run_lanes(self._examples, pack_lanes(models),
+                  self.weights[N_MEMBERS:], self.train_config)
         self.n_samples = len(samples)
+
+    def _train_fallback(self) -> None:
+        """Train the fallback's members over the whole stream, once."""
+        stream = np.arange(self.n_samples)
+        run_lanes(self._examples,
+                  [[(m, stream, self._seed(m))] for m in range(N_MEMBERS)],
+                  self.weights[:N_MEMBERS], self.train_config)
+        self._examples = None
 
     # ------------------------------------------------------------------
 
@@ -120,7 +142,11 @@ class EventPairModel:
         idx = as_index_array(indices)
         pos = np.searchsorted(self.columns, idx, side="right") - 1
         cols = np.where(self.columns[pos] == idx, pos, 0)
-        row = self._rows.get(position_key, 0)
+        row = self._rows.get(position_key)
+        if row is None:
+            if self._examples is not None:
+                self._train_fallback()
+            row = 0
         # take() yields C-ordered rows, whose sums are the same floats
         # as each member's 1-D weights[idx].sum()
         decisions = self.weights[row:row + N_MEMBERS].take(

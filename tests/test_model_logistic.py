@@ -7,8 +7,15 @@ ensemble trained by the lockstep Adagrad loop.
 import math
 import random
 
+import numpy as np
+
 from repro.model.features import EncodedSample
-from repro.model.logistic import TrainConfig, sigmoid, train_lanes
+from repro.model.logistic import (
+    TrainConfig,
+    compile_examples,
+    run_lanes,
+    sigmoid,
+)
 from repro.model.model import EventPairModel
 
 KEY = ("0", "ret")
@@ -75,12 +82,13 @@ def test_l2_shrinks_weights():
 
 def test_single_step_is_one_adagrad_update():
     config = TrainConfig(epochs=1)
-    columns, weights = train_lanes(
-        [((5,), 1)], [[(0, [0], config.seed)]], 1, config)
+    examples = compile_examples([((5,), 1)])
+    weights = np.zeros((1, len(examples.columns)))
+    run_lanes(examples, [[(0, [0], config.seed)]], weights, config)
     # p = 0.5, so g = -0.5 and the accumulator becomes 1e-8 + 0.25
     g = sigmoid(0.0) - 1
     expected = -config.learning_rate / math.sqrt(1e-8 + g * g) * g
-    assert columns.tolist() == [-1, 5]
+    assert examples.columns.tolist() == [-1, 5]
     assert weights.tolist() == [[0.0, expected]]
 
 
