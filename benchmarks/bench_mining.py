@@ -1,8 +1,9 @@
 """Sharded mining engine — throughput vs worker count.
 
 Measures end-to-end `learn` wall-clock over one generated 200-program
-corpus for 1, 2 and 4 workers, plus a warm-cache re-run and a
-distributed run against a 2-worker loopback cluster, and records
+corpus for 1, 2 and 4 workers, plus a warm re-run from the durable
+store (``--store-dir``) and a distributed run against a 2-worker
+loopback cluster, and records
 everything in ``BENCH_mining.json`` at the repository root.
 
 Two caveats are recorded rather than papered over:
@@ -19,7 +20,7 @@ Two caveats are recorded rather than papered over:
   2 CPUs;
 * what must hold on *any* machine — and is asserted unconditionally —
   is that worker count never changes the learned specifications, and
-  that a warm cache eliminates re-analysis entirely.
+  that a warm store eliminates re-analysis entirely.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ def _throughput_history(runs) -> list:
     return history[-HISTORY_LIMIT:]
 
 
-def _mine(programs, jobs, cache_dir=None):
+def _mine(programs, jobs, store_dir=None):
     engine = MiningEngine(mining=MiningConfig(
-        jobs=jobs, cache_dir=str(cache_dir) if cache_dir else None))
+        jobs=jobs, store_dir=str(store_dir) if store_dir else None))
     # benchmark hygiene: everything retained by earlier runs (specs,
     # reports, the corpus) would otherwise be re-scanned by every gen-2
     # collection *inside* the timed region, so later configurations
@@ -196,8 +197,8 @@ def test_mining_throughput(benchmark, tmp_path, floors):
                 "specs": specs_to_json(learned.specs, learned.scores),
                 "mining": learned.mining.to_dict(),
             }
-        cold, cold_s = _mine(programs, 1, cache_dir=tmp_path / "cache")
-        warm, warm_s = _mine(programs, 1, cache_dir=tmp_path / "cache")
+        cold, cold_s = _mine(programs, 1, store_dir=tmp_path / "store")
+        warm, warm_s = _mine(programs, 1, store_dir=tmp_path / "store")
         runs["warm_cache"] = {
             "seconds": warm_s,
             "cold_seconds": cold_s,
@@ -279,8 +280,8 @@ def test_mining_throughput(benchmark, tmp_path, floors):
     # the cache can only pay for the analyze phase; training and
     # scoring are per-run, so assert the phase, not total wall-clock
     assert runs["warm_cache"]["mining"]["cache_hit_rate"] == 1.0
-    # a fully-cached run takes the sidecar path: no bundle is unpickled
-    assert runs["warm_cache"]["mining"]["n_sample_hits"] == N_FILES
+    # a warm run takes every program's record from the store journal
+    assert runs["warm_cache"]["mining"]["n_from_store"] == N_FILES
     # parallel speedup needs parallel hardware; on fewer cores the
     # jobs4 number measures pool overhead, not the engine
     if cpu_count >= 4:

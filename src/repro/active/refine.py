@@ -6,9 +6,9 @@ Each **generation** runs the active-learning round-trip:
 2. synthesize validated discriminating programs for the most urgent
    ones within the per-generation budget
    (:mod:`repro.active.synthesis`);
-3. re-mine the extended corpus through the sharded/cached
-   :class:`repro.mining.MiningEngine` with ``--append`` semantics —
-   the statistics of every already-seen program fold in from the
+3. re-mine the extended corpus through the store-backed
+   :class:`repro.mining.MiningEngine` — the statistics of every
+   already-seen program fold in from the
    :class:`repro.store.StatsStore` journal without re-analysis, and
    the new specs land in the store as one more journaled generation;
 4. measure: which candidates left the uncertainty band (and in which
@@ -24,7 +24,7 @@ record — targeted candidates, synthesized program texts, resolution
 and metrics — is written durably to
 ``<store-dir>/refine/gen-NNNN.json``.  A killed run restarts by
 loading those records: the corpus is rebuilt from the recorded texts
-(nothing is re-synthesized), one append-mode mining pass restores the
+(nothing is re-synthesized), one store-backed mining pass restores the
 learned state from the store, and the loop continues with the next
 generation.  State files carry a digest of the configuration; resuming
 with a different corpus or seed is refused rather than silently
@@ -310,11 +310,9 @@ class RefinementEngine:
                              "(mining.store_dir)")
         self.registry = registry
         self.pipeline = pipeline
-        # append is what makes generations incremental: every
-        # already-seen program folds in from the journal
-        self.mining = MiningConfig(**{
-            **mining.__dict__, "append": True,
-        })
+        # the store makes generations incremental: every already-seen
+        # program folds in from the journal
+        self.mining = mining
         self.refine = refine
         self.log = log
         self.synthesizer = DirectedSynthesizer(
@@ -465,8 +463,8 @@ class RefinementEngine:
                      f"{self.state_dir} (0 programs re-synthesized)")
 
         # baseline (or state recovery): mine the corpus as recorded.
-        # With append semantics every stored program folds in from the
-        # journal, so recovery re-runs training, not analysis.
+        # Every stored program folds in from the journal, so recovery
+        # re-runs training, not analysis.
         t0 = time.monotonic()
         learned = self._mine(corpus)
         ambiguous = self._ambiguous(learned)

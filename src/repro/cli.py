@@ -15,7 +15,7 @@ analysis and the taint client on real source files (Python via the
 
 Learning always goes through the sharded mining engine
 (:mod:`repro.mining`): ``--jobs N`` fans corpus shards to worker
-processes, ``--cache-dir`` makes re-runs incremental, and the learned
+processes, ``--store-dir`` makes re-runs incremental, and the learned
 specifications are byte-identical for any ``--jobs``/``--shards``
 setting.
 """
@@ -71,27 +71,7 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
         max_history_events=args.budget_events,
         deadline_seconds=args.budget_seconds,
     )
-    return RuntimeConfig(
-        budget=budget,
-        strict=args.strict,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-
-
-_SIZE_UNITS = {"": 1, "K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
-
-
-def _parse_size(text: str) -> int:
-    """``500M`` / ``2G`` / ``1048576`` → bytes (for ``--cache-budget``)."""
-    raw = text.strip().upper().removesuffix("B")
-    unit = raw[-1:] if raw[-1:] in _SIZE_UNITS and not raw[-1:].isdigit() else ""
-    try:
-        value = float(raw[: len(raw) - len(unit)] or "x")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a size (expected e.g. 500M, 2G, or bytes)"
-        ) from None
-    return int(value * _SIZE_UNITS[unit])
+    return RuntimeConfig(budget=budget, strict=args.strict)
 
 
 def _chaos_spec(text: str) -> ChaosSpec:
@@ -116,11 +96,8 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
     return MiningConfig(
         jobs=args.jobs,
         shards=args.shards,
-        cache_dir=args.cache_dir,
-        cache_budget=args.cache_budget,
         supervision=_supervision_config(args),
         store_dir=args.store_dir,
-        append=args.append,
     )
 
 
@@ -157,17 +134,19 @@ def _print_mining(mining) -> None:
     print(f"mining: {mining.n_programs} programs / {mining.n_shards} "
           f"shard(s) / {mining.jobs} job(s) in {mining.seconds_total:.2f}s "
           f"({mining.programs_per_second:.1f} programs/s)")
-    print(f"  analyzed {mining.n_analyzed}, cache hits {mining.n_cached} "
-          f"({hit}), resumed {mining.n_resumed}, "
+    print(f"  analyzed {mining.n_analyzed}, from store "
+          f"{mining.n_from_store} ({hit}), "
           f"quarantined {mining.n_quarantined}")
-    if mining.n_cache_corrupt:
-        print(f"  cache integrity: {mining.n_cache_corrupt} corrupt "
-              f"entr{'y' if mining.n_cache_corrupt == 1 else 'ies'} "
-              f"deleted and re-analyzed")
     if mining.store_generation is not None:
-        print(f"  store: generation {mining.store_generation}, "
-              f"{mining.n_from_store} program(s) folded from the "
-              f"journal without re-analysis")
+        print(f"  store: generation {mining.store_generation}")
+        recovery = mining.store_recovery or {}
+        if any(recovery.values()):
+            snapshot = recovery["snapshot_quarantined"]
+            print(f"  store recovery: {recovery['n_quarantined']} journal "
+                  f"record(s) quarantined, {recovery['truncated_bytes']} "
+                  f"byte(s) truncated"
+                  + (f", snapshot moved aside ({snapshot})"
+                     if snapshot else ""))
         drift = mining.drift or {}
         if drift.get("previous") is not None:
             print(f"  spec drift vs generation {drift['previous']}: "
@@ -180,9 +159,6 @@ def _print_mining(mining) -> None:
         print(f"  shard wall-clock: slowest shard "
               f"#{slowest.shard_id} at {slowest.seconds:.2f}s of "
               f"{sum(m.seconds for m in mining.shards):.2f}s total")
-    if mining.n_evicted:
-        print(f"  cache budget: evicted {mining.n_evicted} entr"
-              f"{'y' if mining.n_evicted == 1 else 'ies'}")
     if mining.distributed and mining.cluster:
         c = mining.cluster
         print(f"cluster: {c['n_workers_seen']} worker(s) "
@@ -221,9 +197,6 @@ def _parse_suffixes(spec: Optional[str]) -> Tuple[str, ...]:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    if args.append and not args.store_dir:
-        print("error: --append requires --store-dir", file=sys.stderr)
-        return EXIT_ERROR
     if args.drift_out and not args.store_dir:
         print("error: --drift-out requires --store-dir", file=sys.stderr)
         return EXIT_ERROR
@@ -278,10 +251,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     run = learned.run
     if learned.mining is not None:
         _print_mining(learned.mining)
-    if run is not None and (run.n_quarantined or run.n_degraded
-                            or run.n_resumed):
+    if run is not None and (run.n_quarantined or run.n_degraded):
         print(f"corpus execution: {run.n_ok} ok "
-              f"({run.n_degraded} degraded, {run.n_resumed} resumed), "
+              f"({run.n_degraded} degraded), "
               f"{run.n_quarantined} quarantined")
         for kind, count in run.manifest.by_kind().items():
             print(f"  {kind}: {count}")
@@ -676,13 +648,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                        help="fail fast on the first per-program failure "
                             "instead of degrading and quarantining "
                             "(budget blow-ups exit with code 3)")
-    learn.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="checkpoint completed programs here; a rerun "
-                            "over the same corpus resumes from the last "
-                            "completed program (with --jobs/--shards the "
-                            "directory is split into per-shard "
-                            "subdirectories, so resume requires the same "
-                            "shard count)")
     learn.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for corpus analysis and "
                             "candidate matching (default 1 = "
@@ -694,37 +659,28 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "sequential, 4×jobs when parallel); "
                             "programs map to shards by a stable hash "
                             "of their source path")
-    learn.add_argument("--cache-dir", metavar="DIR",
-                       help="incremental analysis cache: re-running "
-                            "after editing k corpus files re-analyzes "
-                            "only those k; keyed by content + pipeline "
-                            "config, so it is safe to share across "
-                            "--jobs/--shards settings (unlike "
-                            "--checkpoint-dir, which is positional and "
-                            "per-shard)")
-    learn.add_argument("--store-dir", metavar="DIR",
-                       help="durable statistics store: journals every "
-                            "program's sufficient statistics (CRC-"
+    learn.add_argument("--store-dir", "--cache-dir", "--checkpoint-dir",
+                       dest="store_dir", metavar="DIR",
+                       help="durable store: journals every program's "
+                            "samples and match records, or its "
+                            "quarantine verdict, as it settles (CRC-"
                             "framed, fsync-on-commit, crash-"
-                            "recoverable) and each run's specs "
-                            "generation; co-locates the analysis cache "
-                            "unless --cache-dir is also given")
+                            "recoverable), keyed by content + pipeline "
+                            "config, plus each run's specs generation. "
+                            "A warm re-run, a resume after a kill and a "
+                            "run after editing k files re-analyze only "
+                            "the programs without a record, for any "
+                            "--jobs/--shards setting.  --cache-dir and "
+                            "--checkpoint-dir are other names for it")
     learn.add_argument("--append", action="store_true",
-                       help="incremental learning against --store-dir: "
-                            "re-analyze only programs that are new or "
-                            "edited since the journal was written, fold "
-                            "stored statistics for the rest, retrain, "
-                            "and report spec drift vs the previous "
-                            "generation")
+                       help="no effect: every --store-dir run is "
+                            "incremental (re-analyzes only new or edited "
+                            "programs and reports spec drift vs the "
+                            "previous generation); kept for old scripts")
     learn.add_argument("--drift-out", metavar="PATH",
                        help="write the spec drift report (gained/lost/"
                             "score-shifted vs the previous store "
                             "generation) as JSON; requires --store-dir")
-    learn.add_argument("--cache-budget", type=_parse_size, metavar="SIZE",
-                       help="evict least-recently-used --cache-dir "
-                            "entries until the cache fits SIZE "
-                            "(e.g. 500M, 2G, or plain bytes); evictions "
-                            "only cost recomputes, never correctness")
     learn.add_argument("--max-retries", type=int, default=2, metavar="N",
                        help="retry a crashed/timed-out/corrupt shard "
                             "task up to N times with exponential "

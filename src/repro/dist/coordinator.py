@@ -305,6 +305,7 @@ class Coordinator(TaskScheduler):
         splitter: Callable[[object], Optional[Tuple[object, object]]],
         poisoner: Callable[[object, str, str], object],
         validator: Callable[[object], bool],
+        on_interim: Optional[Callable[[object], None]] = None,
     ) -> List[object]:
         """Dispatch ``(shard_id, payload)`` tasks across the cluster.
 
@@ -316,6 +317,7 @@ class Coordinator(TaskScheduler):
         self.bind()
         state = _Phase(runner, splitter, poisoner, validator)
         self._phase = state
+        self._on_interim = on_interim
         for shard_id, payload in tasks:
             task = self._make_task(str(shard_id), shard_id, phase, payload)
             state.queue.append(task)
@@ -334,6 +336,7 @@ class Coordinator(TaskScheduler):
             # late results of an abandoned phase must not leak into
             # the next one
             self._phase = None
+            self._on_interim = None
             for remote in self._remotes:
                 remote.assignment = None
         return state.results
@@ -437,6 +440,16 @@ class Coordinator(TaskScheduler):
                 assignment.lease_expiry = (
                     self._clock() + self.dist.lease_seconds
                 )
+        elif kind == "interim":
+            # an undecodable item is dropped: the task's result still
+            # carries its program, only that program's journal record
+            # (one re-analysis on the next run) is lost
+            if self._on_interim is not None:
+                try:
+                    item = unpack_payload(str(message.get("payload")))
+                except Exception:
+                    return
+                self._on_interim(item)
         elif kind == "result":
             self._handle_result(remote, message)
         elif kind == "goodbye":

@@ -23,6 +23,7 @@ welcome    coord→worker registration accepted (echoes protocol version)
 ready      worker→coord idle, willing to run a task
 task       coord→worker one shard task: id, phase, attempt, runner, payload
 heartbeat  worker→coord lease renewal while a task is running
+interim    worker→coord one item a running task sent ahead of its result
 result     worker→coord task finished: status ok / error / corrupt
 shutdown   coord→worker drain and exit
 goodbye    worker→coord graceful leave (coordinator reassigns its lease)
@@ -51,7 +52,9 @@ from typing import Callable, Dict, List, Optional
 #: v2: payloads carry a compression marker byte (raw / zlib)
 #: v3: analyze results carry match records; the extract phase and the
 #: ``ready`` frame's bundle advertisement are gone
-PROTOCOL_VERSION = 3
+#: v4: analyze tasks no longer carry a cache directory or fingerprint;
+#: ``interim`` frames stream each settled program ahead of the result
+PROTOCOL_VERSION = 4
 
 #: frame length prefix: 4-byte big-endian unsigned
 _LENGTH = struct.Struct("!I")

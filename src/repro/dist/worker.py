@@ -41,6 +41,7 @@ from repro.dist.protocol import (
     send_frame,
     unpack_payload,
 )
+from repro.mining.supervisor import interim_channel
 from repro.runtime.faults import CorruptResult
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
@@ -384,7 +385,14 @@ def _serve(
                 "error": f"undecodable task: {err}",
             }
         else:
-            with _Heartbeat(sock, send_lock, task_id, beat):
+            def interim(item: object, task_id: str = task_id) -> None:
+                frame = {"type": "interim", "task_id": task_id,
+                         "payload": pack_payload(item)}
+                with send_lock:
+                    send_frame(sock, frame)
+
+            with _Heartbeat(sock, send_lock, task_id, beat), \
+                    interim_channel(interim):
                 reply = _execute(runner, payload, attempt, task_id)
         done[0] += 1
         with send_lock:

@@ -7,9 +7,9 @@ map/reduce job:
 
 * :mod:`sharding` — stable hash-based corpus shards;
 * :mod:`partial` — per-shard results that merge as a monoid;
-* :mod:`cache` — content-addressed incremental analysis cache, so a
-  re-run after editing *k* corpus files re-analyses exactly *k*, with
-  LRU-by-mtime size budgeting;
+* :mod:`cache` — the (pipeline, program) fingerprints that key every
+  record of the durable store (:mod:`repro.store`), so a re-run after
+  editing *k* corpus files re-analyses exactly *k*;
 * :mod:`supervisor` — fault-tolerant shard dispatch over a persistent
   worker pool: watchdogs, bounded retry/backoff, poison-shard
   bisection, failure ledger;
@@ -20,12 +20,7 @@ map/reduce job:
   toxic programs).
 """
 
-from repro.mining.cache import (
-    AnalysisCache,
-    CacheHit,
-    pipeline_fingerprint,
-    program_fingerprint,
-)
+from repro.mining.cache import pipeline_fingerprint, program_fingerprint
 from repro.mining.engine import MiningConfig, MiningEngine, learn_sharded
 from repro.mining.partial import MiningReport, ShardMetrics, ShardPartial
 from repro.mining.sharding import ShardPlan, shard_of
@@ -36,8 +31,6 @@ from repro.mining.supervisor import (
 )
 
 __all__ = [
-    "AnalysisCache",
-    "CacheHit",
     "FailureLedger",
     "MiningConfig",
     "MiningEngine",

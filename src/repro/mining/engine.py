@@ -4,13 +4,17 @@ Splits :meth:`~repro.specs.pipeline.USpecPipeline.learn` into explicit
 map/reduce phases over deterministic corpus shards
 (:mod:`repro.mining.sharding`):
 
-1. **map: analyse** — each shard independently runs corpus analysis
-   under the :mod:`repro.runtime` failure discipline, consulting the
-   incremental :class:`~repro.mining.cache.AnalysisCache` first, and
-   produces a :class:`~repro.mining.partial.ShardPartial`: per program,
-   its hashed training samples *and* its Alg. 1 match records
-   (:func:`~repro.specs.candidates.match_records`) — the single-edge
-   matches with their hashed ``ftr(e1, e2)``, which need no model;
+1. **map: analyse** — programs with a record in the durable
+   :class:`~repro.store.stats.StatsStore` (same pipeline fingerprint,
+   same program content) are taken from it; each shard's remaining
+   programs run corpus analysis under the :mod:`repro.runtime` failure
+   discipline and produce a :class:`~repro.mining.partial.ShardPartial`:
+   per program, its hashed training samples *and* its Alg. 1 match
+   records (:func:`~repro.specs.candidates.match_records`) — the
+   single-edge matches with their hashed ``ftr(e1, e2)``, which need no
+   model — or its quarantine entry.  The parent journals each program's
+   result to the store as soon as it has it: workers send every
+   settled program ahead of their task reply;
 2. **reduce: train** — partials fold through ``ShardPartial.merge``
    into one canonical set of sufficient statistics; the model trains
    over their key-sorted, seed-shuffled sample stream;
@@ -18,8 +22,11 @@ map/reduce phases over deterministic corpus shards
    program-key order (:func:`~repro.specs.candidates.score_records`)
    and the τ threshold selects the specification set.
 
-Event graphs never leave the process that built them: only samples,
-match records and quarantine verdicts cross process boundaries.
+Event graphs never leave the process that built them and are never
+persisted: only samples, match records and quarantine verdicts cross
+process boundaries, and workers never touch disk.  A warm re-run, a
+resume after a kill and a run after edits are therefore one lookup:
+exactly the programs without a journal record are analysed.
 
 Determinism guarantee: because per-program work depends only on the
 program identity and the corpus seed, and every merge is canonicalised
@@ -43,7 +50,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -54,7 +60,7 @@ from typing import (
 )
 
 from repro.ir.program import Program
-from repro.model.dataset import GraphBundle, bundle_seed, collect_bundle_samples
+from repro.model.dataset import bundle_seed, collect_bundle_samples
 from repro.model.features import encode_sample
 from repro.runtime.checkpoint import program_key
 from repro.runtime.executor import (
@@ -70,11 +76,7 @@ from repro.specs.pipeline import (
     PipelineConfig,
     USpecPipeline,
 )
-from repro.mining.cache import (
-    AnalysisCache,
-    pipeline_fingerprint,
-    program_fingerprint,
-)
+from repro.mining.cache import pipeline_fingerprint, program_fingerprint
 from repro.mining.partial import MiningReport, ShardPartial
 from repro.store.stats import SpecDrift, StatsStore, StoredProgram
 from repro.mining.sharding import ShardPlan
@@ -82,6 +84,7 @@ from repro.mining.supervisor import (
     FailureLedger,
     ShardSupervisor,
     SupervisionConfig,
+    send_interim,
 )
 
 if TYPE_CHECKING:  # engine → dist would close an import cycle at
@@ -93,11 +96,7 @@ if TYPE_CHECKING:  # engine → dist would close an import cycle at
 #: busy when shard sizes are skewed, at negligible merge cost
 SHARDS_PER_JOB = 4
 
-#: outcome tier label for cache-satisfied programs
-TIER_CACHE = "cache"
-
-#: outcome tier label for programs satisfied from the statistics store
-#: (``--append``: samples and match records from the journal)
+#: outcome tier label for programs satisfied from the durable store
 TIER_STORE = "store"
 
 #: attempt tier label for supervisor-level quarantines (the program
@@ -110,31 +109,25 @@ Unit = Tuple[int, str, Program]
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """Parallelism, caching and supervision policy of one mining run."""
+    """Parallelism, persistence and supervision policy of one mining run."""
 
     #: worker processes; 1 = run in-process with no pool (unless
     #: supervision — chaos or a shard deadline — forces one worker)
     jobs: int = 1
     #: shard count; None = 1 for sequential runs, jobs×4 for parallel
     shards: Optional[int] = None
-    #: incremental analysis cache directory; None = no cache
-    cache_dir: Optional[str] = None
-    #: cache size budget in bytes; LRU-by-mtime eviction runs at the
-    #: end of the run (None = unbounded)
-    cache_budget: Optional[int] = None
     #: multiprocessing start method; None = fork if available
     mp_context: Optional[str] = None
     #: watchdog / retry / bisection / chaos policy
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig
     )
-    #: durable statistics store directory (repro.store.StatsStore);
-    #: None = no persistence.  When set and no --cache-dir was named,
-    #: the analysis cache co-locates under the store.
+    #: durable store directory (repro.store.StatsStore): programs with
+    #: a record there skip analysis, and every analysed program is
+    #: journaled as it settles; None = no persistence
     store_dir: Optional[str] = None
-    #: incremental mode: programs whose fingerprint is already in the
-    #: store skip analysis — their persisted samples and match records
-    #: fold straight into the merge
+    #: no effect — every store-backed run is incremental.  Kept because
+    #: benchmarks/perf/child.py sets it
     append: bool = False
 
     def resolve_jobs(self) -> int:
@@ -174,140 +167,80 @@ class AnalyzeTask:
     """One analyse-phase payload; self-contained and picklable."""
 
     config: PipelineConfig
-    cache_dir: Optional[str]
-    fingerprint: str
     shard_id: int
     items: Tuple[Unit, ...]
     #: process-level fault injection; rides on the payload (not the
-    #: pipeline config) so it can never perturb the cache fingerprint
+    #: pipeline config) so it can never perturb the store fingerprint
     chaos: Optional[ChaosPlan] = None
+    #: send each program to the parent as it settles (the parent
+    #: journals it), so a kill loses at most the program in flight
+    stream: bool = False
 
 
 def _analyze_shard(
     config: PipelineConfig,
     shard_id: int,
     items: Sequence[Unit],
-    cache_dir: Optional[str],
-    fingerprint: str,
     before=None,
+    settled=None,
 ) -> ShardPartial:
-    """Analyse one shard: cache lookups, then the executor over misses.
+    """Analyse one shard's programs with the corpus executor.
 
     Every analysed program contributes its encoded training samples and
     its Alg. 1 match records to the partial; its event graph is dropped
-    here.  Results are persisted to the cache *per program* (via the
-    executor sink), so a run killed mid-shard keeps everything that
-    completed.  ``before`` is threaded into the executor as its
-    pre-program hook (the supervisor's chaos probe).
+    here.  ``settled(result)`` runs with each program's
+    :func:`_settled` result as it settles: the in-process engine
+    journals it there and a worker sends it to the parent, so a run
+    killed mid-shard keeps everything that completed.  ``before`` is
+    threaded into the executor as its pre-program hook (the
+    supervisor's chaos probe).
     """
     started = time.monotonic()
-    cache = AnalysisCache(cache_dir, fingerprint) if cache_dir else None
     partial = ShardPartial.empty(shard_id)
     metrics = partial.metrics[0]
+    index_of = {key: index for index, key, _ in items}
 
-    def fold(key: str, samples, records, n_events: int,
-             n_edges: int) -> None:
-        partial.stats.add(key, list(samples))
-        partial.records[key] = tuple(records)
-        partial.program_meta[key] = (n_events, n_edges)
-        metrics.n_samples += len(samples)
-        metrics.n_events += n_events
-        metrics.n_edges += n_edges
-
-    def absorb(index: int, key: str, bundle: GraphBundle,
-               fp: Optional[str]) -> None:
-        samples = [
-            encode_sample(s.feature, s.label, config.feature)
-            for s in collect_bundle_samples(
-                bundle,
-                config.feature,
-                config.max_positives_per_graph,
-                config.negative_ratio,
-                bundle_seed(config.seed, bundle.program.source, index),
-            )
-        ]
-        records = match_records(
-            bundle, config.feature, config.max_receiver_distance,
-            config.enable_retrecv,
-        )
-        graph = bundle.graph
-        fold(key, samples, records, len(graph.events), graph.edge_count)
-        if (cache is not None and fp is not None
-                and bundle.program.source is not None):
-            # sidecar samples and records so the next warm run needs
-            # neither the bundle nor any re-sampling or re-matching
-            # (source-less programs are skipped: their sample seed is
-            # positional, so the sidecar would not survive reordering)
-            cache.store_samples(
-                fp, samples, records, len(graph.events), graph.edge_count,
-            )
-
-    pending: List[Tuple[int, str, Program, Optional[str]]] = []
-    for index, key, program in items:
-        fp = program_fingerprint(program) if cache is not None else None
-        if cache is not None and program.source is not None:
-            side = cache.load_samples(fp)
-            if side is not None:
-                partial.outcomes.append(ProgramOutcome(
-                    key=key, source=program.source, tier=TIER_CACHE,
-                    cached=True,
-                ))
-                fold(key, side.samples, side.records, side.n_events,
-                     side.n_edges)
-                metrics.n_sample_hits += 1
-                continue
-        hit = cache.lookup(fp, key) if cache is not None else None
-        if hit is None:
-            pending.append((index, key, program, fp))
-            continue
-        if hit.bundle is not None:
-            partial.outcomes.append(ProgramOutcome(
-                key=key, source=program.source, tier=TIER_CACHE, cached=True,
+    def sink(outcome, bundle, entry) -> None:
+        key = outcome.key
+        if bundle is not None:
+            samples = [
+                encode_sample(s.feature, s.label, config.feature)
+                for s in collect_bundle_samples(
+                    bundle,
+                    config.feature,
+                    config.max_positives_per_graph,
+                    config.negative_ratio,
+                    bundle_seed(config.seed, bundle.program.source,
+                                index_of[key]),
+                )
+            ]
+            graph = bundle.graph
+            partial.stats.add(key, samples)
+            partial.records[key] = tuple(match_records(
+                bundle, config.feature, config.max_receiver_distance,
+                config.enable_retrecv,
             ))
-            absorb(index, key, hit.bundle, fp)
-        else:
-            partial.outcomes.append(ProgramOutcome(
-                key=key, source=program.source, cached=True,
-            ))
-            partial.manifest.add(hit.entry)
+            partial.program_meta[key] = (len(graph.events),
+                                         graph.edge_count)
+            metrics.n_samples += len(samples)
+            metrics.n_events += len(graph.events)
+            metrics.n_edges += graph.edge_count
+        partial.analyzed_keys.append(key)
+        if settled is not None:
+            settled(_settled(partial, key, entry))
 
-    if pending:
-        runtime = config.runtime
-        if runtime.checkpoint_dir:
-            # one checkpoint subdirectory per shard: workers never
-            # contend on a shared index.json
-            runtime = replace(runtime, checkpoint_dir=str(
-                Path(runtime.checkpoint_dir) / f"shard-{shard_id:04d}"
-            ))
-        by_key = {key: (index, fp) for index, key, _, fp in pending}
-
-        def sink(outcome, bundle, entry) -> None:
-            index, fp = by_key[outcome.key]
-            if bundle is not None:
-                if cache is not None:
-                    cache.store_bundle(fp, bundle)
-                absorb(index, outcome.key, bundle, fp)
-            elif entry is not None and cache is not None:
-                cache.store_quarantine(fp, entry)
-            if not outcome.resumed:
-                partial.analyzed_keys.append(outcome.key)
-
-        executor = CorpusExecutor(config.pointsto, config.history, runtime)
-        report = executor.run(
-            [program for _, _, program, _ in pending],
-            keys=[key for _, key, _, _ in pending],
-            sink=sink,
-            before=before,
-        )
-        partial.outcomes.extend(report.outcomes)
-        partial.manifest.merge(report.manifest)
-
+    executor = CorpusExecutor(config.pointsto, config.history, config.runtime)
+    report = executor.run(
+        [program for _, _, program in items],
+        keys=[key for _, key, _ in items],
+        sink=sink,
+        before=before,
+    )
+    partial.outcomes.extend(report.outcomes)
+    partial.manifest.merge(report.manifest)
     metrics.n_programs = len(items)
     metrics.n_analyzed = len(partial.analyzed_keys)
-    metrics.n_cached = partial.n_cached
-    metrics.n_resumed = partial.n_resumed
     metrics.n_quarantined = len(partial.manifest)
-    metrics.n_cache_corrupt = cache.n_corrupt if cache is not None else 0
     metrics.seconds = time.monotonic() - started
     return partial
 
@@ -317,12 +250,24 @@ def _analyze_shard(
 # the process boundary by pickle under the spawn start method)
 
 
+def _settled(partial: ShardPartial, key: str,
+             entry: Optional[QuarantineEntry]) -> Tuple:
+    """One settled program as the journal stores it: ``(key, entry,
+    samples, match records, n_events, n_edges)``, where a quarantined
+    program has its entry and nothing else."""
+    if entry is not None:
+        return (key, entry, (), (), 0, 0)
+    n_events, n_edges = partial.program_meta[key]
+    return (key, None, tuple(partial.stats.blocks[key]),
+            partial.records[key], n_events, n_edges)
+
+
 def _supervised_analyze(payload: AnalyzeTask, attempt: int) -> ShardPartial:
     before = payload.chaos.probe(attempt) if payload.chaos is not None \
         else None
     return _analyze_shard(
-        payload.config, payload.shard_id, payload.items,
-        payload.cache_dir, payload.fingerprint, before=before,
+        payload.config, payload.shard_id, payload.items, before=before,
+        settled=send_interim if payload.stream else None,
     )
 
 
@@ -367,7 +312,7 @@ class MiningEngine:
         """The full pipeline, sharded; same contract as ``Pipeline.learn``.
 
         Returns a :class:`LearnedSpecs` whose ``mining`` field carries
-        the :class:`~repro.mining.partial.MiningReport` (cache hit
+        the :class:`~repro.mining.partial.MiningReport` (store hit
         rate, per-shard wall-clock, throughput, failure ledger).
         """
         t0 = time.monotonic()
@@ -375,7 +320,6 @@ class MiningEngine:
         distributed = self.coordinator is not None
         supervised = self.mining.supervised or distributed
         ledger = FailureLedger() if supervised else None
-        supervisor = None  # the dispatcher: supervisor or coordinator
         if distributed:
             self.coordinator.configure(
                 self.mining.supervision,
@@ -385,33 +329,6 @@ class MiningEngine:
             self.coordinator.bind()
             self.coordinator.wait_for_workers(
                 self.coordinator.dist.min_workers
-            )
-            supervisor = self.coordinator
-        elif supervised:
-            # coalescing floor: pack small shard tasks until one frame
-            # carries ~a worker's fair share of the corpus, so dispatch
-            # round trips scale with jobs, not shards.  Chaos runs keep
-            # one task per frame — fault injection (and the tests
-            # asserting its exact attempt counts) target single tasks.
-            batch = 0
-            if self.mining.supervision.chaos is None:
-                batch = max(1, -(-len(programs) // jobs))
-            # the pool never oversubscribes the host: extra CPU-bound
-            # workers on a smaller machine only add fork and timeshare
-            # overhead.  Shard count (and therefore results)
-            # still follows --jobs — specs are byte-identical for any
-            # worker count by construction.  Chaos runs keep the full
-            # pool: fault injection targets the requested worker
-            # topology (kill one worker, lose one worker's tasks).
-            pool_jobs = max(1, min(jobs, os.cpu_count() or jobs))
-            if self.mining.supervision.chaos is not None:
-                pool_jobs = jobs
-            supervisor = ShardSupervisor(
-                self.mining.resolve_context(), pool_jobs,
-                self.mining.supervision,
-                strict=self.config.runtime.strict,
-                ledger=ledger,
-                batch_programs=batch,
             )
         units: List[Unit] = [
             (index, program_key(program, index), program)
@@ -430,31 +347,23 @@ class MiningEngine:
         ]
         tasks = [(sid, items) for sid, items in shard_items if items]
 
-        fingerprint = pipeline_fingerprint(self.config)
+        # the one lookup: programs with a store record skip dispatch
         store: Optional[StatsStore] = None
-        if self.mining.store_dir:
-            store = StatsStore(self.mining.store_dir, fingerprint)
-        cache_dir = self.mining.cache_dir
-        if cache_dir is None and store is not None:
-            # analysis results must outlive the run for a crashed run's
-            # rerun to reuse them: co-locate the cache with the store
-            cache_dir = str(store.cache_dir)
-        n_evicted = 0
-
-        # --append: programs already in the store (same content
-        # fingerprint) skip analysis entirely — their persisted samples
-        # and match records become ready-made shard partials
-        fps: Dict[str, str] = {}
-        if store is not None:
-            fps = {
-                key: program_fingerprint(program)
-                for _, key, program in units
-                if program.source is not None
-            }
+        journal: Optional[_Journal] = None
         store_partials: List[ShardPartial] = []
-        if store is not None and self.mining.append and store.programs:
-            tasks, store_partials = self._fold_from_store(store, tasks, fps)
+        if self.mining.store_dir:
+            store = StatsStore(self.mining.store_dir,
+                               pipeline_fingerprint(self.config))
+            journal = _Journal(store, units)
+            tasks, store_partials = self._fold_from_store(
+                store, tasks, journal.fps)
         drift: Optional[SpecDrift] = None
+
+        # the dispatcher: the coordinator, or a local supervisor
+        supervisor = self.coordinator
+        if supervised and not distributed:
+            supervisor = self._local_supervisor(
+                jobs, sum(len(items) for _, items in tasks), ledger)
 
         try:
             # phase 1: map-analyze ------------------------------------
@@ -463,19 +372,21 @@ class MiningEngine:
             elif supervisor is not None:
                 partials = supervisor.run_phase(
                     "analyze",
-                    [(sid, AnalyzeTask(self.config, cache_dir,
-                                       fingerprint, sid, tuple(items),
-                                       self.mining.supervision.chaos))
+                    [(sid, AnalyzeTask(self.config, sid, tuple(items),
+                                       self.mining.supervision.chaos,
+                                       stream=journal is not None))
                      for sid, items in tasks],
                     runner=_supervised_analyze,
                     splitter=_split_analyze,
-                    poisoner=self._poison_analyze(cache_dir, fingerprint),
+                    poisoner=journal.poison if journal else _poison_analyze,
                     validator=_valid_partial,
+                    on_interim=journal.put if journal else None,
                 )
             else:
                 partials = [
-                    _analyze_shard(self.config, sid, items, cache_dir,
-                                   fingerprint)
+                    _analyze_shard(self.config, sid, items,
+                                   settled=journal.put if journal
+                                   else None)
                     for sid, items in tasks
                 ]
             partials = list(partials) + store_partials
@@ -488,11 +399,8 @@ class MiningEngine:
             ):
                 merged.merge(partial)
             merged.canonicalize()
-            if store is not None:
-                # journal this run's statistics *before* training: the
-                # analysis work is complete and durable even if a later
-                # phase crashes
-                self._persist_stats(store, units, fps, merged)
+            if journal is not None:
+                journal.retire_departed()
             model = self.pipeline.train_from_stats(merged.stats)
             t2 = time.monotonic()
 
@@ -509,11 +417,6 @@ class MiningEngine:
             if store is not None:
                 drift = store.record_generation(specs, scores)
                 store.maybe_compact()
-
-            if self.mining.cache_budget is not None and cache_dir:
-                n_evicted = AnalysisCache(
-                    cache_dir, fingerprint
-                ).evict_to_budget(self.mining.cache_budget)
         finally:
             if store is not None:
                 store.close()
@@ -525,14 +428,16 @@ class MiningEngine:
         )
         report = self._report(
             jobs, n_shards, merged, t0, t1, t2, t3,
-            ledger=ledger, n_evicted=n_evicted, supervised=supervised,
+            ledger=ledger, supervised=supervised,
             distributed=distributed,
             cluster=(
                 self.coordinator.stats.to_dict() if distributed else None
             ),
             store_generation=store.generation if store is not None else None,
             drift=drift.to_dict() if drift is not None else None,
-            cache_dir=cache_dir,
+            store_recovery=(
+                store.recovery_counts() if store is not None else None
+            ),
             dispatch=(
                 supervisor.dispatch.to_dict()
                 if supervisor is not None else None
@@ -543,10 +448,37 @@ class MiningEngine:
             run=run, mining=report,
         )
 
-    # ------------------------------------------------------------------
+    def _local_supervisor(self, jobs: int, n_programs: int,
+                          ledger: Optional[FailureLedger]) -> ShardSupervisor:
+        """The worker pool for the ``n_programs`` this run analyses."""
+        # coalescing floor: pack small shard tasks until one frame
+        # carries ~a worker's fair share of the programs to analyse, so
+        # dispatch round trips scale with jobs, not shards.  Chaos runs
+        # keep one task per frame — fault injection (and the tests
+        # asserting its exact attempt counts) target single tasks.
+        batch = 0
+        if self.mining.supervision.chaos is None:
+            batch = max(1, -(-n_programs // jobs))
+        # the pool never oversubscribes the host: extra CPU-bound
+        # workers on a smaller machine only add fork and timeshare
+        # overhead.  Shard count (and therefore results) still follows
+        # --jobs — specs are byte-identical for any worker count by
+        # construction.  Chaos runs keep the full pool: fault injection
+        # targets the requested worker topology (kill one worker, lose
+        # one worker's tasks).
+        pool_jobs = max(1, min(jobs, os.cpu_count() or jobs))
+        if self.mining.supervision.chaos is not None:
+            pool_jobs = jobs
+        return ShardSupervisor(
+            self.mining.resolve_context(), pool_jobs,
+            self.mining.supervision,
+            strict=self.config.runtime.strict,
+            ledger=ledger,
+            batch_programs=batch,
+        )
 
     # ------------------------------------------------------------------
-    # the durable statistics store (--store-dir / --append)
+    # the durable store (--store-dir)
 
     def _fold_from_store(
         self,
@@ -558,12 +490,12 @@ class MiningEngine:
 
         A unit is satisfied from the store when its content fingerprint
         has a journal record, which carries everything the run needs
-        from it: samples, match records and graph counts.  Satisfied
-        units become ready-made per-shard partials — re-stamped to the
-        unit's *current* corpus key, which is sound because persisted
-        samples derive from the source name (``bundle_seed``), not the
-        corpus position; source-less programs are never stored (their
-        key is their position).
+        from it: samples, match records and graph counts, or the
+        quarantine entry that keeps it from being re-attempted.
+        Satisfied units become ready-made per-shard partials —
+        re-stamped to the unit's *current* corpus key, which is sound
+        because persisted samples derive from the source name
+        (``bundle_seed``), not the corpus position.
         """
         remaining: List[Tuple[int, List[Unit]]] = []
         store_partials: List[ShardPartial] = []
@@ -581,6 +513,15 @@ class MiningEngine:
                 sp = ShardPartial.empty(sid)
                 metrics = sp.metrics[0]
                 for (_, key, program), rec in held:
+                    metrics.n_programs += 1
+                    metrics.n_from_store += 1
+                    if rec.entry is not None:
+                        sp.outcomes.append(ProgramOutcome(
+                            key=key, source=program.source, cached=True,
+                        ))
+                        sp.manifest.add(replace(rec.entry, program=key))
+                        metrics.n_quarantined += 1
+                        continue
                     sp.outcomes.append(ProgramOutcome(
                         key=key, source=program.source,
                         tier=TIER_STORE, cached=True,
@@ -588,9 +529,6 @@ class MiningEngine:
                     sp.stats.add(key, list(rec.samples))
                     sp.records[key] = tuple(rec.records)
                     sp.program_meta[key] = (rec.n_events, rec.n_edges)
-                    metrics.n_programs += 1
-                    metrics.n_cached += 1
-                    metrics.n_from_store += 1
                     metrics.n_samples += len(rec.samples)
                     metrics.n_events += rec.n_events
                     metrics.n_edges += rec.n_edges
@@ -599,76 +537,7 @@ class MiningEngine:
                 remaining.append((sid, fresh))
         return remaining, store_partials
 
-    def _persist_stats(
-        self,
-        store: StatsStore,
-        units: Sequence[Unit],
-        fps: Dict[str, str],
-        merged: ShardPartial,
-    ) -> None:
-        """Journal this run's per-program statistics (and retirements).
-
-        A program's record carries its samples and its match records.
-
-        Only programs that produced statistics are stored (quarantined
-        ones re-attempt next run); a record whose fingerprint and key
-        both match the store is already durable and is not rewritten.
-        Fingerprints absent from the current corpus are retired.
-        """
-        live = set()
-        for _, key, program in units:
-            fp = fps.get(key)
-            if fp is None:
-                continue  # anonymous: position-dependent, never stored
-            live.add(fp)
-            if key not in merged.stats.blocks:
-                continue  # quarantined / no bundle: nothing durable
-            rec = store.get(fp)
-            if rec is not None and rec.key == key:
-                continue
-            meta = merged.program_meta.get(key, (0, 0))
-            store.put_program(StoredProgram(
-                fingerprint=fp,
-                key=key,
-                source=program.source,
-                samples=tuple(merged.stats.blocks[key]),
-                n_events=meta[0],
-                n_edges=meta[1],
-                records=merged.records.get(key, ()),
-            ))
-        stale = [fp for fp in store.programs if fp not in live]
-        store.retire(stale)
-
     # ------------------------------------------------------------------
-
-    def _poison_analyze(self, cache_dir: Optional[str], fingerprint: str):
-        def poison(payload: AnalyzeTask, label: str, error: str):
-            ((index, key, program),) = payload.items
-            entry = QuarantineEntry(
-                program=key,
-                source=program.source,
-                error_kind=label,
-                error=error,
-                attempts=[TierAttempt(
-                    tier=TIER_SUPERVISED, error_kind=label, error=error,
-                )],
-            )
-            if cache_dir:
-                AnalysisCache(cache_dir, fingerprint).store_quarantine(
-                    program_fingerprint(program), entry
-                )
-            partial = ShardPartial.empty(payload.shard_id)
-            partial.outcomes.append(ProgramOutcome(
-                key=key, source=program.source,
-                attempts=list(entry.attempts),
-            ))
-            partial.manifest.add(entry)
-            metrics = partial.metrics[0]
-            metrics.n_programs = 1
-            metrics.n_quarantined = 1
-            return partial
-
-        return poison
 
     def _report(
         self,
@@ -677,13 +546,12 @@ class MiningEngine:
         merged: ShardPartial,
         t0: float, t1: float, t2: float, t3: float,
         ledger: Optional[FailureLedger] = None,
-        n_evicted: int = 0,
         supervised: bool = False,
         distributed: bool = False,
         cluster: Optional[Dict[str, object]] = None,
         store_generation: Optional[int] = None,
         drift: Optional[Dict[str, object]] = None,
-        cache_dir: Optional[str] = None,
+        store_recovery: Optional[Dict[str, object]] = None,
         dispatch: Optional[Dict[str, object]] = None,
     ) -> MiningReport:
         def total(attr: str) -> int:
@@ -694,8 +562,6 @@ class MiningEngine:
             n_shards=n_shards,
             n_programs=merged.n_programs,
             n_analyzed=merged.n_analyzed,
-            n_cached=merged.n_cached,
-            n_resumed=merged.n_resumed,
             n_quarantined=len(merged.manifest),
             n_events=total("n_events"),
             n_edges=total("n_edges"),
@@ -706,19 +572,90 @@ class MiningEngine:
             seconds_total=time.monotonic() - t0,
             shards=list(merged.metrics),
             analyzed_keys=list(merged.analyzed_keys),
-            cache_dir=cache_dir,
             ledger=ledger,
-            n_evicted=n_evicted,
             supervised=supervised,
             distributed=distributed,
             cluster=cluster,
             n_from_store=total("n_from_store"),
-            n_cache_corrupt=total("n_cache_corrupt"),
+            store_recovery=store_recovery,
             store_generation=store_generation,
             drift=drift,
             dispatch=dispatch,
-            n_sample_hits=total("n_sample_hits"),
         )
+
+
+class _Journal:
+    """Persists each settled program's result to the store at once.
+
+    :meth:`put` takes each program's :func:`_settled` result as it
+    settles: in-process, or sent ahead of its task reply by a pool or
+    dist worker.  :meth:`poison` journals the verdict the parent itself
+    makes for a program that kills its worker.  A later crash or strict
+    abort therefore loses at most the programs still in flight.
+    """
+
+    def __init__(self, store: StatsStore, units: Sequence[Unit]) -> None:
+        self.store = store
+        self.sources = {key: program.source for _, key, program in units}
+        #: program key → content fingerprint.  Source-less programs are
+        #: never stored: their sample seed and key are their position.
+        self.fps = {
+            key: program_fingerprint(program)
+            for _, key, program in units
+            if program.source is not None
+        }
+        #: keys journaled this run (a retried task settles them again)
+        self.done: set = set()
+
+    def put(self, settled: Tuple) -> None:
+        key, entry, samples, records, n_events, n_edges = settled
+        fp = self.fps.get(key)
+        if fp is None or key in self.done:
+            return
+        self.done.add(key)
+        self.store.put_program(StoredProgram(
+            fp, key, self.sources[key], samples, n_events, n_edges,
+            records, entry=entry,
+        ))
+
+    def poison(self, payload: AnalyzeTask, label: str,
+               error: str) -> ShardPartial:
+        partial = _poison_analyze(payload, label, error)
+        (entry,) = partial.manifest.entries
+        self.put(_settled(partial, entry.program, entry))
+        return partial
+
+    def retire_departed(self) -> None:
+        """Retire the records of programs that left the corpus."""
+        live = set(self.fps.values())
+        self.store.retire([fp for fp in self.store.programs
+                           if fp not in live])
+
+
+def _poison_analyze(payload: AnalyzeTask, label: str,
+                    error: str) -> ShardPartial:
+    """The result of a singleton task whose program kills its worker:
+    a ``worker-*`` quarantine, journaled like any other verdict."""
+    ((index, key, program),) = payload.items
+    entry = QuarantineEntry(
+        program=key,
+        source=program.source,
+        error_kind=label,
+        error=error,
+        attempts=[TierAttempt(
+            tier=TIER_SUPERVISED, error_kind=label, error=error,
+        )],
+    )
+    partial = ShardPartial.empty(payload.shard_id)
+    partial.outcomes.append(ProgramOutcome(
+        key=key, source=program.source,
+        attempts=list(entry.attempts),
+    ))
+    partial.manifest.add(entry)
+    metrics = partial.metrics[0]
+    metrics.n_programs = 1
+    metrics.n_quarantined = 1
+    return partial
 
 
 def learn_sharded(

@@ -18,7 +18,7 @@ The partial carries:
   stream has one canonical order;
 * per-program Alg. 1 match records (:func:`repro.specs.candidates.
   match_records`), which the parent scores once the model is trained;
-* :class:`ShardMetrics` — event/edge counts, cache hits, wall-clock.
+* :class:`ShardMetrics` — event/edge counts, store hits, wall-clock.
 """
 
 from __future__ import annotations
@@ -41,17 +41,11 @@ class ShardMetrics:
     shard_id: int
     n_programs: int = 0
     n_analyzed: int = 0  # computed fresh this run
-    n_cached: int = 0  # satisfied from the analysis cache
-    n_resumed: int = 0  # satisfied from a checkpoint
-    n_from_store: int = 0  # satisfied from the statistics store
+    n_from_store: int = 0  # satisfied from a store record
     n_quarantined: int = 0
-    n_cache_corrupt: int = 0  # corrupt cache entries deleted + re-analysed
     n_events: int = 0  # event-graph nodes across the shard's bundles
     n_edges: int = 0  # event-graph edges (the event-pair count)
     n_samples: int = 0
-    #: cache hits whose encoded samples came from the pre-encoded
-    #: sidecar (skipping bundle unpickle + sampling + encoding)
-    n_sample_hits: int = 0
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
@@ -59,15 +53,11 @@ class ShardMetrics:
             "shard_id": self.shard_id,
             "n_programs": self.n_programs,
             "n_analyzed": self.n_analyzed,
-            "n_cached": self.n_cached,
-            "n_resumed": self.n_resumed,
             "n_from_store": self.n_from_store,
             "n_quarantined": self.n_quarantined,
-            "n_cache_corrupt": self.n_cache_corrupt,
             "n_events": self.n_events,
             "n_edges": self.n_edges,
             "n_samples": self.n_samples,
-            "n_sample_hits": self.n_sample_hits,
             "seconds": round(self.seconds, 6),
         }
 
@@ -82,7 +72,7 @@ class ShardPartial:
     stats: SufficientStats = field(default_factory=SufficientStats)
     #: program key → its match records (``MatchRecord`` tuples)
     records: Dict[str, Tuple] = field(default_factory=dict)
-    #: keys actually *computed* this run (neither cached nor resumed)
+    #: keys actually *computed* this run (not from the store)
     analyzed_keys: List[str] = field(default_factory=list)
     #: program key → (n_events, n_edges) — the per-program graph sizes
     #: the statistics store persists alongside each program's samples
@@ -130,11 +120,9 @@ class ShardPartial:
             if agg is None:
                 by_id[m.shard_id] = m
                 continue
-            for attr in ("n_programs", "n_analyzed", "n_cached",
-                         "n_resumed", "n_from_store", "n_quarantined",
-                         "n_cache_corrupt", "n_events",
-                         "n_edges", "n_samples", "n_sample_hits",
-                         "seconds"):
+            for attr in ("n_programs", "n_analyzed", "n_from_store",
+                         "n_quarantined", "n_events", "n_edges",
+                         "n_samples", "seconds"):
                 setattr(agg, attr, getattr(agg, attr) + getattr(m, attr))
         self.metrics = list(by_id.values())
         self.metrics.sort(key=lambda m: m.shard_id)
@@ -153,19 +141,11 @@ class ShardPartial:
     def n_analyzed(self) -> int:
         return len(self.analyzed_keys)
 
-    @property
-    def n_cached(self) -> int:
-        return sum(1 for o in self.outcomes if o.cached)
-
-    @property
-    def n_resumed(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
     def __repr__(self) -> str:
         return (
             f"<ShardPartial {len(self.metrics)} shards, "
-            f"{self.n_programs} programs ({self.n_analyzed} analyzed, "
-            f"{self.n_cached} cached), {len(self.manifest)} quarantined, "
+            f"{self.n_programs} programs ({self.n_analyzed} analyzed), "
+            f"{len(self.manifest)} quarantined, "
             f"{self.stats.n_samples} samples>"
         )
 
@@ -178,8 +158,6 @@ class MiningReport:
     n_shards: int
     n_programs: int
     n_analyzed: int
-    n_cached: int
-    n_resumed: int
     n_quarantined: int
     n_events: int
     n_edges: int
@@ -192,22 +170,22 @@ class MiningReport:
     seconds_total: float
     shards: List[ShardMetrics] = field(default_factory=list)
     analyzed_keys: List[str] = field(default_factory=list)
-    cache_dir: Optional[str] = None
     #: supervision history (retries, bisections, poisoned programs);
     #: None when the run was unsupervised (sequential, no chaos)
     ledger: Optional["FailureLedger"] = None
-    #: cache entries removed by --cache-budget LRU eviction
-    n_evicted: int = 0
     #: whether shard tasks ran in supervised worker processes
     supervised: bool = False
     #: whether shard tasks were dispatched to a repro.dist cluster
     distributed: bool = False
     #: repro.dist ClusterStats.to_dict() of a distributed run
     cluster: Optional[Dict[str, object]] = None
-    #: programs whose statistics came from the durable store (--append)
+    #: programs whose record (statistics or quarantine verdict) came
+    #: from the durable store instead of analysis
     n_from_store: int = 0
-    #: corrupt cache entries detected on read, deleted, and re-analysed
-    n_cache_corrupt: int = 0
+    #: StatsStore.recovery_counts() of the store this run opened:
+    #: journal records quarantined, bytes truncated, snapshot damage
+    #: (None without a store)
+    store_recovery: Optional[Dict[str, object]] = None
     #: training generation recorded in the store (None without a store)
     store_generation: Optional[int] = None
     #: SpecDrift.to_dict() vs the previous generation (None without a
@@ -219,13 +197,12 @@ class MiningReport:
     #: always 0: the trained model never leaves the parent.  Kept
     #: because benchmarks/perf/child.py reads it
     model_broadcast_bytes: int = 0
-    #: cache hits served from the samples sidecar
-    n_sample_hits: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of programs satisfied from the incremental cache."""
-        return self.n_cached / self.n_programs if self.n_programs else 0.0
+        """Fraction of programs satisfied from the durable store."""
+        return self.n_from_store / self.n_programs if self.n_programs \
+            else 0.0
 
     @property
     def programs_per_second(self) -> float:
@@ -238,24 +215,20 @@ class MiningReport:
             "n_shards": self.n_shards,
             "n_programs": self.n_programs,
             "n_analyzed": self.n_analyzed,
-            "n_cached": self.n_cached,
-            "n_resumed": self.n_resumed,
             "n_quarantined": self.n_quarantined,
             "n_events": self.n_events,
             "n_edges": self.n_edges,
             "n_samples": self.n_samples,
-            "n_sample_hits": self.n_sample_hits,
             "cache_hit_rate": round(self.cache_hit_rate, 6),
             "programs_per_second": round(self.programs_per_second, 6),
             "seconds_analyze": round(self.seconds_analyze, 6),
             "seconds_train": round(self.seconds_train, 6),
             "seconds_extract": round(self.seconds_extract, 6),
             "seconds_total": round(self.seconds_total, 6),
-            "n_evicted": self.n_evicted,
             "supervised": self.supervised,
             "distributed": self.distributed,
             "n_from_store": self.n_from_store,
-            "n_cache_corrupt": self.n_cache_corrupt,
+            "store_recovery": self.store_recovery,
             "model_broadcast_bytes": self.model_broadcast_bytes,
             "dispatch": self.dispatch,
             "store_generation": self.store_generation,
@@ -271,6 +244,7 @@ class MiningReport:
         return (
             f"<MiningReport {self.n_programs} programs / {self.n_shards} "
             f"shards / {self.jobs} jobs: {self.n_analyzed} analyzed, "
-            f"{self.n_cached} cached, {self.n_quarantined} quarantined, "
+            f"{self.n_from_store} from store, "
+            f"{self.n_quarantined} quarantined, "
             f"{self.seconds_total:.2f}s>"
         )

@@ -5,8 +5,7 @@ depends only on the program's identity (its source path, or its corpus
 key for anonymous programs) and the shard count, never on corpus
 order, worker count, or scheduling.  Re-running a mining job with the
 same shard count therefore re-creates the same shards — which is what
-makes per-shard checkpoints resumable and shard-level work distributable
-across machines.
+makes shard-level work distributable across machines.
 
 The hash is CRC32 (as elsewhere in the repo: deterministic across
 processes and platforms, unlike ``hash()`` under PYTHONHASHSEED).

@@ -21,7 +21,7 @@ worker processes** (one per job slot, respawned on death):
   budgets; recursion isolates the toxic program in O(log shard)
   rounds, at which point the singleton is *poisoned*: quarantined with
   a ``worker-crash``/``worker-timeout`` taxonomy label (flowing into
-  the PR 1 manifest and the PR 2 analysis cache, so it is never
+  the quarantine manifest and the durable store, so it is never
   re-attempted) while every other program's results are kept;
 * **failure ledger** — the complete per-task attempt history (retries,
   bisections, stragglers, backoff) is recorded in a
@@ -29,9 +29,9 @@ worker processes** (one per job slot, respawned on death):
   :class:`~repro.mining.partial.MiningReport`.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
-killed attempt contributes nothing (its per-program cache writes are
-idempotent and content-addressed), a retried attempt recomputes or
-cache-hits the same per-program values, and bisected halves produce the
+killed attempt contributes nothing (workers never write to disk; the
+parent persists each result as it settles), a retried attempt
+recomputes the same per-program values, and bisected halves produce the
 same mergeable partials the whole shard would have — so specs and
 manifest stay byte-identical with chaos on or off, for any ``--jobs``
 and ``--shards``, modulo the quarantined toxic programs.
@@ -46,12 +46,15 @@ raises :class:`~repro.runtime.errors.WorkerCrash` /
 from __future__ import annotations
 
 import pickle
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -332,12 +335,35 @@ class FailureLedger:
 # ----------------------------------------------------------------------
 # worker side
 
+#: the running job's channel to its parent (per thread: loopback
+#: clusters run several workers as threads of one process)
+_channel = threading.local()
+
+
+@contextmanager
+def interim_channel(send: Callable[[object], None]) -> Iterator[None]:
+    """Route :func:`send_interim` through ``send`` while jobs run."""
+    _channel.send = send
+    try:
+        yield
+    finally:
+        _channel.send = None
+
+
+def send_interim(item: object) -> None:
+    """Hand ``item`` to the parent's ``on_interim`` hook now, ahead of
+    the running job's reply (a no-op outside a pool or dist worker)."""
+    send = getattr(_channel, "send", None)
+    if send is not None:
+        send(item)
+
 
 def _run_job(runner, payload, attempt: int) -> Tuple:
     """Execute one task attempt; fold the outcome into a pipe message.
 
-    The protocol back to the supervisor is one message per job:
-    ``("ok", result)``, ``("corrupt-partial", text)`` for the
+    The protocol back to the supervisor is one reply per job, after
+    any interim messages the job sent: ``("ok", result)``,
+    ``("corrupt-partial", text)`` for the
     deliberately malformed frame a :class:`CorruptResult` produces, or
     ``("error", exc)`` with the typed exception (downgraded to a
     ``RuntimeError`` if unpicklable).  The *absence* of a message when
@@ -358,16 +384,24 @@ def _run_job(runner, payload, attempt: int) -> Tuple:
             return ("error", RuntimeError(f"{type(err).__name__}: {err}"))
 
 
-def _pool_main(conn) -> None:
+def _pool_main(conn, inherited: Sequence = ()) -> None:
     """Task loop of one persistent pool worker (runs in the child).
 
     Jobs arrive over the duplex pipe either as one ``(runner, payload,
     attempt)`` tuple (the original protocol, still spoken by
     :mod:`repro.serve.pool`) or as a coalesced ``("jobs", runner,
     [(payload, attempt), ...])`` frame, answered with a list of one
-    message per entry; ``None`` is the shutdown sentinel.  The process
-    persists across jobs and phases.
+    message per entry; ``None`` is the shutdown sentinel.  A running
+    job may precede its reply with ``("interim", item)`` messages
+    (:func:`send_interim`).  The process persists across jobs and
+    phases.  ``inherited`` are the parent's pipe ends a forked worker
+    holds copies of; closing them lets a parent killed outright read as
+    EOF (or a broken pipe) here, so the worker exits with it.
     """
+    for end in inherited:
+        end.close()
+    # the process runs nothing but pool jobs: the channel stays set
+    _channel.send = lambda item: conn.send(("interim", item))
     while True:
         try:
             job = conn.recv()
@@ -507,6 +541,9 @@ class TaskScheduler:
         self._seq = 0
         self._deadlines = DeadlineTracker(self.supervision)
         self.dispatch = DispatchStats()
+        #: the running phase's ``on_interim`` hook: items a worker sent
+        #: with :func:`send_interim` while its task still runs
+        self._on_interim: Optional[Callable[[object], None]] = None
 
     # ------------------------------------------------------------------
 
@@ -627,8 +664,11 @@ class ShardSupervisor(TaskScheduler):
 
     def _spawn_worker(self, slot: int) -> _PoolWorker:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+        inherited: Tuple = ()
+        if self.ctx.get_start_method() == "fork":
+            inherited = (parent_conn, *(w.conn for w in self._workers))
         process = self.ctx.Process(
-            target=_pool_main, args=(child_conn,), daemon=True,
+            target=_pool_main, args=(child_conn, inherited), daemon=True,
         )
         process.start()
         child_conn.close()
@@ -680,6 +720,7 @@ class ShardSupervisor(TaskScheduler):
         splitter: Callable[[object], Optional[Tuple[object, object]]],
         poisoner: Callable[[object, str, str], object],
         validator: Callable[[object], bool],
+        on_interim: Optional[Callable[[object], None]] = None,
     ) -> List[object]:
         """Dispatch ``tasks`` (``(shard_id, payload)``) under supervision.
 
@@ -691,6 +732,9 @@ class ShardSupervisor(TaskScheduler):
         toxic singleton into a phase result (quarantine entry + empty
         partial); it runs in the parent, so it may close over engine
         state.  ``validator(result)`` rejects corrupt result payloads.
+        ``on_interim(item)`` runs in the parent for each item a worker
+        sends with :func:`send_interim` while its task is still in
+        flight, even if that attempt later fails.
 
         Returns one result per surviving leaf task, in no particular
         order — callers merge through the order-insensitive partials.
@@ -700,6 +744,7 @@ class ShardSupervisor(TaskScheduler):
             for shard_id, payload in tasks
         ]
         results: List[object] = []
+        self._on_interim = on_interim
         self._ensure_pool()
         try:
             while queue or any(not w.idle for w in self._workers):
@@ -730,6 +775,8 @@ class ShardSupervisor(TaskScheduler):
             # a later phase, so the pool dies with the phase
             self.close()
             raise
+        finally:
+            self._on_interim = None
         return results
 
     # ------------------------------------------------------------------
@@ -876,6 +923,11 @@ class ShardSupervisor(TaskScheduler):
         self.dispatch.seconds_deserialize += time.perf_counter() - t0
         if batch is None:
             return  # stray frame from an idle worker: ignore
+        if isinstance(message, tuple) and message[:1] == ("interim",):
+            # the frame is still running; its reply comes later
+            if self._on_interim is not None:
+                self._on_interim(message[1])
+            return
         worker.current = None
         worker.deadline = None
         if len(batch) == 1:

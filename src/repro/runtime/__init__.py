@@ -4,12 +4,13 @@ Corpus-scale mining must survive individual-program blow-ups: this
 package provides resource :class:`~repro.runtime.budget.Budget` limits
 enforced inside the solver and history builder, a precision
 degradation ladder, structured quarantine manifests with a typed error
-taxonomy, checkpoint/resume of long runs, and deterministic fault
-injection so all of it is testable.
+taxonomy, and deterministic fault injection so all of it is testable.
+A killed run resumes through the mining engine's durable store
+(:mod:`repro.store`).
 """
 
 from repro.runtime.budget import Budget, BudgetMeter
-from repro.runtime.checkpoint import CorpusCheckpoint, program_key
+from repro.runtime.checkpoint import program_key
 from repro.runtime.errors import (
     BUDGET_EXCEEDED,
     LOWERING_FAILURE,
@@ -75,7 +76,6 @@ __all__ = [
     "ChaosSpec",
     "CorruptResult",
     "classify_error",
-    "CorpusCheckpoint",
     "CorpusExecutor",
     "CorpusRunReport",
     "DEFAULT_LADDER",

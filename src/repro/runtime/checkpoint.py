@@ -1,36 +1,18 @@
-"""Checkpoint/resume for long corpus runs.
+"""Atomic file writes and stable corpus program keys.
 
-``analyze_corpus`` over a real crawl runs for hours; a killed run must
-restart from the last *completed* program, not from scratch.  The
-checkpoint is a directory:
-
-* ``index.json`` — program key → status (``ok``/``quarantined``) plus
-  either the pickle file name of the analysed bundle or the embedded
-  quarantine entry.  Rewritten atomically (tmp + rename) after every
-  program, so a kill at any point leaves a loadable checkpoint.
-* ``bundle-NNNNNN.pkl`` — one pickled
-  :class:`~repro.model.dataset.GraphBundle` per completed program.
-  IR instructions hash by identity, but each bundle is self-contained
-  (its graph references the same instruction objects as its program and
-  pickle preserves sharing within one file), so restored bundles are
-  fully usable downstream.
-
-Program keys combine corpus position and source name, so resuming is
-valid only over the same corpus in the same order — the executor treats
-an unknown key as simply "not done yet".
+Every durable artifact outside the store journal (specs, quarantine
+manifests, drift reports, snapshots, refinement state) is written via
+tmp-file + rename, so a kill at any point leaves either the old content
+or the new one.  Per-program results persist only in the
+:class:`~repro.store.stats.StatsStore` journal.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 from pathlib import Path
-from typing import Dict, Optional
 
 from repro.ir.program import Program
-from repro.model.dataset import GraphBundle
-from repro.runtime.manifest import QuarantineEntry
 from repro.store.faults import (
     POINT_POST_RENAME,
     POINT_PRE_FSYNC,
@@ -38,12 +20,6 @@ from repro.store.faults import (
     checked_write,
     crash_hook,
 )
-
-INDEX_NAME = "index.json"
-CHECKPOINT_VERSION = 1
-
-STATUS_OK = "ok"
-STATUS_QUARANTINED = "quarantined"
 
 
 def fsync_directory(directory: Path) -> None:
@@ -64,17 +40,15 @@ def atomic_write_bytes(path: Path, payload: bytes,
 
     A kill at any point leaves either the old content or the new one,
     never a torn file.  The tmp name embeds the pid so concurrent
-    writers (parallel mining workers filling a shared cache) never
-    clobber each other's in-flight temp file; the final ``rename`` is
-    atomic within one filesystem.
+    writers never clobber each other's in-flight temp file; the final
+    ``rename`` is atomic within one filesystem.
 
     With ``durable=True`` the tmp file is fsynced before the rename and
     the parent directory is fsynced after it, so a power loss
     immediately after return cannot lose the write — the discipline the
-    journal snapshot, checkpoint index, and specs writers opt into.
-    The crash hooks mark the injection matrix for the recovery tests;
-    they are no-ops unless a :class:`~repro.store.faults.CrashPlan`
-    is armed.
+    journal snapshot and specs writers opt into.  The crash hooks mark
+    the injection matrix for the recovery tests; they are no-ops unless
+    a :class:`~repro.store.faults.CrashPlan` is armed.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -99,92 +73,5 @@ def atomic_write_text(path: Path, payload: str,
 
 
 def program_key(program: Program, index: int) -> str:
-    """Stable identity of a corpus program for checkpointing/faults."""
+    """Stable identity of a corpus program for manifests and faults."""
     return f"{index:06d}:{program.source or '<anonymous>'}"
-
-
-class CorpusCheckpoint:
-    """Persistent per-program completion state of one corpus run."""
-
-    def __init__(self, directory: Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._index: Dict[str, Dict] = {}
-        self._load_index()
-
-    # ------------------------------------------------------------------
-
-    def _index_path(self) -> Path:
-        return self.directory / INDEX_NAME
-
-    def _load_index(self) -> None:
-        path = self._index_path()
-        if not path.exists():
-            return
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return  # corrupt index ⇒ recompute everything
-        if data.get("version") != CHECKPOINT_VERSION:
-            return
-        self._index = data.get("entries", {})
-
-    def _save_index(self) -> None:
-        payload = {"version": CHECKPOINT_VERSION, "entries": self._index}
-        atomic_write_text(
-            self._index_path(),
-            json.dumps(payload, indent=2, sort_keys=True),
-            durable=True,
-        )
-
-    # ------------------------------------------------------------------
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def status(self, key: str) -> Optional[str]:
-        entry = self._index.get(key)
-        return entry["status"] if entry else None
-
-    def load_bundle(self, key: str) -> Optional[GraphBundle]:
-        """The checkpointed bundle, or None if absent/unreadable."""
-        entry = self._index.get(key)
-        if not entry or entry["status"] != STATUS_OK:
-            return None
-        path = self.directory / entry["file"]
-        try:
-            with path.open("rb") as fh:
-                bundle = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-        return bundle if isinstance(bundle, GraphBundle) else None
-
-    def load_quarantine(self, key: str) -> Optional[QuarantineEntry]:
-        entry = self._index.get(key)
-        if not entry or entry["status"] != STATUS_QUARANTINED:
-            return None
-        return QuarantineEntry.from_dict(entry["entry"])
-
-    # ------------------------------------------------------------------
-
-    def store_bundle(self, key: str, index: int, bundle: GraphBundle) -> None:
-        name = f"bundle-{index:06d}.pkl"
-        payload = pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
-        # bundle first, index second: the index never points at a
-        # missing or torn bundle after a crash between the two writes
-        atomic_write_bytes(self.directory / name, payload, durable=True)
-        self._index[key] = {"status": STATUS_OK, "file": name}
-        self._save_index()
-
-    def store_quarantine(self, key: str, entry: QuarantineEntry) -> None:
-        self._index[key] = {
-            "status": STATUS_QUARANTINED,
-            "entry": entry.to_dict(),
-        }
-        self._save_index()
-
-    def __repr__(self) -> str:
-        return f"<CorpusCheckpoint {self.directory} ({len(self._index)} done)>"

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.runtime.checkpoint import atomic_write_text
+
 SCHEMA_VERSION = 1
 
 _ROUND = 6  # seconds precision in the JSON output
@@ -141,9 +143,6 @@ class QuarantineManifest:
         return cls([QuarantineEntry.from_dict(e) for e in data["entries"]])
 
     def write(self, path: Path, timings: bool = True) -> None:
-        # late import: checkpoint imports QuarantineEntry from here
-        from repro.runtime.checkpoint import atomic_write_text
-
         atomic_write_text(Path(path), self.to_json(timings=timings) + "\n",
                           durable=True)
 

@@ -276,7 +276,7 @@ def _taint_reply(sa: SnippetAnalysis, params: Dict) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# fingerprints and reply-cache keys (AnalysisCache scheme)
+# fingerprints and reply-cache keys (the store's record-key scheme)
 
 
 def snippet_fingerprint(language: str, code: str) -> str:

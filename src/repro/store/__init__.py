@@ -5,10 +5,11 @@
 * :mod:`repro.store.journal` — CRC-framed append-only record journal
   with torn-tail truncation and typed corrupt-record quarantine.
 * :mod:`repro.store.snapshot` — CRC-guarded durable pickled snapshots.
-* :mod:`repro.store.stats` — the statistics store behind
-  ``uspec learn --append``: per-program sufficient statistics keyed by
-  pipeline fingerprint, plus per-generation spec history for drift
-  reporting.
+* :mod:`repro.store.stats` — the one store of per-program mining
+  results (``uspec learn --store-dir``): each program's sufficient
+  statistics and match records, or its quarantine verdict, keyed by
+  pipeline and program fingerprint, plus per-generation spec history
+  for drift reporting.
 
 Submodules are re-exported lazily (PEP 562): ``repro.runtime.checkpoint``
 imports :mod:`repro.store.faults`, and eager imports here would close

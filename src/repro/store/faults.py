@@ -1,9 +1,9 @@
 """Deterministic crash-point fault injection for durable writers.
 
 A ``CrashPlan`` holds a set of one-shot ``CrashSpec`` triggers; every
-store/cache/checkpoint writer threads its writes through
-:func:`checked_write` and marks the dangerous transitions with
-:func:`crash_hook`.  When an armed spec matches the current (point,
+durable writer (journal, snapshot, atomic file writes) threads its
+writes through :func:`checked_write` and marks the dangerous
+transitions with :func:`crash_hook`.  When an armed spec matches the current (point,
 path) the process "dies": either by raising :class:`SimulatedCrash`
 (a ``BaseException``, so ordinary ``except Exception`` recovery code
 cannot swallow it — the in-process test mode) or by ``os._exit`` (the

@@ -22,10 +22,13 @@ Recovery ladder, from least to most damaged:
    trustworthy (header CRC passes), so the one record is quarantined
    as a typed :class:`QuarantinedRecord` and the scan continues with
    the next frame.  No crash, no loss of unrelated records.
-3. **Corrupt header** — framing is lost; the rest of the file cannot
+3. **Undecodable payload** — both CRCs pass but the caller's decoder
+   rejects the payload (a schema that moved on, a foreign object).
+   The record is quarantined like a corrupt payload.
+4. **Corrupt header** — framing is lost; the rest of the file cannot
    be parsed safely.  The tail is copied to a ``.quarantined`` side
    file for forensics and truncated away.
-4. **Bad file header** — not a journal (or a damaged first block).
+5. **Bad file header** — not a journal (or a damaged first block).
    The whole file is moved aside to ``.corrupt`` and a fresh journal
    is started.
 
@@ -39,7 +42,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, List, Optional, Tuple
+from typing import IO, Any, Callable, List, Optional, Tuple
 
 from repro.runtime.checkpoint import fsync_directory
 from repro.store.faults import POINT_PRE_FSYNC, checked_write, crash_hook
@@ -69,7 +72,8 @@ class QuarantinedRecord:
     offset: int
     kind: Optional[int]
     length: int
-    reason: str  # "payload-crc" | "header-crc" | "file-header"
+    #: "payload-crc" | "payload-decode" | "header-crc" | "file-header"
+    reason: str
 
     def to_dict(self) -> dict:
         return {"offset": self.offset, "kind": self.kind,
@@ -108,13 +112,18 @@ class RecordJournal:
 
     # -- recovery ------------------------------------------------------
 
-    def recover(self) -> Tuple[List[Tuple[int, bytes]], RecoveryReport]:
+    def recover(
+        self, decode: Optional[Callable[[int, bytes], Any]] = None,
+    ) -> Tuple[List[Tuple[int, Any]], RecoveryReport]:
         """Scan the journal, repair damage in place, return live records.
 
+        ``decode(kind, payload)`` turns each intact payload into the
+        returned record value; a record it raises on is quarantined as
+        ``payload-decode``.  Without it, records are raw bytes.
         Always returns; damage is truncated/quarantined, never raised.
         """
         report = RecoveryReport()
-        records: List[Tuple[int, bytes]] = []
+        records: List[Tuple[int, Any]] = []
         if not self.path.exists():
             return records, report
         data = self.path.read_bytes()
@@ -134,7 +143,7 @@ class RecordJournal:
         offset = len(FILE_MAGIC)
         keep_until = offset
         while offset < len(data):
-            frame = self._scan_frame(data, offset, records, report)
+            frame = self._scan_frame(data, offset, records, report, decode)
             if frame is None:
                 break  # torn or unframed tail: truncate from `offset`
             offset = frame
@@ -145,8 +154,10 @@ class RecordJournal:
         return records, report
 
     def _scan_frame(self, data: bytes, offset: int,
-                    records: List[Tuple[int, bytes]],
-                    report: RecoveryReport) -> Optional[int]:
+                    records: List[Tuple[int, Any]],
+                    report: RecoveryReport,
+                    decode: Optional[Callable[[int, bytes], Any]] = None,
+                    ) -> Optional[int]:
         """Parse one frame at ``offset``.
 
         Returns the next offset, or None when the scan must stop and
@@ -181,7 +192,17 @@ class RecordJournal:
                 offset=offset, kind=kind, length=length,
                 reason="payload-crc"))
             return body_end
-        records.append((kind, payload))
+        value: Any = payload
+        if decode is not None:
+            try:
+                value = decode(kind, payload)
+            except Exception:
+                report.n_quarantined += 1
+                report.quarantined.append(QuarantinedRecord(
+                    offset=offset, kind=kind, length=length,
+                    reason="payload-decode"))
+                return body_end
+        records.append((kind, value))
         report.n_records += 1
         return body_end
 

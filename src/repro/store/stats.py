@@ -1,22 +1,25 @@
-"""The durable statistics store behind ``uspec learn --append``.
+"""The durable store behind ``uspec learn --store-dir``.
 
-A :class:`StatsStore` persists, per pipeline fingerprint, the encoded
-per-program sufficient statistics (the :class:`EncodedSample` lists
-that feed ``SufficientStats``) and Alg. 1 match records, plus the
-specification set of each training generation.  State lives in one directory per fingerprint::
+A :class:`StatsStore` is the one place a mining run persists
+per-program results: per pipeline fingerprint, each program's encoded
+sufficient statistics (the :class:`EncodedSample` lists that feed
+``SufficientStats``), Alg. 1 match records and graph counts — or its
+quarantine verdict — plus the specification set of each training
+generation.  A warm re-run, a resume after a kill and a run after
+edits are all the same lookup into it.  State lives in one directory per
+fingerprint::
 
     <store_dir>/<fingerprint-prefix>/
         journal.uspj     append-only record journal (see journal.py)
         snapshot.usps    compacted state (see snapshot.py)
-        cache/           co-located AnalysisCache (graph bundles)
 
 Record kinds:
 
-* ``PROGRAM`` — a program's statistics and match records, keyed by its
-  content fingerprint.  Samples are derived from the *source name*
-  (``bundle_seed`` hashes the name, not the corpus position), so a
-  stored record stays valid when the corpus is reordered — only the
-  corpus key is re-stamped on load.
+* ``PROGRAM`` — a program's statistics and match records, or its
+  quarantine entry, keyed by its content fingerprint.  Samples are
+  derived from the *source name* (``bundle_seed`` hashes the name, not
+  the corpus position), so a stored record stays valid when the corpus
+  is reordered — only the corpus key is re-stamped on load.
 * ``RETIRE`` — the program left the corpus; drop its statistics.
 * ``GENERATION`` — the canonical spec → score map of one training run,
   the baseline that spec drift is computed against.
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.runtime.manifest import QuarantineEntry
 from repro.specs.patterns import Spec, SpecSet
 from repro.specs.serialize import spec_to_dict
 from repro.store.journal import RecordJournal, RecoveryReport
@@ -41,7 +45,6 @@ from repro.store.snapshot import load_snapshot, write_snapshot
 STORE_SCHEMA = 1
 JOURNAL_NAME = "journal.uspj"
 SNAPSHOT_NAME = "snapshot.usps"
-CACHE_DIR_NAME = "cache"
 
 KIND_PROGRAM = 1
 KIND_RETIRE = 2
@@ -53,7 +56,8 @@ DEFAULT_COMPACT_BYTES = 4 << 20
 
 @dataclass
 class StoredProgram:
-    """One program's persisted sufficient statistics and matches."""
+    """One program's persisted result: statistics and matches, or the
+    quarantine verdict that stops it being re-attempted."""
 
     fingerprint: str            # content fingerprint (source + IR)
     key: str                    # corpus key at the time of storing
@@ -62,6 +66,25 @@ class StoredProgram:
     n_events: int = 0
     n_edges: int = 0
     records: Tuple = ()        # Tuple[MatchRecord, ...]
+    entry: Optional[QuarantineEntry] = None
+
+
+#: the payload type each record kind must decode to
+_KIND_TYPES = {
+    KIND_PROGRAM: StoredProgram,
+    KIND_RETIRE: (list, tuple),
+    KIND_GENERATION: dict,
+}
+
+
+def _decode(kind: int, payload: bytes):
+    """One journal payload as its record value; raises when the CRC
+    passed but the payload is not a record of its kind."""
+    obj = pickle.loads(payload)
+    expected = _KIND_TYPES.get(kind)
+    if expected is None or not isinstance(obj, expected):
+        raise ValueError(f"kind {kind} record holds {type(obj).__name__}")
+    return obj
 
 
 def spec_key(spec: Spec) -> str:
@@ -112,7 +135,8 @@ class StatsStore:
         self.fingerprint = fingerprint
         self.directory = Path(directory) / fingerprint[:16]
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.cache_dir = self.directory / CACHE_DIR_NAME
+        #: never created: kept because benchmarks/perf/child.py reads it
+        self.cache_dir = self.directory / "cache"
         self.compact_bytes = compact_bytes
         self.programs: Dict[str, StoredProgram] = {}
         self.generation = 0
@@ -131,22 +155,18 @@ class StatsStore:
             self.programs = dict(snap["programs"])
             self.generation = int(snap["generation"])
             self._last_specs = dict(snap["last_specs"])
-        records, report = self._journal.recover()
-        for kind, payload in records:
-            self._apply(kind, payload)
+        records, report = self._journal.recover(_decode)
+        for kind, obj in records:
+            self._apply(kind, obj)
         return report
 
-    def _apply(self, kind: int, payload: bytes) -> None:
-        try:
-            obj = pickle.loads(payload)
-        except Exception:
-            return  # CRC passed but schema moved on; skip, don't crash
-        if kind == KIND_PROGRAM and isinstance(obj, StoredProgram):
+    def _apply(self, kind: int, obj) -> None:
+        if kind == KIND_PROGRAM:
             self.programs[obj.fingerprint] = obj
-        elif kind == KIND_RETIRE and isinstance(obj, (list, tuple)):
+        elif kind == KIND_RETIRE:
             for fingerprint in obj:
                 self.programs.pop(fingerprint, None)
-        elif kind == KIND_GENERATION and isinstance(obj, dict):
+        else:
             generation = int(obj.get("generation", 0))
             if generation >= self.generation:
                 self.generation = generation
@@ -163,6 +183,17 @@ class StatsStore:
     @property
     def journal_bytes(self) -> int:
         return self._journal.size_bytes
+
+    def recovery_counts(self) -> Dict[str, object]:
+        """What opening the store repaired: journal records quarantined
+        (bad CRC or undecodable payload; :meth:`maybe_compact` drops
+        them from the journal), torn bytes truncated, and the reason a
+        damaged snapshot was moved aside (None if it was not)."""
+        return {
+            "n_quarantined": self.recovery.n_quarantined,
+            "truncated_bytes": self.recovery.truncated_bytes,
+            "snapshot_quarantined": self.snapshot_quarantined,
+        }
 
     # -- mutation ------------------------------------------------------
 
@@ -230,7 +261,11 @@ class StatsStore:
         self._journal.reset()
 
     def maybe_compact(self) -> bool:
-        if self.journal_bytes >= self.compact_bytes:
+        """Compact a journal past ``compact_bytes`` — or one that still
+        holds records recovery skipped, so the next open neither reads
+        nor reports that damage again."""
+        if (self.journal_bytes >= self.compact_bytes
+                or self.recovery.n_quarantined):
             self.compact()
             return True
         return False

@@ -39,7 +39,10 @@ from repro.runtime import (
     BudgetExceeded,
     ChaosPlan,
     ChaosSpec,
+    FaultPlan,
+    FaultSpec,
     RuntimeConfig,
+    SOLVER_CRASH,
 )
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
@@ -51,7 +54,7 @@ def java_corpus(n=12, seed=7):
 
 
 def learn(programs, *, coordinator=None, jobs=1, shards=None,
-          cache_dir=None, strict=False, chaos=None, max_retries=2,
+          store_dir=None, strict=False, chaos=None, max_retries=2,
           adaptive_deadline=False, budget=None):
     config = PipelineConfig(runtime=RuntimeConfig(
         strict=strict, budget=budget or Budget(),
@@ -64,7 +67,7 @@ def learn(programs, *, coordinator=None, jobs=1, shards=None,
     )
     mining = MiningConfig(
         jobs=jobs, shards=shards,
-        cache_dir=str(cache_dir) if cache_dir else None,
+        store_dir=str(store_dir) if store_dir else None,
         supervision=supervision,
     )
     return MiningEngine(config, mining, coordinator).learn(programs)
@@ -214,7 +217,7 @@ def test_loopback_cluster_matches_jobs_3(tmp_path):
     local = learn(programs, jobs=3)
     with cluster(3) as (coordinator, _, _):
         dist = learn(programs, coordinator=coordinator, jobs=3,
-                     cache_dir=tmp_path / "cache")
+                     store_dir=tmp_path / "store")
     assert specs_text(dist) == specs_text(local)
     assert manifest_text(dist) == manifest_text(local)
     assert dist.mining.distributed
@@ -416,6 +419,27 @@ def test_strict_typed_error_propagates_from_worker():
         with pytest.raises(BudgetExceeded):
             learn(programs, coordinator=coordinator, strict=True,
                   budget=tight)
+
+
+def test_dist_worker_journals_each_program_before_its_result(tmp_path):
+    """A dist worker streams each settled program to the coordinator in
+    an ``interim`` frame, so a strict abort at a task's last program
+    keeps the others: the rerun analyses only the one in flight."""
+    programs = java_corpus(n=6)
+    victim = programs[-1].source
+    config = PipelineConfig(runtime=RuntimeConfig(
+        strict=True,
+        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
+    ))
+    mining = MiningConfig(shards=1, store_dir=str(tmp_path / "store"))
+    with cluster(1) as (coordinator, _, _):
+        with pytest.raises(Exception, match="injected fault"):
+            MiningEngine(config, mining, coordinator).learn(programs)
+
+    rerun = learn(programs, shards=1, store_dir=tmp_path / "store")
+    assert rerun.mining.n_from_store == 5
+    assert rerun.mining.analyzed_keys == [f"000005:{victim}"]
+    assert specs_text(rerun) == specs_text(learn(programs))
 
 
 def test_no_worker_timeout_aborts_instead_of_hanging():

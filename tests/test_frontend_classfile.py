@@ -460,10 +460,11 @@ def test_warm_cache_covers_classfile_programs(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     programs = classfile_corpus(corpus)
-    cache = MiningConfig(cache_dir=str(tmp_path / "cache"))
-    cold = MiningEngine(mining=cache).learn(programs)
-    assert cold.mining.n_cached == 0
-    warm = MiningEngine(mining=cache).learn(programs)
-    assert warm.mining.n_cached == len(programs)
+    store = MiningConfig(store_dir=str(tmp_path / "store"))
+    cold = MiningEngine(mining=store).learn(programs)
+    assert cold.mining.n_from_store == 0
+    warm = MiningEngine(mining=store).learn(programs)
+    assert warm.mining.n_from_store == len(programs)
+    assert warm.mining.n_analyzed == 0
     assert specs_to_json(cold.specs, cold.scores) == \
         specs_to_json(warm.specs, warm.scores)

@@ -1,10 +1,10 @@
 """The sharded parallel mining engine: determinism across worker
-counts, the incremental analysis cache, mergeable partials, and
-checkpoint-resume under sharding."""
+counts, the durable store as incremental cache, mergeable partials, and
+resume under sharding."""
 
 import json
-import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -24,21 +24,22 @@ from repro.mining import (
     ShardPlan,
     shard_of,
 )
-from repro.mining.cache import AnalysisCache
+from repro.mining.cache import pipeline_fingerprint, program_fingerprint
 from repro.mining.partial import ShardMetrics
+from repro.model.features import FeatureConfig
 from repro.model.logistic import SufficientStats
 from repro.runtime import (
     Budget,
     BudgetExceeded,
     FaultPlan,
     FaultSpec,
-    QuarantineEntry,
     RuntimeConfig,
     SOLVER_CRASH,
 )
 from repro.runtime.executor import ProgramOutcome
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
+from repro.store.stats import StatsStore
 
 
 def java_corpus(n=10, seed=7):
@@ -59,13 +60,24 @@ def pathological_program(chain=3000, name="pathological.java"):
     return pb.finish()
 
 
-def learn(programs, *, jobs=1, shards=None, cache_dir=None, runtime=None):
+def learn(programs, *, jobs=1, shards=None, store_dir=None, runtime=None):
     config = PipelineConfig(runtime=runtime or RuntimeConfig())
     mining = MiningConfig(
         jobs=jobs, shards=shards,
-        cache_dir=str(cache_dir) if cache_dir else None,
+        store_dir=str(store_dir) if store_dir else None,
     )
     return MiningEngine(config, mining).learn(programs)
+
+
+def stored_keys(store_dir, units):
+    """Keys of the ``(key, program)`` units with a record in the store
+    built under the default pipeline configuration."""
+    store = StatsStore(store_dir, pipeline_fingerprint(PipelineConfig()))
+    try:
+        return {key for key, program in units
+                if store.get(program_fingerprint(program)) is not None}
+    finally:
+        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -246,17 +258,17 @@ def test_shard_count_does_not_change_the_result():
 
 
 # ----------------------------------------------------------------------
-# incremental analysis cache
+# the durable store as incremental cache
 
 
 def test_warm_cache_reanalyzes_nothing(tmp_path):
     programs = java_corpus(8)
-    cold = learn(programs, cache_dir=tmp_path / "cache")
-    assert cold.mining.n_analyzed == 8 and cold.mining.n_cached == 0
+    cold = learn(programs, store_dir=tmp_path / "store")
+    assert cold.mining.n_analyzed == 8 and cold.mining.n_from_store == 0
 
-    warm = learn(programs, cache_dir=tmp_path / "cache")
+    warm = learn(programs, store_dir=tmp_path / "store")
     assert warm.mining.n_analyzed == 0
-    assert warm.mining.n_cached == 8
+    assert warm.mining.n_from_store == 8
     assert warm.mining.cache_hit_rate == 1.0
     assert specs_to_json(warm.specs, warm.scores) == \
         specs_to_json(cold.specs, cold.scores)
@@ -264,7 +276,7 @@ def test_warm_cache_reanalyzes_nothing(tmp_path):
 
 def test_editing_k_files_reanalyzes_exactly_k(tmp_path):
     programs = java_corpus(10)
-    learn(programs, cache_dir=tmp_path / "cache")
+    learn(programs, store_dir=tmp_path / "store")
 
     edited = list(programs)
     replacements = CorpusGenerator(
@@ -273,30 +285,72 @@ def test_editing_k_files_reanalyzes_exactly_k(tmp_path):
         replacements[i].source = programs[i].source
         edited[i] = replacements[i]
 
-    rerun = learn(edited, cache_dir=tmp_path / "cache", jobs=2)
+    rerun = learn(edited, store_dir=tmp_path / "store", jobs=2)
     assert rerun.mining.n_analyzed == 2
-    assert rerun.mining.n_cached == 8
+    assert rerun.mining.n_from_store == 8
 
 
 def test_cache_ignores_parallelism_but_respects_analysis_config(tmp_path):
     programs = java_corpus(6)
-    learn(programs, cache_dir=tmp_path / "cache", jobs=2)
+    learn(programs, store_dir=tmp_path / "store", jobs=2)
     # same analysis config, different parallelism: all hits
-    warm = learn(programs, cache_dir=tmp_path / "cache", jobs=1, shards=3)
-    assert warm.mining.n_cached == 6
+    warm = learn(programs, store_dir=tmp_path / "store", jobs=1, shards=3)
+    assert warm.mining.n_from_store == 6
     # changed analysis budget: full invalidation
     runtime = RuntimeConfig(budget=Budget(max_solver_iterations=10_000))
-    cold = learn(programs, cache_dir=tmp_path / "cache", runtime=runtime)
-    assert cold.mining.n_cached == 0 and cold.mining.n_analyzed == 6
+    cold = learn(programs, store_dir=tmp_path / "store", runtime=runtime)
+    assert cold.mining.n_from_store == 0 and cold.mining.n_analyzed == 6
+
+
+#: one changed value per knob that shapes stored samples or match records
+RECORD_KNOBS = {
+    "feature": FeatureConfig(context_k=1),
+    "max_positives_per_graph": 4,
+    "negative_ratio": 1.0,
+    "seed": 99,
+    "max_receiver_distance": 1,
+    "enable_retrecv": True,
+}
+
+
+@pytest.mark.parametrize("knob", sorted(RECORD_KNOBS))
+def test_record_shaping_knobs_key_the_store(tmp_path, knob):
+    """A store built under the defaults must not answer a run whose
+    records would differ: that run re-analyses everything and writes
+    the specs a fresh run writes."""
+    programs = java_corpus(10)
+    MiningEngine(PipelineConfig(), MiningConfig(
+        store_dir=str(tmp_path / "store"))).learn(programs)
+
+    changed = replace(PipelineConfig(), **{knob: RECORD_KNOBS[knob]})
+    warm = MiningEngine(changed, MiningConfig(
+        store_dir=str(tmp_path / "store"))).learn(programs)
+    fresh = MiningEngine(changed).learn(programs)
+    assert warm.mining.n_analyzed == len(programs)
+    assert specs_to_json(warm.specs, warm.scores) == \
+        specs_to_json(fresh.specs, fresh.scores)
+
+
+def test_tau_does_not_key_the_store(tmp_path):
+    programs = java_corpus(10)
+    MiningEngine(PipelineConfig(), MiningConfig(
+        store_dir=str(tmp_path / "store"))).learn(programs)
+    changed = PipelineConfig(tau=0.4, score_k=3, extend=False)
+    warm = MiningEngine(changed, MiningConfig(
+        store_dir=str(tmp_path / "store"))).learn(programs)
+    fresh = MiningEngine(changed).learn(programs)
+    assert warm.mining.n_analyzed == 0
+    assert specs_to_json(warm.specs, warm.scores) == \
+        specs_to_json(fresh.specs, fresh.scores)
 
 
 def test_cached_quarantine_verdicts_are_reused(tmp_path):
     runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500))
     programs = java_corpus(5) + [pathological_program()]
-    cold = learn(programs, cache_dir=tmp_path / "cache", runtime=runtime)
+    cold = learn(programs, store_dir=tmp_path / "store", runtime=runtime)
     assert cold.run.n_quarantined == 1
 
-    warm = learn(programs, cache_dir=tmp_path / "cache", runtime=runtime)
+    warm = learn(programs, store_dir=tmp_path / "store", runtime=runtime)
     assert warm.mining.n_analyzed == 0  # the blow-up was not re-attempted
     assert warm.run.n_quarantined == 1
     assert warm.run.manifest.to_json(timings=False) == \
@@ -309,7 +363,7 @@ def test_cached_quarantine_verdicts_are_reused(tmp_path):
 
 def test_killed_parallel_run_resumes_without_double_analysis(tmp_path):
     """A worker-side injected fault aborts a strict parallel run; the
-    re-run completes from the cache with no program analysed twice."""
+    re-run completes from the store with no program analysed twice."""
     programs = java_corpus(10)
     victim = programs[-1].source
     faulty = RuntimeConfig(
@@ -317,17 +371,17 @@ def test_killed_parallel_run_resumes_without_double_analysis(tmp_path):
         faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
     )
     with pytest.raises(Exception, match="injected fault"):
-        learn(programs, jobs=2, shards=4, cache_dir=tmp_path / "cache",
+        learn(programs, jobs=2, shards=4, store_dir=tmp_path / "store",
               runtime=faulty)
 
-    from repro.mining.cache import AnalysisCache, pipeline_fingerprint
-    fingerprint = pipeline_fingerprint(PipelineConfig())
-    survived = len(AnalysisCache(tmp_path / "cache", fingerprint))
+    # task replies settled before the abort were journaled
+    survived = len(stored_keys(
+        tmp_path / "store", [(p.source, p) for p in programs]))
     assert 0 < survived < 10  # partial progress persisted, kill was real
 
-    rerun = learn(programs, jobs=2, shards=4, cache_dir=tmp_path / "cache")
+    rerun = learn(programs, jobs=2, shards=4, store_dir=tmp_path / "store")
     report = rerun.mining
-    assert report.n_cached == survived
+    assert report.n_from_store == survived
     assert report.n_analyzed == 10 - survived  # only the missing ones
     cached_keys = {o.key for o in rerun.run.outcomes if o.cached}
     assert cached_keys.isdisjoint(report.analyzed_keys)
@@ -336,30 +390,52 @@ def test_killed_parallel_run_resumes_without_double_analysis(tmp_path):
     assert rerun.run.n_ok == 10 and rerun.run.n_quarantined == 0
 
 
-def test_checkpoint_resume_under_sharding(tmp_path):
-    """--checkpoint-dir composes with sharding: per-shard checkpoint
-    subdirectories let a killed run resume with the same shard count."""
-    programs = java_corpus(8)
-    ckpt = tmp_path / "ckpt"
+def test_pool_worker_journals_each_program_before_its_reply(tmp_path):
+    """A pool worker sends each program to the parent as it settles, so
+    a strict abort at a task's last program keeps all the others: the
+    rerun analyses exactly the program that was in flight."""
+    programs = java_corpus(6)
     victim = programs[-1].source
     faulty = RuntimeConfig(
-        strict=True, checkpoint_dir=str(ckpt),
+        strict=True,
+        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
+    )
+    # one shard: a single task carries all six programs, victim last
+    with pytest.raises(Exception, match="injected fault"):
+        learn(programs, jobs=2, shards=1, store_dir=tmp_path / "store",
+              runtime=faulty)
+
+    rerun = learn(programs, jobs=2, shards=1, store_dir=tmp_path / "store")
+    assert rerun.mining.n_from_store == 5
+    assert rerun.mining.analyzed_keys == [f"000005:{victim}"]
+    clean = learn(programs)
+    assert specs_to_json(rerun.specs, rerun.scores) == \
+        specs_to_json(clean.specs, clean.scores)
+
+
+def test_checkpoint_resume_under_sharding(tmp_path):
+    """Resume composes with sharding: pool workers send each program to
+    the parent as it settles, and a killed run's journaled programs are
+    taken from the store whatever the shard and job count of the rerun."""
+    programs = java_corpus(8)
+    victim = programs[-1].source
+    faulty = RuntimeConfig(
+        strict=True,
         faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
     )
     with pytest.raises(Exception, match="injected fault"):
-        learn(programs, jobs=2, shards=3, runtime=faulty)
+        learn(programs, jobs=2, shards=3, store_dir=tmp_path / "store",
+              runtime=faulty)
 
-    checkpointed = set()
-    for index_file in ckpt.glob("shard-*/index.json"):
-        checkpointed |= set(json.loads(index_file.read_text())["entries"])
+    keys = [(f"{i:06d}:{p.source}", p) for i, p in enumerate(programs)]
+    checkpointed = stored_keys(tmp_path / "store", keys)
     assert 0 < len(checkpointed) < 8
 
-    clean = RuntimeConfig(checkpoint_dir=str(ckpt))
-    rerun = learn(programs, jobs=2, shards=3, runtime=clean)
+    rerun = learn(programs, jobs=2, shards=5, store_dir=tmp_path / "store")
     report = rerun.mining
-    assert report.n_resumed == len(checkpointed)
+    assert report.n_from_store == len(checkpointed)
     assert checkpointed.isdisjoint(report.analyzed_keys)
-    assert report.n_resumed + report.n_analyzed == 8
+    assert report.n_from_store + report.n_analyzed == 8
     assert rerun.run.n_ok == 8
 
 
@@ -409,7 +485,7 @@ def test_cli_cache_dir_warm_run_reports_hits(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "cache hits 5 (100%)" in out
+    assert "analyzed 0, from store 5 (100%)" in out
 
 
 def test_cli_jobs_prints_mining_metrics(tmp_path, capsys):
@@ -419,42 +495,3 @@ def test_cli_jobs_prints_mining_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "programs/s" in out
     assert "shard wall-clock" in out
-
-
-# ----------------------------------------------------------------------
-# read-only cache directories (prewarmed snapshots mounted into workers)
-
-
-def _cache_with_entry(tmp_path):
-    cache = AnalysisCache(tmp_path, fingerprint="fp")
-    cache.store_quarantine("prog0", QuarantineEntry(
-        program="p0", source="p0.java",
-        error_kind=SOLVER_CRASH, error="boom"))
-    return cache
-
-
-def test_readonly_cache_still_serves_hits_and_latches(tmp_path, monkeypatch):
-    cache = _cache_with_entry(tmp_path)
-    attempts = []
-
-    def denied(path, *args, **kwargs):
-        attempts.append(path)
-        raise PermissionError("read-only cache")
-
-    monkeypatch.setattr(os, "utime", denied)
-    hit = cache.lookup("prog0", "000000:p0.java")
-    assert hit is not None
-    assert hit.entry.program == "000000:p0.java"  # re-keyed to corpus
-    assert cache._touchable is False
-    # latched off: later hits never re-attempt the denied touch
-    assert cache.lookup("prog0", "000000:p0.java") is not None
-    assert len(attempts) == 1
-
-
-def test_raced_eviction_touch_is_not_sticky(tmp_path, monkeypatch):
-    cache = _cache_with_entry(tmp_path)
-    monkeypatch.setattr(
-        os, "utime",
-        lambda *a, **k: (_ for _ in ()).throw(FileNotFoundError()))
-    assert cache.lookup("prog0", "k") is not None
-    assert cache._touchable is True  # a vanished file is per-call only

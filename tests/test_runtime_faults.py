@@ -1,5 +1,5 @@
 """The repro.runtime harness: budgets, fault injection, the degradation
-ladder, quarantine manifests, and checkpoint/resume."""
+ladder, quarantine manifests, and resume through the durable store."""
 
 import json
 
@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.events.history import HistoryBuilder, HistoryOptions
 from repro.ir import ProgramBuilder
+from repro.mining import MiningConfig, MiningEngine
 from repro.pointsto import analyze
 from repro.pointsto.analysis import PointsToOptions
 from repro.runtime import (
@@ -31,6 +32,7 @@ from repro.runtime import (
 )
 from repro.specs import USpecPipeline
 from repro.specs.pipeline import PipelineConfig
+from repro.specs.serialize import specs_to_json
 
 
 class FakeClock:
@@ -280,71 +282,77 @@ def test_manifest_rejects_unknown_schema():
 
 
 # ----------------------------------------------------------------------
-# checkpoint/resume
+# resume through the durable store
 
 
 def corpus_with_one_bad():
     return [small_program("a"), small_program("b"), pathological_program()]
 
 
-def test_checkpoint_resume_round_trip(tmp_path):
-    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500),
-                            checkpoint_dir=str(tmp_path / "ckpt"))
-    corpus = corpus_with_one_bad()
-    first = CorpusExecutor(runtime=runtime).run(corpus)
-    assert first.n_ok == 2 and first.n_quarantined == 1
-    assert first.n_resumed == 0
+def store_learn(corpus, store_dir, runtime):
+    return MiningEngine(
+        PipelineConfig(runtime=runtime),
+        MiningConfig(store_dir=str(store_dir)),
+    ).learn(corpus)
 
-    second = CorpusExecutor(runtime=runtime).run(corpus)
-    assert second.n_resumed == len(corpus)  # nothing recomputed
-    assert second.n_ok == 2 and second.n_quarantined == 1
+
+def test_checkpoint_resume_round_trip(tmp_path):
+    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500))
+    corpus = corpus_with_one_bad()
+    first = store_learn(corpus, tmp_path / "store", runtime)
+    assert first.run.n_ok == 2 and first.run.n_quarantined == 1
+    assert first.mining.n_from_store == 0
+
+    second = store_learn(corpus, tmp_path / "store", runtime)
+    assert second.mining.n_from_store == len(corpus)  # nothing recomputed
+    assert second.mining.n_analyzed == 0
+    assert second.run.n_ok == 2 and second.run.n_quarantined == 1
     # quarantine details survive the round trip
-    entry = second.manifest.entries[0]
+    entry = second.run.manifest.entries[0]
     assert entry.error_kind == BUDGET_EXCEEDED
     assert len(entry.attempts) == 3
-    # restored bundles are fully usable downstream
-    model = USpecPipeline().train_model(second.bundles)
-    assert model is not None
+    assert second.run.manifest.to_json() == first.run.manifest.to_json()
+    # restored statistics are fully usable downstream
+    assert specs_to_json(second.specs, second.scores) \
+        == specs_to_json(first.specs, first.scores)
 
 
 def test_checkpoint_resume_skips_recomputation(tmp_path):
-    """Resumed programs must be loaded, not re-analysed: a fault plan
-    that would crash everything leaves checkpointed results intact."""
-    ckpt = str(tmp_path / "ckpt")
+    """Stored programs must be loaded, not re-analysed: a fault plan
+    that would crash everything leaves stored results intact."""
     corpus = [small_program("a"), small_program("b")]
-    CorpusExecutor(runtime=RuntimeConfig(checkpoint_dir=ckpt)).run(corpus)
+    store_learn(corpus, tmp_path / "store", RuntimeConfig())
 
     poisoned = RuntimeConfig(
-        checkpoint_dir=ckpt,
         faults=FaultPlan([FaultSpec(program="", error=SOLVER_CRASH)]),
     )
-    report = CorpusExecutor(runtime=poisoned).run(corpus)
-    assert report.n_ok == 2  # all served from the checkpoint
-    assert report.n_resumed == 2
+    learned = store_learn(corpus, tmp_path / "store", poisoned)
+    assert learned.run.n_ok == 2  # all served from the store
+    assert learned.mining.n_from_store == 2
 
 
 def test_checkpoint_partial_run_resumes_remainder(tmp_path):
     """A run killed midway (simulated by running a prefix) resumes from
     the last completed program."""
-    ckpt = str(tmp_path / "ckpt")
     corpus = corpus_with_one_bad()
-    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500),
-                            checkpoint_dir=ckpt)
-    CorpusExecutor(runtime=runtime).run(corpus[:1])  # "killed" after one
+    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500))
+    store_learn(corpus[:1], tmp_path / "store", runtime)  # "killed"
 
-    report = CorpusExecutor(runtime=runtime).run(corpus)
-    assert report.n_resumed == 1
-    assert report.n_ok == 2 and report.n_quarantined == 1
+    learned = store_learn(corpus, tmp_path / "store", runtime)
+    assert learned.mining.n_from_store == 1
+    assert learned.mining.n_analyzed == 2
+    assert learned.run.n_ok == 2 and learned.run.n_quarantined == 1
 
 
 def test_checkpoint_survives_corrupt_index(tmp_path):
-    ckpt = tmp_path / "ckpt"
-    runtime = RuntimeConfig(checkpoint_dir=str(ckpt))
     corpus = [small_program("a")]
-    CorpusExecutor(runtime=runtime).run(corpus)
-    (ckpt / "index.json").write_text("{ not json")
-    report = CorpusExecutor(runtime=runtime).run(corpus)
-    assert report.n_ok == 1 and report.n_resumed == 0  # recomputed
+    store_learn(corpus, tmp_path / "store", RuntimeConfig())
+    (journal,) = (tmp_path / "store").glob("*/journal.uspj")
+    journal.write_text("{ not a journal")
+    learned = store_learn(corpus, tmp_path / "store", RuntimeConfig())
+    assert learned.run.n_ok == 1
+    assert learned.mining.n_from_store == 0  # recomputed
+    assert learned.mining.store_recovery["n_quarantined"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -401,4 +409,5 @@ def test_cli_checkpoint_dir_resumes(tmp_path, capsys):
     assert main(args) == 0
     capsys.readouterr()
     assert main(args) == 0
-    assert "4 resumed" in capsys.readouterr().out
+    # --checkpoint-dir is another name for --store-dir
+    assert "analyzed 0, from store 4" in capsys.readouterr().out

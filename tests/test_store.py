@@ -1,17 +1,16 @@
 """The crash-consistent state layer: journal recovery ladder, durable
-snapshots, crash-point fault injection, the statistics store behind
-``learn --append``, and byte-identical recovery after injected crashes."""
+snapshots, crash-point fault injection, the store behind every
+``learn --store-dir`` run, and byte-identical recovery after injected
+crashes."""
+
+import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.mining import MiningConfig, MiningEngine
-from repro.mining.cache import (
-    BUNDLE_SUFFIX,
-    SAMPLES_SUFFIX,
-    AnalysisCache,
-    pipeline_fingerprint,
-)
+from repro.mining.cache import pipeline_fingerprint
 from repro.runtime import RuntimeConfig
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.specs.patterns import RetSame, SpecSet
@@ -23,14 +22,19 @@ from repro.store.faults import (
     SimulatedCrash,
     install_crash_plan,
 )
-from repro.store.journal import FILE_MAGIC, RecordJournal
+from repro.store.journal import FILE_MAGIC, RecordJournal, encode_frame
 from repro.store.snapshot import (
     SnapshotCorrupt,
     load_snapshot,
     read_snapshot,
     write_snapshot,
 )
-from repro.store.stats import SNAPSHOT_NAME, StatsStore, StoredProgram
+from repro.store.stats import (
+    KIND_PROGRAM,
+    SNAPSHOT_NAME,
+    StatsStore,
+    StoredProgram,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -431,53 +435,63 @@ def test_mid_compaction_crash_loses_no_generation(tmp_path, spec):
 
 
 # ----------------------------------------------------------------------
-# cache integrity (CRC trailer)
+# store integrity: damage is counted, reported and costs one re-analysis
 
 
-def test_corrupt_cache_bundle_is_a_miss_and_deleted(tmp_path):
-    cache = AnalysisCache(tmp_path, fingerprint="fp")
-    key = cache.store_bundle("prog0", {"not": "checked on store"})
-    path = tmp_path / f"{key}{BUNDLE_SUFFIX}"
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
-    assert cache.load_bundle_by_key(key) is None
-    assert cache.n_corrupt == 1
-    assert not path.exists()  # deleted so the slot re-analyses cleanly
+def _journal_of(store_dir):
+    (journal,) = store_dir.glob("*/journal.uspj")
+    return journal
 
 
-def test_truncated_cache_bundle_is_a_miss(tmp_path):
-    cache = AnalysisCache(tmp_path, fingerprint="fp")
-    key = cache.store_bundle("prog0", {"payload": "x" * 64})
-    path = tmp_path / f"{key}{BUNDLE_SUFFIX}"
-    path.write_bytes(path.read_bytes()[:10])
-    assert cache.load_bundle_by_key(key) is None
-    assert cache.n_corrupt == 1 and not path.exists()
-
-
-def test_absent_cache_bundle_is_a_plain_miss(tmp_path):
-    cache = AnalysisCache(tmp_path, fingerprint="fp")
-    assert cache.load_bundle_by_key("no-such-entry") is None
-    assert cache.n_corrupt == 0  # absence is a miss, not corruption
+def _replace_program_payloads(journal, payloads):
+    """Rewrite the first PROGRAM records' payloads with ``payloads``,
+    framed with valid CRCs, so only decoding can reject them."""
+    records, _ = RecordJournal(journal).recover()
+    queue = list(payloads)
+    frames = []
+    for kind, payload in records:
+        if kind == KIND_PROGRAM and queue:
+            payload = queue.pop(0)
+        frames.append(encode_frame(kind, payload))
+    journal.write_bytes(FILE_MAGIC + b"".join(frames))
 
 
 def test_corrupt_entry_recounted_in_mining_report(tmp_path):
     programs = java_corpus(4)
-    config = PipelineConfig(runtime=RuntimeConfig())
-    mining = MiningConfig(jobs=1, cache_dir=str(tmp_path / "cache"))
-    MiningEngine(config, mining).learn(programs)
-    # without sidecars the warm run reads every bundle back
-    for sidecar in (tmp_path / "cache").glob(f"*{SAMPLES_SUFFIX}"):
-        sidecar.unlink()
-    bundles = sorted((tmp_path / "cache").glob(f"*{BUNDLE_SUFFIX}"))
-    assert len(bundles) == 4
-    data = bytearray(bundles[0].read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    bundles[0].write_bytes(bytes(data))
-    warm = MiningEngine(config, mining).learn(programs)
-    assert warm.mining.n_cache_corrupt == 1
-    assert warm.mining.n_analyzed == 1  # the damaged one, re-analysed
-    assert warm.mining.n_cached == 3
+    first = store_learn(programs, tmp_path / "store")
+    # two records pass their CRCs but are not programs: undecodable
+    # bytes, and a well-formed pickle of the wrong type
+    _replace_program_payloads(_journal_of(tmp_path / "store"), [
+        b"not a pickle",
+        pickle.dumps({"not": "a program"}),
+    ])
+    warm = store_learn(programs, tmp_path / "store")
+    assert warm.mining.store_recovery["n_quarantined"] == 2
+    assert warm.mining.to_dict()["store_recovery"]["n_quarantined"] == 2
+    assert warm.mining.n_analyzed == 2  # the damaged two, re-analysed
+    assert warm.mining.n_from_store == 2
+    assert spec_text(warm) == spec_text(first)
+
+
+def test_cli_reports_store_recovery(tmp_path, capsys):
+    args = ["learn", "--files", "3", "--seed", "7",
+            "--store-dir", str(tmp_path / "store"),
+            "--out", str(tmp_path / "specs.json")]
+    assert main(args) == 0
+    _replace_program_payloads(_journal_of(tmp_path / "store"),
+                              [b"garbage"])
+    capsys.readouterr()
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "analyzed 1, from store 2" in out
+    assert ("store recovery: 1 journal record(s) quarantined, "
+            "0 byte(s) truncated") in out
+    # that run dropped the damaged record from the journal: a third run
+    # finds nothing to repair and re-analyses nothing
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "analyzed 0, from store 3" in out
+    assert "store recovery" not in out
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +538,8 @@ def test_learn_crash_then_rerun_recovers_byte_identical_specs(tmp_path):
     baseline = store_learn(programs, tmp_path / "clean")
     expected = spec_text(baseline)
 
-    # die at the fsync of the first journal append — after analysis,
-    # before training
+    # die at the fsync of the first journal append: the first program
+    # is analysed and its record written, but not yet synced
     install_crash_plan(CrashPlan.parse("pre-fsync:journal.uspj"))
     with pytest.raises(SimulatedCrash):
         store_learn(programs, tmp_path / "store")
@@ -533,8 +547,8 @@ def test_learn_crash_then_rerun_recovers_byte_identical_specs(tmp_path):
 
     rerun = store_learn(programs, tmp_path / "store")
     assert spec_text(rerun) == expected
-    # zero lost completed work: the crashed run's analysis was reused
-    assert rerun.mining.n_cached == 6 and rerun.mining.n_analyzed == 0
+    # zero lost completed work: the written record was reused
+    assert rerun.mining.n_from_store == 1 and rerun.mining.n_analyzed == 5
 
 
 @pytest.mark.parametrize("spec", [
@@ -558,35 +572,32 @@ def test_append_run_crash_is_recoverable(tmp_path, spec):
     rerun = store_learn(corpus_b, tmp_path / "store", append=True)
     scratch = store_learn(corpus_b, tmp_path / "scratch")
     assert spec_text(rerun) == spec_text(scratch)
-    # nothing was lost to the crash: the new program's analysis is in
-    # the cache, so the rerun computes nothing fresh
-    assert rerun.mining.n_analyzed == 0
-    assert rerun.mining.n_from_store >= 5
+    # a torn record is truncated away and its program re-analysed; a
+    # record written before the crashed fsync survives and is reused
+    reanalyzed = {"write:journal.uspj:20": 1, "pre-fsync:journal.uspj": 0}
+    assert rerun.mining.n_analyzed == reanalyzed[spec]
+    assert rerun.mining.n_from_store == 6 - reanalyzed[spec]
 
 
 def test_warm_and_append_runs_never_unpickle_a_bundle(tmp_path,
                                                      monkeypatch):
     programs = java_corpus(5, seed=7)
+    cold = store_learn(programs, tmp_path / "store")
 
-    def cache_learn():
-        mining = MiningConfig(cache_dir=str(tmp_path / "cache"))
-        return MiningEngine(PipelineConfig(), mining).learn(programs)
+    def no_graphs(*args, **kwargs):
+        raise AssertionError("event graph built on a warm run")
 
-    cold = cache_learn()
-    first = store_learn(programs, tmp_path / "store")
-
-    def no_bundle_reads(self, path):
-        raise AssertionError(f"bundle unpickled: {path}")
-
-    # samples and match records come from the sidecar (warm cache) or
-    # the journal (--append): nothing needs an event graph any more
-    monkeypatch.setattr(AnalysisCache, "_load_bundle", no_bundle_reads)
-    warm = cache_learn()
-    assert warm.mining.n_sample_hits == 5 and warm.mining.n_analyzed == 0
-    assert spec_text(warm) == spec_text(cold)
+    # samples and match records come from the journal: nothing needs an
+    # event graph any more, and none was ever persisted
+    monkeypatch.setattr("repro.runtime.executor.build_event_graph",
+                        no_graphs)
+    warm = store_learn(programs, tmp_path / "store")
+    assert warm.mining.n_from_store == 5 and warm.mining.n_analyzed == 0
     appended = store_learn(programs, tmp_path / "store", append=True)
     assert appended.mining.n_from_store == 5
-    assert spec_text(appended) == spec_text(first) == spec_text(cold)
+    assert spec_text(warm) == spec_text(appended) == spec_text(cold)
+    files = [p.name for p in (tmp_path / "store").rglob("*") if p.is_file()]
+    assert files == ["journal.uspj"]
 
 
 def test_store_survives_corrupted_journal_mid_history(tmp_path):
@@ -603,7 +614,7 @@ def test_store_survives_corrupted_journal_mid_history(tmp_path):
 
     second = store_learn(programs, tmp_path / "store", append=True)
     assert second.mining.n_from_store == 4
-    # the damaged program still resolves from the analysis cache —
-    # recovery degrades one layer at a time, it never recomputes
-    assert second.mining.n_cached == 5 and second.mining.n_analyzed == 0
+    # the damaged program is re-analysed, and only that one
+    assert second.mining.n_analyzed == 1
+    assert second.mining.store_recovery["n_quarantined"] == 1
     assert spec_text(second) == spec_text(first)

@@ -1,23 +1,22 @@
 """Fault-tolerant shard supervision: chaos modes (kill / hang /
 corrupt), retry with backoff, poison-shard bisection, the failure
-ledger, cache-budget eviction, and spawn-context dispatch."""
+ledger, store-backed warm runs, and spawn-context dispatch."""
 
 import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.ir import ProgramBuilder
-from repro.mining import MiningConfig, MiningEngine
-from repro.mining.cache import (
-    AnalysisCache,
-    BUNDLE_SUFFIX,
-    QUARANTINE_SUFFIX,
-)
+from repro.mining import MiningConfig, MiningEngine, ShardPlan
 from repro.mining.supervisor import (
     DeadlineTracker,
     ShardSupervisor,
@@ -30,6 +29,7 @@ from repro.runtime import (
     WORKER_CRASH,
     WORKER_TIMEOUT,
     WorkerCrash,
+    WorkerTimeout,
 )
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
@@ -50,8 +50,8 @@ def toxic_program(name):
     return pb.finish()
 
 
-def learn(programs, *, jobs=1, shards=None, cache_dir=None,
-          cache_budget=None, mp_context=None, strict=False,
+def learn(programs, *, jobs=1, shards=None, store_dir=None,
+          mp_context=None, strict=False,
           chaos=None, max_retries=2, shard_deadline=None):
     config = PipelineConfig(runtime=RuntimeConfig(strict=strict))
     supervision = SupervisionConfig(
@@ -62,8 +62,8 @@ def learn(programs, *, jobs=1, shards=None, cache_dir=None,
     )
     mining = MiningConfig(
         jobs=jobs, shards=shards,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        cache_budget=cache_budget, mp_context=mp_context,
+        store_dir=str(store_dir) if store_dir else None,
+        mp_context=mp_context,
         supervision=supervision,
     )
     return MiningEngine(config, mining).learn(programs)
@@ -221,25 +221,48 @@ def test_cli_transient_chaos_matches_clean_run(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# poisoned verdicts are cached
+# poisoned verdicts are stored
 
 
 def test_poisoned_program_is_never_reattempted_warm(tmp_path):
     programs = java_corpus()
     chaos = [ChaosSpec("corpus_00003", "kill")]
-    cold = learn(programs, jobs=2, chaos=chaos, cache_dir=tmp_path,
+    cold = learn(programs, jobs=2, chaos=chaos, store_dir=tmp_path,
                  max_retries=0)
     assert cold.mining.ledger.n_poisoned == 1
-    # warm re-run with the same chaos: the cached worker-crash verdict
-    # wins before the worker ever touches the program, so chaos never
-    # fires again
-    warm = learn(programs, jobs=2, chaos=chaos, cache_dir=tmp_path,
+    # warm re-run with the same chaos: the stored worker-crash verdict
+    # wins before the program is dispatched, so chaos never fires again
+    warm = learn(programs, jobs=2, chaos=chaos, store_dir=tmp_path,
                  max_retries=0)
     assert warm.mining.ledger.n_worker_crashes == 0
     assert warm.mining.ledger.n_poisoned == 0
     assert warm.mining.n_quarantined == 1
     assert specs_text(warm) == specs_text(cold)
     assert [e.error_kind for e in warm.run.manifest.entries] == [WORKER_CRASH]
+
+
+def test_strict_abort_keeps_what_the_other_worker_finished(tmp_path):
+    """A strict abort in one worker loses only what that worker had in
+    flight: every program the other worker finished meanwhile, and each
+    program the aborted task settled before the hang, is journaled."""
+    programs = java_corpus(12)
+    chaos = [ChaosSpec("corpus_00005", "hang")]
+    with pytest.raises(WorkerTimeout):
+        learn(programs, jobs=2, chaos=chaos, strict=True, max_retries=0,
+              shard_deadline=1.5, store_dir=tmp_path)
+
+    rerun = learn(programs, jobs=2, store_dir=tmp_path)
+    # chaos runs send one shard per task: the hang's own task lost the
+    # hung program and those after it, and nothing else was lost
+    keys = [f"{i:06d}:{p.source}" for i, p in enumerate(programs)]
+    plan = ShardPlan.of([p.source for p in programs], rerun.mining.n_shards)
+    hung = next(i for i, key in enumerate(keys) if "corpus_00005" in key)
+    task = next(m for m in map(plan.members, plan.non_empty())
+                if hung in m)
+    in_flight = [keys[i] for i in task[task.index(hung):]]
+    assert rerun.mining.analyzed_keys == sorted(in_flight)
+    assert rerun.mining.n_from_store == 12 - len(in_flight)
+    assert specs_text(rerun) == specs_text(learn(programs))
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +304,50 @@ def test_worker_pool_persists_across_phases():
     assert all(not p.is_alive() for p in processes)
 
 
+_KILLED_PARENT = """
+import multiprocessing, os, sys
+from repro.mining.supervisor import ShardSupervisor
+supervisor = ShardSupervisor(multiprocessing.get_context("fork"), 2)
+supervisor._ensure_pool()
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(str(w.process.pid) for w in supervisor._workers))
+os._exit(137)  # a crash: no close(), no shutdown sentinel
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir("/proc"),
+    reason="needs fork and /proc")
+def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
+    """Each forked worker closes its copies of the parent's pipe ends,
+    so a parent killed outright reads as EOF and no worker outlives it."""
+    pid_file = tmp_path / "pids"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_PARENT, str(pid_file)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60,
+    )
+    assert proc.returncode == 137
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 # ----------------------------------------------------------------------
 # spawn start method
 
@@ -291,100 +358,6 @@ def test_spawn_context_matches_sequential():
     spawned = learn(programs, jobs=2, shards=2, mp_context="spawn")
     assert specs_text(spawned) == specs_text(clean)
     assert spawned.mining.ledger.clean
-
-
-# ----------------------------------------------------------------------
-# cache budget (LRU-by-mtime eviction)
-
-
-def _fake_entry(cache, name, size, mtime):
-    path = cache.directory / name
-    path.write_bytes(b"x" * size)
-    os.utime(path, (mtime, mtime))
-    return path
-
-
-def test_evict_to_budget_removes_oldest_first(tmp_path):
-    cache = AnalysisCache(tmp_path, "fp")
-    old = _fake_entry(cache, f"aaaa{BUNDLE_SUFFIX}", 100, 1_000)
-    mid = _fake_entry(cache, f"bbbb{QUARANTINE_SUFFIX}", 100, 2_000)
-    new = _fake_entry(cache, f"cccc{BUNDLE_SUFFIX}", 100, 3_000)
-    assert cache.total_bytes() == 300
-    assert cache.evict_to_budget(200) == 1
-    assert not old.exists() and mid.exists() and new.exists()
-    assert cache.evict_to_budget(200) == 0  # already under budget
-    assert cache.evict_to_budget(0) == 2
-    assert cache.total_bytes() == 0
-
-
-def test_evict_ties_break_by_name(tmp_path):
-    cache = AnalysisCache(tmp_path, "fp")
-    b = _fake_entry(cache, f"bbbb{BUNDLE_SUFFIX}", 10, 1_000)
-    a = _fake_entry(cache, f"aaaa{BUNDLE_SUFFIX}", 10, 1_000)
-    assert cache.evict_to_budget(10) == 1
-    assert not a.exists() and b.exists()
-
-
-def test_lookup_refreshes_recency(tmp_path):
-    programs = java_corpus(n=2)
-    learn(programs, cache_dir=tmp_path)
-    entries = sorted(tmp_path.glob(f"*{BUNDLE_SUFFIX}"))
-    assert len(entries) == 2
-    # age both, then warm-run: lookups must touch the mtimes forward
-    for path in entries:
-        os.utime(path, (1_000, 1_000))
-    learn(programs, cache_dir=tmp_path)
-    assert all(p.stat().st_mtime > 1_000 for p in entries)
-
-
-def test_engine_cache_budget_reports_evictions(tmp_path):
-    programs = java_corpus(n=3)
-    learned = learn(programs, cache_dir=tmp_path, cache_budget=1)
-    assert learned.mining.n_evicted == 3
-    assert learned.mining.to_dict()["n_evicted"] == 3
-    # evictions only cost recomputes — the next run still succeeds
-    again = learn(programs, cache_dir=tmp_path, cache_budget=None)
-    assert again.mining.n_cached == 0
-    assert specs_text(again) == specs_text(learned)
-
-
-def test_budget_starved_supervised_run_matches_clean(tmp_path):
-    programs = java_corpus()
-    clean = learn(programs)
-    starved = learn(programs, jobs=2, cache_dir=tmp_path / "cache",
-                    cache_budget=1)
-    assert specs_text(starved) == specs_text(clean)
-    assert (starved.run.manifest.to_json(timings=False)
-            == clean.run.manifest.to_json(timings=False))
-    # the end-of-run sweep enforces the budget
-    assert starved.mining.n_evicted > 0
-    assert starved.mining.n_quarantined == 0
-
-
-def test_cli_budget_starved_parallel_run_matches_clean(tmp_path, capsys):
-    clean = tmp_path / "clean.json"
-    starved = tmp_path / "starved.json"
-    assert main(["learn", "--files", "8", "--out", str(clean)]) == 0
-    capsys.readouterr()
-    code = main([
-        "learn", "--files", "8", "--jobs", "2",
-        "--cache-dir", str(tmp_path / "cache"), "--cache-budget", "1",
-        "--out", str(starved),
-    ])
-    assert code == 0
-    assert "evicted" in capsys.readouterr().out
-    assert clean.read_bytes() == starved.read_bytes()
-
-
-def test_cli_cache_budget_flag(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    code = main([
-        "learn", "--files", "3", "--cache-dir", str(cache),
-        "--cache-budget", "1", "--out", str(tmp_path / "s.json"),
-    ])
-    assert code == 0
-    assert "evicted 3 entries" in capsys.readouterr().out
-    assert not list(cache.glob(f"*{BUNDLE_SUFFIX}"))
 
 
 # ----------------------------------------------------------------------
@@ -455,58 +428,40 @@ def test_chaos_disables_coalescing():
 
 
 # ----------------------------------------------------------------------
-# cache hit-rate reporting
+# store hit-rate reporting
 
 
 def test_real_cache_dir_still_reports_hit_rate(tmp_path):
     programs = java_corpus(n=4)
-    cold = learn(programs, jobs=2, cache_dir=tmp_path)
+    cold = learn(programs, jobs=2, store_dir=tmp_path)
     assert cold.mining.cache_hit_rate == 0.0
-    warm = learn(programs, jobs=2, cache_dir=tmp_path)
+    warm = learn(programs, jobs=2, store_dir=tmp_path)
     assert warm.mining.cache_hit_rate == 1.0
     assert specs_text(warm) == specs_text(cold)
 
 
 # ----------------------------------------------------------------------
-# the warm analyze fast path (pre-encoded sample sidecars)
+# the warm path: pre-encoded samples from the store journal
 
 
 def test_warm_run_absorbs_samples_from_sidecar(tmp_path):
     programs = java_corpus(n=6)
-    cold = learn(programs, cache_dir=tmp_path)
-    assert cold.mining.n_sample_hits == 0
-    warm = learn(programs, cache_dir=tmp_path)
+    cold = learn(programs, store_dir=tmp_path)
+    assert cold.mining.n_from_store == 0
+    warm = learn(programs, store_dir=tmp_path)
     assert warm.mining.n_analyzed == 0
-    assert warm.mining.n_cached == len(programs)
-    # statistics came from the sidecars: no bundle was unpickled and
-    # nothing was re-sampled or re-encoded during analyze
-    assert warm.mining.n_sample_hits == len(programs)
+    assert warm.mining.n_from_store == len(programs)
+    # statistics came from the journal records: nothing was analysed,
+    # re-sampled or re-encoded
+    assert warm.mining.n_from_store == len(programs)
     assert specs_text(warm) == specs_text(cold)
 
 
 def test_sidecar_warm_specs_match_for_parallel_jobs(tmp_path):
     programs = java_corpus(n=8)
-    cold = learn(programs, cache_dir=tmp_path)
-    warm = learn(programs, jobs=4, cache_dir=tmp_path)
-    assert warm.mining.n_sample_hits == len(programs)
-    assert specs_text(warm) == specs_text(cold)
-
-
-def test_damaged_sidecar_degrades_to_bundle_reload(tmp_path):
-    from repro.mining.cache import SAMPLES_SUFFIX
-
-    programs = java_corpus(n=3)
-    cold = learn(programs, cache_dir=tmp_path)
-    sidecars = sorted(tmp_path.glob(f"*{SAMPLES_SUFFIX}"))
-    assert len(sidecars) == 3
-    data = bytearray(sidecars[0].read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    sidecars[0].write_bytes(bytes(data))
-    warm = learn(programs, cache_dir=tmp_path)
-    # the damaged sidecar is quarantined; its program falls back to the
-    # bundle-reload path, the other two stay on the fast path
-    assert warm.mining.n_sample_hits == 2
-    assert warm.mining.n_cached == 3
+    cold = learn(programs, store_dir=tmp_path)
+    warm = learn(programs, jobs=4, store_dir=tmp_path)
+    assert warm.mining.n_from_store == len(programs)
     assert specs_text(warm) == specs_text(cold)
 
 
