@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -34,18 +35,11 @@ from repro.events import RET
 from repro.frontend.minijava import parse_minijava
 from repro.frontend.pyfront import parse_python
 from repro.mining import MiningConfig, MiningEngine, SupervisionConfig
-from repro.runtime import (
-    Budget,
-    BudgetExceeded,
-    ChaosPlan,
-    ChaosSpec,
-    RuntimeConfig,
-    RuntimeFault,
-)
+from repro.runtime import Budget, BudgetExceeded, RuntimeConfig, RuntimeFault
 from repro.runtime.checkpoint import atomic_write_text
+from repro.runtime.faults import FaultPlan, arm
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_from_json, specs_to_json
-from repro.store.faults import install_crash_plan_from_env
 
 #: Exit codes (also documented in ``uspec --help``):
 EXIT_OK = 0  # clean run (quarantined stragglers are still "clean")
@@ -61,6 +55,12 @@ exit codes:
   2  usage error, missing file, or malformed input
   3  --strict learn run aborted because a resource budget was exhausted
   4  learn run quarantined every corpus program — nothing to learn from
+
+environment:
+  USPEC_FAULTS  deterministic fault plan for tests: where:match[:n] specs
+                joined by ';' — stage faults (pointsto, history, graph),
+                worker faults (kill, hang, corrupt) and write points
+                (write, pre-fsync, pre-rename, post-rename)
 """
 
 
@@ -74,29 +74,30 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     return RuntimeConfig(budget=budget, strict=args.strict)
 
 
-def _chaos_spec(text: str) -> ChaosSpec:
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
+def _positive_float(text: str) -> float:
     try:
-        return ChaosSpec.parse(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _supervision_config(args: argparse.Namespace) -> SupervisionConfig:
-    chaos = ChaosPlan(tuple(args.chaos)) if getattr(args, "chaos", None) \
-        else None
-    return SupervisionConfig(
-        max_retries=args.max_retries,
-        shard_deadline=args.shard_deadline,
-        adaptive_deadline=args.adaptive_deadline,
-        chaos=chaos,
-    )
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a number > 0")
 
 
 def _mining_config(args: argparse.Namespace) -> MiningConfig:
     return MiningConfig(
         jobs=args.jobs,
         shards=args.shards,
-        supervision=_supervision_config(args),
+        supervision=SupervisionConfig(
+            max_retries=args.max_retries,
+            shard_deadline=args.shard_deadline,
+            adaptive_deadline=args.adaptive_deadline,
+        ),
         store_dir=args.store_dir,
     )
 
@@ -681,26 +682,18 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                        help="write the spec drift report (gained/lost/"
                             "score-shifted vs the previous store "
                             "generation) as JSON; requires --store-dir")
-    learn.add_argument("--max-retries", type=int, default=2, metavar="N",
+    learn.add_argument("--max-retries", type=_non_negative_int, default=2,
+                       metavar="N",
                        help="retry a crashed/timed-out/corrupt shard "
                             "task up to N times with exponential "
                             "backoff before bisecting it (default 2)")
-    learn.add_argument("--shard-deadline", type=float, default=None,
-                       metavar="S",
+    learn.add_argument("--shard-deadline", type=_positive_float,
+                       default=None, metavar="S",
                        help="wall-clock watchdog per shard-task "
                             "attempt: a worker running longer than S "
                             "seconds is killed and the task retried "
                             "(enables supervised dispatch even with "
                             "--jobs 1)")
-    learn.add_argument("--chaos", action="append", type=_chaos_spec,
-                       default=[], metavar="MODE:PROGRAM[:UNTIL]",
-                       help="deterministic fault injection for testing "
-                            "the supervisor: kill, hang, or corrupt the "
-                            "worker analysing any program whose key "
-                            "contains PROGRAM (repeatable; UNTIL bounds "
-                            "the last attempt that fails, so omitted = "
-                            "toxic forever → the program is bisected "
-                            "out and quarantined)")
     learn.add_argument("--budget-iterations", type=int, metavar="N",
                        help="max points-to solver worklist iterations "
                             "per program (default: unbounded)")
@@ -1012,13 +1005,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # deterministic crash-point injection for the CI recovery matrix:
-    # USPEC_CRASH_PLAN="pre-fsync:journal.uspj" uspec learn ... dies
-    # with exit 137 at that write, like a power cut would
-    install_crash_plan_from_env()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the one fault plan, armed while the command runs: e.g. with
+        # USPEC_FAULTS="pre-fsync:journal.uspj" a store-backed learn
+        # dies with exit 137 at that write, like a power cut would
+        plan = FaultPlan.parse(os.environ.get("USPEC_FAULTS", ""))
+        with arm(plan, exit_on_crash=True):
+            return args.func(args)
     except BrokenPipeError:  # e.g. `uspec show … | head`
         return EXIT_OK
     except BudgetExceeded as err:  # --strict learn run blew a budget

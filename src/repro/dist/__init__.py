@@ -5,8 +5,8 @@ The subsystem distributes the PR 2/3 map/reduce mining engine across
 machines with zero new dependencies: a :class:`Coordinator` serves
 shard tasks over a length-prefixed JSON/TCP protocol
 (:mod:`repro.dist.protocol`) and :func:`run_worker` daemons pull
-tasks, run the unchanged in-process mining path (analysis cache,
-budget ladder, chaos hooks) and stream pickled partials back.  Lease
+tasks, run the unchanged in-process mining path (budget ladder, the
+fault plan each task carries) and stream pickled partials back.  Lease
 tracking, speculative re-execution and the shared retry/bisection
 policy keep a loopback cluster byte-identical to ``--jobs N`` local
 mining — see :mod:`repro.dist.coordinator` for the failure model.

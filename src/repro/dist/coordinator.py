@@ -521,7 +521,7 @@ class Coordinator(TaskScheduler):
                 recorded=True,
             )
             return
-        # "corrupt" (chaos CorruptResult) or anything unrecognised
+        # an unrecognised status
         self._attempt_failed(
             state, task, mine, OUTCOME_CORRUPT,
             str(message.get("error") or "corrupt worker payload"),

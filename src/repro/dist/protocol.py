@@ -24,7 +24,7 @@ ready      worker→coord idle, willing to run a task
 task       coord→worker one shard task: id, phase, attempt, runner, payload
 heartbeat  worker→coord lease renewal while a task is running
 interim    worker→coord one item a running task sent ahead of its result
-result     worker→coord task finished: status ok / error / corrupt
+result     worker→coord task finished: status ok / error
 shutdown   coord→worker drain and exit
 goodbye    worker→coord graceful leave (coordinator reassigns its lease)
 ========== ============ ====================================================
@@ -54,7 +54,9 @@ from typing import Callable, Dict, List, Optional
 #: ``ready`` frame's bundle advertisement are gone
 #: v4: analyze tasks no longer carry a cache directory or fingerprint;
 #: ``interim`` frames stream each settled program ahead of the result
-PROTOCOL_VERSION = 4
+#: v5: analyze tasks carry the fault plan; the ``corrupt`` result
+#: status is gone
+PROTOCOL_VERSION = 5
 
 #: frame length prefix: 4-byte big-endian unsigned
 _LENGTH = struct.Struct("!I")

@@ -6,16 +6,15 @@ connects, registers (``hello``/``welcome``), then loops ``ready`` →
 ``task`` → ``result``.  The task frame names a module-level runner
 (restricted to the ``repro.`` namespace) and carries the pickled
 payload; the worker executes ``runner(payload, attempt)`` — the same
-entry point :func:`repro.mining.supervisor._child_main` uses — so the
-analysis cache, budget ladder and chaos hooks all behave identically
-to local mining.
+entry point :func:`repro.mining.supervisor._pool_main` runs — so the
+budget ladder and the fault plan the task carried (never one of the
+worker's own process) behave identically to local mining.
 
 While a task runs, a daemon thread heartbeats the coordinator at a
 third of the lease interval; a worker that dies (or whose network
 does) simply stops heartbeating and its lease lapses.  Result frames
 mirror the supervised child's pipe protocol: ``ok`` with a pickled
-result, ``corrupt`` for a :class:`~repro.runtime.faults.CorruptResult`
-chaos marker, ``error`` with the pickled typed exception otherwise.
+result, ``error`` with the pickled typed exception otherwise.
 
 With ``reconnect=True`` a lost coordinator connection is retried with
 bounded exponential backoff instead of ending the worker.
@@ -42,7 +41,6 @@ from repro.dist.protocol import (
     unpack_payload,
 )
 from repro.mining.supervisor import interim_channel
-from repro.runtime.faults import CorruptResult
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
 #: dropped frame before the lease lapses
@@ -169,12 +167,9 @@ def _connect(
 
 def _execute(runner: Callable, payload: object, attempt: int,
              task_id: str) -> Dict[str, object]:
-    """Run one task; mirror ``_child_main``'s ok/corrupt/error protocol."""
+    """Run one task; mirror ``_run_job``'s ok/error protocol."""
     try:
         result = runner(payload, attempt)
-    except CorruptResult as marker:
-        return {"type": "result", "task_id": task_id,
-                "status": "corrupt", "error": str(marker)}
     except BaseException as err:
         try:
             payload_text = pack_payload(err)

@@ -15,9 +15,8 @@ map/reduce job:
   bisection, failure ledger;
 * :mod:`engine` — the orchestrator: one analyse pass emits each
   program's samples and Alg. 1 match records, the parent trains and
-  scores; byte-identical output for any
-  worker count, with or without injected chaos (modulo quarantined
-  toxic programs).
+  scores; byte-identical output for any worker count, with or without
+  injected worker faults (modulo quarantined toxic programs).
 """
 
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint

@@ -10,9 +10,9 @@ Every persisted per-program result lives in the
   per-graph positive cap, the negative ratio, the sampling seed, the
   receiver distance and RetRecv matching).  Changing any of them opens
   a different store.  Knobs applied after the records (τ, ``score_k``,
-  ``extend``, training) and test-harness state (fault plans,
-  strictness) deliberately stay out, so a store built by a faulty or
-  killed run is reusable by the resumed one;
+  ``extend``, training) and strictness deliberately stay out, and so
+  does the armed fault plan (it is not configuration), so a store
+  built by a faulty or killed run is reusable by the resumed one;
 * a **program fingerprint** — the source path plus the printed IR of
   the program, so editing a file changes its key and only that file is
   re-analysed.

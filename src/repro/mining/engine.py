@@ -68,7 +68,7 @@ from repro.runtime.executor import (
     CorpusRunReport,
     ProgramOutcome,
 )
-from repro.runtime.faults import ChaosPlan
+from repro.runtime.faults import CorruptResult, FaultPlan, armed
 from repro.runtime.manifest import QuarantineEntry, TierAttempt
 from repro.specs.candidates import match_records, score_records
 from repro.specs.pipeline import (
@@ -111,14 +111,14 @@ Unit = Tuple[int, str, Program]
 class MiningConfig:
     """Parallelism, persistence and supervision policy of one mining run."""
 
-    #: worker processes; 1 = run in-process with no pool (unless
-    #: supervision — chaos or a shard deadline — forces one worker)
+    #: worker processes; 1 = run in-process with no pool (unless worker
+    #: faults or a shard deadline force one supervised worker)
     jobs: int = 1
     #: shard count; None = 1 for sequential runs, jobs×4 for parallel
     shards: Optional[int] = None
     #: multiprocessing start method; None = fork if available
     mp_context: Optional[str] = None
-    #: watchdog / retry / bisection / chaos policy
+    #: watchdog / retry / bisection policy
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig
     )
@@ -151,12 +151,6 @@ class MiningConfig:
             method = "fork" if "fork" in methods else methods[0]
         return multiprocessing.get_context(method)
 
-    @property
-    def supervised(self) -> bool:
-        """Whether shard tasks run in supervised worker processes."""
-        return (self.resolve_jobs() > 1
-                or self.supervision.wants_supervision)
-
 
 # ----------------------------------------------------------------------
 # shard work (module-level so everything pickles under any start method)
@@ -169,9 +163,9 @@ class AnalyzeTask:
     config: PipelineConfig
     shard_id: int
     items: Tuple[Unit, ...]
-    #: process-level fault injection; rides on the payload (not the
-    #: pipeline config) so it can never perturb the store fingerprint
-    chaos: Optional[ChaosPlan] = None
+    #: the armed fault plan; rides on the payload (not the pipeline
+    #: config) so it can never perturb the store fingerprint
+    faults: FaultPlan = field(default_factory=FaultPlan)
     #: send each program to the parent as it settles (the parent
     #: journals it), so a kill loses at most the program in flight
     stream: bool = False
@@ -181,8 +175,9 @@ def _analyze_shard(
     config: PipelineConfig,
     shard_id: int,
     items: Sequence[Unit],
-    before=None,
     settled=None,
+    faults: Optional[FaultPlan] = None,
+    attempt: Optional[int] = None,
 ) -> ShardPartial:
     """Analyse one shard's programs with the corpus executor.
 
@@ -191,9 +186,9 @@ def _analyze_shard(
     here.  ``settled(result)`` runs with each program's
     :func:`_settled` result as it settles: the in-process engine
     journals it there and a worker sends it to the parent, so a run
-    killed mid-shard keeps everything that completed.  ``before`` is
-    threaded into the executor as its pre-program hook (the
-    supervisor's chaos probe).
+    killed mid-shard keeps everything that completed.  ``faults`` and
+    ``attempt`` go to the executor: a worker passes the plan its task
+    carried and the task attempt, the parent no attempt.
     """
     started = time.monotonic()
     partial = ShardPartial.empty(shard_id)
@@ -229,12 +224,13 @@ def _analyze_shard(
         if settled is not None:
             settled(_settled(partial, key, entry))
 
-    executor = CorpusExecutor(config.pointsto, config.history, config.runtime)
+    executor = CorpusExecutor(config.pointsto, config.history,
+                              config.runtime, faults=faults)
     report = executor.run(
         [program for _, _, program in items],
         keys=[key for _, key, _ in items],
         sink=sink,
-        before=before,
+        attempt=attempt,
     )
     partial.outcomes.extend(report.outcomes)
     partial.manifest.merge(report.manifest)
@@ -262,13 +258,16 @@ def _settled(partial: ShardPartial, key: str,
             partial.records[key], n_events, n_edges)
 
 
-def _supervised_analyze(payload: AnalyzeTask, attempt: int) -> ShardPartial:
-    before = payload.chaos.probe(attempt) if payload.chaos is not None \
-        else None
-    return _analyze_shard(
-        payload.config, payload.shard_id, payload.items, before=before,
-        settled=send_interim if payload.stream else None,
-    )
+def _supervised_analyze(payload: AnalyzeTask, attempt: int):
+    try:
+        return _analyze_shard(
+            payload.config, payload.shard_id, payload.items,
+            settled=send_interim if payload.stream else None,
+            faults=payload.faults, attempt=attempt,
+        )
+    except CorruptResult as corrupt:
+        # an ordinary reply that fails the parent's validator
+        return str(corrupt)
 
 
 def _split_analyze(payload: AnalyzeTask):
@@ -318,7 +317,9 @@ class MiningEngine:
         t0 = time.monotonic()
         jobs = self.mining.resolve_jobs()
         distributed = self.coordinator is not None
-        supervised = self.mining.supervised or distributed
+        faults = armed()
+        supervised = (jobs > 1 or distributed or faults.has_worker_faults
+                      or self.mining.supervision.wants_supervision)
         ledger = FailureLedger() if supervised else None
         if distributed:
             self.coordinator.configure(
@@ -363,7 +364,8 @@ class MiningEngine:
         supervisor = self.coordinator
         if supervised and not distributed:
             supervisor = self._local_supervisor(
-                jobs, sum(len(items) for _, items in tasks), ledger)
+                jobs, sum(len(items) for _, items in tasks), ledger,
+                faults.has_worker_faults)
 
         try:
             # phase 1: map-analyze ------------------------------------
@@ -373,7 +375,7 @@ class MiningEngine:
                 partials = supervisor.run_phase(
                     "analyze",
                     [(sid, AnalyzeTask(self.config, sid, tuple(items),
-                                       self.mining.supervision.chaos,
+                                       faults=faults,
                                        stream=journal is not None))
                      for sid, items in tasks],
                     runner=_supervised_analyze,
@@ -386,7 +388,7 @@ class MiningEngine:
                 partials = [
                     _analyze_shard(self.config, sid, items,
                                    settled=journal.put if journal
-                                   else None)
+                                   else None, faults=faults)
                     for sid, items in tasks
                 ]
             partials = list(partials) + store_partials
@@ -449,26 +451,24 @@ class MiningEngine:
         )
 
     def _local_supervisor(self, jobs: int, n_programs: int,
-                          ledger: Optional[FailureLedger]) -> ShardSupervisor:
+                          ledger: Optional[FailureLedger],
+                          worker_faults: bool) -> ShardSupervisor:
         """The worker pool for the ``n_programs`` this run analyses."""
         # coalescing floor: pack small shard tasks until one frame
         # carries ~a worker's fair share of the programs to analyse, so
-        # dispatch round trips scale with jobs, not shards.  Chaos runs
-        # keep one task per frame — fault injection (and the tests
-        # asserting its exact attempt counts) target single tasks.
-        batch = 0
-        if self.mining.supervision.chaos is None:
-            batch = max(1, -(-n_programs // jobs))
+        # dispatch round trips scale with jobs, not shards.  Runs with
+        # worker faults keep one task per frame — a fault (and the
+        # tests asserting its exact attempt counts) targets single tasks.
+        batch = 0 if worker_faults else max(1, -(-n_programs // jobs))
         # the pool never oversubscribes the host: extra CPU-bound
         # workers on a smaller machine only add fork and timeshare
         # overhead.  Shard count (and therefore results) still follows
         # --jobs — specs are byte-identical for any worker count by
-        # construction.  Chaos runs keep the full pool: fault injection
-        # targets the requested worker topology (kill one worker, lose
-        # one worker's tasks).
-        pool_jobs = max(1, min(jobs, os.cpu_count() or jobs))
-        if self.mining.supervision.chaos is not None:
-            pool_jobs = jobs
+        # construction.  Runs with worker faults keep the full pool: a
+        # fault targets the requested worker topology (kill one worker,
+        # lose one worker's tasks).
+        pool_jobs = jobs if worker_faults \
+            else max(1, min(jobs, os.cpu_count() or jobs))
         return ShardSupervisor(
             self.mining.resolve_context(), pool_jobs,
             self.mining.supervision,

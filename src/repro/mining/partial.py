@@ -171,7 +171,8 @@ class MiningReport:
     shards: List[ShardMetrics] = field(default_factory=list)
     analyzed_keys: List[str] = field(default_factory=list)
     #: supervision history (retries, bisections, poisoned programs);
-    #: None when the run was unsupervised (sequential, no chaos)
+    #: None when the run was unsupervised (sequential, no worker
+    #: faults, no deadline)
     ledger: Optional["FailureLedger"] = None
     #: whether shard tasks ran in supervised worker processes
     supervised: bool = False

@@ -33,8 +33,8 @@ killed attempt contributes nothing (workers never write to disk; the
 parent persists each result as it settles), a retried attempt
 recomputes the same per-program values, and bisected halves produce the
 same mergeable partials the whole shard would have — so specs and
-manifest stay byte-identical with chaos on or off, for any ``--jobs``
-and ``--shards``, modulo the quarantined toxic programs.
+manifest stay byte-identical with worker faults on or off, for any
+``--jobs`` and ``--shards``, modulo the quarantined toxic programs.
 
 ``strict=True`` keeps fail-fast semantics: a typed error shipped back
 by a worker re-raises in the parent with its type intact (``--strict``
@@ -67,7 +67,6 @@ from repro.runtime.errors import (
     WorkerCrash,
     WorkerTimeout,
 )
-from repro.runtime.faults import ChaosPlan, CorruptResult
 
 #: attempt outcomes recorded in the ledger
 OUTCOME_OK = "ok"
@@ -106,8 +105,6 @@ class SupervisionConfig:
     #: an OK attempt slower than this fraction of the deadline is
     #: counted as a straggler in the ledger
     straggler_fraction: float = 0.5
-    #: deterministic process-level fault injection (kill/hang/corrupt)
-    chaos: Optional[ChaosPlan] = None
 
     def backoff(self, attempt: int) -> float:
         """Cooldown before retry ``attempt`` (1-based) of a task."""
@@ -122,12 +119,11 @@ class SupervisionConfig:
     def wants_supervision(self) -> bool:
         """True if this config only makes sense with worker processes.
 
-        Chaos must be able to kill a process without killing the run,
-        and a deadline needs a watchdog outside the worker — both force
-        the engine onto the supervised path even for ``--jobs 1``.
+        A deadline needs a watchdog outside the worker, so it forces
+        the engine onto the supervised path even for ``--jobs 1`` (as
+        worker faults in the armed plan do).
         """
-        return (bool(self.chaos) or self.shard_deadline is not None
-                or self.adaptive_deadline)
+        return self.shard_deadline is not None or self.adaptive_deadline
 
 
 class DeadlineTracker:
@@ -362,22 +358,15 @@ def _run_job(runner, payload, attempt: int) -> Tuple:
     """Execute one task attempt; fold the outcome into a pipe message.
 
     The protocol back to the supervisor is one reply per job, after
-    any interim messages the job sent: ``("ok", result)``,
-    ``("corrupt-partial", text)`` for the
-    deliberately malformed frame a :class:`CorruptResult` produces, or
+    any interim messages the job sent: ``("ok", result)``, or
     ``("error", exc)`` with the typed exception (downgraded to a
     ``RuntimeError`` if unpicklable).  The *absence* of a message when
     the process dies is a supervision failure, not a result.
     """
     try:
         return ("ok", runner(payload, attempt))
-    except CorruptResult as marker:
-        # simulate a worker whose result pipe carries garbage
-        return ("corrupt-partial", str(marker))
     except BaseException as err:  # ships typed errors to the parent
         try:
-            import pickle
-
             pickle.dumps(err)
             return ("error", err)
         except Exception:
@@ -655,8 +644,8 @@ class ShardSupervisor(TaskScheduler):
         #: coalescing floor: first-attempt tasks are packed into one
         #: round trip until the frame carries at least this many
         #: programs (0 disables batching; the engine passes 0 whenever
-        #: chaos is active so fault injection still sees one task per
-        #: frame)
+        #: the armed plan has worker faults, so a fault still sees one
+        #: task per frame)
         self.batch_programs = max(0, batch_programs)
 
     # ------------------------------------------------------------------
@@ -973,13 +962,12 @@ class ShardSupervisor(TaskScheduler):
         of every frame is shape-revalidated, later ones skip the
         validator on the warm path — they were produced by the same
         healthy worker in the same round trip, so one validation
-        vouches for the frame (strict mode and chaos runs keep
-        validating every reply).
+        vouches for the frame (strict mode keeps validating every
+        reply; runs with worker faults send one task per frame).
         """
         if (isinstance(reply, tuple) and len(reply) == 2
                 and reply[0] == "ok"):
-            if (index == 0 or self.strict
-                    or self.supervision.chaos is not None):
+            if index == 0 or self.strict:
                 self.dispatch.n_validations += 1
                 valid = validator(reply[1])
             else:

@@ -4,9 +4,9 @@ Corpus-scale mining must survive individual-program blow-ups: this
 package provides resource :class:`~repro.runtime.budget.Budget` limits
 enforced inside the solver and history builder, a precision
 degradation ladder, structured quarantine manifests with a typed error
-taxonomy, and deterministic fault injection so all of it is testable.
-A killed run resumes through the mining engine's durable store
-(:mod:`repro.store`).
+taxonomy, and one deterministic fault plan (:mod:`repro.runtime.faults`)
+so all of it is testable.  A killed run resumes through the mining
+engine's durable store (:mod:`repro.store`).
 """
 
 from repro.runtime.budget import Budget, BudgetMeter
@@ -38,16 +38,12 @@ from repro.runtime.executor import (
     RuntimeConfig,
 )
 from repro.runtime.faults import (
-    CHAOS_CORRUPT,
-    CHAOS_HANG,
-    CHAOS_KILL,
-    CHAOS_MODES,
-    ChaosPlan,
-    ChaosSpec,
-    CorruptResult,
     FaultPlan,
     FaultSpec,
+    SimulatedCrash,
     STAGES,
+    arm,
+    armed,
 )
 from repro.runtime.ladder import (
     DEFAULT_LADDER,
@@ -68,13 +64,8 @@ __all__ = [
     "BudgetMeter",
     "BudgetExceeded",
     "BUDGET_EXCEEDED",
-    "CHAOS_CORRUPT",
-    "CHAOS_HANG",
-    "CHAOS_KILL",
-    "CHAOS_MODES",
-    "ChaosPlan",
-    "ChaosSpec",
-    "CorruptResult",
+    "arm",
+    "armed",
     "classify_error",
     "CorpusExecutor",
     "CorpusRunReport",
@@ -94,6 +85,7 @@ __all__ = [
     "READ_FAILURE",
     "RuntimeConfig",
     "RuntimeFault",
+    "SimulatedCrash",
     "SolverCrash",
     "SOLVER_CRASH",
     "STAGES",

@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 
 from repro.ir.program import Program
-from repro.store.faults import (
+from repro.runtime.faults import (
     POINT_POST_RENAME,
     POINT_PRE_FSYNC,
     POINT_PRE_RENAME,
@@ -47,8 +47,8 @@ def atomic_write_bytes(path: Path, payload: bytes,
     the parent directory is fsynced after it, so a power loss
     immediately after return cannot lose the write — the discipline the
     journal snapshot and specs writers opt into.  The crash hooks mark
-    the injection matrix for the recovery tests; they are no-ops unless
-    a :class:`~repro.store.faults.CrashPlan` is armed.
+    the write points of :mod:`repro.runtime.faults`; they are no-ops
+    unless an armed plan names one.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

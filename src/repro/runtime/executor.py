@@ -12,8 +12,9 @@ harness that:
 * quarantines programs that fail every tier into a structured
   :class:`~repro.runtime.manifest.QuarantineManifest` with an error
   taxonomy and the complete tier-attempt trail;
-* consults a :class:`~repro.runtime.faults.FaultPlan` at each stage so
-  all of the above is deterministically testable.
+* consults a :class:`~repro.runtime.faults.FaultPlan` at each stage,
+  and before each program of a worker task, so all of the above is
+  deterministically testable.
 
 ``strict=True`` disables containment: the first error of the first
 tier propagates, which is what you want in CI over a curated corpus.
@@ -48,15 +49,13 @@ class RuntimeConfig:
 
     The default policy is containment without budgets: analysis errors
     degrade down the ladder and quarantine instead of raising, but no
-    resource limits apply.  Set ``budget`` to bound per-program work,
-    ``strict=True`` to fail fast instead, and ``faults`` to inject
-    failures for testing.
+    resource limits apply.  Set ``budget`` to bound per-program work
+    and ``strict=True`` to fail fast instead.
     """
 
     budget: Budget = Budget()
     ladder: Tuple[LadderTier, ...] = DEFAULT_LADDER
     strict: bool = False
-    faults: Optional[FaultPlan] = None
 
 
 #: per-program completion callback: (outcome, bundle, quarantine entry)
@@ -125,8 +124,9 @@ class CorpusRunReport:
 class CorpusExecutor:
     """Runs corpus analysis under a :class:`RuntimeConfig` policy.
 
-    ``clock`` is injectable for deterministic timings in tests; it must
-    be monotone.
+    ``faults`` is the plan whose stage and worker faults this executor
+    fires (default: none).  ``clock`` is injectable for deterministic
+    timings in tests; it must be monotone.
     """
 
     def __init__(
@@ -135,12 +135,13 @@ class CorpusExecutor:
         history: Optional[HistoryOptions] = None,
         runtime: Optional[RuntimeConfig] = None,
         clock: Optional[Clock] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.pointsto = pointsto or PointsToOptions()
         self.history = history or HistoryOptions()
         self.runtime = runtime or RuntimeConfig()
         self.clock: Clock = clock or time.monotonic
-        self._faults = self.runtime.faults or FaultPlan()
+        self.faults = faults or FaultPlan()
 
     # ------------------------------------------------------------------
 
@@ -149,7 +150,7 @@ class CorpusExecutor:
         programs: Sequence[Program],
         keys: Optional[Sequence[str]] = None,
         sink: Optional[ProgramSink] = None,
-        before: Optional[Callable[[str], None]] = None,
+        attempt: Optional[int] = None,
     ) -> CorpusRunReport:
         """Analyse ``programs``; optionally under explicit ``keys``.
 
@@ -166,11 +167,10 @@ class CorpusExecutor:
         the store at once, so a run killed mid-shard keeps everything
         completed before the kill.
 
-        ``before(key)`` fires just before a program is computed and runs
-        outside the per-program containment: exceptions it raises — and
-        process-level chaos it performs — abort the whole call.  The
-        mining supervisor uses it to inject worker kills/hangs at a
-        chosen program.
+        ``attempt`` is the attempt number of the worker task this call
+        serves.  Given one, the plan's worker faults fire before each
+        program, outside the per-program containment; the parent passes
+        none, so it never trips a worker fault.
         """
         if keys is not None and len(keys) != len(programs):
             raise ValueError(
@@ -179,8 +179,8 @@ class CorpusExecutor:
         report = CorpusRunReport()
         for index, program in enumerate(programs):
             key = keys[index] if keys is not None else program_key(program, index)
-            if before is not None:
-                before(key)
+            if attempt is not None:
+                self.faults.fire_worker(key, attempt)
             outcome, bundle = self._run_program(program, key)
             report.outcomes.append(outcome)
             entry: Optional[QuarantineEntry] = None
@@ -205,10 +205,11 @@ class CorpusExecutor:
         ladder = self.runtime.ladder[:1] if self.runtime.strict \
             else self.runtime.ladder
         result: Optional[GraphBundle] = None
-        for tier in ladder:
+        for index, tier in enumerate(ladder):
             tier_started = self.clock()
             try:
-                bundle = self._analyze_tier(program, key, tier, budget)
+                bundle = self._analyze_tier(program, key, tier, index,
+                                            budget)
             except Exception as err:
                 if self.runtime.strict:
                     raise
@@ -229,15 +230,16 @@ class CorpusExecutor:
         return outcome, result
 
     def _analyze_tier(
-        self, program: Program, key: str, tier: LadderTier, budget: Budget
+        self, program: Program, key: str, tier: LadderTier, index: int,
+        budget: Budget,
     ) -> GraphBundle:
         opts = replace(tier.apply(self.pointsto), budget=budget)
         hist_opts = replace(self.history, budget=budget)
-        self._faults.fire(key, "pointsto", tier.name)
+        self.faults.fire_stage(key, "pointsto", index)
         result = analyze(program, options=opts)
-        self._faults.fire(key, "history", tier.name)
+        self.faults.fire_stage(key, "history", index)
         histories = HistoryBuilder(program, result, hist_opts).build()
-        self._faults.fire(key, "graph", tier.name)
+        self.faults.fire_stage(key, "graph", index)
         return GraphBundle.of(program, build_event_graph(histories))
 
     def _quarantine_entry(

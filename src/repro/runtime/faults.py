@@ -1,221 +1,227 @@
-"""Deterministic fault injection for the execution harness.
+"""Deterministic fault injection: one plan, one grammar.
 
-The degradation ladder and quarantine manifest are only trustworthy if
-they are testable, and real solver blow-ups are awkward to stage on
-demand.  A :class:`FaultPlan` deterministically injects a typed
-exception (or synthetic budget exhaustion) into chosen
-``(program, stage, tier)`` points of the
-:class:`~repro.runtime.executor.CorpusExecutor`; matching is by plain
-substring/equality, never randomness, so every run of the same plan
-fails identically.
+A :class:`FaultPlan` holds specs ``where:match[:n]``, joined by ``;``
+in the CLI's ``USPEC_FAULTS`` variable:
 
-Stages the executor probes: ``pointsto``, ``history``, ``graph``.
+* **stage fault** (``pointsto``, ``history``, ``graph``; ``match`` is a
+  program-key substring): the executor raises the spec's taxonomy
+  ``error`` at that stage on the first ``n`` ladder tiers (all without
+  ``n``);
+* **worker fault** (``kill``, ``hang``, ``corrupt``): the worker that
+  reaches a matching program exits 137, stalls, or replies with a
+  result the parent's validator rejects, on the first ``n`` task
+  attempts (a toxic program without ``n``);
+* **write point** (``write``, ``pre-fsync``, ``pre-rename``,
+  ``post-rename``; ``match`` is a destination-path substring): a
+  durable writer crashes there once, ``write:match:n`` after ``n``
+  payload bytes reached the file.
 
-A second, *process-level* injection layer serves the mining
-supervisor: a :class:`ChaosPlan` deterministically kills, hangs, or
-corrupts a **worker process** when it reaches a chosen program, so the
-supervisor's watchdog/retry/bisection machinery is testable without
-staging real segfaults.  Like :class:`FaultPlan`, matching is by plain
-substring plus the task attempt counter — never randomness — so every
-run of the same plan fails identically.
+Matching is a substring plus the tier or attempt counter, never
+randomness.  A process arms one plan (:func:`arm`), which durable
+writers read; workers fire stage and worker faults only from the plan
+their task carried.  This module imports only
+:mod:`repro.runtime.errors`, so durable writers can use it without an
+import cycle.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import IO, Iterator, Optional, Sequence, Tuple
 
 from repro.runtime.errors import (
     BUDGET_EXCEEDED,
     FAULT_CLASSES,
+    SOLVER_CRASH,
+    TAXONOMY,
     BudgetExceeded,
     RuntimeFault,
-    TAXONOMY,
 )
 
-#: Stages at which the executor fires injection probes.
+#: analysis stages the executor probes
 STAGES = ("pointsto", "history", "graph")
+#: worker faults: die, stop making progress, or reply with garbage
+WORKER_FAULTS = ("kill", "hang", "corrupt")
+#: durable-write transitions every writer crosses
+POINT_WRITE = "write"            # after n bytes of the payload write
+POINT_PRE_FSYNC = "pre-fsync"    # after write, before fsync
+POINT_PRE_RENAME = "pre-rename"  # after tmp fsync, before rename
+POINT_POST_RENAME = "post-rename"  # after rename, before dir fsync
+WRITE_POINTS = (POINT_WRITE, POINT_PRE_FSYNC, POINT_PRE_RENAME,
+                POINT_POST_RENAME)
+
+#: exit status of every injected death, like a SIGKILLed process
+KILL_EXIT_CODE = 137
+
+
+class SimulatedCrash(BaseException):
+    """An in-process write crash.  Deliberately not an ``Exception`` so
+    that writer-local recovery code cannot catch it by accident."""
+
+
+class CorruptResult(Exception):
+    """Raised by a ``corrupt`` worker fault.  The mining runner replies
+    with its text in place of a result, which the parent's validator
+    rejects."""
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injection point.
+    """One injection point, ``where:match[:n]``; ``error`` is the
+    taxonomy label a stage fault raises (the grammar does not spell it)."""
 
-    ``program`` is matched as a substring of the program key (source
-    path or synthetic key); ``stage`` must equal one of
-    :data:`STAGES` or be ``None`` for any stage; ``tiers`` restricts the
-    fault to specific ladder tier names (``None`` = every tier).
-    ``error`` is a taxonomy label from
-    :data:`repro.runtime.errors.TAXONOMY`.
-    """
-
-    program: str
-    error: str
-    stage: Optional[str] = None
-    tiers: Optional[FrozenSet[str]] = None
-    message: str = "injected fault"
+    where: str
+    match: str
+    n: Optional[int] = None
+    error: str = SOLVER_CRASH
 
     def __post_init__(self) -> None:
+        kinds = STAGES + WORKER_FAULTS + WRITE_POINTS
+        if self.where not in kinds:
+            raise ValueError(f"unknown fault {self.where!r}; expected "
+                             f"one of {', '.join(kinds)}")
+        if not self.match:
+            raise ValueError(f"fault {self.where!r} needs a match")
+        if self.where == POINT_WRITE:
+            if self.n is None or self.n < 0:
+                raise ValueError("fault 'write' needs a byte count >= 0")
+        elif self.where in WRITE_POINTS:
+            if self.n is not None:
+                raise ValueError(f"fault {self.where!r} takes no count")
+        elif self.n is not None and self.n < 1:
+            raise ValueError(f"fault {self.where!r} needs a count >= 1 "
+                             f"(omit it to fail every time)")
         if self.error not in TAXONOMY:
-            raise ValueError(
-                f"unknown taxonomy label {self.error!r}; "
-                f"expected one of {TAXONOMY}"
-            )
+            raise ValueError(f"unknown taxonomy label {self.error!r}; "
+                             f"expected one of {TAXONOMY}")
 
-    def matches(self, program_key: str, stage: str, tier: str) -> bool:
-        if self.program not in program_key:
-            return False
-        if self.stage is not None and self.stage != stage:
-            return False
-        if self.tiers is not None and tier not in self.tiers:
-            return False
-        return True
+    @classmethod
+    def parse(cls, text: str) -> "FaultSpec":
+        parts = text.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(
+                f"malformed fault spec {text!r}; expected where:match[:n]")
+        try:
+            n = int(parts[2]) if len(parts) == 3 else None
+        except ValueError:
+            raise ValueError(f"malformed fault spec {text!r}: "
+                             f"{parts[2]!r} is not an integer") from None
+        return cls(parts[0], parts[1], n)
+
+    def hits(self, key: str, counter: int) -> bool:
+        return self.match in key and (self.n is None or counter < self.n)
 
     def raise_fault(self, stage: str) -> None:
         if self.error == BUDGET_EXCEEDED:
             raise BudgetExceeded("injected", 1, 0, stage=stage)
-        message = f"{self.message} (stage: {stage})"
-        cls = FAULT_CLASSES.get(self.error)
-        if cls is not None:
-            raise cls(message, stage=stage)
-        err = RuntimeFault(message, stage=stage)
-        err.kind = self.error  # labels without a dedicated class
+        err = FAULT_CLASSES.get(self.error, RuntimeFault)(
+            f"injected fault (stage: {stage})", stage=stage)
+        err.kind = self.error  # for labels without a dedicated class
         raise err
 
 
 class FaultPlan:
     """An ordered collection of :class:`FaultSpec` injection points."""
 
-    def __init__(self, faults: Sequence[FaultSpec] = ()) -> None:
-        self.faults: Tuple[FaultSpec, ...] = tuple(faults)
+    def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
+        self.specs: Tuple[FaultSpec, ...] = tuple(specs)
+        #: write points not yet fired
+        self._writes = [s for s in self.specs if s.where in WRITE_POINTS]
 
-    def fire(self, program_key: str, stage: str, tier: str) -> None:
-        """Raise the first matching fault, if any."""
-        for fault in self.faults:
-            if fault.matches(program_key, stage, tier):
-                fault.raise_fault(stage)
+    @classmethod
+    def parse(cls, text: str) -> "FaultPlan":
+        """Parse ``spec;spec;...`` (empty text: no faults)."""
+        return cls([FaultSpec.parse(part) for part in text.split(";")
+                    if part])
 
-    def __bool__(self) -> bool:
-        return bool(self.faults)
+    @property
+    def has_worker_faults(self) -> bool:
+        return any(s.where in WORKER_FAULTS for s in self.specs)
 
-    def __repr__(self) -> str:
-        return f"<FaultPlan {len(self.faults)} faults>"
+    def fire_stage(self, key: str, stage: str, tier: int) -> None:
+        """Raise the first stage fault on ``key`` at ``stage`` for
+        ladder tier number ``tier`` (0-based), if any."""
+        for spec in self.specs:
+            if spec.where == stage and spec.hits(key, tier):
+                spec.raise_fault(stage)
+
+    def fire_worker(self, key: str, attempt: int) -> None:
+        """Trip the first worker fault on ``key`` for task attempt
+        number ``attempt`` (0-based), if any."""
+        for spec in self.specs:
+            if spec.where not in WORKER_FAULTS or not spec.hits(key, attempt):
+                continue
+            if spec.where == "kill":
+                os._exit(KILL_EXIT_CODE)
+            if spec.where == "hang":
+                while True:  # until the parent's deadline reclaims us
+                    time.sleep(60.0)
+            raise CorruptResult(f"corrupt result injected at {key}")
+
+    def take_write(self, point: str, path: str,
+                   size: Optional[int] = None) -> Optional[FaultSpec]:
+        """Spend the first write point ``point`` on ``path``, if any; a
+        ``write`` point only for a payload it leaves torn."""
+        for spec in self._writes:
+            if (spec.where == point and spec.match in path
+                    and (size is None or spec.n < size)):
+                self._writes.remove(spec)
+                return spec
+        return None
 
 
 # ----------------------------------------------------------------------
-# process-level chaos (consumed by the mining shard supervisor)
+# the process's armed plan, read by durable writers
 
-#: The worker dies instantly, bypassing all exception handling — the
-#: parent sees an EOF on the result pipe, exactly as for a segfault or
-#: an OOM kill.
-CHAOS_KILL = "kill"
-#: The worker stops making progress; only the supervisor's wall-clock
-#: deadline can reclaim it.
-CHAOS_HANG = "hang"
-#: The worker completes but its result pipe carries garbage instead of
-#: a shard partial.
-CHAOS_CORRUPT = "corrupt"
-
-CHAOS_MODES = (CHAOS_KILL, CHAOS_HANG, CHAOS_CORRUPT)
-
-#: Exit code of a chaos-killed worker (distinguishable from a clean 0
-#: and from Python's uncaught-exception 1 in supervisor diagnostics).
-CHAOS_EXIT_CODE = 86
+_armed = FaultPlan()
+_exit_on_crash = False
 
 
-class CorruptResult(Exception):
-    """Control-flow marker: the worker must send a corrupted payload.
+@contextmanager
+def arm(plan: FaultPlan, *,
+        exit_on_crash: bool = False) -> Iterator[FaultPlan]:
+    """Arm ``plan`` for this process while the block runs.
 
-    Raised by :meth:`ChaosSpec.trip`, caught at the worker entry point
-    (never by the analysis containment machinery), which then ships
-    deliberately malformed bytes to the supervisor.
+    A write crash raises :class:`SimulatedCrash`, or with
+    ``exit_on_crash`` ends the process by ``os._exit(137)``, which
+    skips ``atexit`` and ``finally`` blocks the way a real crash would.
     """
+    global _armed, _exit_on_crash
+    previous = _armed, _exit_on_crash
+    _armed, _exit_on_crash = plan, exit_on_crash
+    try:
+        yield plan
+    finally:
+        _armed, _exit_on_crash = previous
 
 
-@dataclass(frozen=True)
-class ChaosSpec:
-    """One process-level injection point.
-
-    ``program`` is matched as a substring of the program key, exactly
-    like :class:`FaultSpec`.  ``until_attempt`` bounds the blast
-    radius: the spec fires only while the shard task's attempt counter
-    is below it, so ``until_attempt=1`` models a *transient* failure
-    (first attempt dies, the retry succeeds) while ``None`` models a
-    *toxic* program that kills every worker that touches it and can
-    only be removed by bisection + quarantine.
-    """
-
-    program: str
-    mode: str
-    until_attempt: Optional[int] = None
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in CHAOS_MODES:
-            raise ValueError(
-                f"unknown chaos mode {self.mode!r}; "
-                f"expected one of {CHAOS_MODES}"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "ChaosSpec":
-        """Parse the CLI form ``mode:program[:until_attempt]``."""
-        parts = text.split(":")
-        if (len(parts) not in (2, 3) or not parts[0] or not parts[1]
-                or (len(parts) == 3 and not parts[2].isdigit())):
-            raise ValueError(
-                f"malformed chaos spec {text!r}; "
-                f"expected mode:program[:until_attempt]"
-            )
-        until = int(parts[2]) if len(parts) == 3 else None
-        return cls(program=parts[1], mode=parts[0], until_attempt=until)
-
-    def matches(self, program_key: str, attempt: int) -> bool:
-        if self.program not in program_key:
-            return False
-        if self.until_attempt is not None and attempt >= self.until_attempt:
-            return False
-        return True
-
-    def trip(self) -> None:
-        """Perform the injected failure inside the worker process."""
-        if self.mode == CHAOS_KILL:
-            os._exit(CHAOS_EXIT_CODE)
-        if self.mode == CHAOS_HANG:
-            time.sleep(self.hang_seconds)
-            os._exit(CHAOS_EXIT_CODE)  # deadline should reclaim us first
-        raise CorruptResult(self.program)
+def armed() -> FaultPlan:
+    """The plan armed in this process (empty when none is)."""
+    return _armed
 
 
-class ChaosPlan:
-    """An ordered collection of :class:`ChaosSpec` injection points."""
+def _crash(point: str, path: str) -> None:
+    if _exit_on_crash:
+        os._exit(KILL_EXIT_CODE)
+    raise SimulatedCrash(f"crash at {point} of {path}")
 
-    def __init__(self, specs: Sequence[ChaosSpec] = ()) -> None:
-        self.specs: Tuple[ChaosSpec, ...] = tuple(specs)
 
-    def fire(self, program_key: str, attempt: int) -> None:
-        """Trip the first matching spec, if any."""
-        for spec in self.specs:
-            if spec.matches(program_key, attempt):
-                spec.trip()
+def crash_hook(point: str, path: os.PathLike | str) -> None:
+    """Mark a write point in a durable writer."""
+    if _armed.take_write(point, str(path)) is not None:
+        _crash(point, str(path))
 
-    def probe(self, attempt: int):
-        """A per-program callback bound to one task attempt, or None.
 
-        The mining worker threads this into
-        :meth:`~repro.runtime.executor.CorpusExecutor.run` as its
-        ``before`` hook, so chaos strikes exactly when the worker
-        *reaches* the matching program — earlier programs of the shard
-        have already been analysed and persisted.
-        """
-        if not self.specs:
-            return None
-        return lambda key: self.fire(key, attempt)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def __repr__(self) -> str:
-        return f"<ChaosPlan {len(self.specs)} specs>"
+def checked_write(handle: IO[bytes], payload: bytes,
+                  path: os.PathLike | str) -> None:
+    """Write ``payload``, honouring an armed ``write`` point: its ``n``
+    bytes are flushed (they "reached disk") before the crash."""
+    spec = _armed.take_write(POINT_WRITE, str(path), len(payload))
+    if spec is not None:
+        handle.write(payload[:spec.n])
+        handle.flush()
+        _crash(POINT_WRITE, str(path))
+    handle.write(payload)

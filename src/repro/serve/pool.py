@@ -234,10 +234,6 @@ class AnalysisPool:
                 return
             if not future.done():
                 future.set_result(value)
-        elif status == "corrupt-partial":
-            self._fail_job(future, WorkerCrash(
-                f"{CORRUPT_PREFIX} from {label}: {value}",
-            ))
         elif status == "error" and isinstance(value, BaseException):
             self._fail_job(future, value)
         else:

@@ -39,6 +39,7 @@ from repro.runtime.executor import (
     CorpusRunReport,
     RuntimeConfig,
 )
+from repro.runtime.faults import armed
 from repro.specs.candidates import CandidateExtraction, extract_candidates
 from repro.specs.patterns import Spec, SpecSet
 from repro.specs.scoring import Scorer, average_top_k, score_candidates
@@ -121,10 +122,12 @@ class USpecPipeline:
         Per-program failures degrade down the precision ladder and end
         up quarantined in ``report.manifest`` rather than raising (see
         :mod:`repro.runtime`); with ``runtime.strict=True`` the first
-        failure propagates instead.
+        failure propagates instead.  The stage faults of the armed
+        fault plan fire here.
         """
         executor = CorpusExecutor(
-            self.config.pointsto, self.config.history, self.config.runtime
+            self.config.pointsto, self.config.history, self.config.runtime,
+            faults=armed(),
         )
         return executor.run(programs)
 

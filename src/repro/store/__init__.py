@@ -1,7 +1,5 @@
 """repro.store: durable, crash-consistent state for the pipeline.
 
-* :mod:`repro.store.faults` — deterministic crash-point injection
-  (``CrashPlan``), threaded under every durable writer.
 * :mod:`repro.store.journal` — CRC-framed append-only record journal
   with torn-tail truncation and typed corrupt-record quarantine.
 * :mod:`repro.store.snapshot` — CRC-guarded durable pickled snapshots.
@@ -11,53 +9,29 @@
   pipeline and program fingerprint, plus per-generation spec history
   for drift reporting.
 
-Submodules are re-exported lazily (PEP 562): ``repro.runtime.checkpoint``
-imports :mod:`repro.store.faults`, and eager imports here would close
-that into a cycle (journal/snapshot build on the checkpoint writers).
+Every durable writer crosses the write points of
+:mod:`repro.runtime.faults`, so an armed fault plan can crash it at
+any of them.
 """
-from repro.store.faults import (  # the stdlib-only leaf: safe to eager
-    CRASH_POINTS,
-    CrashPlan,
-    CrashSpec,
-    SimulatedCrash,
-    active_plan,
-    crash_hook,
-    install_crash_plan,
-    install_crash_plan_from_env,
+from repro.store.journal import QuarantinedRecord, RecordJournal, RecoveryReport
+from repro.store.snapshot import (
+    SnapshotCorrupt,
+    load_snapshot,
+    read_snapshot,
+    write_snapshot,
 )
-
-_LAZY = {
-    "QuarantinedRecord": "repro.store.journal",
-    "RecordJournal": "repro.store.journal",
-    "RecoveryReport": "repro.store.journal",
-    "SnapshotCorrupt": "repro.store.snapshot",
-    "load_snapshot": "repro.store.snapshot",
-    "read_snapshot": "repro.store.snapshot",
-    "write_snapshot": "repro.store.snapshot",
-    "SpecDrift": "repro.store.stats",
-    "StatsStore": "repro.store.stats",
-    "StoredProgram": "repro.store.stats",
-    "spec_key": "repro.store.stats",
-}
+from repro.store.stats import SpecDrift, StatsStore, StoredProgram, spec_key
 
 __all__ = [
-    "CRASH_POINTS",
-    "CrashPlan",
-    "CrashSpec",
-    "SimulatedCrash",
-    "active_plan",
-    "crash_hook",
-    "install_crash_plan",
-    "install_crash_plan_from_env",
-    *sorted(_LAZY),
+    "QuarantinedRecord",
+    "RecordJournal",
+    "RecoveryReport",
+    "SnapshotCorrupt",
+    "SpecDrift",
+    "StatsStore",
+    "StoredProgram",
+    "load_snapshot",
+    "read_snapshot",
+    "spec_key",
+    "write_snapshot",
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

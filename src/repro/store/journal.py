@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, List, Optional, Tuple
 
 from repro.runtime.checkpoint import fsync_directory
-from repro.store.faults import POINT_PRE_FSYNC, checked_write, crash_hook
+from repro.runtime.faults import POINT_PRE_FSYNC, checked_write, crash_hook
 
 FILE_MAGIC = b"USPJ1\n"
 FRAME_MAGIC = b"\xa5\x5a"

@@ -28,17 +28,11 @@ from repro.mining import MiningConfig
 from repro.specs.candidates import CandidateExtraction, CandidateStats
 from repro.specs.patterns import RetArg, RetSame, SpecSet
 from repro.specs.pipeline import PipelineConfig
-from repro.store.faults import CrashPlan, SimulatedCrash, install_crash_plan
+from repro.runtime import FaultPlan, SimulatedCrash, arm
 
 #: the toy corpus every refinement test runs on (matches CI's
 #: refine-smoke job); seed 7 / 40 files puts 4 candidates in the band
 TOY = dict(n_files=40, seed=7)
-
-
-@pytest.fixture(autouse=True)
-def disarm_crash_plans():
-    yield
-    install_crash_plan(None)
 
 
 @pytest.fixture(scope="module")
@@ -281,10 +275,9 @@ def test_refinement_crash_between_generations_resumes(
 
     # die right after generation 1's state became durable — the
     # "SIGKILL between generations" point
-    install_crash_plan(CrashPlan.parse("post-rename:gen-0001.json"))
-    with pytest.raises(SimulatedCrash):
-        make_engine(registry, store).run(base)
-    install_crash_plan(None)
+    with arm(FaultPlan.parse("post-rename:gen-0001.json")):
+        with pytest.raises(SimulatedCrash):
+            make_engine(registry, store).run(base)
 
     def forbidden(self, *args, **kwargs):
         raise AssertionError("resume must not re-synthesize gen 1")
@@ -306,10 +299,9 @@ def test_refinement_crash_before_state_write_recomputes(
 
     # die before the rename: generation 1's state is lost, so the
     # rerun re-synthesizes it — deterministically, to the same bytes
-    install_crash_plan(CrashPlan.parse("pre-rename:gen-0001.json"))
-    with pytest.raises(SimulatedCrash):
-        make_engine(registry, store).run(base)
-    install_crash_plan(None)
+    with arm(FaultPlan.parse("pre-rename:gen-0001.json")):
+        with pytest.raises(SimulatedCrash):
+            make_engine(registry, store).run(base)
 
     rerun = make_engine(registry, store).run(base)
     assert rerun.resumed_generations == [0]

@@ -1,6 +1,6 @@
 """repro.dist: protocol framing, the loopback coordinator/worker
 cluster, byte-identity with local mining, worker death, lease expiry,
-chaos on workers, speculation, and the distributed CLI."""
+worker faults, speculation, and the distributed CLI."""
 
 import base64
 import contextlib
@@ -37,14 +37,12 @@ from repro.mining.supervisor import SupervisionConfig
 from repro.runtime import (
     Budget,
     BudgetExceeded,
-    ChaosPlan,
-    ChaosSpec,
     FaultPlan,
-    FaultSpec,
     RuntimeConfig,
     SOLVER_CRASH,
+    arm,
 )
-from repro.specs.pipeline import PipelineConfig
+from repro.specs.pipeline import PipelineConfig, USpecPipeline
 from repro.specs.serialize import specs_to_json
 
 
@@ -54,7 +52,7 @@ def java_corpus(n=12, seed=7):
 
 
 def learn(programs, *, coordinator=None, jobs=1, shards=None,
-          store_dir=None, strict=False, chaos=None, max_retries=2,
+          store_dir=None, strict=False, faults="", max_retries=2,
           adaptive_deadline=False, budget=None):
     config = PipelineConfig(runtime=RuntimeConfig(
         strict=strict, budget=budget or Budget(),
@@ -63,14 +61,14 @@ def learn(programs, *, coordinator=None, jobs=1, shards=None,
         max_retries=max_retries,
         adaptive_deadline=adaptive_deadline,
         backoff_base=0.01,  # keep test wall-clock down
-        chaos=ChaosPlan(tuple(chaos)) if chaos else None,
     )
     mining = MiningConfig(
         jobs=jobs, shards=shards,
         store_dir=str(store_dir) if store_dir else None,
         supervision=supervision,
     )
-    return MiningEngine(config, mining, coordinator).learn(programs)
+    with arm(FaultPlan.parse(faults)):
+        return MiningEngine(config, mining, coordinator).learn(programs)
 
 
 def specs_text(learned):
@@ -279,12 +277,11 @@ def test_worker_sigkilled_mid_run_does_not_change_results():
 def test_transient_chaos_kill_on_worker_is_retried():
     programs = java_corpus()
     clean = learn(programs)
-    chaos = [ChaosSpec("corpus_00003", "kill", until_attempt=1)]
-    # chaos kill exits the whole worker daemon (os._exit), so workers
-    # must be processes; the coordinator sees EOF and re-dispatches
+    # a kill exits the whole worker daemon (os._exit), so workers must
+    # be processes; the coordinator sees EOF and re-dispatches
     with cluster(3, processes=True) as (coordinator, _, _):
         dist = learn(programs, coordinator=coordinator, jobs=3,
-                     chaos=chaos)
+                     faults="kill:corpus_00003:1")
     assert specs_text(dist) == specs_text(clean)
     ledger = dist.mining.ledger
     assert ledger.n_worker_crashes >= 1
@@ -296,13 +293,53 @@ def test_transient_chaos_kill_on_worker_is_retried():
 def test_transient_chaos_corrupt_on_worker_is_retried():
     programs = java_corpus()
     clean = learn(programs)
-    chaos = [ChaosSpec("corpus_00002", "corrupt", until_attempt=1)]
-    # corrupt raises in-process (no exit), so thread workers are safe
+    # corrupt replies with garbage (no exit), so thread workers are safe
     with cluster(2) as (coordinator, _, _):
-        dist = learn(programs, coordinator=coordinator, chaos=chaos)
+        dist = learn(programs, coordinator=coordinator,
+                     faults="corrupt:corpus_00002:1")
     assert specs_text(dist) == specs_text(clean)
     assert dist.mining.ledger.n_corrupt_results >= 1
     assert dist.mining.ledger.n_poisoned == 0
+
+
+#: one corrupt reply (first attempt only) and one stage fault (every tier)
+ONE_PLAN = "corrupt:corpus_00002:1;pointsto:corpus_00004"
+
+
+@pytest.fixture(scope="module")
+def one_plan_reference():
+    programs = java_corpus(n=8)
+    with arm(FaultPlan.parse("pointsto:corpus_00004")):
+        reference = USpecPipeline().learn(programs)
+    return programs, reference
+
+
+@pytest.mark.parametrize("topology", [
+    "jobs1", "jobs2", "dist-threads", "dist-processes",
+])
+def test_one_plan_across_every_worker_topology(one_plan_reference,
+                                               topology):
+    """Every worker fires faults from the plan its task carried: pool
+    processes, dist processes and dist threads of a process that armed
+    the plan itself all reproduce the reference pipeline."""
+    programs, reference = one_plan_reference
+    if topology.startswith("jobs"):
+        learned = learn(programs, jobs=int(topology[-1]), faults=ONE_PLAN)
+    else:
+        # no speculative twin of the corrupt attempt: exactly one reply
+        with cluster(2, processes=topology == "dist-processes",
+                     speculate=False) as (coordinator, _, _):
+            learned = learn(programs, coordinator=coordinator,
+                            faults=ONE_PLAN)
+    assert specs_text(learned) == specs_text(reference)
+    assert manifest_text(learned) == manifest_text(reference)
+    (entry,) = learned.run.manifest.entries
+    assert entry.program == "000004:corpus_00004.java"
+    assert entry.error_kind == SOLVER_CRASH
+    assert len(entry.attempts) == 3
+    ledger = learned.mining.ledger
+    assert ledger.n_corrupt_results == 1
+    assert ledger.n_poisoned == 0
 
 
 def test_lease_expiry_redispatches_and_drops_silent_worker():
@@ -427,14 +464,11 @@ def test_dist_worker_journals_each_program_before_its_result(tmp_path):
     keeps the others: the rerun analyses only the one in flight."""
     programs = java_corpus(n=6)
     victim = programs[-1].source
-    config = PipelineConfig(runtime=RuntimeConfig(
-        strict=True,
-        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
-    ))
-    mining = MiningConfig(shards=1, store_dir=str(tmp_path / "store"))
     with cluster(1) as (coordinator, _, _):
         with pytest.raises(Exception, match="injected fault"):
-            MiningEngine(config, mining, coordinator).learn(programs)
+            learn(programs, coordinator=coordinator, shards=1, strict=True,
+                  store_dir=tmp_path / "store",
+                  faults=f"pointsto:{victim}")
 
     rerun = learn(programs, shards=1, store_dir=tmp_path / "store")
     assert rerun.mining.n_from_store == 5

@@ -32,9 +32,8 @@ from repro.runtime import (
     Budget,
     BudgetExceeded,
     FaultPlan,
-    FaultSpec,
     RuntimeConfig,
-    SOLVER_CRASH,
+    arm,
 )
 from repro.runtime.executor import ProgramOutcome
 from repro.specs.pipeline import PipelineConfig
@@ -366,13 +365,10 @@ def test_killed_parallel_run_resumes_without_double_analysis(tmp_path):
     re-run completes from the store with no program analysed twice."""
     programs = java_corpus(10)
     victim = programs[-1].source
-    faulty = RuntimeConfig(
-        strict=True,
-        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
-    )
-    with pytest.raises(Exception, match="injected fault"):
+    with arm(FaultPlan.parse(f"pointsto:{victim}")), \
+            pytest.raises(Exception, match="injected fault"):
         learn(programs, jobs=2, shards=4, store_dir=tmp_path / "store",
-              runtime=faulty)
+              runtime=RuntimeConfig(strict=True))
 
     # task replies settled before the abort were journaled
     survived = len(stored_keys(
@@ -396,14 +392,11 @@ def test_pool_worker_journals_each_program_before_its_reply(tmp_path):
     rerun analyses exactly the program that was in flight."""
     programs = java_corpus(6)
     victim = programs[-1].source
-    faulty = RuntimeConfig(
-        strict=True,
-        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
-    )
     # one shard: a single task carries all six programs, victim last
-    with pytest.raises(Exception, match="injected fault"):
+    with arm(FaultPlan.parse(f"pointsto:{victim}")), \
+            pytest.raises(Exception, match="injected fault"):
         learn(programs, jobs=2, shards=1, store_dir=tmp_path / "store",
-              runtime=faulty)
+              runtime=RuntimeConfig(strict=True))
 
     rerun = learn(programs, jobs=2, shards=1, store_dir=tmp_path / "store")
     assert rerun.mining.n_from_store == 5
@@ -419,13 +412,10 @@ def test_checkpoint_resume_under_sharding(tmp_path):
     taken from the store whatever the shard and job count of the rerun."""
     programs = java_corpus(8)
     victim = programs[-1].source
-    faulty = RuntimeConfig(
-        strict=True,
-        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
-    )
-    with pytest.raises(Exception, match="injected fault"):
+    with arm(FaultPlan.parse(f"pointsto:{victim}")), \
+            pytest.raises(Exception, match="injected fault"):
         learn(programs, jobs=2, shards=3, store_dir=tmp_path / "store",
-              runtime=faulty)
+              runtime=RuntimeConfig(strict=True))
 
     keys = [(f"{i:06d}:{p.source}", p) for i, p in enumerate(programs)]
     checkpointed = stored_keys(tmp_path / "store", keys)

@@ -28,6 +28,7 @@ from repro.runtime import (
     TIER_CONTEXT_INSENSITIVE,
     TIER_CONTEXT_SENSITIVE,
     TIER_FIELD_INSENSITIVE,
+    arm,
     classify_error,
 )
 from repro.specs import USpecPipeline
@@ -130,7 +131,41 @@ def test_classify_error_taxonomy():
 
 def test_fault_spec_rejects_unknown_label():
     with pytest.raises(ValueError):
-        FaultSpec(program="p", error="NotALabel")
+        FaultSpec("pointsto", "p", error="NotALabel")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("pointsto:prog", FaultSpec("pointsto", "prog")),
+    ("graph:prog:2", FaultSpec("graph", "prog", 2)),
+    ("kill:prog:1", FaultSpec("kill", "prog", 1)),
+    ("hang:prog", FaultSpec("hang", "prog")),
+    ("write:journal.uspj:0", FaultSpec("write", "journal.uspj", 0)),
+    ("pre-fsync:journal", FaultSpec("pre-fsync", "journal")),
+    # malformed: unknown where, wrong arity, a non-integer n, no match
+    ("bogus:x", None), ("pointto:prog", None), ("nonsense", None),
+    ("kill:prog:2:extract", None), ("kill:prog:banana", None),
+    ("kill:prog:", None), ("kill::1", None),
+    # no-ops: n < 1 for stage and worker faults, n < 0 or no n for
+    # write, and an n the other write points would ignore
+    ("kill:prog:0", None), ("pointsto:prog:0", None),
+    ("corrupt:prog:-1", None), ("write:x:-3", None), ("write:x", None),
+    ("pre-rename:x:4", None),
+])
+def test_fault_spec_grammar(text, expected):
+    if expected is None:
+        with pytest.raises(ValueError):
+            FaultSpec.parse(text)
+    else:
+        assert FaultSpec.parse(text) == expected
+
+
+def test_fault_plan_joins_specs_with_semicolons():
+    plan = FaultPlan.parse("corrupt:corpus_00002:1;pointsto:corpus_00004;")
+    assert plan.specs == (FaultSpec("corrupt", "corpus_00002", 1),
+                          FaultSpec("pointsto", "corpus_00004"))
+    assert plan.has_worker_faults
+    assert not FaultPlan.parse("graph:x").has_worker_faults
+    assert FaultPlan.parse("").specs == ()
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +177,8 @@ def test_fault_spec_rejects_unknown_label():
     READ_FAILURE,
 ])
 def test_injected_fault_quarantines_with_taxonomy_label(label):
-    plan = FaultPlan([FaultSpec(program="prog", error=label)])
-    executor = CorpusExecutor(runtime=RuntimeConfig(faults=plan))
+    plan = FaultPlan([FaultSpec("pointsto", "prog", error=label)])
+    executor = CorpusExecutor(faults=plan)
     report = executor.run([small_program()])
     assert report.n_ok == 0 and report.n_quarantined == 1
     entry = report.manifest.entries[0]
@@ -158,17 +193,14 @@ def test_injected_fault_quarantines_with_taxonomy_label(label):
 
 @pytest.mark.parametrize("stage", ["pointsto", "history", "graph"])
 def test_fault_injection_reaches_every_stage(stage):
-    plan = FaultPlan([FaultSpec(program="prog", error=SOLVER_CRASH,
-                                stage=stage)])
-    executor = CorpusExecutor(runtime=RuntimeConfig(faults=plan))
+    executor = CorpusExecutor(faults=FaultPlan.parse(f"{stage}:prog"))
     report = executor.run([small_program()])
     assert report.n_quarantined == 1
     assert f"stage: {stage}" in report.manifest.entries[0].error
 
 
 def test_fault_plan_only_hits_matching_programs():
-    plan = FaultPlan([FaultSpec(program="bad", error=SOLVER_CRASH)])
-    executor = CorpusExecutor(runtime=RuntimeConfig(faults=plan))
+    executor = CorpusExecutor(faults=FaultPlan.parse("pointsto:bad"))
     report = executor.run([small_program("good"), small_program("bad")])
     assert report.n_ok == 1 and report.n_quarantined == 1
     assert "bad" in report.manifest.entries[0].program
@@ -179,11 +211,8 @@ def test_fault_plan_only_hits_matching_programs():
 
 
 def test_ladder_recovers_one_tier_down():
-    plan = FaultPlan([FaultSpec(
-        program="prog", error=SOLVER_CRASH,
-        tiers=frozenset([TIER_CONTEXT_SENSITIVE]),
-    )])
-    executor = CorpusExecutor(runtime=RuntimeConfig(faults=plan))
+    # n = 1: the fault fails only the first ladder tier
+    executor = CorpusExecutor(faults=FaultPlan.parse("pointsto:prog:1"))
     report = executor.run([small_program()])
     assert report.n_ok == 1 and report.n_quarantined == 0
     outcome = report.outcomes[0]
@@ -193,11 +222,9 @@ def test_ladder_recovers_one_tier_down():
 
 
 def test_ladder_recovers_at_field_insensitive_tier():
-    plan = FaultPlan([FaultSpec(
-        program="prog", error=BUDGET_EXCEEDED,
-        tiers=frozenset([TIER_CONTEXT_SENSITIVE, TIER_CONTEXT_INSENSITIVE]),
-    )])
-    executor = CorpusExecutor(runtime=RuntimeConfig(faults=plan))
+    plan = FaultPlan([FaultSpec("history", "prog", 2,
+                                error=BUDGET_EXCEEDED)])
+    executor = CorpusExecutor(faults=plan)
     report = executor.run([small_program()])
     assert report.outcomes[0].tier == TIER_FIELD_INSENSITIVE
 
@@ -221,9 +248,8 @@ def test_field_insensitive_tier_merges_fields():
 
 
 def test_strict_mode_propagates_first_error():
-    plan = FaultPlan([FaultSpec(program="prog", error=SOLVER_CRASH)])
-    executor = CorpusExecutor(
-        runtime=RuntimeConfig(faults=plan, strict=True))
+    executor = CorpusExecutor(runtime=RuntimeConfig(strict=True),
+                              faults=FaultPlan.parse("pointsto:prog"))
     with pytest.raises(Exception, match="injected fault"):
         executor.run([small_program()])
 
@@ -241,11 +267,10 @@ def test_strict_mode_propagates_budget_exhaustion():
 
 def run_with_fake_clock():
     plan = FaultPlan([
-        FaultSpec(program="bad1", error=SOLVER_CRASH),
-        FaultSpec(program="bad2", error=BUDGET_EXCEEDED),
+        FaultSpec("pointsto", "bad1"),
+        FaultSpec("pointsto", "bad2", error=BUDGET_EXCEEDED),
     ])
-    executor = CorpusExecutor(
-        runtime=RuntimeConfig(faults=plan), clock=FakeClock())
+    executor = CorpusExecutor(clock=FakeClock(), faults=plan)
     report = executor.run([
         small_program("bad2"), small_program("good"), small_program("bad1"),
     ])
@@ -323,10 +348,8 @@ def test_checkpoint_resume_skips_recomputation(tmp_path):
     corpus = [small_program("a"), small_program("b")]
     store_learn(corpus, tmp_path / "store", RuntimeConfig())
 
-    poisoned = RuntimeConfig(
-        faults=FaultPlan([FaultSpec(program="", error=SOLVER_CRASH)]),
-    )
-    learned = store_learn(corpus, tmp_path / "store", poisoned)
+    with arm(FaultPlan.parse("pointsto:.java")):
+        learned = store_learn(corpus, tmp_path / "store", RuntimeConfig())
     assert learned.run.n_ok == 2  # all served from the store
     assert learned.mining.n_from_store == 2
 
@@ -411,3 +434,31 @@ def test_cli_checkpoint_dir_resumes(tmp_path, capsys):
     assert main(args) == 0
     # --checkpoint-dir is another name for --store-dir
     assert "analyzed 0, from store 4" in capsys.readouterr().out
+
+
+def test_cli_stage_fault_from_the_environment(tmp_path, monkeypatch,
+                                             capsys):
+    manifest_path = tmp_path / "quarantine.json"
+    args = ["learn", "--files", "6", "--seed", "7",
+            "--quarantine-out", str(manifest_path),
+            "--out", str(tmp_path / "specs.json")]
+    monkeypatch.setenv("USPEC_FAULTS", "pointsto:corpus_00004")
+    assert main(args) == 0
+    data = json.loads(manifest_path.read_text())
+    assert [e["program"] for e in data["entries"]] \
+        == ["000004:corpus_00004.java"]
+    assert data["by_kind"] == {SOLVER_CRASH: 1}
+    # --strict: the first injected fault aborts the run
+    assert main(args + ["--strict"]) == 2
+    assert "injected fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan", ["bogus:x", "kill:prog:0", "write:x"])
+def test_cli_malformed_fault_plan_exits_2(tmp_path, monkeypatch, capsys,
+                                          plan):
+    monkeypatch.setenv("USPEC_FAULTS", plan)
+    code = main(["learn", "--files", "2",
+                 "--out", str(tmp_path / "specs.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "specs.json").exists()

@@ -11,17 +11,11 @@ from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.mining import MiningConfig, MiningEngine
 from repro.mining.cache import pipeline_fingerprint
-from repro.runtime import RuntimeConfig
+from repro.runtime import FaultPlan, RuntimeConfig, SimulatedCrash, arm
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.specs.patterns import RetSame, SpecSet
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
-from repro.store.faults import (
-    CrashPlan,
-    CrashSpec,
-    SimulatedCrash,
-    install_crash_plan,
-)
 from repro.store.journal import FILE_MAGIC, RecordJournal, encode_frame
 from repro.store.snapshot import (
     SnapshotCorrupt,
@@ -35,12 +29,6 @@ from repro.store.stats import (
     StatsStore,
     StoredProgram,
 )
-
-
-@pytest.fixture(autouse=True)
-def disarm_crash_plans():
-    yield
-    install_crash_plan(None)
 
 
 def java_corpus(n=10, seed=7):
@@ -151,18 +139,6 @@ def test_journal_missing_or_empty_is_clean(tmp_path):
 # crash-point injection
 
 
-def test_crash_spec_parsing():
-    spec = CrashSpec.parse("pre-fsync:journal")
-    assert spec.point == "pre-fsync" and spec.match == "journal"
-    assert CrashSpec.parse("write:snap:17").byte == 17
-    with pytest.raises(ValueError):
-        CrashSpec.parse("nonsense")
-    with pytest.raises(ValueError):
-        CrashSpec.parse("bogus-point:x")
-    with pytest.raises(ValueError):
-        CrashSpec.parse("write:x")  # the write point needs a byte count
-
-
 @pytest.mark.parametrize("spec", [
     "write:dest.bin:3",
     "pre-fsync:dest.bin",
@@ -172,25 +148,21 @@ def test_crash_spec_parsing():
 def test_atomic_write_crash_leaves_old_or_new(tmp_path, spec):
     dest = tmp_path / "dest.bin"
     dest.write_bytes(b"old-contents")
-    install_crash_plan(CrashPlan.parse(spec))
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse(spec)), pytest.raises(SimulatedCrash):
         atomic_write_bytes(dest, b"new-contents!", durable=True)
     # the invariant under every crash point: the destination is the
     # old bytes or the new bytes, never a torn mixture
     assert dest.read_bytes() in (b"old-contents", b"new-contents!")
-    install_crash_plan(None)
     atomic_write_bytes(dest, b"new-contents!", durable=True)
     assert dest.read_bytes() == b"new-contents!"
 
 
 def test_crash_plan_fires_once(tmp_path):
-    plan = CrashPlan.parse("pre-rename:once.bin")
-    install_crash_plan(plan)
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse("pre-rename:once.bin")):
+        with pytest.raises(SimulatedCrash):
+            atomic_write_bytes(tmp_path / "once.bin", b"x", durable=True)
+        # spent: the recovery rerun cannot re-trip the same spec
         atomic_write_bytes(tmp_path / "once.bin", b"x", durable=True)
-    assert plan.fired and not plan.specs
-    # spent: the recovery rerun cannot re-trip the same spec
-    atomic_write_bytes(tmp_path / "once.bin", b"x", durable=True)
     assert (tmp_path / "once.bin").read_bytes() == b"x"
 
 
@@ -203,12 +175,10 @@ def test_journal_append_crash_never_loses_committed_records(tmp_path, spec):
     with RecordJournal(path) as journal:
         journal.append(1, b"committed-1")
         journal.append(1, b"committed-2")
-    install_crash_plan(CrashPlan.parse(spec))
     journal = RecordJournal(path)
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse(spec)), pytest.raises(SimulatedCrash):
         journal.append(1, b"doomed")
     journal.close()
-    install_crash_plan(None)
     records, report = RecordJournal(path).recover()
     # committed records always survive; the in-flight one is either
     # fully present (its bytes landed) or cleanly truncated away
@@ -290,10 +260,8 @@ def test_compaction_crash_is_recoverable(tmp_path, spec):
     store = StatsStore(tmp_path, "c" * 64)
     for i in range(3):
         store.put_program(_program(i, (i,)))
-    install_crash_plan(CrashPlan.parse(spec))
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse(spec)), pytest.raises(SimulatedCrash):
         store.compact()
-    install_crash_plan(None)
     store.close()
     # post-rename dies between the snapshot write and the journal
     # reset: records exist in both — replay is idempotent, not doubled
@@ -411,10 +379,8 @@ def test_mid_compaction_crash_loses_no_generation(tmp_path, spec):
     expected_programs = sorted(store.programs)
     expected_generation = store.generation
 
-    install_crash_plan(CrashPlan.parse(spec))
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse(spec)), pytest.raises(SimulatedCrash):
         store.compact()
-    install_crash_plan(None)
     store.close()
 
     reopened = StatsStore(tmp_path, "e" * 64)
@@ -540,10 +506,9 @@ def test_learn_crash_then_rerun_recovers_byte_identical_specs(tmp_path):
 
     # die at the fsync of the first journal append: the first program
     # is analysed and its record written, but not yet synced
-    install_crash_plan(CrashPlan.parse("pre-fsync:journal.uspj"))
-    with pytest.raises(SimulatedCrash):
-        store_learn(programs, tmp_path / "store")
-    install_crash_plan(None)
+    with arm(FaultPlan.parse("pre-fsync:journal.uspj")):
+        with pytest.raises(SimulatedCrash):
+            store_learn(programs, tmp_path / "store")
 
     rerun = store_learn(programs, tmp_path / "store")
     assert spec_text(rerun) == expected
@@ -564,10 +529,8 @@ def test_append_run_crash_is_recoverable(tmp_path, spec):
     corpus_b = programs + extras
 
     # the crash fires while journalling the new program's statistics
-    install_crash_plan(CrashPlan.parse(spec))
-    with pytest.raises(SimulatedCrash):
+    with arm(FaultPlan.parse(spec)), pytest.raises(SimulatedCrash):
         store_learn(corpus_b, tmp_path / "store", append=True)
-    install_crash_plan(None)
 
     rerun = store_learn(corpus_b, tmp_path / "store", append=True)
     scratch = store_learn(corpus_b, tmp_path / "scratch")

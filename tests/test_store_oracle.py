@@ -1,5 +1,5 @@
 """One lookup, four ways in: a warm re-run, a resume after a strict
-abort, a run after edits and a warm re-run after a chaos kill poisoned
+abort, a run after edits and a warm re-run after a worker kill poisoned
 a program all take exactly the programs with a store record from the
 journal, analyse the rest, and reproduce ``USpecPipeline.learn`` on
 the surviving programs byte for byte — in-process and with a worker
@@ -13,14 +13,11 @@ from repro.mining import MiningConfig, MiningEngine, SupervisionConfig
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint
 from repro.runtime import (
     Budget,
-    ChaosPlan,
-    ChaosSpec,
     FaultPlan,
-    FaultSpec,
     QuarantineManifest,
     RuntimeConfig,
-    SOLVER_CRASH,
     WORKER_CRASH,
+    arm,
 )
 from repro.specs.pipeline import PipelineConfig, USpecPipeline
 from repro.specs.serialize import specs_to_json
@@ -29,7 +26,7 @@ from repro.store.stats import StatsStore
 #: small enough for the corpus, too small for the pathological program
 BUDGET = Budget(max_solver_iterations=500)
 
-#: the program a chaos kill poisons (it sorts after the pathological
+#: the program a worker kill poisons (it sorts after the pathological
 #: one, so dropping it leaves every other corpus key unchanged)
 TOXIC = "corpus_00009.java"
 
@@ -76,15 +73,15 @@ def edited_corpus(base):
 
 
 def learn(programs, store_dir, jobs, runtime=None, append=False,
-          chaos=None):
+          faults=""):
     config = PipelineConfig(runtime=runtime or RuntimeConfig(budget=BUDGET))
     supervision = SupervisionConfig()
-    if chaos:
-        supervision = SupervisionConfig(
-            max_retries=0, backoff_base=0.01, chaos=ChaosPlan(chaos))
+    if faults:
+        supervision = SupervisionConfig(max_retries=0, backoff_base=0.01)
     mining = MiningConfig(jobs=jobs, store_dir=str(store_dir),
                           append=append, supervision=supervision)
-    return MiningEngine(config, mining).learn(programs)
+    with arm(FaultPlan.parse(faults)):
+        return MiningEngine(config, mining).learn(programs)
 
 
 def n_without_record(programs, store_dir):
@@ -101,16 +98,16 @@ def test_one_lookup_matches_the_reference_pipeline(tmp_path, mode, jobs):
     store = tmp_path / "store"
     programs = base_corpus()
     # the kill is toxic forever: only the store keeps it from firing
-    chaos = [ChaosSpec(TOXIC, "kill")] if mode == "poison" else None
+    faults = f"kill:{TOXIC}" if mode == "poison" else ""
     if mode == "abort":
         # the strict run dies at the pathological program; everything
         # settled before the abort is already journaled
-        strict = RuntimeConfig(budget=BUDGET, strict=True, faults=FaultPlan(
-            [FaultSpec(program="pathological", error=SOLVER_CRASH)]))
+        strict = RuntimeConfig(budget=BUDGET, strict=True)
         with pytest.raises(Exception, match="injected fault"):
-            learn(programs, store, jobs, runtime=strict)
+            learn(programs, store, jobs, runtime=strict,
+                  faults="pointsto:pathological")
     else:
-        learn(programs, store, jobs, chaos=chaos)
+        learn(programs, store, jobs, faults=faults)
     if mode == "append":
         programs = edited_corpus(programs)
 
@@ -122,8 +119,8 @@ def test_one_lookup_matches_the_reference_pipeline(tmp_path, mode, jobs):
         assert missing >= 1  # the program the strict run died at
 
     final = learn(programs, store, jobs, append=(mode == "append"),
-                  chaos=chaos)
-    survivors = [p for p in programs if not chaos or p.source != TOXIC]
+                  faults=faults)
+    survivors = [p for p in programs if not faults or p.source != TOXIC]
     reference = USpecPipeline(
         PipelineConfig(runtime=RuntimeConfig(budget=BUDGET))).learn(survivors)
 
@@ -140,7 +137,7 @@ def test_one_lookup_matches_the_reference_pipeline(tmp_path, mode, jobs):
     assert [e.source for e in reference.run.manifest.entries] \
         == ["pathological.java"]
     poisoned = [e.source for e in entries if e.error_kind == WORKER_CRASH]
-    assert poisoned == ([TOXIC] if chaos else [])
-    if chaos:
+    assert poisoned == ([TOXIC] if faults else [])
+    if faults:
         # the stored verdict won before dispatch: nothing was killed
         assert final.mining.ledger.n_worker_crashes == 0

@@ -1,4 +1,4 @@
-"""Fault-tolerant shard supervision: chaos modes (kill / hang /
+"""Fault-tolerant shard supervision: worker faults (kill / hang /
 corrupt), retry with backoff, poison-shard bisection, the failure
 ledger, store-backed warm runs, and spawn-context dispatch."""
 
@@ -23,13 +23,13 @@ from repro.mining.supervisor import (
     SupervisionConfig,
 )
 from repro.runtime import (
-    ChaosPlan,
-    ChaosSpec,
+    FaultPlan,
     RuntimeConfig,
     WORKER_CRASH,
     WORKER_TIMEOUT,
     WorkerCrash,
     WorkerTimeout,
+    arm,
 )
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
@@ -41,7 +41,8 @@ def java_corpus(n=8, seed=7):
 
 
 def toxic_program(name):
-    """A tiny valid program; chaos kills the worker before it matters."""
+    """A tiny valid program; a worker fault kills the worker before it
+    matters."""
     pb = ProgramBuilder(source=name)
     fb = pb.function("main")
     v = fb.alloc("Api")
@@ -52,13 +53,12 @@ def toxic_program(name):
 
 def learn(programs, *, jobs=1, shards=None, store_dir=None,
           mp_context=None, strict=False,
-          chaos=None, max_retries=2, shard_deadline=None):
+          faults="", max_retries=2, shard_deadline=None):
     config = PipelineConfig(runtime=RuntimeConfig(strict=strict))
     supervision = SupervisionConfig(
         max_retries=max_retries,
         shard_deadline=shard_deadline,
         backoff_base=0.01,  # keep test wall-clock down
-        chaos=ChaosPlan(chaos) if chaos else None,
     )
     mining = MiningConfig(
         jobs=jobs, shards=shards,
@@ -66,7 +66,8 @@ def learn(programs, *, jobs=1, shards=None, store_dir=None,
         mp_context=mp_context,
         supervision=supervision,
     )
-    return MiningEngine(config, mining).learn(programs)
+    with arm(FaultPlan.parse(faults)):
+        return MiningEngine(config, mining).learn(programs)
 
 
 def specs_text(learned):
@@ -74,14 +75,14 @@ def specs_text(learned):
 
 
 # ----------------------------------------------------------------------
-# chaos modes
+# worker faults
 
 
 def test_transient_kill_is_retried_and_specs_match_clean():
     programs = java_corpus()
     clean = learn(programs)
-    chaos = [ChaosSpec("corpus_00003", "kill", until_attempt=1)]
-    learned = learn(programs, jobs=2, chaos=chaos)
+    faults = "kill:corpus_00003:1"
+    learned = learn(programs, jobs=2, faults=faults)
     assert specs_text(learned) == specs_text(clean)
     ledger = learned.mining.ledger
     assert ledger.n_worker_crashes == 1
@@ -94,8 +95,8 @@ def test_transient_kill_is_retried_and_specs_match_clean():
 def test_toxic_kill_is_bisected_and_quarantined():
     programs = java_corpus()
     clean = learn(programs)
-    chaos = [ChaosSpec("corpus_00003", "kill")]
-    learned = learn(programs, jobs=2, chaos=chaos)
+    faults = "kill:corpus_00003"
+    learned = learn(programs, jobs=2, faults=faults)
     ledger = learned.mining.ledger
     assert ledger.n_poisoned == 1
     assert ledger.n_bisections >= 1
@@ -114,8 +115,8 @@ def test_toxic_kill_is_bisected_and_quarantined():
 
 def test_hang_is_reclaimed_by_deadline_and_quarantined():
     programs = java_corpus(n=2)
-    chaos = [ChaosSpec("corpus_00001", "hang")]
-    learned = learn(programs, shards=1, chaos=chaos, max_retries=0,
+    faults = "hang:corpus_00001"
+    learned = learn(programs, shards=1, faults=faults, max_retries=0,
                     shard_deadline=1.0)
     ledger = learned.mining.ledger
     assert ledger.n_worker_timeouts >= 2  # whole shard, then singleton
@@ -128,8 +129,8 @@ def test_hang_is_reclaimed_by_deadline_and_quarantined():
 def test_transient_corrupt_result_is_retried():
     programs = java_corpus()
     clean = learn(programs)
-    chaos = [ChaosSpec("corpus_00002", "corrupt", until_attempt=1)]
-    learned = learn(programs, jobs=2, chaos=chaos)
+    faults = "corrupt:corpus_00002:1"
+    learned = learn(programs, jobs=2, faults=faults)
     assert specs_text(learned) == specs_text(clean)
     ledger = learned.mining.ledger
     assert ledger.n_corrupt_results == 1
@@ -143,8 +144,8 @@ def test_transient_corrupt_result_is_retried():
 def test_bisection_converges_in_logarithmic_attempts():
     n = 8
     programs = java_corpus(n=n)
-    chaos = [ChaosSpec("corpus_00005", "kill")]
-    learned = learn(programs, shards=1, chaos=chaos, max_retries=0)
+    faults = "kill:corpus_00005"
+    learned = learn(programs, shards=1, faults=faults, max_retries=0)
     analyze = [t for t in learned.mining.ledger.tasks
                if t.phase == "analyze"]
     depth = int(math.log2(n))
@@ -158,8 +159,8 @@ def test_bisection_converges_in_logarithmic_attempts():
 
 def test_bisection_lineage_is_recorded_in_ledger():
     programs = java_corpus(n=4)
-    chaos = [ChaosSpec("corpus_00000", "kill")]
-    learned = learn(programs, shards=1, chaos=chaos, max_retries=0)
+    faults = "kill:corpus_00000"
+    learned = learn(programs, shards=1, faults=faults, max_retries=0)
     payload = learned.mining.ledger.to_dict()
     ids = {t["task_id"] for t in payload["tasks"]}
     assert any("." in task_id for task_id in ids)  # e.g. "0.0"
@@ -173,51 +174,52 @@ def test_bisection_lineage_is_recorded_in_ledger():
 
 def test_strict_toxic_kill_raises_worker_crash():
     programs = java_corpus(n=4)
-    chaos = [ChaosSpec("corpus_00001", "kill")]
+    faults = "kill:corpus_00001"
     with pytest.raises(WorkerCrash):
-        learn(programs, jobs=2, chaos=chaos, strict=True, max_retries=1)
+        learn(programs, jobs=2, faults=faults, strict=True, max_retries=1)
 
 
-def test_chaos_spec_parse_rejects_phase_forms():
-    assert ChaosSpec.parse("kill:prog") == ChaosSpec("prog", "kill")
-    assert ChaosSpec.parse("kill:prog:1") == ChaosSpec(
-        "prog", "kill", until_attempt=1)
-    # chaos targets the analyze phase, the only worker phase of a run:
-    # the old ``:extract`` segment is a malformed spec now
-    for text in ("hang:prog:extract", "kill:prog:2:extract",
-                 "kill:prog::extract", "kill:prog:banana"):
-        with pytest.raises(ValueError):
-            ChaosSpec.parse(text)
-
-
-def test_cli_chaos_everything_poisoned_exits_4(tmp_path, capsys):
+def test_cli_chaos_everything_poisoned_exits_4(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setenv("USPEC_FAULTS", "kill:corpus_")
     code = main([
         "learn", "--files", "3", "--jobs", "2", "--max-retries", "0",
-        "--chaos", "kill:corpus_",
         "--out", str(tmp_path / "specs.json"),
     ])
     assert code == 4
     assert "every corpus program was quarantined" in capsys.readouterr().err
 
 
-def test_cli_strict_chaos_exits_2(tmp_path, capsys):
+def test_cli_strict_chaos_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("USPEC_FAULTS", "kill:corpus_00001")
     code = main([
         "learn", "--files", "3", "--jobs", "2", "--max-retries", "0",
-        "--strict", "--chaos", "kill:corpus_00001",
-        "--out", str(tmp_path / "specs.json"),
+        "--strict", "--out", str(tmp_path / "specs.json"),
     ])
     assert code == 2
     assert "attempt" in capsys.readouterr().err
 
 
-def test_cli_transient_chaos_matches_clean_run(tmp_path):
-    clean, chaotic = tmp_path / "clean.json", tmp_path / "chaos.json"
+def test_cli_transient_chaos_matches_clean_run(tmp_path, monkeypatch):
+    clean, faulty = tmp_path / "clean.json", tmp_path / "faulty.json"
     assert main(["learn", "--files", "6", "--out", str(clean)]) == 0
+    monkeypatch.setenv("USPEC_FAULTS", "kill:corpus_00002:1")
     assert main([
-        "learn", "--files", "6", "--jobs", "2",
-        "--chaos", "kill:corpus_00002:1", "--out", str(chaotic),
+        "learn", "--files", "6", "--jobs", "2", "--out", str(faulty),
     ]) == 0
-    assert clean.read_bytes() == chaotic.read_bytes()
+    assert clean.read_bytes() == faulty.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--shard-deadline", "0"], ["--shard-deadline", "-1"],
+    ["--shard-deadline", "nan"], ["--max-retries", "-1"],
+])
+def test_cli_rejects_out_of_range_supervision_flags(tmp_path, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn", "--files", "4", *flags,
+              "--out", str(tmp_path / "specs.json")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "specs.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +228,13 @@ def test_cli_transient_chaos_matches_clean_run(tmp_path):
 
 def test_poisoned_program_is_never_reattempted_warm(tmp_path):
     programs = java_corpus()
-    chaos = [ChaosSpec("corpus_00003", "kill")]
-    cold = learn(programs, jobs=2, chaos=chaos, store_dir=tmp_path,
+    faults = "kill:corpus_00003"
+    cold = learn(programs, jobs=2, faults=faults, store_dir=tmp_path,
                  max_retries=0)
     assert cold.mining.ledger.n_poisoned == 1
-    # warm re-run with the same chaos: the stored worker-crash verdict
-    # wins before the program is dispatched, so chaos never fires again
-    warm = learn(programs, jobs=2, chaos=chaos, store_dir=tmp_path,
+    # warm re-run with the same fault: the stored worker-crash verdict
+    # wins before the program is dispatched, so the fault never fires
+    warm = learn(programs, jobs=2, faults=faults, store_dir=tmp_path,
                  max_retries=0)
     assert warm.mining.ledger.n_worker_crashes == 0
     assert warm.mining.ledger.n_poisoned == 0
@@ -246,14 +248,14 @@ def test_strict_abort_keeps_what_the_other_worker_finished(tmp_path):
     flight: every program the other worker finished meanwhile, and each
     program the aborted task settled before the hang, is journaled."""
     programs = java_corpus(12)
-    chaos = [ChaosSpec("corpus_00005", "hang")]
+    faults = "hang:corpus_00005"
     with pytest.raises(WorkerTimeout):
-        learn(programs, jobs=2, chaos=chaos, strict=True, max_retries=0,
+        learn(programs, jobs=2, faults=faults, strict=True, max_retries=0,
               shard_deadline=1.5, store_dir=tmp_path)
 
     rerun = learn(programs, jobs=2, store_dir=tmp_path)
-    # chaos runs send one shard per task: the hang's own task lost the
-    # hung program and those after it, and nothing else was lost
+    # worker-fault runs send one shard per task: the hang's own task
+    # lost the hung program and those after it, and nothing else
     keys = [f"{i:06d}:{p.source}" for i, p in enumerate(programs)]
     plan = ShardPlan.of([p.source for p in programs], rerun.mining.n_shards)
     hung = next(i for i, key in enumerate(keys) if "corpus_00005" in key)
@@ -366,8 +368,8 @@ def test_spawn_context_matches_sequential():
 
 def test_report_carries_supervision_ledger():
     programs = java_corpus(n=4)
-    chaos = [ChaosSpec("corpus_00002", "kill", until_attempt=1)]
-    learned = learn(programs, jobs=2, chaos=chaos)
+    faults = "kill:corpus_00002:1"
+    learned = learn(programs, jobs=2, faults=faults)
     payload = learned.mining.to_dict()
     assert payload["supervised"] is True
     supervision = payload["supervision"]
@@ -418,11 +420,11 @@ def test_batched_specs_byte_identical_to_sequential():
 
 def test_chaos_disables_coalescing():
     programs = java_corpus(n=8)
-    chaos = [ChaosSpec("corpus_00003", "kill", until_attempt=1)]
-    learned = learn(programs, jobs=2, chaos=chaos)
+    faults = "kill:corpus_00003:1"
+    learned = learn(programs, jobs=2, faults=faults)
     dispatch = learned.mining.dispatch
-    # fault injection targets single tasks; every frame stays singleton
-    # so the chaos tests' exact attempt counts keep meaning something
+    # a worker fault targets single tasks; every frame stays singleton
+    # so the fault tests' exact attempt counts keep meaning something
     assert dispatch["n_batches"] == 0
     assert dispatch["n_validations_skipped"] == 0
 
@@ -466,7 +468,7 @@ def test_sidecar_warm_specs_match_for_parallel_jobs(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# acceptance: chaos on a 100-program corpus
+# acceptance: worker faults on a 100-program corpus
 
 
 @pytest.mark.slow
@@ -475,10 +477,9 @@ def test_acceptance_chaos_quarantines_only_toxins_byte_identical():
     toxic = [toxic_program("toxic_kill.java"),
              toxic_program("toxic_hang.java")]
     corpus = survivors + toxic  # appended: survivor indices unchanged
-    chaos = [ChaosSpec("toxic_kill", "kill"),
-             ChaosSpec("toxic_hang", "hang")]
+    faults = "kill:toxic_kill;hang:toxic_hang"
     clean = learn(survivors)
-    learned = learn(corpus, jobs=2, shards=32, chaos=chaos,
+    learned = learn(corpus, jobs=2, shards=32, faults=faults,
                     max_retries=0, shard_deadline=3.0)
     # quarantines exactly the injected toxins, with worker-* labels
     kinds = {e.program: e.error_kind for e in learned.run.manifest.entries}
