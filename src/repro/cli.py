@@ -343,7 +343,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     import threading
 
-    from repro.dist import run_worker
+    from repro.dist import ProtocolError, run_worker
     from repro.dist.worker import install_stop_signals
 
     host, port = args.connect
@@ -366,7 +366,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             stop=stop,
             log=log,
         )
-    except ConnectionError as err:
+    except (ConnectionError, ProtocolError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     print(f"worker done: {n_done} task(s) served")
@@ -723,7 +723,8 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
     learn.add_argument("--min-workers", type=int, default=1, metavar="N",
                        help="wait for N registered workers before "
                             "dispatching (default 1)")
-    learn.add_argument("--lease", type=float, default=15.0, metavar="S",
+    learn.add_argument("--lease", type=_positive_float, default=15.0,
+                       metavar="S",
                        help="seconds a dispatched task survives without "
                             "a worker heartbeat before it is "
                             "re-dispatched and the silent worker "

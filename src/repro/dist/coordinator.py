@@ -6,11 +6,23 @@ socket instead of a process pool, and worker daemons
 (:mod:`repro.dist.worker`) pull shard tasks over the wire instead of
 being forked.  Everything *above* the transport is deliberately
 identical — both dispatchers extend
-:class:`~repro.mining.supervisor.TaskScheduler`, so retries, backoff,
-poison-shard bisection, strict-mode fail-fast and the
-:class:`~repro.mining.supervisor.FailureLedger` behave byte-for-byte
-the same whether a worker is a local child process or a machine across
-the network.
+:class:`~repro.mining.supervisor.TaskScheduler`, so reply
+classification, retries, backoff, poison-shard bisection, strict-mode
+fail-fast and the :class:`~repro.mining.supervisor.FailureLedger`
+behave byte-for-byte the same whether a worker is a local child
+process or a machine across the network.
+
+Transport: each accepted socket is wrapped in a
+:class:`multiprocessing.connection.Connection` — the type, frame
+format and message tuples of the pool's pipes (see
+:mod:`repro.dist.protocol`) — and one
+:func:`multiprocessing.connection.wait` call multiplexes the listener
+and every worker.  Blocking reads and writes on a connection are
+bounded by a 30 s I/O timeout (``SO_RCVTIMEO``/``SO_SNDTIMEO``), so a
+peer stalled mid-frame is dropped instead of wedging the loop.  A
+lease or deadline never expires while its connection has unread data:
+that data is read first, so a stall that held up the loop cannot
+expire the leases of workers whose heartbeats queued behind it.
 
 Failure model (mapping onto the existing taxonomy):
 
@@ -18,6 +30,9 @@ Failure model (mapping onto the existing taxonomy):
   leased is the remote analogue of EOF on a result pipe: the attempt
   is recorded as a *crash* and the task re-enters the queue
   (eventually bisecting down to a ``worker-crash`` quarantine);
+* **protocol violation** — a frame that is oversized, truncated or
+  not a pickle, or any first message but ``hello``, drops the
+  connection the same way;
 * **lease expiry** — every dispatched task carries a lease that
   heartbeats renew; a worker that stops heartbeating (network
   partition, paused VM, hard hang) loses the lease, the attempt is
@@ -29,8 +44,9 @@ Failure model (mapping onto the existing taxonomy):
   *timeout*;
 * **speculation** — when the queue is drained and workers sit idle,
   the slowest in-flight task is speculatively re-dispatched to an idle
-  worker; the first result wins and duplicates are deduplicated by
-  task id, so stragglers bound tail latency without changing results.
+  worker; the first result wins and later replies for the same task
+  are dropped, so stragglers bound tail latency without changing
+  results.
 
 Determinism: like local supervision, distribution changes *scheduling*
 only.  Results fold through the same order-canonicalised
@@ -41,24 +57,18 @@ machine.
 
 from __future__ import annotations
 
-import selectors
+import pickle
 import socket
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as connection_wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dist.protocol import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
-    pack_payload,
-    runner_ref,
-    unpack_payload,
-)
+from repro.dist.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION, runner_ref
 from repro.mining.supervisor import (
     OUTCOME_CRASH,
-    OUTCOME_CORRUPT,
     OUTCOME_ERROR,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
@@ -74,9 +84,9 @@ from repro.runtime.errors import WorkerCrash
 #: coordinator event-loop poll granularity (seconds)
 _POLL_SECONDS = 0.25
 
-#: socket timeout for (blocking) sends to a worker; a peer that cannot
-#: drain a task frame in this long is treated as lost
-_SEND_TIMEOUT = 30.0
+#: seconds one blocking read or write on a worker connection may take;
+#: a peer that cannot finish a frame in this long is treated as lost
+_IO_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -140,38 +150,38 @@ class ClusterStats:
                 f"{self.n_speculated} speculated>")
 
 
-@dataclass
+@dataclass(eq=False)
 class _Remote:
     """One worker connection and its registration/lease state."""
 
-    sock: socket.socket
-    addr: Tuple[str, int]
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
-    name: str = ""
+    conn: Connection
+    #: the peer address until ``hello`` names the worker
+    label: str
     registered: bool = False
-    idle: bool = False
+    #: the one task this connection holds; its replies and heartbeats
+    #: belong to it (idle once registered and None)
     assignment: Optional["_Assignment"] = None
 
-    @property
-    def label(self) -> str:
-        return self.name or f"{self.addr[0]}:{self.addr[1]}"
 
-
-@dataclass
+@dataclass(eq=False)
 class _Assignment:
     """One live dispatch of one task to one worker."""
 
     task: _Task
-    remote: _Remote
     started: float
     lease_expiry: float
     deadline: Optional[float]  # absolute, from the shard deadline
     allowed: Optional[float]  # the same deadline in relative seconds
     speculative: bool = False
 
+    def lapsed(self, now: float) -> bool:
+        return now > self.lease_expiry or (
+            self.deadline is not None and now > self.deadline)
+
 
 class _Phase:
-    """Mutable state of one ``run_phase`` call."""
+    """Mutable state of one ``run_phase`` call (task ids are unique
+    within it)."""
 
     def __init__(self, runner: Callable, splitter, poisoner, validator):
         self.runner_ref = runner_ref(runner)
@@ -182,14 +192,7 @@ class _Phase:
         self.results: List[object] = []
         self.live: Dict[str, _Task] = {}
         self.inflight: Dict[str, List[_Assignment]] = {}
-        self.done: Set[str] = set()
         self.ok_seconds: List[float] = []
-        self.error: Optional[BaseException] = None  # strict-mode carry
-
-
-def _wire_id(task: _Task) -> str:
-    """Phase-qualified task id (task ids alone repeat across phases)."""
-    return f"{task.record.phase}:{task.task_id}"
 
 
 class Coordinator(TaskScheduler):
@@ -197,8 +200,8 @@ class Coordinator(TaskScheduler):
 
     One instance serves every phase of one mining run.  Like the
     supervisor, ``clock`` is injectable and must be monotone.  The
-    inherited ``dispatch`` counters are filled where task frames are
-    written and worker frames read.
+    inherited ``dispatch`` counters are filled where frames are
+    written and read.
     """
 
     def __init__(
@@ -215,7 +218,6 @@ class Coordinator(TaskScheduler):
         self.dist = dist or DistConfig()
         self.stats = ClusterStats()
         self.address: Optional[Tuple[str, int]] = None
-        self._selector: Optional[selectors.BaseSelector] = None
         self._server: Optional[socket.socket] = None
         self._remotes: List[_Remote] = []
         self._phase: Optional[_Phase] = None
@@ -234,8 +236,6 @@ class Coordinator(TaskScheduler):
         server.listen(64)
         server.setblocking(False)
         self._server = server
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(server, selectors.EVENT_READ, data=None)
         self.address = server.getsockname()[:2]
         return self.address
 
@@ -275,23 +275,15 @@ class Coordinator(TaskScheduler):
     def close(self, shutdown_workers: bool = True) -> None:
         """Drop every connection (optionally telling workers to exit)."""
         for remote in list(self._remotes):
-            if shutdown_workers:
+            if shutdown_workers and remote.registered:
                 try:
-                    remote.sock.settimeout(_SEND_TIMEOUT)
-                    remote.sock.sendall(encode_frame({"type": "shutdown"}))
+                    remote.conn.send(None)
                 except OSError:
                     pass
             self._drop(remote)
         if self._server is not None:
-            try:
-                self._selector.unregister(self._server)
-            except (KeyError, ValueError):
-                pass
             self._server.close()
             self._server = None
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
 
     # ------------------------------------------------------------------
     # the dispatch loop (same contract as ShardSupervisor.run_phase)
@@ -321,7 +313,7 @@ class Coordinator(TaskScheduler):
         for shard_id, payload in tasks:
             task = self._make_task(str(shard_id), shard_id, phase, payload)
             state.queue.append(task)
-            state.live[_wire_id(task)] = task
+            state.live[task.task_id] = task
         try:
             while state.live:
                 now = self._clock()
@@ -330,8 +322,6 @@ class Coordinator(TaskScheduler):
                 self._maybe_speculate(state, now)
                 self._pump(self._wait_timeout(state, now))
                 self._expire(state)
-                if state.error is not None:
-                    raise state.error
         finally:
             # late results of an abandoned phase must not leak into
             # the next one
@@ -342,232 +332,149 @@ class Coordinator(TaskScheduler):
         return state.results
 
     # ------------------------------------------------------------------
-    # event pump
+    # transport
 
     def _pump(self, timeout: Optional[float]) -> None:
-        if self._selector is None:
+        if self._server is None:
             return
-        for key, _ in self._selector.select(timeout):
-            if key.data is None:
+        by_conn = {remote.conn: remote for remote in self._remotes}
+        for ready in connection_wait([self._server, *by_conn], timeout):
+            if ready is self._server:
                 self._accept()
-            else:
-                self._receive(key.data)
+            elif by_conn[ready] in self._remotes:
+                self._receive(by_conn[ready])
 
     def _accept(self) -> None:
         try:
-            sock, addr = self._server.accept()
+            sock, (host, port) = self._server.accept()
         except OSError:
             return
-        sock.setblocking(False)
-        remote = _Remote(sock=sock, addr=addr)
-        self._remotes.append(remote)
-        self._selector.register(sock, selectors.EVENT_READ, data=remote)
+        sock.setblocking(True)
+        # bound blocking I/O on the fd itself: Connection reads and
+        # writes the raw descriptor, and settimeout would leave it
+        # non-blocking
+        seconds = int(_IO_TIMEOUT)
+        timeval = struct.pack(
+            "ll", seconds, int((_IO_TIMEOUT - seconds) * 1e6))
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            sock.setsockopt(socket.SOL_SOCKET, option, timeval)
+        self._remotes.append(_Remote(
+            conn=Connection(sock.detach()), label=f"{host}:{port}",
+        ))
 
     def _receive(self, remote: _Remote) -> None:
-        chunks: List[bytes] = []
-        closed = False
-        while True:
-            try:
-                data = remote.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                closed = True
-                break
-            if not data:
-                closed = True
-                break
-            self.dispatch.bytes_received += len(data)
-            chunks.append(data)
-        for chunk in chunks:
-            try:
-                messages = remote.decoder.feed(chunk)
-            except ProtocolError:
-                self._worker_lost(remote, "protocol error")
-                return
-            for message in messages:
-                self._handle_message(remote, message)
-                if remote.sock.fileno() < 0:
-                    return  # handler dropped the connection
-        if closed:
-            self._worker_lost(remote, "connection closed")
-
-    def _send(self, remote: _Remote, message: Dict[str, object]) -> bool:
-        return self._send_frame(remote, encode_frame(message))
-
-    def _send_frame(self, remote: _Remote, frame: bytes) -> bool:
+        """Read and handle one message; a frame that is stalled,
+        oversized, truncated or not a pickle drops the worker."""
         try:
-            remote.sock.settimeout(_SEND_TIMEOUT)
-            remote.sock.sendall(frame)
-            remote.sock.setblocking(False)
-            return True
+            frame = remote.conn.recv_bytes(MAX_FRAME_BYTES)
+        except (EOFError, OSError):
+            self._worker_lost(remote, "connection closed")
+            return
+        self.dispatch.bytes_received += len(frame)
+        started = time.perf_counter()
+        try:
+            message = pickle.loads(frame)
+        except Exception:
+            self._worker_lost(remote, "undecodable frame")
+            return
+        finally:
+            self.dispatch.seconds_deserialize += \
+                time.perf_counter() - started
+        self._handle_message(remote, message)
+
+    def _send(self, remote: _Remote, message: object) -> bool:
+        started = time.perf_counter()
+        frame = pickle.dumps(message)
+        self.dispatch.seconds_serialize += time.perf_counter() - started
+        try:
+            remote.conn.send_bytes(frame)
         except OSError:
             self._worker_lost(remote, "send failed")
             return False
+        self.dispatch.bytes_sent += len(frame)
+        return True
 
     # ------------------------------------------------------------------
     # message handling
 
-    def _handle_message(
-        self, remote: _Remote, message: Dict[str, object]
-    ) -> None:
-        kind = message.get("type")
-        if kind == "hello":
-            version = message.get("version")
-            if version != PROTOCOL_VERSION:
-                self._send(remote, {
-                    "type": "error",
-                    "error": f"protocol version {version} != "
-                             f"{PROTOCOL_VERSION}",
-                })
+    def _handle_message(self, remote: _Remote, message: object) -> None:
+        kind = message[0] if isinstance(message, tuple) and message \
+            else None
+        if not remote.registered:
+            # an unregistered peer may only say hello
+            if kind == "hello" and len(message) == 3:
+                self._register(remote, message[1], message[2])
+            else:
                 self._drop(remote)
-                return
-            remote.name = str(message.get("worker") or remote.label)
-            remote.registered = True
-            self.stats.n_workers_seen += 1
-            self._workerless_since = None
-            self._send(remote, {
-                "type": "welcome", "version": PROTOCOL_VERSION,
-                # workers derive their heartbeat cadence from the lease
-                "lease": self.dist.lease_seconds,
-            })
-        elif kind == "ready":
-            remote.idle = True
         elif kind == "heartbeat":
-            assignment = remote.assignment
-            if (assignment is not None
-                    and _wire_id(assignment.task) == message.get("task_id")):
-                assignment.lease_expiry = (
+            if remote.assignment is not None:
+                remote.assignment.lease_expiry = (
                     self._clock() + self.dist.lease_seconds
                 )
         elif kind == "interim":
-            # an undecodable item is dropped: the task's result still
-            # carries its program, only that program's journal record
-            # (one re-analysis on the next run) is lost
-            if self._on_interim is not None:
-                try:
-                    item = unpack_payload(str(message.get("payload")))
-                except Exception:
-                    return
-                self._on_interim(item)
-        elif kind == "result":
-            self._handle_result(remote, message)
+            if (remote.assignment is not None and len(message) == 2
+                    and self._on_interim is not None):
+                self._on_interim(message[1])
         elif kind == "goodbye":
             self._worker_lost(remote, "goodbye", graceful=True)
+        else:
+            self._handle_reply(remote, message)
 
-    def _handle_result(
-        self, remote: _Remote, message: Dict[str, object]
-    ) -> None:
-        state = self._phase
-        now = self._clock()
-        tid = str(message.get("task_id"))
+    def _register(self, remote: _Remote, name: object,
+                  version: object) -> None:
+        if version != PROTOCOL_VERSION:
+            self._send(remote, (
+                "error", f"protocol version {version} != {PROTOCOL_VERSION}",
+            ))
+            self._drop(remote)
+            return
+        remote.label = str(name or remote.label)
+        remote.registered = True
+        self.stats.n_workers_seen += 1
+        self._workerless_since = None
+        # workers derive their heartbeat cadence from the lease
+        self._send(remote, ("welcome", self.dist.lease_seconds))
+
+    def _handle_reply(self, remote: _Remote, reply: object) -> None:
         assignment = remote.assignment
         remote.assignment = None
-        if state is None:
-            return
-        mine = assignment if (
-            assignment is not None and _wire_id(assignment.task) == tid
-        ) else None
-        task = state.live.get(tid)
-        if task is None:
+        state = self._phase
+        if state is None or assignment is None:
+            return  # a stray reply: nothing to settle
+        task = assignment.task
+        if task.task_id not in state.live:
             # speculation loser or a lease-expired straggler that
             # finished after its replacement: first result won already
-            if mine is not None:
-                self._unassign(state, tid, mine)
+            self._unassign(state, assignment)
             return
-        seconds = now - (mine.started if mine is not None else now)
-        status = message.get("status")
-        if status == "ok":
-            result: object = None
-            valid = False
-            started = time.perf_counter()
-            try:
-                result = unpack_payload(str(message.get("payload")))
-                valid = state.validator(result)
-            except Exception:
-                valid = False
-            self.dispatch.seconds_deserialize += \
-                time.perf_counter() - started
-            if valid:
-                self._accept_result(state, remote, task, mine, result,
-                                    seconds, now)
-                return
-            self._attempt_failed(
-                state, task, mine, OUTCOME_CORRUPT,
-                "worker result failed validation (corrupt payload)",
-                seconds, now,
-            )
-            return
-        if status == "error":
-            try:
-                err = unpack_payload(str(message.get("payload")))
-            except Exception:
-                err = RuntimeError(str(message.get("error", "unknown")))
-            if not isinstance(err, BaseException):
-                err = RuntimeError(str(err))
-            task.record.attempts.append(AttemptRecord(
-                attempt=task.attempt, outcome=OUTCOME_ERROR,
-                seconds=seconds, error=f"{type(err).__name__}: {err}",
-            ))
-            if mine is not None:
-                self._unassign(state, tid, mine)
-            if self.strict:
-                # fail fast with the worker's typed error intact
-                state.error = err
-                return
-            self._attempt_failed(
-                state, task, None, OUTCOME_ERROR,
-                f"{type(err).__name__}: {err}", seconds, now,
-                recorded=True,
-            )
-            return
-        # an unrecognised status
-        self._attempt_failed(
-            state, task, mine, OUTCOME_CORRUPT,
-            str(message.get("error") or "corrupt worker payload"),
-            seconds, now,
+        now = self._clock()
+        seconds = now - assignment.started
+        outcome, value = self._classify(
+            task, reply, seconds, assignment.allowed, state.validator,
         )
-
-    # ------------------------------------------------------------------
-    # result / failure bookkeeping
-
-    def _accept_result(
-        self,
-        state: _Phase,
-        remote: _Remote,
-        task: _Task,
-        mine: Optional[_Assignment],
-        result: object,
-        seconds: float,
-        now: float,
-    ) -> None:
-        allowed = mine.allowed if mine is not None else None
-        straggler = (
-            allowed is not None
-            and seconds > self.supervision.straggler_fraction * allowed
-        )
-        task.record.attempts.append(AttemptRecord(
-            attempt=task.attempt, outcome=OUTCOME_OK,
-            seconds=seconds, straggler=bool(straggler),
-        ))
+        if outcome != OUTCOME_OK:
+            self._attempt_failed(state, assignment, outcome, value,
+                                 seconds, now,
+                                 recorded=outcome == OUTCOME_ERROR)
+            return
         self._deadlines.observe(seconds, self._payload_size(task.payload))
         state.ok_seconds.append(seconds)
-        if mine is not None and mine.speculative:
+        if assignment.speculative:
             self.stats.n_speculation_wins += 1
         self.stats.credit(remote.label)
-        tid = _wire_id(task)
-        state.results.append(result)
-        state.done.add(tid)
-        state.live.pop(tid, None)
+        state.results.append(value)
+        state.live.pop(task.task_id, None)
         # a re-queued copy may be waiting for retry — the result wins
         state.queue[:] = [t for t in state.queue if t is not task]
-        state.inflight.pop(tid, None)  # zombie copies dedup via `done`
+        state.inflight.pop(task.task_id, None)
+
+    # ------------------------------------------------------------------
+    # failure bookkeeping
 
     def _attempt_failed(
         self,
         state: _Phase,
-        task: _Task,
-        mine: Optional[_Assignment],
+        assignment: _Assignment,
         outcome: str,
         error: str,
         seconds: float,
@@ -575,10 +482,9 @@ class Coordinator(TaskScheduler):
         recorded: bool = False,
     ) -> None:
         """One assignment failed; fail the *task* only when none survive."""
-        tid = _wire_id(task)
-        if mine is not None:
-            self._unassign(state, tid, mine)
-        if state.inflight.get(tid):
+        task = assignment.task
+        self._unassign(state, assignment)
+        if state.inflight.get(task.task_id):
             # a speculative twin is still running — let it race on
             if not recorded:
                 task.record.attempts.append(AttemptRecord(
@@ -588,27 +494,21 @@ class Coordinator(TaskScheduler):
             return
         was_poisoned = task.record.poisoned
         was_bisected = task.record.bisected
-        try:
-            self._failed(
-                task, outcome, error, seconds, now,
-                state.queue, state.results,
-                state.splitter, state.poisoner, recorded=recorded,
-            )
-        except BaseException as err:  # strict-mode WorkerCrash/Timeout
-            state.error = err
-            return
+        self._failed(
+            task, outcome, error, seconds, now,
+            state.queue, state.results,
+            state.splitter, state.poisoner, recorded=recorded,
+        )
         if task.record.poisoned and not was_poisoned:
-            state.live.pop(tid, None)
-            state.done.add(tid)
+            state.live.pop(task.task_id, None)
         elif task.record.bisected and not was_bisected:
             # children entered the queue via _make_task; register them
-            state.live.pop(tid, None)
+            state.live.pop(task.task_id, None)
             for child in state.queue:
-                state.live.setdefault(_wire_id(child), child)
+                state.live.setdefault(child.task_id, child)
 
-    def _unassign(
-        self, state: _Phase, tid: str, assignment: _Assignment
-    ) -> None:
+    def _unassign(self, state: _Phase, assignment: _Assignment) -> None:
+        tid = assignment.task.task_id
         copies = state.inflight.get(tid)
         if not copies:
             return
@@ -621,7 +521,7 @@ class Coordinator(TaskScheduler):
 
     def _idle_workers(self) -> List[_Remote]:
         return [r for r in self._remotes
-                if r.registered and r.idle and r.assignment is None]
+                if r.registered and r.assignment is None]
 
     def _dispatch(self, state: _Phase, now: float) -> None:
         state.queue.sort(key=lambda t: (t.ready_at, t.seq))
@@ -642,32 +542,20 @@ class Coordinator(TaskScheduler):
         allowed = self._deadlines.effective(
             self._payload_size(task.payload)
         )
-        tid = _wire_id(task)
         assignment = _Assignment(
-            task=task, remote=remote, started=now,
+            task=task, started=now,
             lease_expiry=now + self.dist.lease_seconds,
             deadline=(now + allowed) if allowed is not None else None,
             allowed=allowed, speculative=speculative,
         )
-        remote.idle = False
         remote.assignment = assignment
-        started = time.perf_counter()
-        frame = encode_frame({
-            "type": "task",
-            "task_id": tid,
-            "phase": task.record.phase,
-            "attempt": task.attempt,
-            "runner": state.runner_ref,
-            "payload": pack_payload(task.payload),
-        })
-        self.dispatch.seconds_serialize += time.perf_counter() - started
-        if not self._send_frame(remote, frame):
+        if not self._send(remote,
+                          (state.runner_ref, task.payload, task.attempt)):
             return  # _worker_lost already requeued it
-        state.inflight.setdefault(tid, []).append(assignment)
+        state.inflight.setdefault(task.task_id, []).append(assignment)
         self.stats.n_tasks_dispatched += 1
         self.dispatch.n_round_trips += 1
         self.dispatch.n_tasks_dispatched += 1
-        self.dispatch.bytes_sent += len(frame)
         if speculative:
             self.stats.n_speculated += 1
 
@@ -698,51 +586,39 @@ class Coordinator(TaskScheduler):
                          speculative=True)
 
     def _expire(self, state: _Phase) -> None:
-        now = self._clock()
-        expired: List[Tuple[_Assignment, str, str]] = []
-        for copies in state.inflight.values():
-            for assignment in copies:
-                if now > assignment.lease_expiry:
-                    expired.append((
-                        assignment, OUTCOME_TIMEOUT,
-                        f"lease expired: no heartbeat within "
-                        f"{self.dist.lease_seconds:g}s",
-                    ))
-                    self.stats.n_lease_expiries += 1
-                elif (assignment.deadline is not None
-                        and now > assignment.deadline):
-                    expired.append((
-                        assignment, OUTCOME_TIMEOUT,
-                        f"shard deadline of {assignment.allowed:g}s "
-                        f"exceeded",
-                    ))
-        for assignment, outcome, error in expired:
-            task = assignment.task
+        for remote in list(self._remotes):
+            # unread data first: a reply or heartbeat queued behind a
+            # stalled peer wins over the clock
+            while (remote.assignment is not None
+                   and remote.assignment.lapsed(self._clock())
+                   and remote.conn.poll()):
+                self._receive(remote)
+            assignment = remote.assignment
+            if assignment is None:
+                continue
+            now = self._clock()
+            # a zombie copy (its twin already won) only holds its
+            # worker until the lease lapses
+            live = assignment in state.inflight.get(
+                assignment.task.task_id, ())
+            if now > assignment.lease_expiry:
+                self.stats.n_lease_expiries += 1
+                error = (f"lease expired: no heartbeat within "
+                         f"{self.dist.lease_seconds:g}s")
+            elif live and assignment.deadline is not None \
+                    and now > assignment.deadline:
+                error = f"shard deadline of {assignment.allowed:g}s exceeded"
+            else:
+                continue
             # the worker is unresponsive or wedged — drop it so it can
             # never send a stale result for a re-dispatched lease
-            self._drop(assignment.remote)
-            self.stats.n_workers_lost += 1
-            if _wire_id(task) not in state.live:
-                self._unassign(state, _wire_id(task), assignment)
-                continue
-            self._attempt_failed(
-                state, task, assignment, outcome, error,
-                now - assignment.started, now,
-            )
-        # zombie leases: a worker still holding a task whose twin
-        # already won (speculation / re-dispatch) leaves inflight when
-        # the result is accepted, so reclaim it here once its lease
-        # lapses — otherwise a silent loser pins its worker forever
-        for remote in list(self._remotes):
-            assignment = remote.assignment
-            if assignment is None or now <= assignment.lease_expiry:
-                continue
-            copies = state.inflight.get(_wire_id(assignment.task), [])
-            if assignment in copies:
-                continue  # live copy: handled above
-            self.stats.n_lease_expiries += 1
-            self.stats.n_workers_lost += 1
             self._drop(remote)
+            self.stats.n_workers_lost += 1
+            if live:
+                self._attempt_failed(
+                    state, assignment, OUTCOME_TIMEOUT, error,
+                    now - assignment.started, now,
+                )
 
     def _check_workerless(self, state: _Phase, now: float) -> None:
         if self.dist.no_worker_timeout is None:
@@ -762,8 +638,9 @@ class Coordinator(TaskScheduler):
 
     def _wait_timeout(self, state: _Phase, now: float) -> float:
         horizons = [_POLL_SECONDS]
-        for copies in state.inflight.values():
-            for assignment in copies:
+        for remote in self._remotes:
+            assignment = remote.assignment
+            if assignment is not None:
                 horizons.append(assignment.lease_expiry - now)
                 if assignment.deadline is not None:
                     horizons.append(assignment.deadline - now)
@@ -785,30 +662,20 @@ class Coordinator(TaskScheduler):
         state = self._phase
         if state is None or assignment is None:
             return
-        task = assignment.task
-        tid = _wire_id(task)
-        if tid not in state.live:
-            self._unassign(state, tid, assignment)
+        if assignment.task.task_id not in state.live:
+            self._unassign(state, assignment)
             return
         now = self._clock()
         label = "left" if graceful else "died"
         self._attempt_failed(
-            state, task, assignment, OUTCOME_CRASH,
+            state, assignment, OUTCOME_CRASH,
             f"worker {remote.label} {label} holding the lease ({reason})",
             now - assignment.started, now,
         )
 
     def _drop(self, remote: _Remote) -> None:
-        try:
-            self._selector.unregister(remote.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            remote.sock.close()
-        except OSError:
-            pass
+        remote.conn.close()
         remote.registered = False
-        remote.idle = False
         remote.assignment = None
         if remote in self._remotes:
             self._remotes.remove(remote)

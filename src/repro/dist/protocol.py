@@ -1,37 +1,39 @@
 """Wire protocol of the distributed mining cluster.
 
-Frames are **length-prefixed JSON**: a 4-byte big-endian unsigned
-length followed by a UTF-8 JSON object.  JSON keeps the control plane
-debuggable (``tcpdump`` of a coordinator port reads almost like a
-log), while bulk payloads — pickled shard tasks, partials, trained
-ensembles and typed exceptions — ride inside frames as base64 strings
-(zlib-packed past a size threshold; a one-byte marker ahead of the
-pickle says which), so one framing layer serves both and large
-payloads cross WANs compressed.
+The coordinator and its workers talk over
+:class:`multiprocessing.connection.Connection` — the same type, frame
+format and message tuples as the local pool's pipes
+(:func:`repro.mining.supervisor._pool_main`).  A frame is a 4-byte
+big-endian length followed by one pickle; readers bound it with
+:data:`MAX_FRAME_BYTES`.
 
-Everything here is Python stdlib (``socket``/``struct``/``json``/
-``base64``): the cluster adds no dependencies over single-machine
-mining.
+Messages:
 
-Message vocabulary (``type`` field):
+===================================  ============ ========================
+message                              direction    meaning
+===================================  ============ ========================
+``("hello", name, version)``         worker→coord register
+``("welcome", lease)``               coord→worker registered; heartbeat
+                                                  within ``lease`` seconds
+``("error", reason)``                coord→worker registration refused
+``(runner_ref, payload, attempt)``   coord→worker one task
+``("heartbeat",)``                   worker→coord renew the held lease
+``("interim", item)``                worker→coord one item sent ahead of
+                                                  the reply
+``("ok", result)``                   worker→coord the task's result
+``("error", exc)``                   worker→coord the task's typed error
+``("goodbye",)``                     worker→coord graceful leave
+``None``                             coord→worker shut down
+===================================  ============ ========================
 
-========== ============ ====================================================
-type       direction    meaning
-========== ============ ====================================================
-hello      worker→coord register: name, pid, protocol version
-welcome    coord→worker registration accepted (echoes protocol version)
-ready      worker→coord idle, willing to run a task
-task       coord→worker one shard task: id, phase, attempt, runner, payload
-heartbeat  worker→coord lease renewal while a task is running
-interim    worker→coord one item a running task sent ahead of its result
-result     worker→coord task finished: status ok / error
-shutdown   coord→worker drain and exit
-goodbye    worker→coord graceful leave (coordinator reassigns its lease)
-========== ============ ====================================================
+A worker is idle once it has been welcomed or has replied; each
+connection holds at most one task, so replies and heartbeats carry no
+task id.  The coordinator drops a connection whose first message is not
+``hello``.
 
-Security note: payloads are **pickle** — the coordinator and its
-workers mutually trust each other by construction (they are one user's
-mining run).  Bind to loopback or a private network, never the open
+Security note: frames are **pickle from the first byte**, and there is
+no authentication: a peer that can reach the coordinator's port can
+run code in it.  Bind to loopback or a private network, never the open
 internet.  As a second line of defence the worker refuses to resolve
 runner functions outside the ``repro.`` namespace.
 """
@@ -40,12 +42,9 @@ from __future__ import annotations
 
 import base64
 import importlib
-import json
 import pickle
-import socket
-import struct
 import zlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable
 
 #: bumped on any incompatible frame/message change; hello/welcome
 #: exchange it so mismatched versions fail loudly at registration.
@@ -56,10 +55,9 @@ from typing import Callable, Dict, List, Optional
 #: ``interim`` frames stream each settled program ahead of the result
 #: v5: analyze tasks carry the fault plan; the ``corrupt`` result
 #: status is gone
-PROTOCOL_VERSION = 5
-
-#: frame length prefix: 4-byte big-endian unsigned
-_LENGTH = struct.Struct("!I")
+#: v6: pickled ``Connection`` frames with the pool's message tuples
+#: replace JSON frames, base64 and zlib; ``ready`` and task ids are gone
+PROTOCOL_VERSION = 6
 
 #: sanity bound on one frame (a shard task over a huge corpus slice
 #: stays far below this; anything larger is a framing bug, not data)
@@ -71,24 +69,24 @@ RUNNER_PREFIX = "repro."
 
 
 class ProtocolError(Exception):
-    """A peer broke the framing or message contract."""
+    """A peer broke the message contract."""
 
 
 # ----------------------------------------------------------------------
-# payloads (pickle [⇄ zlib] ⇄ base64 inside JSON frames)
+# payload armour of the JSON wire before protocol v6, kept only for
+# the benchmark that times it
+
 
 #: payload marker bytes ahead of the (possibly compressed) pickle
 _PAYLOAD_RAW = b"\x00"
 _PAYLOAD_ZLIB = b"\x01"
 
-#: pickles below this stay raw — zlib on tiny control payloads costs
-#: CPU for nothing; above it (partials, analyse tasks) the wire
-#: savings dominate
+#: pickles below this stay raw
 COMPRESS_THRESHOLD = 1024
 
 
 def pack_payload(obj: object, *, compress: bool = True) -> str:
-    """Pickle ``obj`` and armour it for a JSON frame.
+    """Pickle ``obj`` and armour it as base64 text.
 
     Payloads at least :data:`COMPRESS_THRESHOLD` bytes are
     zlib-compressed (markered, so :func:`unpack_payload` needs no
@@ -119,6 +117,10 @@ def unpack_payload(text: str) -> object:
     return pickle.loads(raw)
 
 
+# ----------------------------------------------------------------------
+# runners
+
+
 def runner_ref(fn: Callable) -> str:
     """The wire name of a module-level runner function."""
     ref = f"{fn.__module__}:{fn.__qualname__}"
@@ -128,7 +130,7 @@ def runner_ref(fn: Callable) -> str:
 
 
 def resolve_runner(ref: str) -> Callable:
-    """Import the runner a task frame names (``module:qualname``)."""
+    """Import the runner a task names (``module:qualname``)."""
     module_name, _, qualname = ref.partition(":")
     if not module_name.startswith(RUNNER_PREFIX) or not qualname:
         raise ProtocolError(f"refusing to resolve runner {ref!r}")
@@ -138,78 +140,3 @@ def resolve_runner(ref: str) -> Callable:
     if not callable(obj):
         raise ProtocolError(f"runner {ref!r} is not callable")
     return obj
-
-
-# ----------------------------------------------------------------------
-# framing
-
-
-def encode_frame(message: Dict[str, object]) -> bytes:
-    """One message → length-prefixed wire bytes."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds limit")
-    return _LENGTH.pack(len(body)) + body
-
-
-def send_frame(sock: socket.socket, message: Dict[str, object]) -> None:
-    """Serialise and send one frame (blocking, whole-frame)."""
-    sock.sendall(encode_frame(message))
-
-
-class FrameDecoder:
-    """Incremental frame decoder for a non-blocking receive path.
-
-    Feed it whatever bytes the socket produced; it yields every
-    complete message and buffers the tail of a split frame.  One
-    decoder per connection.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[Dict[str, object]]:
-        self._buffer.extend(data)
-        messages: List[Dict[str, object]] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return messages
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"peer announced a {length}-byte frame (limit "
-                    f"{MAX_FRAME_BYTES})"
-                )
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
-                return messages
-            body = bytes(self._buffer[_LENGTH.size:end])
-            del self._buffer[:end]
-            try:
-                message = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as err:
-                raise ProtocolError(f"undecodable frame: {err}") from err
-            if not isinstance(message, dict) or "type" not in message:
-                raise ProtocolError(f"frame without a type: {message!r}")
-            messages.append(message)
-
-
-def recv_frame(
-    sock: socket.socket, decoder: FrameDecoder,
-    pending: List[Dict[str, object]],
-) -> Optional[Dict[str, object]]:
-    """Blocking receive of the next message on a worker connection.
-
-    ``pending`` holds messages the decoder produced beyond the one
-    returned (frames often arrive coalesced); callers drain it before
-    reading the socket again.  Returns None on EOF.
-    """
-    while not pending:
-        try:
-            data = sock.recv(65536)
-        except OSError:
-            return None
-        if not data:
-            return None
-        pending.extend(decoder.feed(data))
-    return pending.pop(0)

@@ -1,20 +1,19 @@
-"""The worker daemon: pulls shard tasks from a coordinator and runs
-them through the exact in-process mining path.
+"""The worker daemon: serves shard tasks for a coordinator through the
+exact in-process mining path.
 
-One worker is the remote analogue of one supervised child process: it
-connects, registers (``hello``/``welcome``), then loops ``ready`` →
-``task`` → ``result``.  The task frame names a module-level runner
-(restricted to the ``repro.`` namespace) and carries the pickled
-payload; the worker executes ``runner(payload, attempt)`` — the same
-entry point :func:`repro.mining.supervisor._pool_main` runs — so the
-budget ladder and the fault plan the task carried (never one of the
-worker's own process) behave identically to local mining.
+One worker is the remote analogue of one pool process: it connects
+with :func:`multiprocessing.connection.Client`, registers
+(``hello``/``welcome``), then answers each ``(runner_ref, payload,
+attempt)`` task with :func:`repro.mining.supervisor._run_job` — the
+function the pool's :func:`~repro.mining.supervisor._pool_main` runs —
+so the budget ladder and the fault plan the task carried (never one of
+the worker's own process) behave identically to local mining.  The
+runner crosses the wire by name and must live under ``repro.``; the
+messages are listed in :mod:`repro.dist.protocol`.
 
 While a task runs, a daemon thread heartbeats the coordinator at a
 third of the lease interval; a worker that dies (or whose network
-does) simply stops heartbeating and its lease lapses.  Result frames
-mirror the supervised child's pipe protocol: ``ok`` with a pickled
-result, ``error`` with the pickled typed exception otherwise.
+does) simply stops heartbeating and its lease lapses.
 
 With ``reconnect=True`` a lost coordinator connection is retried with
 bounded exponential backoff instead of ending the worker.
@@ -29,18 +28,16 @@ import signal as signal_module
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from multiprocessing.connection import Client, Connection
+from typing import Callable, List, Optional
 
 from repro.dist.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameDecoder,
     ProtocolError,
-    pack_payload,
     resolve_runner,
-    send_frame,
-    unpack_payload,
 )
-from repro.mining.supervisor import interim_channel
+from repro.mining.supervisor import _run_job, interim_channel
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
 #: dropped frame before the lease lapses
@@ -54,7 +51,7 @@ _MAX_BEAT = 30.0
 #: frame (seconds) — bounds SIGTERM reaction time between tasks
 _STOP_POLL = 0.25
 
-#: sentinel returned by :func:`_recv_or_stop` when the stop event won
+#: sentinel returned by :func:`_recv` when the stop event won
 _STOP = object()
 
 
@@ -73,54 +70,30 @@ def install_stop_signals(
         signal_module.signal(sig, lambda *_: stop.set())
 
 
-def _recv_or_stop(
-    sock: socket.socket,
-    decoder: FrameDecoder,
-    pending: List[Dict[str, object]],
-    stop: Optional[threading.Event],
-) -> Optional[object]:
-    """:func:`recv_frame`, interruptible and immune to idle timeouts.
+def _recv(conn: Connection, stop: Optional[threading.Event]) -> object:
+    """The next message, or :data:`_STOP` once ``stop`` is set.
 
-    Blocking reads poll ``stop`` every :data:`_STOP_POLL` seconds and
-    return :data:`_STOP` once it is set.  A ``socket.timeout`` is an
-    *idle* connection, not a hangup — ``recv_frame`` itself folds it
-    into its generic ``OSError`` → None path, which made any worker
-    idle longer than the connect timeout falsely conclude the
-    coordinator was gone.  Returns None only on real EOF/errors.
+    ``stop`` is checked first and then every :data:`_STOP_POLL`
+    seconds of an idle wait.  A frame that does not unpickle comes back
+    as a :class:`ProtocolError`; a hung-up coordinator raises
+    ``EOFError`` or ``OSError``.
     """
-    if pending:
-        return pending.pop(0)
-    original = sock.gettimeout()
-    sock.settimeout(_STOP_POLL if stop is not None else original)
-    try:
-        while not pending:
-            if stop is not None and stop.is_set():
-                return _STOP
+    while stop is None or not stop.is_set():
+        if conn.poll(_STOP_POLL):
+            frame = conn.recv_bytes(MAX_FRAME_BYTES)
             try:
-                data = sock.recv(65536)
-            except socket.timeout:
-                continue  # idle, not dead: keep waiting
-            except OSError:
-                return None
-            if not data:
-                return None
-            pending.extend(decoder.feed(data))
-        return pending.pop(0)
-    finally:
-        try:
-            sock.settimeout(original)
-        except OSError:
-            pass
+                return pickle.loads(frame)
+            except Exception as err:
+                return ProtocolError(f"undecodable frame: {err}")
+    return _STOP
 
 
 class _Heartbeat:
     """Background lease renewal for the currently running task."""
 
-    def __init__(self, sock: socket.socket, lock: threading.Lock,
-                 task_id: str, period: float) -> None:
-        self._sock = sock
-        self._lock = lock
-        self._task_id = task_id
+    def __init__(self, send: Callable[[object], None],
+                 period: float) -> None:
+        self._send = send
         self._period = period
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -136,10 +109,7 @@ class _Heartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self._period):
             try:
-                with self._lock:
-                    send_frame(self._sock, {
-                        "type": "heartbeat", "task_id": self._task_id,
-                    })
+                self._send(("heartbeat",))
             except OSError:
                 return  # connection gone; the main loop will notice
 
@@ -150,13 +120,13 @@ def _connect(
     retries: int,
     retry_delay: float,
     sleep: Callable[[float], None],
-) -> socket.socket:
+) -> Connection:
     last: Optional[OSError] = None
     for attempt in range(max(1, retries)):
         if attempt:
             sleep(retry_delay)
         try:
-            return socket.create_connection((host, port), timeout=30.0)
+            return Client((host, port))
         except OSError as err:
             last = err
     raise ConnectionError(
@@ -165,30 +135,20 @@ def _connect(
     )
 
 
-def _execute(runner: Callable, payload: object, attempt: int,
-             task_id: str) -> Dict[str, object]:
-    """Run one task; mirror ``_run_job``'s ok/error protocol."""
+def _answer(job: object, send: Callable[[object], None],
+            beat: float) -> tuple:
+    """Run one task through the pool's ``_run_job`` under a heartbeat,
+    streaming its interims ahead of the reply."""
     try:
-        result = runner(payload, attempt)
-    except BaseException as err:
-        try:
-            payload_text = pack_payload(err)
-        except Exception:
-            payload_text = pack_payload(RuntimeError(
-                f"{type(err).__name__}: {err}"
-            ))
-        return {"type": "result", "task_id": task_id, "status": "error",
-                "payload": payload_text,
-                "error": f"{type(err).__name__}: {err}"}
-    try:
-        return {"type": "result", "task_id": task_id, "status": "ok",
-                "payload": pack_payload(result)}
-    except (pickle.PicklingError, TypeError, ValueError) as err:
-        return {"type": "result", "task_id": task_id, "status": "error",
-                "payload": pack_payload(RuntimeError(
-                    f"unpicklable result: {err}"
-                )),
-                "error": f"unpicklable result: {err}"}
+        if isinstance(job, ProtocolError):
+            raise job
+        ref, payload, attempt = job
+        runner = resolve_runner(ref)
+    except Exception as err:
+        return ("error", RuntimeError(f"undecodable task: {err}"))
+    with _Heartbeat(send, beat), \
+            interim_channel(lambda item: send(("interim", item))):
+        return _run_job(runner, payload, attempt)
 
 
 def run_worker(
@@ -208,13 +168,13 @@ def run_worker(
     sleep: Callable[[float], None] = time.sleep,
     log: Callable[[str], None] = lambda line: None,
 ) -> int:
-    """Serve one coordinator until it says ``shutdown``.
+    """Serve one coordinator until it shuts the cluster down.
 
     Returns the number of tasks completed (any status).  Raises
     :class:`ConnectionError` if the coordinator is unreachable after
-    ``connect_retries`` attempts, and :class:`ProtocolError` on a
-    version mismatch.  ``max_tasks`` bounds this worker's life for
-    tests and canary deployments.
+    ``connect_retries`` attempts, and :class:`ProtocolError` when it
+    refuses registration (a version mismatch).  ``max_tasks`` bounds
+    this worker's life for tests and canary deployments.
 
     With ``reconnect=True`` a dropped connection (coordinator restart,
     network cut) is retried with exponential backoff — doubling from
@@ -262,7 +222,7 @@ def run_worker(
         if stop is not None and stop.is_set():
             return done[0]
         try:
-            sock = _connect(host, port, connect_retries, retry_delay,
+            conn = _connect(host, port, connect_retries, retry_delay,
                             sleep)
         except ConnectionError:
             if not reconnect or attempts_left <= 0:
@@ -273,25 +233,17 @@ def run_worker(
                 f"{delay:g}s ({attempts_left} round(s) left)")
             pause(delay)
             continue
-        decoder = FrameDecoder()
-        pending: List[Dict[str, object]] = []
-        send_lock = threading.Lock()
         registered = [False]
         finished = False
         try:
-            try:
-                finished = _serve(sock, decoder, pending, send_lock,
-                                  label, max_tasks, log, done, registered,
-                                  stop)
-            except OSError:
-                # the coordinator vanished mid-frame (closed the
-                # cluster, crashed, network cut)
-                log(f"{label}: connection lost")
+            finished = _serve(conn, label, max_tasks, log, done,
+                              registered, stop)
+        except (EOFError, OSError):
+            # the coordinator vanished (closed the cluster, crashed,
+            # network cut)
+            log(f"{label}: connection lost")
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            conn.close()
         if finished or not reconnect:
             return done[0]
         if registered[0]:
@@ -308,10 +260,7 @@ def run_worker(
 
 
 def _serve(
-    sock: socket.socket,
-    decoder: FrameDecoder,
-    pending: List[Dict[str, object]],
-    send_lock: threading.Lock,
+    conn: Connection,
     label: str,
     max_tasks: Optional[int],
     log: Callable[[str], None],
@@ -319,87 +268,49 @@ def _serve(
     registered: List[bool],
     stop: Optional[threading.Event] = None,
 ) -> bool:
-    """The registration handshake and the ready/task/result loop.
+    """The registration handshake and the task/reply loop.
 
-    Returns True when the session ended deliberately (``shutdown``,
-    ``max_tasks``, or a ``stop`` request), False when the coordinator
-    hung up mid-session — the signal ``run_worker`` uses to decide
-    whether to reconnect.
+    Returns True when the session ended deliberately (shutdown,
+    ``max_tasks``, or a ``stop`` request); a coordinator that hangs up
+    mid-session raises ``EOFError``/``OSError`` — the signal
+    ``run_worker`` uses to decide whether to reconnect.
     """
-    send_frame(sock, {
-        "type": "hello", "worker": label, "pid": os.getpid(),
-        "version": PROTOCOL_VERSION,
-    })
-    welcome = _recv_or_stop(sock, decoder, pending, stop)
+    lock = threading.Lock()  # the heartbeat thread sends too
+
+    def send(message: object) -> None:
+        with lock:
+            conn.send(message)
+
+    send(("hello", label, PROTOCOL_VERSION))
+    welcome = _recv(conn, stop)
     if welcome is _STOP:
         return True  # stopped before registering; nothing to undo
-    if welcome is None:
-        raise ConnectionError("coordinator hung up during handshake")
-    if welcome.get("type") != "welcome":
-        raise ProtocolError(
-            f"registration rejected: {welcome.get('error', welcome)}"
-        )
+    kind, detail = welcome if isinstance(welcome, tuple) \
+        and len(welcome) == 2 else (None, welcome)
+    if kind != "welcome":
+        raise ProtocolError(f"registration rejected: {detail}")
     registered[0] = True
-    lease = float(welcome.get("lease") or 15.0)
+    lease = float(detail)
     beat = min(_MAX_BEAT, max(_MIN_BEAT, lease / _BEATS_PER_LEASE))
     log(f"{label}: registered (lease {lease:g}s)")
-    with send_lock:
-        send_frame(sock, {"type": "ready"})
     while True:
-        message = _recv_or_stop(sock, decoder, pending, stop)
-        if message is _STOP:
-            with send_lock:
-                send_frame(sock, {"type": "goodbye"})
-            log(f"{label}: stop requested; deregistered after "
-                f"{done[0]} task(s)")
+        job = _recv(conn, stop)
+        if job is _STOP or job is None:
+            send(("goodbye",))
+            why = "stop requested" if job is _STOP else "shutdown"
+            log(f"{label}: {why}; deregistered after {done[0]} task(s)")
             return True
-        if message is None:
-            log(f"{label}: coordinator hung up")
-            return False
-        kind = message.get("type")
-        if kind == "shutdown":
-            with send_lock:
-                send_frame(sock, {"type": "goodbye"})
-            log(f"{label}: shutdown after {done[0]} task(s)")
-            return True
-        if kind != "task":
-            continue  # tolerate unknown control frames
-        task_id = str(message.get("task_id"))
-        attempt = int(message.get("attempt") or 0)
-        log(f"{label}: task {task_id} attempt {attempt}")
+        reply = _answer(job, send, beat)
         try:
-            runner = resolve_runner(str(message.get("runner")))
-            payload = unpack_payload(str(message.get("payload")))
+            send(reply)
+        except OSError:
+            raise
         except Exception as err:
-            reply: Dict[str, object] = {
-                "type": "result", "task_id": task_id,
-                "status": "error",
-                "payload": pack_payload(RuntimeError(
-                    f"undecodable task: {err}"
-                )),
-                "error": f"undecodable task: {err}",
-            }
-        else:
-            def interim(item: object, task_id: str = task_id) -> None:
-                frame = {"type": "interim", "task_id": task_id,
-                         "payload": pack_payload(item)}
-                with send_lock:
-                    send_frame(sock, frame)
-
-            with _Heartbeat(sock, send_lock, task_id, beat), \
-                    interim_channel(interim):
-                reply = _execute(runner, payload, attempt, task_id)
+            # unpicklable result: report instead of dying silently
+            send(("error", RuntimeError(f"unpicklable result: {err}")))
         done[0] += 1
-        with send_lock:
-            send_frame(sock, reply)
-            if max_tasks is not None and done[0] >= max_tasks:
-                send_frame(sock, {"type": "goodbye"})
-                log(f"{label}: max-tasks reached ({done[0]})")
-                return True
-            if stop is not None and stop.is_set():
-                # in-flight task finished and acked; deregister now
-                send_frame(sock, {"type": "goodbye"})
-                log(f"{label}: stop requested; deregistered after "
-                    f"{done[0]} task(s)")
-                return True
-            send_frame(sock, {"type": "ready"})
+        log(f"{label}: task {done[0]} replied {reply[0]}")
+        if max_tasks is not None and done[0] >= max_tasks:
+            send(("goodbye",))
+            log(f"{label}: max-tasks reached ({done[0]})")
+            return True

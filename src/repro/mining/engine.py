@@ -17,7 +17,9 @@ map/reduce phases over deterministic corpus shards
    settled program ahead of their task reply;
 2. **reduce: train** — partials fold through ``ShardPartial.merge``
    into one canonical set of sufficient statistics; the model trains
-   over their key-sorted, seed-shuffled sample stream;
+   over their seed-shuffled sample stream, ordered by source name
+   (:func:`~repro.model.dataset.stream_key`) as in the reference
+   pipeline, whatever the corpus order;
 3. **finalize** — the parent scores every match record in canonical
    program-key order (:func:`~repro.specs.candidates.score_records`)
    and the τ threshold selects the specification set.
@@ -60,7 +62,11 @@ from typing import (
 )
 
 from repro.ir.program import Program
-from repro.model.dataset import bundle_seed, collect_bundle_samples
+from repro.model.dataset import (
+    bundle_seed,
+    collect_bundle_samples,
+    stream_key,
+)
 from repro.model.features import encode_sample
 from repro.runtime.checkpoint import program_key
 from repro.runtime.executor import (
@@ -197,6 +203,7 @@ def _analyze_shard(
 
     def sink(outcome, bundle, entry) -> None:
         key = outcome.key
+        samples: List = []
         if bundle is not None:
             samples = [
                 encode_sample(s.feature, s.label, config.feature)
@@ -210,7 +217,8 @@ def _analyze_shard(
                 )
             ]
             graph = bundle.graph
-            partial.stats.add(key, samples)
+            partial.stats.add(
+                stream_key(bundle.program.source, index_of[key]), samples)
             partial.records[key] = tuple(match_records(
                 bundle, config.feature, config.max_receiver_distance,
                 config.enable_retrecv,
@@ -222,7 +230,7 @@ def _analyze_shard(
             metrics.n_edges += graph.edge_count
         partial.analyzed_keys.append(key)
         if settled is not None:
-            settled(_settled(partial, key, entry))
+            settled(_settled(partial, key, entry, samples))
 
     executor = CorpusExecutor(config.pointsto, config.history,
                               config.runtime, faults=faults)
@@ -247,15 +255,15 @@ def _analyze_shard(
 
 
 def _settled(partial: ShardPartial, key: str,
-             entry: Optional[QuarantineEntry]) -> Tuple:
+             entry: Optional[QuarantineEntry], samples=()) -> Tuple:
     """One settled program as the journal stores it: ``(key, entry,
     samples, match records, n_events, n_edges)``, where a quarantined
     program has its entry and nothing else."""
     if entry is not None:
         return (key, entry, (), (), 0, 0)
     n_events, n_edges = partial.program_meta[key]
-    return (key, None, tuple(partial.stats.blocks[key]),
-            partial.records[key], n_events, n_edges)
+    return (key, None, tuple(samples), partial.records[key], n_events,
+            n_edges)
 
 
 def _supervised_analyze(payload: AnalyzeTask, attempt: int):
@@ -512,7 +520,7 @@ class MiningEngine:
             if held:
                 sp = ShardPartial.empty(sid)
                 metrics = sp.metrics[0]
-                for (_, key, program), rec in held:
+                for (index, key, program), rec in held:
                     metrics.n_programs += 1
                     metrics.n_from_store += 1
                     if rec.entry is not None:
@@ -526,7 +534,8 @@ class MiningEngine:
                         key=key, source=program.source,
                         tier=TIER_STORE, cached=True,
                     ))
-                    sp.stats.add(key, list(rec.samples))
+                    sp.stats.add(stream_key(program.source, index),
+                                 list(rec.samples))
                     sp.records[key] = tuple(rec.records)
                     sp.program_meta[key] = (rec.n_events, rec.n_edges)
                     metrics.n_samples += len(rec.samples)

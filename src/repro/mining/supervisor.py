@@ -564,6 +564,54 @@ class TaskScheduler:
         except TypeError:
             return 1
 
+    def _classify(
+        self,
+        task: _Task,
+        reply: object,
+        seconds: float,
+        allowed: Optional[float],
+        validator: Callable[[object], bool],
+        validate: bool = True,
+    ) -> Tuple[str, object]:
+        """Classify one worker reply as ``(outcome, result or error)``.
+
+        ``("ok", result)`` whose result passes ``validator`` is
+        :data:`OUTCOME_OK` with the result (``validate=False`` trusts
+        it unchecked); ``("error", exc)`` with a typed exception is
+        :data:`OUTCOME_ERROR` and anything else
+        :data:`OUTCOME_CORRUPT`, each with the ledger's error text.
+        OK and error attempts are recorded here (an OK one slower than
+        ``straggler_fraction`` of ``allowed`` as a straggler); in
+        strict mode the worker's typed error is re-raised intact, so
+        exit codes 3/4 survive supervision.
+        """
+        kind, value = reply if isinstance(reply, tuple) \
+            and len(reply) == 2 else (None, None)
+        if kind == "ok":
+            if validate:
+                self.dispatch.n_validations += 1
+            else:
+                self.dispatch.n_validations_skipped += 1
+            if not validate or validator(value):
+                task.record.attempts.append(AttemptRecord(
+                    attempt=task.attempt, outcome=OUTCOME_OK,
+                    seconds=seconds, straggler=bool(
+                        allowed is not None and seconds
+                        > self.supervision.straggler_fraction * allowed),
+                ))
+                return OUTCOME_OK, value
+        elif kind == "error" and isinstance(value, BaseException):
+            error = f"{type(value).__name__}: {value}"
+            task.record.attempts.append(AttemptRecord(
+                attempt=task.attempt, outcome=OUTCOME_ERROR,
+                seconds=seconds, error=error,
+            ))
+            if self.strict:
+                raise value
+            return OUTCOME_ERROR, error
+        return (OUTCOME_CORRUPT,
+                "worker result failed validation (corrupt payload)")
+
     def _failed(
         self,
         task: _Task,
@@ -926,84 +974,28 @@ class ShardSupervisor(TaskScheduler):
         else:
             # a batched frame must answer with one message per task
             replies = [("batch-shape-mismatch",)] * len(batch)
-        straggler = bool(
-            worker.allowed is not None
-            and seconds > self.supervision.straggler_fraction
-            * worker.allowed
-        )
         any_ok = False
         for index, (task, reply) in enumerate(zip(batch, replies)):
-            any_ok |= self._settle(
-                task, reply, index, seconds, straggler,
-                now, queue, results, splitter, poisoner, validator,
+            # the first reply of a frame is shape-revalidated; later
+            # ones come from the same healthy worker in the same round
+            # trip, so one validation vouches for the frame (strict
+            # mode validates every reply; runs with worker faults send
+            # one task per frame)
+            outcome, value = self._classify(
+                task, reply, seconds, worker.allowed, validator,
+                validate=index == 0 or self.strict,
             )
+            if outcome == OUTCOME_OK:
+                results.append(value)
+                any_ok = True
+            else:
+                self._failed(task, outcome, value, seconds, now, queue,
+                             results, splitter, poisoner,
+                             recorded=outcome == OUTCOME_ERROR)
         if any_ok:
             self._deadlines.observe(seconds, sum(
                 self._payload_size(t.payload) for t in batch
             ))
-
-    def _settle(
-        self,
-        task: _Task,
-        reply: object,
-        index: int,
-        seconds: float,
-        straggler: bool,
-        now: float,
-        queue: List[_Task],
-        results: List[object],
-        splitter,
-        poisoner,
-        validator,
-    ) -> bool:
-        """Fold one task's reply into results/retries; True on OK.
-
-        ``index`` is the task's position in its frame: the first reply
-        of every frame is shape-revalidated, later ones skip the
-        validator on the warm path — they were produced by the same
-        healthy worker in the same round trip, so one validation
-        vouches for the frame (strict mode keeps validating every
-        reply; runs with worker faults send one task per frame).
-        """
-        if (isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == "ok"):
-            if index == 0 or self.strict:
-                self.dispatch.n_validations += 1
-                valid = validator(reply[1])
-            else:
-                self.dispatch.n_validations_skipped += 1
-                valid = True
-            if valid:
-                task.record.attempts.append(AttemptRecord(
-                    attempt=task.attempt, outcome=OUTCOME_OK,
-                    seconds=seconds, straggler=straggler,
-                ))
-                results.append(reply[1])
-                return True
-        elif (isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == "error"
-                and isinstance(reply[1], BaseException)):
-            err = reply[1]
-            task.record.attempts.append(AttemptRecord(
-                attempt=task.attempt, outcome=OUTCOME_ERROR,
-                seconds=seconds, error=f"{type(err).__name__}: {err}",
-            ))
-            if self.strict:
-                # fail fast with the worker's typed error intact
-                # (exit codes 3/4 survive supervision)
-                raise err
-            self._failed(
-                task, OUTCOME_ERROR, f"{type(err).__name__}: {err}",
-                seconds, now, queue, results, splitter, poisoner,
-                recorded=True,
-            )
-            return False
-        self._failed(
-            task, OUTCOME_CORRUPT,
-            "worker result failed validation (corrupt payload)",
-            seconds, now, queue, results, splitter, poisoner,
-        )
-        return False
 
     def _reap_deadlines(
         self,

@@ -167,6 +167,18 @@ def bundle_seed(seed: int, source: Optional[str], index: int = 0) -> int:
     return zlib.crc32(f"{seed}:{identity}".encode("utf-8"))
 
 
+def stream_key(source: Optional[str], index: int) -> Tuple[str, int]:
+    """A program's place in the canonical training stream.
+
+    By source name, then by corpus position (which alone orders
+    anonymous programs).  The reference pipeline and the mining engine
+    both key their :class:`~repro.model.logistic.SufficientStats`
+    blocks by it, so they train on one stream whatever the corpus
+    order.
+    """
+    return (source or "", index)
+
+
 def collect_bundle_samples(
     bundle: GraphBundle,
     config: FeatureConfig = FeatureConfig(),

@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,19 +54,20 @@ class SufficientStats:
     The sharded mining engine cannot thread one RNG through the whole
     corpus — shards finish in arbitrary order on arbitrary workers — so
     each worker instead accumulates the *hashed samples of each
-    program* under the program's stable key.  ``merge`` is the monoid
+    program* under the program's
+    :func:`~repro.model.dataset.stream_key`.  ``merge`` is the monoid
     operation (keys are disjoint across shards by construction;
     duplicate keys concatenate defensively), and :meth:`stream`
     linearises the accumulated blocks into the canonical training
-    order: program keys sorted, then one seeded global shuffle.  The
-    resulting SGD stream is byte-identical regardless of worker count,
-    shard count or completion order.
+    order: keys sorted, then one seeded global shuffle.  The resulting
+    SGD stream is byte-identical regardless of worker count, shard
+    count, completion order or corpus order.
     """
 
-    blocks: Dict[str, List[EncodedSample]] = field(default_factory=dict)
+    blocks: Dict[Hashable, List[EncodedSample]] = field(default_factory=dict)
 
-    def add(self, program_key: str, samples: Sequence[EncodedSample]) -> None:
-        self.blocks.setdefault(program_key, []).extend(samples)
+    def add(self, key: Hashable, samples: Sequence[EncodedSample]) -> None:
+        self.blocks.setdefault(key, []).extend(samples)
 
     def merge(self, other: "SufficientStats") -> "SufficientStats":
         for key, samples in other.blocks.items():

@@ -7,7 +7,7 @@ module reuses the supervisor's child loop
 (:func:`repro.mining.supervisor._pool_main` — the exact process the
 mining engine supervises) and rebuilds the *parent* side for an event
 loop: pipes are registered with ``loop.add_reader`` instead of
-``selectors`` polling, and each in-flight job gets a ``call_later``
+``connection.wait`` polling, and each in-flight job gets a ``call_later``
 watchdog instead of a scheduler sweep.
 
 Failure detection is the supervisor's taxonomy, one-shot per request:

@@ -29,6 +29,7 @@ from repro.model.dataset import (
     GraphBundle,
     bundle_seed,
     collect_bundle_samples,
+    stream_key,
 )
 from repro.model.features import FeatureConfig, encode_sample
 from repro.model.logistic import SufficientStats, TrainConfig
@@ -138,22 +139,16 @@ class USpecPipeline:
     # stage 2: probabilistic model (§4), split into map/reduce halves so
     # the sharded mining engine can run the map on workers
 
-    def collect_stats(
-        self,
-        bundles: Sequence[GraphBundle],
-        keys: Optional[Sequence[str]] = None,
-    ) -> SufficientStats:
-        """Map stage: per-program hashed training samples.
+    def collect_stats(self, bundles: Sequence[GraphBundle]) -> SufficientStats:
+        """Map stage: per-program hashed training samples, keyed by
+        :func:`~repro.model.dataset.stream_key` for the merge order.
 
-        ``keys`` names each bundle for the merge order (defaults to the
-        program source).  Each program's samples depend only on that
-        program and the corpus seed, never on corpus order — the
-        precondition for order-independent merging.
+        Each program's samples depend only on that program and the
+        corpus seed, never on corpus order — the precondition for
+        order-independent merging.
         """
         stats = SufficientStats()
         for index, bundle in enumerate(bundles):
-            key = keys[index] if keys is not None \
-                else (bundle.program.source or f"#{index}")
             samples = collect_bundle_samples(
                 bundle,
                 self.config.feature,
@@ -161,7 +156,7 @@ class USpecPipeline:
                 self.config.negative_ratio,
                 bundle_seed(self.config.seed, bundle.program.source, index),
             )
-            stats.add(key, [
+            stats.add(stream_key(bundle.program.source, index), [
                 encode_sample(s.feature, s.label, self.config.feature)
                 for s in samples
             ])

@@ -59,7 +59,7 @@ def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def encode_frame(kind: int, payload: bytes) -> bytes:
+def encode_record(kind: int, payload: bytes) -> bytes:
     head = _HEAD.pack(FRAME_MAGIC, kind, len(payload))
     return b"".join((head, _CRC.pack(_crc(head)), payload,
                      _CRC.pack(_crc(payload))))
@@ -239,7 +239,7 @@ class RecordJournal:
         """Append one record; durable on return when ``sync`` is set."""
         self.open()
         assert self._fh is not None
-        frame = encode_frame(kind, payload)
+        frame = encode_record(kind, payload)
         checked_write(self._fh, frame, self.path)
         self._fh.flush()
         if self.sync:

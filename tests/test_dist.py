@@ -1,6 +1,7 @@
-"""repro.dist: protocol framing, the loopback coordinator/worker
-cluster, byte-identity with local mining, worker death, lease expiry,
-worker faults, speculation, and the distributed CLI."""
+"""repro.dist: the wire, the loopback coordinator/worker cluster,
+byte-identity with local mining, worker death, lease expiry, stalled
+and unregistered peers, worker faults, speculation, and the
+distributed CLI."""
 
 import base64
 import contextlib
@@ -9,8 +10,10 @@ import os
 import pickle
 import signal
 import socket
+import struct
 import threading
 import time
+from multiprocessing.connection import Client, Listener
 
 import pytest
 
@@ -19,18 +22,14 @@ from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.dist import (
     Coordinator,
     DistConfig,
-    FrameDecoder,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    encode_frame,
-    pack_payload,
-    recv_frame,
     resolve_runner,
     run_worker,
     runner_ref,
-    send_frame,
-    unpack_payload,
 )
+from repro.dist.protocol import pack_payload, unpack_payload
 from repro.mining import MiningConfig, MiningEngine
 from repro.mining.engine import _supervised_analyze
 from repro.mining.supervisor import SupervisionConfig
@@ -38,8 +37,10 @@ from repro.runtime import (
     Budget,
     BudgetExceeded,
     FaultPlan,
+    QuarantineEntry,
     RuntimeConfig,
     SOLVER_CRASH,
+    WORKER_CRASH,
     arm,
 )
 from repro.specs.pipeline import PipelineConfig, USpecPipeline
@@ -115,41 +116,21 @@ def cluster(n=3, *, processes=False, lease=10.0, start_workers=True,
                 worker.kill()
 
 
+def _register(address, name):
+    """A hand-written peer: connect and register with the coordinator."""
+    conn = Client(address)
+    conn.send(("hello", name, PROTOCOL_VERSION))
+    assert conn.recv()[0] == "welcome"
+    return conn
+
+
+def _is_task(message):
+    """Tasks are the only 3-tuples a coordinator sends a worker."""
+    return isinstance(message, tuple) and len(message) == 3
+
+
 # ----------------------------------------------------------------------
 # protocol
-
-
-def test_frame_roundtrip_and_coalesced_frames():
-    decoder = FrameDecoder()
-    a = encode_frame({"type": "hello", "worker": "w0"})
-    b = encode_frame({"type": "ready"})
-    messages = decoder.feed(a + b)
-    assert [m["type"] for m in messages] == ["hello", "ready"]
-
-
-def test_frame_decoder_handles_byte_by_byte_delivery():
-    decoder = FrameDecoder()
-    wire = encode_frame({"type": "task", "task_id": "analyze:3"})
-    got = []
-    for i in range(len(wire)):
-        got.extend(decoder.feed(wire[i:i + 1]))
-    assert len(got) == 1 and got[0]["task_id"] == "analyze:3"
-
-
-def test_frame_without_type_rejected():
-    decoder = FrameDecoder()
-    import json
-    import struct
-    body = json.dumps({"nope": 1}).encode()
-    with pytest.raises(ProtocolError):
-        decoder.feed(struct.pack("!I", len(body)) + body)
-
-
-def test_oversized_frame_announcement_rejected():
-    decoder = FrameDecoder()
-    import struct
-    with pytest.raises(ProtocolError):
-        decoder.feed(struct.pack("!I", 1 << 31))
 
 
 def test_payload_roundtrip_preserves_types():
@@ -193,17 +174,6 @@ def test_runner_ref_roundtrip_and_namespace_restriction():
         resolve_runner("subprocess:run")
     with pytest.raises(ProtocolError):
         runner_ref(contextlib.contextmanager)
-
-
-def test_send_and_recv_frame_over_socketpair():
-    left, right = socket.socketpair()
-    try:
-        send_frame(left, {"type": "heartbeat", "task_id": "analyze:0"})
-        got = recv_frame(right, FrameDecoder(), [])
-        assert got == {"type": "heartbeat", "task_id": "analyze:0"}
-    finally:
-        left.close()
-        right.close()
 
 
 # ----------------------------------------------------------------------
@@ -307,39 +277,46 @@ ONE_PLAN = "corrupt:corpus_00002:1;pointsto:corpus_00004"
 
 
 @pytest.fixture(scope="module")
-def one_plan_reference():
+def one_plan_references():
+    """The plan's reference run on the corpus in source order and with
+    its first file moved to the end."""
     programs = java_corpus(n=8)
-    with arm(FaultPlan.parse("pointsto:corpus_00004")):
-        reference = USpecPipeline().learn(programs)
-    return programs, reference
+    references = []
+    for corpus in (programs, programs[1:] + programs[:1]):
+        with arm(FaultPlan.parse("pointsto:corpus_00004")):
+            references.append((corpus, USpecPipeline().learn(corpus)))
+    return references
 
 
 @pytest.mark.parametrize("topology", [
     "jobs1", "jobs2", "dist-threads", "dist-processes",
 ])
-def test_one_plan_across_every_worker_topology(one_plan_reference,
+def test_one_plan_across_every_worker_topology(one_plan_references,
                                                topology):
     """Every worker fires faults from the plan its task carried: pool
     processes, dist processes and dist threads of a process that armed
-    the plan itself all reproduce the reference pipeline."""
-    programs, reference = one_plan_reference
-    if topology.startswith("jobs"):
-        learned = learn(programs, jobs=int(topology[-1]), faults=ONE_PLAN)
-    else:
-        # no speculative twin of the corrupt attempt: exactly one reply
-        with cluster(2, processes=topology == "dist-processes",
-                     speculate=False) as (coordinator, _, _):
-            learned = learn(programs, coordinator=coordinator,
+    the plan itself all reproduce the reference pipeline, whatever the
+    corpus order."""
+    for programs, reference in one_plan_references:
+        if topology.startswith("jobs"):
+            learned = learn(programs, jobs=int(topology[-1]),
                             faults=ONE_PLAN)
-    assert specs_text(learned) == specs_text(reference)
-    assert manifest_text(learned) == manifest_text(reference)
-    (entry,) = learned.run.manifest.entries
-    assert entry.program == "000004:corpus_00004.java"
-    assert entry.error_kind == SOLVER_CRASH
-    assert len(entry.attempts) == 3
-    ledger = learned.mining.ledger
-    assert ledger.n_corrupt_results == 1
-    assert ledger.n_poisoned == 0
+        else:
+            # no speculative twin of the corrupt attempt: one reply
+            with cluster(2, processes=topology == "dist-processes",
+                         speculate=False) as (coordinator, _, _):
+                learned = learn(programs, coordinator=coordinator,
+                                faults=ONE_PLAN)
+        assert specs_text(learned) == specs_text(reference)
+        assert manifest_text(learned) == manifest_text(reference)
+        (entry,) = learned.run.manifest.entries
+        index = [p.source for p in programs].index("corpus_00004.java")
+        assert entry.program == f"{index:06d}:corpus_00004.java"
+        assert entry.error_kind == SOLVER_CRASH
+        assert len(entry.attempts) == 3
+        ledger = learned.mining.ledger
+        assert ledger.n_corrupt_results == 1
+        assert ledger.n_poisoned == 0
 
 
 def test_lease_expiry_redispatches_and_drops_silent_worker():
@@ -349,21 +326,15 @@ def test_lease_expiry_redispatches_and_drops_silent_worker():
 
     def silent_worker(host, port):
         """Registers, takes one task, then never heartbeats again."""
-        sock = socket.create_connection((host, port))
-        decoder, pending = FrameDecoder(), []
+        conn = _register((host, port), "silent")
         try:
-            send_frame(sock, {"type": "hello", "worker": "silent",
-                              "version": PROTOCOL_VERSION})
-            assert recv_frame(sock, decoder, pending)["type"] == "welcome"
-            send_frame(sock, {"type": "ready"})
             while True:
-                message = recv_frame(sock, decoder, pending)
-                if message is None:
-                    return  # coordinator dropped us: the expected end
-                if message["type"] == "task":
+                if _is_task(conn.recv()):
                     got_task.set()  # go silent holding the lease
+        except (EOFError, OSError):
+            return  # coordinator dropped us: the expected end
         finally:
-            sock.close()
+            conn.close()
 
     coordinator = Coordinator(DistConfig(
         min_workers=1, lease_seconds=0.75, no_worker_timeout=60.0,
@@ -399,29 +370,18 @@ def test_speculation_beats_a_straggler():
 
     def straggler_worker(host, port):
         """Takes one task and heartbeats forever without finishing."""
-        sock = socket.create_connection((host, port))
-        decoder, pending = FrameDecoder(), []
+        conn = _register((host, port), "straggler")
         try:
-            send_frame(sock, {"type": "hello", "worker": "straggler",
-                              "version": PROTOCOL_VERSION})
-            assert recv_frame(sock, decoder, pending)["type"] == "welcome"
-            send_frame(sock, {"type": "ready"})
+            while not _is_task(conn.recv()):
+                pass
+            straggling.set()
             while True:
-                message = recv_frame(sock, decoder, pending)
-                if message is None:
-                    return
-                if message["type"] == "task":
-                    straggling.set()
-                    task_id = message["task_id"]
-                    while True:
-                        time.sleep(0.05)
-                        try:
-                            send_frame(sock, {"type": "heartbeat",
-                                              "task_id": task_id})
-                        except OSError:
-                            return
+                time.sleep(0.05)
+                conn.send(("heartbeat",))
+        except (EOFError, OSError):
+            return
         finally:
-            sock.close()
+            conn.close()
 
     coordinator = Coordinator(DistConfig(
         min_workers=1, lease_seconds=10.0, no_worker_timeout=60.0,
@@ -493,21 +453,20 @@ def test_no_worker_timeout_aborts_instead_of_hanging():
 def test_version_mismatch_is_rejected():
     coordinator = Coordinator(DistConfig(min_workers=0))
     host, port = coordinator.bind()
-    sock = socket.create_connection((host, port))
+    conn = Client((host, port))
     try:
-        send_frame(sock, {"type": "hello", "worker": "old",
-                          "version": PROTOCOL_VERSION + 1})
+        conn.send(("hello", "old", PROTOCOL_VERSION + 1))
         pump = threading.Thread(
             target=lambda: [coordinator._pump(0.1) for _ in range(20)],
             daemon=True,
         )
         pump.start()
-        reply = recv_frame(sock, FrameDecoder(), [])
+        reply = conn.recv()
         pump.join(timeout=10)
-        assert reply is not None and reply["type"] == "error"
+        assert reply[0] == "error" and "protocol version" in reply[1]
         assert coordinator.n_workers == 0
     finally:
-        sock.close()
+        conn.close()
         coordinator.close()
 
 
@@ -517,23 +476,17 @@ def test_version_mismatch_is_rejected():
 
 def _evil_worker(host, port, garbage, got_task):
     """Registers, takes one task, then wrecks the wire with garbage."""
-    sock = socket.create_connection((host, port))
-    decoder, pending = FrameDecoder(), []
+    conn = _register((host, port), "evil")
     try:
-        send_frame(sock, {"type": "hello", "worker": "evil",
-                          "version": PROTOCOL_VERSION})
-        assert recv_frame(sock, decoder, pending)["type"] == "welcome"
-        send_frame(sock, {"type": "ready"})
-        while True:
-            message = recv_frame(sock, decoder, pending)
-            if message is None:
-                return  # coordinator dropped us: the expected end
-            if message["type"] == "task":
-                got_task.set()
-                sock.sendall(garbage)
-                return  # truncated variant: hang up mid-frame too
+        while not _is_task(conn.recv()):
+            pass
+        got_task.set()
+        os.write(conn.fileno(), garbage)
+        # truncated variant: hang up mid-frame too
+    except (EOFError, OSError):
+        return  # coordinator dropped us: the expected end
     finally:
-        sock.close()
+        conn.close()
 
 
 def _learn_against_evil_worker(garbage):
@@ -572,25 +525,120 @@ def _learn_against_evil_worker(garbage):
 
 
 def test_malformed_frame_mid_session_drops_worker_not_run():
-    # an oversized length announcement: ProtocolError on the first
-    # feed — the coordinator must drop the connection, reclaim the
-    # lease, and redispatch without poisoning the shard
-    import struct
-    _learn_against_evil_worker(struct.pack("!I", 1 << 31) + b"garbage")
+    # an oversized length announcement: the coordinator must drop the
+    # connection, reclaim the lease, and redispatch without poisoning
+    # the shard
+    _learn_against_evil_worker(
+        struct.pack("!i", MAX_FRAME_BYTES + 1) + b"garbage")
 
 
 def test_undecodable_frame_mid_session_drops_worker_not_run():
-    # a plausible length prefix followed by non-JSON bytes
-    import struct
-    body = b"\xff\xfe not json at all"
-    _learn_against_evil_worker(struct.pack("!I", len(body)) + body)
+    # a plausible length prefix followed by bytes that are no pickle
+    body = b"\xff\xfe not a pickle at all"
+    _learn_against_evil_worker(struct.pack("!i", len(body)) + body)
 
 
 def test_truncated_frame_then_eof_reclaims_lease():
     # announce 500 bytes, deliver 10, hang up: EOF mid-frame is a
     # worker loss, not a crash of the coordinator
-    import struct
-    _learn_against_evil_worker(struct.pack("!I", 500) + b"0123456789")
+    _learn_against_evil_worker(struct.pack("!i", 500) + b"0123456789")
+
+
+# ----------------------------------------------------------------------
+# stalled and unregistered peers
+
+
+def test_stalled_peer_is_dropped_and_live_leases_survive(monkeypatch):
+    """A peer that stalls mid-frame holds the loop for the I/O timeout
+    at most, and only it is dropped: the real worker's reply or
+    heartbeats, queued behind it, are read before its lease lapses by
+    the clock."""
+    import repro.dist.coordinator as coordinator_module
+
+    monkeypatch.setattr(coordinator_module, "_IO_TIMEOUT", 1.0)
+    programs = java_corpus()
+    local = learn(programs, jobs=2)
+    stalled, release = threading.Event(), threading.Event()
+
+    def stalled_peer(host, port):
+        """Registers, takes one task, writes part of a reply frame and
+        stays connected."""
+        conn = _register((host, port), "stalled")
+        try:
+            while not _is_task(conn.recv()):
+                pass
+            os.write(conn.fileno(), struct.pack("!i", 500) + b"partial")
+            stalled.set()
+            release.wait(60)
+        except (EOFError, OSError):
+            pass
+        finally:
+            conn.close()
+
+    # both hold a task when the stall starts: the real worker's reply
+    # or heartbeats then queue behind it while its lease lapses
+    coordinator = Coordinator(DistConfig(
+        min_workers=2, lease_seconds=0.75, no_worker_timeout=5.0,
+        speculate=False,
+    ))
+    host, port = coordinator.bind()
+    peer = threading.Thread(target=stalled_peer, args=(host, port),
+                            daemon=True)
+    real = threading.Thread(
+        target=run_worker, args=(host, port),
+        kwargs={"name": "real", "connect_retries": 60}, daemon=True,
+    )
+    peer.start()
+    real.start()
+    try:
+        dist = learn(programs, coordinator=coordinator, shards=6)
+    finally:
+        release.set()
+        coordinator.close()
+    peer.join(timeout=10)
+    real.join(timeout=10)
+    assert stalled.is_set()
+    assert specs_text(dist) == specs_text(local)
+    assert manifest_text(dist) == manifest_text(local)
+    assert coordinator.stats.n_workers_lost == 1
+    assert coordinator.stats.n_lease_expiries == 0
+    assert dist.mining.ledger.n_poisoned == 0
+    assert dist.mining.n_quarantined == 0
+
+
+def test_unregistered_peer_cannot_write_the_journal(tmp_path):
+    """A peer that never says hello is dropped at its first message, so
+    a forged interim never reaches the store."""
+    programs = java_corpus()
+    victim = f"000011:{programs[11].source}"
+    forged = (victim, QuarantineEntry(
+        program=victim, source=programs[11].source,
+        error_kind=WORKER_CRASH, error="forged verdict",
+    ), (), (), 0, 0)
+    dropped = threading.Event()
+
+    def intruder(address):
+        conn = Client(address)
+        try:
+            while True:
+                conn.send(("interim", forged))
+                time.sleep(0.01)
+        except OSError:
+            dropped.set()
+        finally:
+            conn.close()
+
+    store = tmp_path / "store"
+    with cluster(2) as (coordinator, _, address):
+        threading.Thread(target=intruder, args=(address,),
+                         daemon=True).start()
+        learn(programs, coordinator=coordinator, store_dir=store)
+        assert dropped.wait(30)
+        assert coordinator.stats.n_workers_lost == 0
+    warm = learn(programs, store_dir=store)
+    assert warm.mining.n_from_store == len(programs)
+    assert warm.mining.n_quarantined == 0
+    assert specs_text(warm) == specs_text(learn(programs))
 
 
 # ----------------------------------------------------------------------
@@ -599,25 +647,19 @@ def test_truncated_frame_then_eof_reclaims_lease():
 
 @contextlib.contextmanager
 def _stub_coordinator():
-    """A raw listening socket playing the coordinator's side by hand."""
-    listener = socket.socket()
-    listener.settimeout(30.0)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    try:
-        yield listener, listener.getsockname()
-    finally:
-        listener.close()
+    """A Listener playing the coordinator's side by hand."""
+    with Listener(("127.0.0.1", 0)) as listener:
+        yield listener, listener.address
 
 
 def _handshake(conn):
-    decoder, pending = FrameDecoder(), []
-    hello = recv_frame(conn, decoder, pending)
-    assert hello["type"] == "hello"
-    send_frame(conn, {"type": "welcome", "lease": 5.0})
-    ready = recv_frame(conn, decoder, pending)
-    assert ready["type"] == "ready"
-    return decoder, pending
+    hello = conn.recv()
+    assert hello[0] == "hello" and hello[2] == PROTOCOL_VERSION
+    conn.send(("welcome", 5.0))
+
+
+def _double(payload, attempt):
+    return payload * 2
 
 
 def test_worker_stop_finishes_inflight_task_acks_and_deregisters(
@@ -640,30 +682,19 @@ def test_worker_stop_finishes_inflight_task_acks_and_deregisters(
             n=run_worker(host, port, name="graceful", stop=stop)),
             daemon=True)
         worker.start()
-        conn, _ = listener.accept()
-        try:
-            decoder, pending = _handshake(conn)
-            send_frame(conn, {"type": "task", "task_id": "t1",
-                              "runner": "repro.fake:runner",
-                              "payload": pack_payload(21), "attempt": 0})
+        with listener.accept() as conn:
+            _handshake(conn)
+            conn.send(("repro.fake:runner", 21, 0))
             assert started.wait(30)
             stop.set()  # SIGTERM lands mid-task
             release.set()  # ... then the task finishes
             frames = []
-            while True:
-                message = recv_frame(conn, decoder, pending)
-                assert message is not None, "worker hung up before goodbye"
-                if message["type"] == "heartbeat":
-                    continue
-                frames.append(message)
-                if message["type"] == "goodbye":
-                    break
+            while frames[-1:] != [("goodbye",)]:
+                message = conn.recv()  # EOFError: hung up before goodbye
+                if message != ("heartbeat",):
+                    frames.append(message)
             # in-flight result acked first, then the deregistration
-            assert [f["type"] for f in frames] == ["result", "goodbye"]
-            assert frames[0]["status"] == "ok"
-            assert unpack_payload(frames[0]["payload"]) == 42
-        finally:
-            conn.close()
+            assert frames == [("ok", 42), ("goodbye",)]
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert outcome["n"] == 1
@@ -677,73 +708,61 @@ def test_worker_stop_while_idle_sends_goodbye_and_returns():
             n=run_worker(host, port, name="idle", stop=stop)),
             daemon=True)
         worker.start()
-        conn, _ = listener.accept()
-        try:
-            decoder, pending = _handshake(conn)
+        with listener.accept() as conn:
+            _handshake(conn)
             stop.set()
-            message = recv_frame(conn, decoder, pending)
-            while message is not None and message["type"] == "heartbeat":
-                message = recv_frame(conn, decoder, pending)
-            assert message is not None and message["type"] == "goodbye"
-        finally:
-            conn.close()
+            assert conn.recv() == ("goodbye",)
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert outcome["n"] == 0
 
 
-def test_recv_or_stop_treats_idle_timeout_as_waiting():
-    # recv_frame folds socket.timeout into its EOF path — an idle
-    # worker must NOT conclude the coordinator hung up
-    from repro.dist.worker import _recv_or_stop
+def test_recv_or_stop_treats_idle_timeout_as_waiting(monkeypatch):
+    """An idle worker waits through many stop-poll periods of silence,
+    then answers the task that finally arrives."""
+    import repro.dist.worker as worker_module
 
-    left, right = socket.socketpair()
-    try:
-        right.settimeout(0.05)  # far shorter than the idle gap below
-        timer = threading.Timer(
-            0.3, lambda: send_frame(left, {"type": "ready"}))
-        timer.start()
-        got = _recv_or_stop(right, FrameDecoder(), [], None)
-        timer.join()
-        assert got == {"type": "ready"}
-    finally:
-        left.close()
-        right.close()
+    monkeypatch.setattr(worker_module, "resolve_runner",
+                        lambda ref: _double)
+    with _stub_coordinator() as (listener, (host, port)):
+        outcome = {}
+        worker = threading.Thread(target=lambda: outcome.update(
+            n=run_worker(host, port, name="patient", max_tasks=1)),
+            daemon=True)
+        worker.start()
+        with listener.accept() as conn:
+            _handshake(conn)
+            time.sleep(4 * worker_module._STOP_POLL)
+            assert not conn.poll()  # silence both ways
+            conn.send(("repro.fake:runner", 21, 0))
+            assert conn.recv() == ("ok", 42)
+            assert conn.recv() == ("goodbye",)
+        worker.join(timeout=30)
+        assert outcome["n"] == 1
 
 
 # ----------------------------------------------------------------------
 # worker reconnect
 
 
-def _serve_sessions(listener, sessions, ready_frames):
-    """Accept ``sessions`` worker sessions; welcome each, record its
-    first ready frame, then drop all but the last, which is shut down
-    cleanly."""
+def _serve_sessions(listener, sessions, hellos):
+    """Accept ``sessions`` worker sessions; welcome each and record its
+    hello, then drop all but the last, which is shut down cleanly."""
     for index in range(sessions):
-        conn, _ = listener.accept()
-        decoder, pending = FrameDecoder(), []
-        try:
-            hello = recv_frame(conn, decoder, pending)
-            assert hello and hello["type"] == "hello"
-            send_frame(conn, {
-                "type": "welcome", "version": PROTOCOL_VERSION,
-                "lease": 5.0,
-            })
-            ready = recv_frame(conn, decoder, pending)
-            ready_frames.append(ready)
+        with listener.accept() as conn:
+            hellos.append(conn.recv())
+            conn.send(("welcome", 5.0))
             if index + 1 < sessions:
-                continue  # drop: the finally closes the socket
-            send_frame(conn, {"type": "shutdown"})
-            recv_frame(conn, decoder, pending)  # goodbye
-        finally:
-            conn.close()
+                continue  # drop: leaving the block closes the connection
+            conn.send(None)
+            assert conn.recv() == ("goodbye",)
 
 
 def _run_against_sessions(sessions, **worker_kw):
-    ready_frames = []
+    hellos = []
     with _stub_coordinator() as (listener, (host, port)):
         server = threading.Thread(
-            target=_serve_sessions, args=(listener, sessions, ready_frames),
+            target=_serve_sessions, args=(listener, sessions, hellos),
             daemon=True)
         server.start()
         try:
@@ -751,20 +770,20 @@ def _run_against_sessions(sessions, **worker_kw):
                               **worker_kw)
         finally:
             server.join(timeout=10)
-    return done, ready_frames
+    return done, hellos
 
 
 def test_worker_reconnects_after_coordinator_hangup():
-    done, ready_frames = _run_against_sessions(
+    done, hellos = _run_against_sessions(
         2, reconnect=True, retry_delay=0.0)
     assert done == 0
-    assert len(ready_frames) == 2  # one registration per session
+    assert len(hellos) == 2  # one registration per session
 
 
 def test_worker_without_reconnect_stops_on_hangup():
-    done, ready_frames = _run_against_sessions(1)
+    done, hellos = _run_against_sessions(1)
     assert done == 0
-    assert len(ready_frames) == 1
+    assert len(hellos) == 1
 
 
 def test_worker_reconnect_budget_is_finite():
@@ -775,24 +794,44 @@ def test_worker_reconnect_budget_is_finite():
                    sleep=lambda s: None)
 
 
+def _reject_registration(listener):
+    with listener.accept() as conn:
+        assert conn.recv()[0] == "hello"
+        conn.send(("error", "version mismatch"))
+
+
 def test_worker_reconnect_does_not_mask_protocol_errors():
     with _stub_coordinator() as (listener, (host, port)):
-        def reject():
-            conn, _ = listener.accept()
-            decoder, pending = FrameDecoder(), []
-            recv_frame(conn, decoder, pending)
-            send_frame(conn, {"type": "error",
-                              "error": "version mismatch"})
-            conn.close()
-
-        server = threading.Thread(target=reject, daemon=True)
+        server = threading.Thread(target=_reject_registration,
+                                  args=(listener,), daemon=True)
         server.start()
         try:
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError, match="version mismatch"):
                 run_worker(host, port, reconnect=True,
                            sleep=lambda s: None)
         finally:
             server.join(timeout=10)
+
+
+def test_cli_worker_refused_registration_exits_2(capsys):
+    with _stub_coordinator() as (listener, (host, port)):
+        server = threading.Thread(target=_reject_registration,
+                                  args=(listener,), daemon=True)
+        server.start()
+        # off the main thread, so the CLI leaves pytest's signal
+        # handlers alone
+        outcome = {}
+        cli = threading.Thread(target=lambda: outcome.update(code=main([
+            "worker", "--connect", f"{host}:{port}", "--quiet",
+        ])), daemon=True)
+        cli.start()
+        cli.join(timeout=30)
+        server.join(timeout=10)
+    assert not cli.is_alive()
+    assert outcome["code"] == 2
+    err = capsys.readouterr().err
+    assert "error: registration rejected: version mismatch" in err
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

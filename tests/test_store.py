@@ -16,7 +16,7 @@ from repro.runtime.checkpoint import atomic_write_bytes
 from repro.specs.patterns import RetSame, SpecSet
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
-from repro.store.journal import FILE_MAGIC, RecordJournal, encode_frame
+from repro.store.journal import FILE_MAGIC, RecordJournal, encode_record
 from repro.store.snapshot import (
     SnapshotCorrupt,
     load_snapshot,
@@ -418,7 +418,7 @@ def _replace_program_payloads(journal, payloads):
     for kind, payload in records:
         if kind == KIND_PROGRAM and queue:
             payload = queue.pop(0)
-        frames.append(encode_frame(kind, payload))
+        frames.append(encode_record(kind, payload))
     journal.write_bytes(FILE_MAGIC + b"".join(frames))
 
 

@@ -56,19 +56,14 @@ def base_corpus():
 
 
 def edited_corpus(base):
-    """Two programs edited in place (same source, new body), one added.
-
-    The addition sorts after every other source, as the next generated
-    file does: the engine orders training samples by corpus key and
-    ``USpecPipeline.learn`` by source, so the two agree only on
-    source-ordered corpora (what ``mine_directory`` produces).
-    """
+    """Two programs edited in place (same source, new body), and one
+    appended whose source sorts before every other."""
     edited = list(base)
     fresh = java_corpus(12, seed=99)
     for i in (2, 9):
         fresh[i].source = base[i].source
         edited[i] = fresh[i]
-    fresh[11].source = "corpus_00012.java"
+    fresh[11].source = "added_later.java"
     return edited + [fresh[11]]
 
 

@@ -213,6 +213,7 @@ def test_cli_transient_chaos_matches_clean_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flags", [
     ["--shard-deadline", "0"], ["--shard-deadline", "-1"],
     ["--shard-deadline", "nan"], ["--max-retries", "-1"],
+    ["--lease", "0"], ["--lease", "-1"], ["--lease", "nan"],
 ])
 def test_cli_rejects_out_of_range_supervision_flags(tmp_path, flags):
     with pytest.raises(SystemExit) as exit_info:
