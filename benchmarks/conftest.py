@@ -48,9 +48,9 @@ def pytest_addoption(parser):
         "--assert-floors", action="store_true", default=False,
         help="fail benchmarks whose ratios miss the configured floors")
     group.addoption(
-        "--floor-warm-cache-speedup", type=float, default=2.7,
+        "--floor-warm-cache-speedup", type=float, default=1.3,
         metavar="RATIO",
-        help="minimum cold/warm wall-clock ratio (default: 2.7)")
+        help="minimum cold/warm wall-clock ratio (default: 1.3)")
     group.addoption(
         "--floor-parallel-speedup", type=float, default=0.9,
         metavar="RATIO",

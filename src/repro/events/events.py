@@ -38,6 +38,19 @@ class Site:
     instr: Instruction
     ctx: Tuple[Call, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the value the dataclass would compute, once: sites are set
+        # members and dict keys on every hot path of featurization
+        object.__setattr__(self, "_hash", hash((self.instr, self.ctx)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: the cached hash of a string
+        # position is per process (PYTHONHASHSEED)
+        return (Site, (self.instr, self.ctx))
+
     @property
     def method_id(self) -> str:
         """``id(m)`` — the method identifier of this site.
@@ -85,6 +98,15 @@ class Event:
 
     site: Site
     pos: Pos
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.site, self.pos)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Event, (self.site, self.pos))
 
     @property
     def label(self) -> Tuple[str, Pos]:

@@ -1,9 +1,18 @@
-"""Hand-written lexer for MiniJava."""
+"""Lexer for MiniJava: one compiled master regex.
+
+Every token kind is one named alternative of :data:`_MASTER`, tried at
+the current offset; the alternatives are ASCII-only apart from the
+identifier tail ``\\w``, which is exactly ``str.isalnum()`` plus ``_``.
+The two places where Python's character predicates and the regex
+classes disagree are left to small per-character fallbacks: a token
+that starts with a non-ASCII character, and a number next to one
+(``str.isdigit`` accepts ``²``, which ``\\d`` does not).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple, Tuple
 
 KEYWORDS = {
     "class",
@@ -26,13 +35,28 @@ OPERATORS = [
     "(", ")", "{", "}", "[", "]", ".", ",", ";", ":",
 ]
 
+_MASTER = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<line>//[^\n]*)
+  | (?P<block>/\*[\s\S]*?\*/)
+  | (?P<open>/\*)
+  | (?P<string>"(?:\\[\s\S]|[^"\\\n])*")
+  | (?P<quote>")
+  | (?P<number>(?P<digits>[0-9]+(?:\.[0-9]+)?)[lLfFdD]?)
+  | (?P<word>[A-Za-z_]\w*)
+  | (?P<op>""" + "|".join(re.escape(op) for op in OPERATORS) + r""")
+""", re.VERBOSE)
+
+_WORD_TAIL = re.compile(r"\w*")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
 
 class LexError(SyntaxError):
     """Raised on malformed MiniJava input."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "string" | "int" | "float" | "op" | "eof"
     text: str
     line: int
@@ -42,100 +66,95 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
+def _unescape(match: "re.Match[str]") -> str:
+    esc = match.group(1)
+    return _ESCAPES.get(esc, esc)
+
+
+def _scan_number(source: str, i: int) -> Tuple[str, str, int]:
+    """``(kind, text, end)`` of the number at ``i``, by ``str.isdigit``."""
+    n = len(source)
+    j = i
+    is_float = False
+    while j < n and (source[j].isdigit() or source[j] == "."):
+        if source[j] == ".":
+            if is_float or j + 1 >= n or not source[j + 1].isdigit():
+                break
+            is_float = True
+        j += 1
+    text = source[i:j]
+    # trailing type suffixes (1L, 1.0f) are consumed and ignored
+    if j < n and source[j] in "lLfFdD":
+        j += 1
+    return ("float" if is_float else "int"), text, j
+
+
 def tokenize(source: str) -> List[Token]:
-    """Tokenize MiniJava source; raises :class:`LexError` on bad input."""
+    """Tokenize MiniJava source; raises :class:`LexError` on bad input.
+
+    Positions are 1-based; a tab counts as one column.
+    """
     tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
     i, line, col = 0, 1, 1
     n = len(source)
-
-    def error(msg: str) -> LexError:
-        return LexError(f"{msg} at line {line}, column {col}")
-
     while i < n:
-        c = source[i]
-        # whitespace
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            col = 1 if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        # string literals (double quotes, simple escapes)
-        if c == '"':
-            j = i + 1
-            out: List[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                elif source[j] == "\n":
-                    raise error("unterminated string literal")
-                else:
-                    out.append(source[j])
-                    j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            tokens.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        # numbers
-        if c.isdigit():
-            j = i
-            is_float = False
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                if source[j] == ".":
-                    if is_float or j + 1 >= n or not source[j + 1].isdigit():
-                        break
-                    is_float = True
-                j += 1
-            # trailing type suffixes (1L, 1.0f) are consumed and ignored
-            if j < n and source[j] in "lLfFdD":
-                j += 1
-                text = source[i : j - 1]
+        m = match(source, i)
+        kind = m.lastgroup if m is not None else None
+        if kind == "number":
+            digits_end = m.end("digits")
+            if not source[digits_end:digits_end + 2].isascii():
+                kind = None  # str.isdigit may extend it: scan by hand
+        if kind == "word":
+            text = m.group()
+            append(Token("keyword" if text in KEYWORDS else "ident",
+                         text, line, col))
+        elif kind == "op":
+            append(Token("op", m.group(), line, col))
+        elif kind == "space" or kind == "line" or kind == "block":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rfind("\n")
             else:
-                text = source[i:j]
-            tokens.append(Token("float" if is_float else "int", text, line, col))
-            col += j - i
-            i = j
+                col += len(text)
+            i = m.end()
             continue
-        # identifiers / keywords
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        # operators and punctuation
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+        elif kind == "number":
+            text = m.group("digits")
+            append(Token("float" if "." in text else "int", text, line, col))
+        elif kind == "string":
+            text = m.group()[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            # an escaped newline stays inside the literal and does not
+            # advance the line
+            append(Token("string", text, line, col))
+        elif kind == "quote":
+            raise LexError(
+                f"unterminated string literal at line {line}, column {col}")
+        elif kind == "open":
+            raise LexError(
+                f"unterminated block comment at line {line}, column {col}")
         else:
-            raise error(f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+            c = source[i]
+            if c.isdigit():
+                number, text, end = _scan_number(source, i)
+                append(Token(number, text, line, col))
+            elif c.isalpha():
+                end = _WORD_TAIL.match(source, i + 1).end()
+                append(Token("ident", source[i:end], line, col))
+            else:
+                raise LexError(
+                    f"unexpected character {c!r} at line {line}, "
+                    f"column {col}")
+            col += end - i
+            i = end
+            continue
+        end = m.end()
+        col += end - i
+        i = end
+    append(Token("eof", "", line, col))
     return tokens

@@ -31,14 +31,15 @@ class Parser:
         return self._tokens[self._pos]
 
     def _at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._cur
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _at_op(self, text: str) -> bool:
-        return self._at("op", text)
+        tok = self._tokens[self._pos]
+        return tok.kind == "op" and tok.text == text
 
     def _advance(self) -> Token:
-        tok = self._cur
+        tok = self._tokens[self._pos]
         if tok.kind != "eof":
             self._pos += 1
         return tok
@@ -281,7 +282,8 @@ class Parser:
             return self._parse_unary()
         expr = self._parse_binary(level + 1)
         ops = self._BINARY_LEVELS[level]
-        while self._cur.kind == "op" and self._cur.text in ops:
+        tokens = self._tokens
+        while tokens[self._pos].kind == "op" and tokens[self._pos].text in ops:
             op = self._advance().text
             right = self._parse_binary(level + 1)
             expr = N.Binary(op, expr, right)

@@ -64,10 +64,10 @@ from typing import (
 from repro.ir.program import Program
 from repro.model.dataset import (
     bundle_seed,
-    collect_bundle_samples,
+    encode_bundle_samples,
     stream_key,
 )
-from repro.model.features import encode_sample
+from repro.model.features import FeatureHasher
 from repro.runtime.checkpoint import program_key
 from repro.runtime.executor import (
     CorpusExecutor,
@@ -201,21 +201,21 @@ def _analyze_shard(
     metrics = partial.metrics[0]
     index_of = {key: index for index, key, _ in items}
 
+    hasher = FeatureHasher(config.feature)
+
     def sink(outcome, bundle, entry) -> None:
         key = outcome.key
         samples: List = []
         if bundle is not None:
-            samples = [
-                encode_sample(s.feature, s.label, config.feature)
-                for s in collect_bundle_samples(
-                    bundle,
-                    config.feature,
-                    config.max_positives_per_graph,
-                    config.negative_ratio,
-                    bundle_seed(config.seed, bundle.program.source,
-                                index_of[key]),
-                )
-            ]
+            # one feature table per program, for its samples and its
+            # match records alike
+            samples = encode_bundle_samples(
+                bundle.features(hasher),
+                config.max_positives_per_graph,
+                config.negative_ratio,
+                bundle_seed(config.seed, bundle.program.source,
+                            index_of[key]),
+            )
             graph = bundle.graph
             partial.stats.add(
                 stream_key(bundle.program.source, index_of[key]), samples)

@@ -14,20 +14,29 @@ sharding, or which worker analysed it.  The final shuffle of the
 combined stream is a single seeded permutation.  This is what lets the
 sharded mining engine (:mod:`repro.mining`) reproduce the sequential
 pipeline byte-for-byte from any number of workers.
+
+:func:`sample_pairs` draws a program's pairs as event ids of its
+:class:`~repro.model.features.FeatureTable`; :func:`encode_bundle_samples`
+encodes them through the table, and :func:`collect_bundle_samples`
+renders the same draws as string :class:`LabeledSample` features (the
+reference the table is tested against).
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from repro.events.events import Event
 from repro.events.graph import EventGraph
 from repro.ir.program import Program
 from repro.model.features import (
+    EncodedSample,
     FeatureConfig,
+    FeatureHasher,
+    FeatureTable,
     GuardIndex,
     PairFeature,
     extract_feature,
@@ -41,10 +50,21 @@ class GraphBundle:
     program: Program
     graph: EventGraph
     guard_index: GuardIndex
+    _table: Optional[FeatureTable] = field(default=None, repr=False,
+                                           compare=False)
 
     @classmethod
     def of(cls, program: Program, graph: EventGraph) -> "GraphBundle":
         return cls(program, graph, GuardIndex(program))
+
+    def features(self, hasher: FeatureHasher) -> FeatureTable:
+        """This program's feature table, built once per feature config
+        (training samples and Alg. 1 records share it)."""
+        table = self._table
+        if table is None or table.config != hasher.config:
+            table = FeatureTable(self.graph, self.guard_index, hasher)
+            self._table = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -56,19 +76,9 @@ class LabeledSample:
     source: Optional[str] = None
 
 
-def _positive_samples(bundle: GraphBundle, config: FeatureConfig,
-                      max_per_graph: int,
-                      rng: random.Random) -> List[LabeledSample]:
-    edges = list(bundle.graph.edges())
-    if len(edges) > max_per_graph:
-        edges = rng.sample(edges, max_per_graph)
-    samples = []
-    for e1, e2 in edges:
-        feature = extract_feature(
-            bundle.graph, e1, e2, bundle.guard_index, config, hide_pair=True
-        )
-        samples.append(LabeledSample(feature, 1, bundle.program.source))
-    return samples
+#: one drawn sample: the event ids of ``(e1, e2)`` and the label;
+#: positives (label 1) hide the pair from its contexts
+Draw = Tuple[int, int, int]
 
 
 def _potentially_aliasing(graph: EventGraph, e1: Event, e2: Event) -> bool:
@@ -107,10 +117,10 @@ def _potentially_aliasing(graph: EventGraph, e1: Event, e2: Event) -> bool:
     return False
 
 
-def _negative_samples(bundle: GraphBundle, config: FeatureConfig,
-                      positions: Sequence[Tuple[object, object]],
-                      count: int, rng: random.Random,
-                      stratified_fraction: float = 0.25) -> List[LabeledSample]:
+def _negative_pairs(table: FeatureTable,
+                    positions: Sequence[Tuple[object, object]],
+                    count: int, rng: random.Random,
+                    stratified_fraction: float = 0.25) -> List[Draw]:
     """Non-edges of one graph, position-stratified.
 
     A fraction of the negatives copies the position pair of a random
@@ -123,36 +133,58 @@ def _negative_samples(bundle: GraphBundle, config: FeatureConfig,
     negatives: their status is exactly what the model is later asked
     to judge.
     """
-    events = sorted(bundle.graph.events, key=lambda e: e.sort_key)
+    events = table.events
     if len(events) < 2:
         return []
+    ids = range(len(events))
     by_pos: dict = {}
-    for e in events:
-        by_pos.setdefault(e.pos, []).append(e)
-    samples: List[LabeledSample] = []
+    for i, e in enumerate(events):
+        by_pos.setdefault(e.pos, []).append(i)
+    draws: List[Draw] = []
     attempts = 0
     max_attempts = count * 20
-    while len(samples) < count and attempts < max_attempts:
+    while len(draws) < count and attempts < max_attempts:
         attempts += 1
         if positions and rng.random() < stratified_fraction:
             p1, p2 = rng.choice(positions)
             pool1, pool2 = by_pos.get(p1, ()), by_pos.get(p2, ())
             if not pool1 or not pool2:
                 continue
-            e1, e2 = rng.choice(pool1), rng.choice(pool2)
+            i, j = rng.choice(pool1), rng.choice(pool2)
         else:
-            e1, e2 = rng.sample(events, 2)
-        if e1 == e2:
+            i, j = rng.sample(ids, 2)
+        if i == j:
             continue
-        if bundle.graph.has_edge(e1, e2) or bundle.graph.has_edge(e2, e1):
+        if table.has_edge(i, j) or table.has_edge(j, i):
             continue
-        if _potentially_aliasing(bundle.graph, e1, e2):
+        if _potentially_aliasing(table.graph, events[i], events[j]):
             continue
-        feature = extract_feature(
-            bundle.graph, e1, e2, bundle.guard_index, config, hide_pair=False
-        )
-        samples.append(LabeledSample(feature, 0, bundle.program.source))
-    return samples
+        draws.append((i, j, 0))
+    return draws
+
+
+def sample_pairs(
+    table: FeatureTable,
+    max_positives_per_graph: int = 64,
+    negative_ratio: float = 1.0,
+    seed: int = 13,
+    stratified_fraction: float = 0.25,
+) -> List[Draw]:
+    """The sampled pairs of one program: positives, then negatives.
+
+    ``seed`` is the already-mixed per-bundle seed from
+    :func:`bundle_seed`; the draw is fully local to the bundle.
+    """
+    rng = random.Random(seed)
+    edges = table.edges()
+    if len(edges) > max_positives_per_graph:
+        edges = rng.sample(edges, max_positives_per_graph)
+    events = table.events
+    positions = [(events[i].pos, events[j].pos) for i, j in edges]
+    n_negatives = int(round(len(edges) * negative_ratio))
+    return ([(i, j, 1) for i, j in edges]
+            + _negative_pairs(table, positions, n_negatives, rng,
+                              stratified_fraction))
 
 
 def bundle_seed(seed: int, source: Optional[str], index: int = 0) -> int:
@@ -179,6 +211,20 @@ def stream_key(source: Optional[str], index: int) -> Tuple[str, int]:
     return (source or "", index)
 
 
+def encode_bundle_samples(
+    table: FeatureTable,
+    max_positives_per_graph: int = 64,
+    negative_ratio: float = 1.0,
+    seed: int = 13,
+    stratified_fraction: float = 0.25,
+) -> List[EncodedSample]:
+    """The hashed samples of one analysed program (map-stage unit)."""
+    return [EncodedSample(*table.encode(i, j, hide_pair=label == 1), label)
+            for i, j, label in sample_pairs(
+                table, max_positives_per_graph, negative_ratio, seed,
+                stratified_fraction)]
+
+
 def collect_bundle_samples(
     bundle: GraphBundle,
     config: FeatureConfig = FeatureConfig(),
@@ -187,19 +233,24 @@ def collect_bundle_samples(
     seed: int = 13,
     stratified_fraction: float = 0.25,
 ) -> List[LabeledSample]:
-    """The labelled samples of one analysed program (map-stage unit).
+    """The labelled samples of one analysed program, as string features.
 
-    ``seed`` is the already-mixed per-bundle seed from
-    :func:`bundle_seed`; the draw is fully local to the bundle.
+    The draws of :func:`sample_pairs`, rendered by
+    :func:`~repro.model.features.extract_feature`:
+    ``encode_sample`` of these equals :func:`encode_bundle_samples`.
     """
-    rng = random.Random(seed)
-    positives = _positive_samples(bundle, config,
-                                  max_positives_per_graph, rng)
-    positions = [(s.feature.x1, s.feature.x2) for s in positives]
-    n_negatives = int(round(len(positives) * negative_ratio))
-    negatives = _negative_samples(bundle, config, positions,
-                                  n_negatives, rng, stratified_fraction)
-    return positives + negatives
+    table = bundle.features(FeatureHasher(config))
+    events = table.events
+    return [
+        LabeledSample(
+            extract_feature(bundle.graph, events[i], events[j],
+                            bundle.guard_index, config,
+                            hide_pair=label == 1),
+            label, bundle.program.source)
+        for i, j, label in sample_pairs(
+            table, max_positives_per_graph, negative_ratio, seed,
+            stratified_fraction)
+    ]
 
 
 def collect_training_samples(

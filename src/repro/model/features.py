@@ -11,19 +11,38 @@
   a :class:`GuardIndex` computed from the program structure.
 
 Encoding follows the paper's Vowpal Wabbit setup: every token is
-hashed into a sparse binary feature vector (here ``2^20`` dimensions by
-default, deterministic CRC32 hashing).  Because a linear model over a
-*union* of per-side tokens cannot express the co-occurrence of a
-``c1`` path with a ``c2`` path, we optionally add bounded conjunction
-tokens (``pair_features``, default on — see DESIGN.md; an ablation
-benchmark measures the effect).
+hashed into a sparse binary feature vector (``FeatureConfig.dim``,
+``2^18`` dimensions by default, deterministic CRC32 hashing).  Because
+a linear model over a *union* of per-side tokens cannot express the
+co-occurrence of a ``c1`` path with a ``c2`` path, we optionally add
+bounded conjunction tokens (``pair_features``, default on — see
+DESIGN.md; an ablation benchmark measures the effect).
+
+Two implementations compute the same indices:
+
+* :class:`FeatureTable` — the one the pipeline runs.  It numbers one
+  program's events once, renders each event's labels, ``ctx_{G,k}``
+  paths and tokens once, and encodes a pair of event ids straight to
+  hashed indices through the run's :class:`FeatureHasher`;
+* :func:`extract_feature` + :func:`encode_feature` — the string
+  reference: a :class:`PairFeature` of token sets, then one CRC per
+  namespaced token string.  Tests hold the table to it.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.events.events import Event, Pos
 from repro.events.graph import EventGraph
@@ -79,19 +98,23 @@ class GuardIndex:
         return self._guards.get(instr, ())
 
     def relation(self, a: Instruction, b: Instruction) -> str:
-        ga, gb = self.guards_of(a), self.guards_of(b)
-        if ga == gb:
-            return "same-guard" if ga else "both-unguarded"
-        shared = 0
-        for x, y in zip(ga, gb):
-            if x != y:
-                break
-            shared += 1
-        if shared == len(ga):
-            return "first-encloses"
-        if shared == len(gb):
-            return "second-encloses"
-        return "divergent-guards"
+        return _guard_relation(self.guards_of(a), self.guards_of(b))
+
+
+def _guard_relation(ga: Tuple[int, ...], gb: Tuple[int, ...]) -> str:
+    """How two call sites' guard chains relate (the γ guard token)."""
+    if ga == gb:
+        return "same-guard" if ga else "both-unguarded"
+    shared = 0
+    for x, y in zip(ga, gb):
+        if x != y:
+            break
+        shared += 1
+    if shared == len(ga):
+        return "first-encloses"
+    if shared == len(gb):
+        return "second-encloses"
+    return "divergent-guards"
 
 
 @dataclass(frozen=True)
@@ -207,24 +230,8 @@ def encode_sample(feature: PairFeature, label: int,
                          encode_feature(feature, config), label)
 
 
-#: Interned token hashes.  Corpus token vocabularies are small (tens of
-#: thousands of strings) but each token is re-hashed for every pair it
-#: appears in; memoising the crc32+mod turns the hot encode loop into
-#: dict lookups over pre-interned keys.  Bounded so adversarial corpora
-#: cannot grow it without limit.
-_HASH_MEMO: Dict[Tuple[int, str], int] = {}
-_HASH_MEMO_MAX = 1 << 20
-
-
 def _hash_token(token: str, dim: int) -> int:
-    key = (dim, token)
-    hashed = _HASH_MEMO.get(key)
-    if hashed is None:
-        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
-            _HASH_MEMO.clear()
-        hashed = zlib.crc32(token.encode("utf-8")) % dim
-        _HASH_MEMO[key] = hashed
-    return hashed
+    return zlib.crc32(token.encode("utf-8")) % dim
 
 
 def encode_feature(feature: PairFeature,
@@ -249,3 +256,240 @@ def encode_feature(feature: PairFeature,
             for p2 in right:
                 indices.add(_hash_token(f"x:{p1}|{p2}", dim))
     return tuple(sorted(indices))
+
+
+# ----------------------------------------------------------------------
+# the integer featurizer
+
+#: entries per memo of a :class:`FeatureHasher`.  A full memo is
+#: cleared rather than grown, so an adversarial vocabulary costs misses,
+#: never memory; a generated 200-file corpus has under 2,000 distinct
+#: context tokens.
+MEMO_LIMIT = 1 << 16
+
+#: one context token hashed every way a pair uses it: its ``c1:`` and
+#: ``c2:`` indices, the CRC state after the conjunction prefix
+#: ``x:<token>|``, and its UTF-8 bytes (a conjunction's suffix)
+PathHash = Tuple[int, int, int, bytes]
+
+
+class FeatureHasher:
+    """The hashing trick of one run, memoised per token.
+
+    A run (a mining task, a pipeline) owns one and hands it to every
+    :class:`FeatureTable` it builds, so each distinct token is encoded
+    and CRC'd once per run whatever the number of pairs it appears in.
+
+    A conjunction ``x:<p1>|<p2>`` is never rendered: CRC32 is a running
+    checksum, so ``crc32(p2, crc32(b"x:" + p1 + b"|"))`` equals the
+    CRC of the concatenation, and :func:`encode_feature`'s index.
+    """
+
+    def __init__(self, config: FeatureConfig = FeatureConfig()) -> None:
+        self.config = config
+        self._indices: Dict[str, int] = {}
+        self._paths: Dict[str, PathHash] = {}
+        self._gammas: Dict[Tuple[Tuple[str, ...], int],
+                           Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.bias = self.index("bias")
+
+    def index(self, token: str) -> int:
+        """The index of one whole token (``"bias"``, ``"g:…"``)."""
+        hashed = self._indices.get(token)
+        if hashed is None:
+            if len(self._indices) >= MEMO_LIMIT:
+                self._indices.clear()
+            hashed = _hash_token(token, self.config.dim)
+            self._indices[token] = hashed
+        return hashed
+
+    def path(self, token: str) -> PathHash:
+        """The :data:`PathHash` of one context token."""
+        entry = self._paths.get(token)
+        if entry is None:
+            if len(self._paths) >= MEMO_LIMIT:
+                self._paths.clear()
+            raw = token.encode("utf-8")
+            dim = self.config.dim
+            entry = (zlib.crc32(b"c1:" + raw) % dim,
+                     zlib.crc32(b"c2:" + raw) % dim,
+                     zlib.crc32(b"x:" + raw + b"|"), raw)
+            self._paths[token] = entry
+        return entry
+
+    def gamma(self, call: Call) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """A call's γ indices (argument types and arity), as the first
+        event of a pair (tag ``a``) and as the second (tag ``b``)."""
+        key = (call.arg_types, call.nargs)
+        entry = self._gammas.get(key)
+        if entry is None:
+            if len(self._gammas) >= MEMO_LIMIT:
+                self._gammas.clear()
+            a, b = (tuple([self.index(f"g:type:{tag}:{n}:{t}")
+                           for n, t in enumerate(call.arg_types)]
+                          + [self.index(f"g:nargs:{tag}:{call.nargs}")])
+                    for tag in ("a", "b"))
+            entry = self._gammas[key] = (a, b)
+        return entry
+
+
+class _EventFeatures(NamedTuple):
+    """Everything a pair needs from one event, computed once."""
+
+    #: its context tokens in string order, each hashed and with the
+    #: event ids on every path that renders it (hiding any of them
+    #: drops the token)
+    tokens: List[Tuple[PathHash, Tuple[int, ...]]]
+    #: γ indices with the event first (tag ``a``) and second (``b``)
+    gamma_a: Tuple[int, ...]
+    gamma_b: Tuple[int, ...]
+    #: as ``e1``: its ``c1:`` and γ indices plus the bias, and the
+    #: conjunction prefix states of its first ``max_paths`` tokens
+    left: FrozenSet[int]
+    prefixes: Tuple[int, ...]
+    #: as ``e2``: its ``c2:`` and γ indices, and the conjunction suffixes
+    right: FrozenSet[int]
+    suffixes: Tuple[bytes, ...]
+    #: the guards around its call site (:class:`GuardIndex`)
+    guards: Tuple[int, ...]
+
+
+class FeatureTable:
+    """One analysed program, featurized once, on integers (§4.1–4.2).
+
+    Events are numbered ``0 … n-1`` in ``sort_key`` order
+    (:attr:`events`, :attr:`index`), so sorting ids sorts events.  The
+    first pair that involves an event computes its ``ctx_{G,k}`` paths,
+    their tokens (each path rendered once per table), its γ and all
+    their hashes; later pairs reuse them.  ``hide_pair`` is an id
+    membership test.  :meth:`encode` returns exactly
+    ``encode_sample(extract_feature(…))``'s position key and indices.
+    """
+
+    def __init__(self, graph: EventGraph, guard_index: GuardIndex,
+                 hasher: FeatureHasher) -> None:
+        self.graph = graph
+        self.guard_index = guard_index
+        self.hasher = hasher
+        self.config = hasher.config
+        self.events: List[Event] = sorted(graph.events,
+                                          key=lambda e: e.sort_key)
+        self.index: Dict[Event, int] = {
+            e: i for i, e in enumerate(self.events)}
+        index = self.index
+        #: successor ids of every event
+        self.children: List[FrozenSet[int]] = [
+            frozenset([index[c] for c in graph.children(e)])
+            for e in self.events]
+        self._parents: List[Tuple[int, ...]] = [
+            tuple([index[p] for p in graph.parents(e)]) for e in self.events]
+        self._pos_tokens: List[str] = []
+        #: every event as a path element, qualified and bare
+        self._labels: List[Tuple[str, str]] = []
+        for e in self.events:
+            method_id, pos = e.site.method_id, _pos_token(e.pos)
+            self._pos_tokens.append(pos)
+            self._labels.append((f"{method_id}:{pos}",
+                                 f"{_bare_name(method_id)}:{pos}"))
+        self._rendered: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
+        self._features: List[Optional[_EventFeatures]] = (
+            [None] * len(self.events))
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """The graph's edges as ids, in :meth:`EventGraph.edges` order."""
+        return [(i, j) for i, succ in enumerate(self.children)
+                for j in sorted(succ)]
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return j in self.children[i]
+
+    # ------------------------------------------------------------------
+    # per-event data, computed once
+
+    def _backward(self, i: int, budget: int) -> List[Tuple[int, ...]]:
+        results = [(i,)]
+        if budget > 0:
+            for p in self._parents[i]:
+                results.extend(sub + (i,)
+                               for sub in self._backward(p, budget - 1))
+        return results
+
+    def _forward(self, i: int, budget: int) -> List[Tuple[int, ...]]:
+        results = [(i,)]
+        if budget > 0:
+            for c in self.children[i]:
+                results.extend((i,) + sub
+                               for sub in self._forward(c, budget - 1))
+        return results
+
+    def _event(self, i: int) -> _EventFeatures:
+        features = self._features[i]
+        if features is not None:
+            return features
+        k = self.config.context_k
+        # ctx_{G,k}(e_i), as EventGraph.contexts builds it
+        paths = {back[:-1] + fwd
+                 for back in self._backward(i, k - 1)
+                 for fwd in self._forward(i, k - len(back))}
+        rendered, labels = self._rendered, self._labels
+        common: Dict[str, Tuple[int, ...]] = {}
+        for path in paths:
+            tokens = rendered.get(path)
+            if tokens is None:
+                # _path_token and _name_path_token
+                tokens = ("→".join([labels[x][0] for x in path]),)
+                if self.config.name_tokens:
+                    tokens += ("~".join([labels[x][1] for x in path]),)
+                rendered[path] = tokens
+            for token in tokens:
+                shared = common.get(token)
+                common[token] = path if shared is None else tuple(
+                    [x for x in shared if x in path])
+        hash_path = self.hasher.path
+        ordered = [(hash_path(token), ids)
+                   for token, ids in sorted(common.items())]
+        instr = self.events[i].site.instr
+        gamma_a, gamma_b = self.hasher.gamma(instr) \
+            if isinstance(instr, Call) else ((), ())
+        head = ordered[:self.config.max_paths] \
+            if self.config.pair_features else ()
+        features = _EventFeatures(
+            ordered, gamma_a, gamma_b,
+            frozenset([h[0] for h, _ in ordered]).union(
+                gamma_a, (self.hasher.bias,)),
+            tuple([h[2] for h, _ in head]),
+            frozenset([h[1] for h, _ in ordered]).union(gamma_b),
+            tuple([h[3] for h, _ in head]),
+            self.guard_index.guards_of(instr),
+        )
+        self._features[i] = features
+        return features
+
+    # ------------------------------------------------------------------
+
+    def encode(self, i: int, j: int,
+               hide_pair: bool = False) -> Tuple[Tuple[str, str],
+                                                 Tuple[int, ...]]:
+        """``ftr(e_i, e_j)`` as its position key and hashed indices."""
+        first, second = self._event(i), self._event(j)
+        left, prefixes = first.left, first.prefixes
+        right, suffixes = second.right, second.suffixes
+        if hide_pair:
+            # §4.2: no path of either context may reveal the other event
+            kept = [h for h, ids in first.tokens if j not in ids]
+            if len(kept) < len(first.tokens):
+                left = frozenset([h[0] for h in kept]).union(
+                    first.gamma_a, (self.hasher.bias,))
+                prefixes = tuple([h[2] for h in kept[:len(prefixes)]])
+            kept = [h for h, ids in second.tokens if i not in ids]
+            if len(kept) < len(second.tokens):
+                right = frozenset([h[1] for h in kept]).union(second.gamma_b)
+                suffixes = tuple([h[3] for h in kept[:len(suffixes)]])
+        dim = self.config.dim
+        crc32 = zlib.crc32
+        extra = [crc32(suffix, prefix) % dim
+                 for prefix in prefixes for suffix in suffixes]
+        extra.append(self.hasher.index(
+            "g:guard:" + _guard_relation(first.guards, second.guards)))
+        return ((self._pos_tokens[i], self._pos_tokens[j]),
+                tuple(sorted(left.union(right, extra))))

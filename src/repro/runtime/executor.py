@@ -94,9 +94,9 @@ class CorpusRunReport:
 
     @property
     def n_ok(self) -> int:
-        # outcome-based when outcomes exist: mining never keeps the
-        # analysed bundles, so ``bundles`` may legitimately be empty
-        # for a successful run
+        # outcome-based when outcomes exist: a run with a sink keeps
+        # no bundles, so ``bundles`` may legitimately be empty for a
+        # successful run
         if self.outcomes:
             return sum(1 for o in self.outcomes if o.succeeded)
         return len(self.bundles)
@@ -165,7 +165,9 @@ class CorpusExecutor:
         success/quarantine).  The mining engine uses it to fold each
         program into its shard result and, in-process, to journal it to
         the store at once, so a run killed mid-shard keeps everything
-        completed before the kill.
+        completed before the kill.  A bundle handed to the sink is not
+        kept in the report, so each program's event graph is freed as
+        soon as the sink is done with it.
 
         ``attempt`` is the attempt number of the worker task this call
         serves.  Given one, the plan's worker faults fire before each
@@ -185,7 +187,8 @@ class CorpusExecutor:
             report.outcomes.append(outcome)
             entry: Optional[QuarantineEntry] = None
             if bundle is not None:
-                report.bundles.append(bundle)
+                if sink is None:
+                    report.bundles.append(bundle)
             else:
                 entry = self._quarantine_entry(program, outcome)
                 report.manifest.add(entry)

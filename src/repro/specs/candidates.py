@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Sequence, Tuple
 
 from repro.model.dataset import GraphBundle
-from repro.model.features import FeatureConfig, encode_feature, extract_feature
+from repro.model.features import FeatureConfig, FeatureHasher
 from repro.model.model import EventPairModel, PositionKey
 from repro.specs.matching import find_matches, find_retrecv_matches, induced_edges
 from repro.specs.patterns import Spec
@@ -72,20 +72,6 @@ class CandidateExtraction:
             mine.files |= stats.files
 
 
-def _match_record(bundle: GraphBundle, match,
-                  feature_config: FeatureConfig) -> Optional[MatchRecord]:
-    graph = bundle.graph
-    edges = induced_edges(match, graph)
-    if len(edges) != 1:
-        # Alg. 1 ignores matches inducing zero or several edges
-        return None
-    ((e1, e2),) = edges
-    feature = extract_feature(graph, e1, e2, bundle.guard_index,
-                              feature_config)
-    return (match.spec, feature.position_key,
-            encode_feature(feature, feature_config), bundle.program.source)
-
-
 def match_records(
     bundle: GraphBundle,
     feature_config: FeatureConfig = FeatureConfig(),
@@ -94,10 +80,13 @@ def match_records(
 ) -> List[MatchRecord]:
     """The model-free half of Alg. 1 over one analysed program.
 
-    With ``enable_retrecv`` the single-site RetRecv extension pattern
-    is enumerated alongside the paper's two pair patterns.
+    Features come from the bundle's feature table, the one its training
+    samples were encoded with when the caller built them first.  With
+    ``enable_retrecv`` the single-site RetRecv extension pattern is
+    enumerated alongside the paper's two pair patterns.
     """
     graph = bundle.graph
+    table = bundle.features(FeatureHasher(feature_config))
     matches = [
         match
         for pair in graph.receiver_pairs(max_receiver_distance)
@@ -105,8 +94,18 @@ def match_records(
     ]
     if enable_retrecv:
         matches.extend(find_retrecv_matches(graph))
-    records = (_match_record(bundle, m, feature_config) for m in matches)
-    return [record for record in records if record is not None]
+    records: List[MatchRecord] = []
+    for match in matches:
+        edges = induced_edges(match, graph)
+        if len(edges) != 1:
+            # Alg. 1 ignores matches inducing zero or several edges
+            continue
+        ((e1, e2),) = edges
+        position_key, indices = table.encode(table.index[e1],
+                                             table.index[e2])
+        records.append((match.spec, position_key, indices,
+                        bundle.program.source))
+    return records
 
 
 def score_records(records: Iterable[MatchRecord],

@@ -28,10 +28,10 @@ from repro.ir.program import Program
 from repro.model.dataset import (
     GraphBundle,
     bundle_seed,
-    collect_bundle_samples,
+    encode_bundle_samples,
     stream_key,
 )
-from repro.model.features import FeatureConfig, encode_sample
+from repro.model.features import FeatureConfig, FeatureHasher
 from repro.model.logistic import SufficientStats, TrainConfig
 from repro.model.model import EventPairModel
 from repro.pointsto.analysis import PointsToOptions, analyze
@@ -145,21 +145,20 @@ class USpecPipeline:
 
         Each program's samples depend only on that program and the
         corpus seed, never on corpus order — the precondition for
-        order-independent merging.
+        order-independent merging.  Each bundle keeps the feature table
+        built here for :meth:`extract_candidates`.
         """
         stats = SufficientStats()
+        hasher = FeatureHasher(self.config.feature)
         for index, bundle in enumerate(bundles):
-            samples = collect_bundle_samples(
-                bundle,
-                self.config.feature,
-                self.config.max_positives_per_graph,
-                self.config.negative_ratio,
-                bundle_seed(self.config.seed, bundle.program.source, index),
-            )
-            stats.add(stream_key(bundle.program.source, index), [
-                encode_sample(s.feature, s.label, self.config.feature)
-                for s in samples
-            ])
+            stats.add(stream_key(bundle.program.source, index),
+                      encode_bundle_samples(
+                          bundle.features(hasher),
+                          self.config.max_positives_per_graph,
+                          self.config.negative_ratio,
+                          bundle_seed(self.config.seed,
+                                      bundle.program.source, index),
+                      ))
         return stats
 
     def train_from_stats(self, stats: SufficientStats) -> EventPairModel:

@@ -206,6 +206,18 @@ def test_fault_plan_only_hits_matching_programs():
     assert "bad" in report.manifest.entries[0].program
 
 
+def test_bundles_handed_to_a_sink_are_not_kept():
+    """A sink consumes each bundle: the report keeps none, so a
+    program's event graph is freed once the sink returns."""
+    seen = []
+    report = CorpusExecutor().run(
+        [small_program("a"), small_program("b")],
+        sink=lambda outcome, bundle, entry: seen.append(bundle))
+    assert report.n_ok == 2 and len(seen) == 2 and None not in seen
+    assert report.bundles == []
+    assert len(CorpusExecutor().run([small_program("a")]).bundles) == 1
+
+
 # ----------------------------------------------------------------------
 # the degradation ladder
 
