@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,6 +88,30 @@ def _positive_float(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"{text!r} is not a number > 0")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        if 0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+
+
+def _fraction(text: str) -> float:
+    try:
+        if 0 <= float(text) <= 1:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
 
 
 def _mining_config(args: argparse.Namespace) -> MiningConfig:
@@ -822,9 +847,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="connection attempts before giving up "
                              "(default 20; lets workers start before "
                              "the coordinator)")
-    worker.add_argument("--retry-delay", type=float, default=0.5,
-                        metavar="S", help="seconds between attempts")
-    worker.add_argument("--max-tasks", type=int, default=None,
+    worker.add_argument("--retry-delay", type=_non_negative_float,
+                        default=0.5, metavar="S",
+                        help="seconds between attempts")
+    worker.add_argument("--max-tasks", type=_positive_int, default=None,
                         metavar="N",
                         help="exit after N tasks (default: serve until "
                              "the coordinator shuts the cluster down)")
@@ -832,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="survive a dropped coordinator connection: "
                              "retry with exponential backoff (up to 8 "
                              "consecutive rounds) instead of exiting")
-    worker.add_argument("--jitter", type=float, default=0.5,
+    worker.add_argument("--jitter", type=_fraction, default=0.5,
                         metavar="F",
                         help="scale each reconnect backoff by a uniform "
                              "draw from [1-F, 1] so a restarted "

@@ -8,26 +8,23 @@ to :func:`run_worker` daemons over
 message tuples of the local pool's pipes (:mod:`repro.dist.protocol`).
 Workers run the unchanged in-process mining path (budget ladder, the
 fault plan each task carries) and stream each settled program back.
-Lease tracking, speculative re-execution and the shared
-retry/bisection policy keep a loopback cluster byte-identical to
-``--jobs N`` local mining — see :mod:`repro.dist.coordinator` for the
-failure model.  Frames are pickle from the first byte and peers are
+The coordinator drives them with the one dispatch loop of local mining
+(:class:`~repro.mining.supervisor.TaskScheduler`): its leases,
+speculative re-execution and retry/bisection policy keep a loopback
+cluster byte-identical to ``--jobs N`` local mining — see
+:mod:`repro.dist.coordinator` for the failure model.  Frames are pickle from the first byte and peers are
 not authenticated: bind to loopback or a private network.
 """
 
-from repro.dist.coordinator import (
-    ClusterStats,
-    Coordinator,
-    DistConfig,
-)
+from repro.dist.coordinator import Coordinator, DistConfig
 from repro.dist.protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     resolve_runner,
     runner_ref,
 )
 from repro.dist.worker import run_worker
+from repro.mining.supervisor import MAX_FRAME_BYTES, ClusterStats
 
 __all__ = [
     "ClusterStats",

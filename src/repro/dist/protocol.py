@@ -3,9 +3,10 @@
 The coordinator and its workers talk over
 :class:`multiprocessing.connection.Connection` — the same type, frame
 format and message tuples as the local pool's pipes
-(:func:`repro.mining.supervisor._pool_main`).  A frame is a 4-byte
-big-endian length followed by one pickle; readers bound it with
-:data:`MAX_FRAME_BYTES`.
+(:func:`repro.mining.supervisor._pool_main`), driven by the same
+:class:`~repro.mining.supervisor.TaskScheduler` loop.  A frame is a
+4-byte big-endian length followed by one pickle; readers bound it with
+:data:`repro.mining.supervisor.MAX_FRAME_BYTES`.
 
 Messages:
 
@@ -58,10 +59,6 @@ from typing import Callable
 #: v6: pickled ``Connection`` frames with the pool's message tuples
 #: replace JSON frames, base64 and zlib; ``ready`` and task ids are gone
 PROTOCOL_VERSION = 6
-
-#: sanity bound on one frame (a shard task over a huge corpus slice
-#: stays far below this; anything larger is a framing bug, not data)
-MAX_FRAME_BYTES = 1 << 30
 
 #: runner functions must live under this package prefix — the worker
 #: executes whatever the coordinator names, so restrict the namespace

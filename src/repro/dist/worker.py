@@ -1,8 +1,10 @@
 """The worker daemon: serves shard tasks for a coordinator through the
 exact in-process mining path.
 
-One worker is the remote analogue of one pool process: it connects
-with :func:`multiprocessing.connection.Client`, registers
+One worker is the remote analogue of one spawned pool process (one
+dispatch loop, :class:`~repro.mining.supervisor.TaskScheduler`, serves
+both kinds): it connects with
+:func:`multiprocessing.connection.Client`, registers
 (``hello``/``welcome``), then answers each ``(runner_ref, payload,
 attempt)`` task with :func:`repro.mining.supervisor._run_job` — the
 function the pool's :func:`~repro.mining.supervisor._pool_main` runs —
@@ -32,12 +34,15 @@ from multiprocessing.connection import Client, Connection
 from typing import Callable, List, Optional
 
 from repro.dist.protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     resolve_runner,
 )
-from repro.mining.supervisor import _run_job, interim_channel
+from repro.mining.supervisor import (
+    MAX_FRAME_BYTES,
+    _run_job,
+    interim_channel,
+)
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
 #: dropped frame before the lease lapses
@@ -73,19 +78,23 @@ def install_stop_signals(
 def _recv(conn: Connection, stop: Optional[threading.Event]) -> object:
     """The next message, or :data:`_STOP` once ``stop`` is set.
 
-    ``stop`` is checked first and then every :data:`_STOP_POLL`
-    seconds of an idle wait.  A frame that does not unpickle comes back
-    as a :class:`ProtocolError`; a hung-up coordinator raises
-    ``EOFError`` or ``OSError``.
+    ``stop`` is checked every :data:`_STOP_POLL` seconds of an idle
+    wait, but a frame already waiting is read first: a stop request
+    that races the coordinator's welcome still ends with ``goodbye``.
+    A frame that does not unpickle comes back as a
+    :class:`ProtocolError`; a hung-up coordinator raises ``EOFError``
+    or ``OSError``.
     """
-    while stop is None or not stop.is_set():
-        if conn.poll(_STOP_POLL):
+    while True:
+        stopping = stop is not None and stop.is_set()
+        if conn.poll(0 if stopping else _STOP_POLL):
             frame = conn.recv_bytes(MAX_FRAME_BYTES)
             try:
                 return pickle.loads(frame)
             except Exception as err:
                 return ProtocolError(f"undecodable frame: {err}")
-    return _STOP
+        if stopping:
+            return _STOP
 
 
 class _Heartbeat:

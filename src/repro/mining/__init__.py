@@ -10,9 +10,11 @@ map/reduce job:
 * :mod:`cache` — the (pipeline, program) fingerprints that key every
   record of the durable store (:mod:`repro.store`), so a re-run after
   editing *k* corpus files re-analyses exactly *k*;
-* :mod:`supervisor` — fault-tolerant shard dispatch over a persistent
-  worker pool: watchdogs, bounded retry/backoff, poison-shard
-  bisection, failure ledger;
+* :mod:`supervisor` — the one fault-tolerant dispatch loop, over
+  spawned worker processes or the ``uspec worker`` daemons a
+  :class:`~repro.dist.coordinator.Coordinator` accepts: deadlines,
+  leases, speculation, bounded retry/backoff, poison-shard bisection,
+  failure ledger;
 * :mod:`engine` — the orchestrator: one analyse pass emits each
   program's samples and Alg. 1 match records, the parent trains and
   scores; byte-identical output for any worker count, with or without
@@ -25,8 +27,8 @@ from repro.mining.partial import MiningReport, ShardMetrics, ShardPartial
 from repro.mining.sharding import ShardPlan, shard_of
 from repro.mining.supervisor import (
     FailureLedger,
-    ShardSupervisor,
     SupervisionConfig,
+    TaskScheduler,
 )
 
 __all__ = [
@@ -37,8 +39,8 @@ __all__ = [
     "ShardMetrics",
     "ShardPartial",
     "ShardPlan",
-    "ShardSupervisor",
     "SupervisionConfig",
+    "TaskScheduler",
     "learn_sharded",
     "pipeline_fingerprint",
     "program_fingerprint",

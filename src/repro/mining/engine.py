@@ -37,8 +37,8 @@ by program key, the final specifications and quarantine manifest are
 order**.  ``--jobs 4`` is a wall-clock knob, never a results knob.
 
 Parallel runs dispatch shards through the
-:class:`~repro.mining.supervisor.ShardSupervisor`: every task attempt
-runs in its own worker process under a wall-clock deadline, dead or
+:class:`~repro.mining.supervisor.TaskScheduler`: every task attempt
+runs in a worker process under a wall-clock deadline, dead or
 hung workers trigger bounded retries with exponential backoff, and a
 shard that keeps killing workers is bisected until the toxic program
 is isolated and quarantined with a ``worker-*`` taxonomy label.
@@ -88,8 +88,8 @@ from repro.store.stats import SpecDrift, StatsStore, StoredProgram
 from repro.mining.sharding import ShardPlan
 from repro.mining.supervisor import (
     FailureLedger,
-    ShardSupervisor,
     SupervisionConfig,
+    TaskScheduler,
     send_interim,
 )
 
@@ -368,10 +368,10 @@ class MiningEngine:
                 store, tasks, journal.fps)
         drift: Optional[SpecDrift] = None
 
-        # the dispatcher: the coordinator, or a local supervisor
+        # the dispatcher: the coordinator, or a local scheduler
         supervisor = self.coordinator
         if supervised and not distributed:
-            supervisor = self._local_supervisor(
+            supervisor = self._local_scheduler(
                 jobs, sum(len(items) for _, items in tasks), ledger,
                 faults.has_worker_faults)
 
@@ -458,10 +458,10 @@ class MiningEngine:
             run=run, mining=report,
         )
 
-    def _local_supervisor(self, jobs: int, n_programs: int,
-                          ledger: Optional[FailureLedger],
-                          worker_faults: bool) -> ShardSupervisor:
-        """The worker pool for the ``n_programs`` this run analyses."""
+    def _local_scheduler(self, jobs: int, n_programs: int,
+                         ledger: Optional[FailureLedger],
+                         worker_faults: bool) -> TaskScheduler:
+        """The spawned workers for the ``n_programs`` this run analyses."""
         # coalescing floor: pack small shard tasks until one frame
         # carries ~a worker's fair share of the programs to analyse, so
         # dispatch round trips scale with jobs, not shards.  Runs with
@@ -477,11 +477,12 @@ class MiningEngine:
         # lose one worker's tasks).
         pool_jobs = jobs if worker_faults \
             else max(1, min(jobs, os.cpu_count() or jobs))
-        return ShardSupervisor(
-            self.mining.resolve_context(), pool_jobs,
+        return TaskScheduler(
             self.mining.supervision,
             strict=self.config.runtime.strict,
             ledger=ledger,
+            ctx=self.mining.resolve_context(),
+            jobs=pool_jobs,
             batch_programs=batch,
         )
 

@@ -1,21 +1,25 @@
-"""Fault-tolerant shard supervision for the mining engine.
+"""Fault-tolerant task dispatch for the mining engine.
 
 PR 2's engine fanned shard tasks to a bare ``multiprocessing.Pool``:
 one worker that segfaults, hangs, or gets OOM-killed took the whole
-``uspec learn`` run with it.  :class:`ShardSupervisor` replaces that
-fan-out with a watchdog dispatcher built from a pool of **persistent
-worker processes** (one per job slot, respawned on death):
+``uspec learn`` run with it.  :class:`TaskScheduler` replaces that
+fan-out with one watchdog loop over workers that all speak one wire
+(pickled frames on a :class:`multiprocessing.connection.Connection`).
+A worker is *spawned* (a local process running :func:`_pool_main`,
+killed and respawned when it dies) or *accepted* by a
+:class:`~repro.dist.coordinator.Coordinator` (a ``uspec worker``
+daemon holding a heartbeat lease); nothing else differs by kind:
 
-* **liveness + deadlines** — every worker runs a task loop over a
-  duplex pipe; a process that dies without reporting (EOF on the
-  pipe) is a *crash* and its slot is respawned, one that outlives the
-  shard wall-clock deadline is *terminated* and recorded as a
-  *timeout*, and a result that does not decode to the expected shape
-  is *corrupt*;
+* **liveness + deadlines** — EOF, or a frame that is oversized or not
+  a pickle, drops the worker and fails its frame's tasks as *crashes*;
+  a worker that outlives the shard deadline (or its lease) is dropped
+  and its tasks fail as *timeouts*; a result that does not decode to
+  the expected shape is *corrupt*.  Unread data is read before a
+  deadline expires, and a frame whose send fails goes back untouched;
 * **bounded retries with exponential backoff** — a failed task is
   re-queued with a deterministic backoff schedule (``base × factor^n``,
   capped); backoff is implemented as a not-before timestamp so the
-  supervisor keeps dispatching other work while a retry cools down;
+  scheduler keeps dispatching other work while a retry cools down;
 * **poison-shard bisection** — a task that exhausts its retries is
   split in half and both halves re-enter the queue with fresh retry
   budgets; recursion isolates the toxic program in O(log shard)
@@ -27,6 +31,10 @@ worker processes** (one per job slot, respawned on death):
   bisections, stragglers, backoff) is recorded in a
   :class:`FailureLedger` and merged into the
   :class:`~repro.mining.partial.MiningReport`.
+
+A frame still in flight when its phase ends stays on its worker, and
+its late reply and interims are dropped, so they can never settle a
+later phase's task.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
 killed attempt contributes nothing (workers never write to disk; the
@@ -52,6 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -68,6 +77,9 @@ from repro.runtime.errors import (
     WorkerTimeout,
 )
 
+if TYPE_CHECKING:  # repro.dist imports this module
+    from repro.dist.coordinator import DistConfig
+
 #: attempt outcomes recorded in the ledger
 OUTCOME_OK = "ok"
 OUTCOME_CRASH = "crash"  # worker died without reporting (EOF on pipe)
@@ -75,9 +87,13 @@ OUTCOME_TIMEOUT = "timeout"  # watchdog reclaimed the worker at the deadline
 OUTCOME_CORRUPT = "corrupt"  # worker reported, but the payload is garbage
 OUTCOME_ERROR = "error"  # worker shipped a typed exception back
 
-#: supervisor poll granularity (seconds); bounds how stale the deadline
-#: watchdog can be when no pipe activity wakes it earlier
+#: scheduler poll granularity (seconds); bounds how stale the lease and
+#: deadline sweep can be when no worker activity wakes it earlier
 _POLL_SECONDS = 0.25
+
+#: sanity bound on one frame (a shard task over a huge corpus slice
+#: stays far below this; anything larger is a framing bug, not data)
+MAX_FRAME_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -139,10 +155,9 @@ class DeadlineTracker:
     the estimate warms up), so a hang is always reclaimable even on
     the first wave of tasks.
 
-    Shared by the in-process :class:`ShardSupervisor` and the
-    :class:`repro.dist.coordinator.Coordinator` — both observe through
-    the same instance per run, so remote and local attempts pool their
-    evidence.
+    Each :class:`TaskScheduler` owns one, so every phase of a run
+    observes through the same instance.  A run is either local or
+    distributed, so the evidence comes from one kind of worker.
     """
 
     def __init__(self, supervision: SupervisionConfig) -> None:
@@ -430,10 +445,10 @@ def _pool_main(conn, inherited: Sequence = ()) -> None:
 
 @dataclass
 class DispatchStats:
-    """Cheap per-run dispatch instrumentation of one supervisor.
+    """Cheap per-run dispatch instrumentation of one scheduler.
 
-    Every counter is incremented on the parent side of the pipe, so
-    the numbers attribute *supervision overhead* (round trips, frame
+    Every counter is incremented on the parent side of the connection,
+    so the numbers attribute *supervision overhead* (round trips, frame
     serialisation, result revalidation, queue scans) separately from
     the work the shards themselves do.  Folded into the
     :class:`~repro.mining.partial.MiningReport` as ``dispatch``.
@@ -471,6 +486,44 @@ class DispatchStats:
 
 
 @dataclass
+class ClusterStats:
+    """What the workers did, for the mining report and benchmarks.
+
+    The loop counts for every scheduler; the engine reports the counts
+    of distributed runs only (``MiningReport.cluster``).
+    """
+
+    n_workers_seen: int = 0
+    n_workers_lost: int = 0
+    n_lease_expiries: int = 0
+    n_tasks_dispatched: int = 0
+    n_speculated: int = 0
+    n_speculation_wins: int = 0
+    #: OK results credited per worker name
+    by_worker: Dict[str, int] = field(default_factory=dict)
+
+    def credit(self, worker: str) -> None:
+        self.by_worker[worker] = self.by_worker.get(worker, 0) + 1
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "n_workers_seen": self.n_workers_seen,
+            "n_workers_lost": self.n_workers_lost,
+            "n_lease_expiries": self.n_lease_expiries,
+            "n_tasks_dispatched": self.n_tasks_dispatched,
+            "n_speculated": self.n_speculated,
+            "n_speculation_wins": self.n_speculation_wins,
+            "by_worker": dict(sorted(self.by_worker.items())),
+        }
+
+    def __repr__(self) -> str:
+        return (f"<ClusterStats {self.n_workers_seen} workers "
+                f"({self.n_workers_lost} lost), "
+                f"{self.n_tasks_dispatched} dispatched, "
+                f"{self.n_speculated} speculated>")
+
+
+@dataclass
 class _Task:
     """One schedulable unit: a payload plus its supervision state."""
 
@@ -483,36 +536,72 @@ class _Task:
     seq: int = 0  # launch-order tiebreak
 
 
-@dataclass
-class _PoolWorker:
-    """One persistent slot of the local worker pool."""
+class _Phase:
+    """Mutable state of one ``run_phase`` call (task ids are unique
+    within it)."""
 
-    slot: int
-    process: object
+    def __init__(self, runner, splitter, poisoner, validator,
+                 on_interim) -> None:
+        self.runner = runner  # as frames carry it
+        self.splitter = splitter
+        self.poisoner = poisoner
+        self.validator = validator
+        self.on_interim = on_interim
+        self.queue: List[_Task] = []
+        self.results: List[object] = []
+        self.live: Dict[str, _Task] = {}
+        #: task id → the frames running it (two while speculated)
+        self.inflight: Dict[str, List["_Frame"]] = {}
+        self.ok_seconds: List[float] = []
+
+
+@dataclass(eq=False)
+class _Frame:
+    """One frame in flight: a task, or several coalesced into one round
+    trip."""
+
+    phase: _Phase
+    tasks: List[_Task]
+    started: float
+    lease_expiry: Optional[float]  # absolute; None for spawned workers
+    deadline: Optional[float]  # absolute, from the shard deadline
+    allowed: Optional[float]  # the same deadline in relative seconds
+    speculative: bool = False
+
+    def lapsed(self, now: float) -> bool:
+        return any(limit is not None and now > limit
+                   for limit in (self.lease_expiry, self.deadline))
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One worker connection: a spawned child, or an accepted peer."""
+
     conn: object
-    #: the in-flight frame: one task, or several coalesced into one
-    #: round trip (None when idle)
-    current: Optional[List[_Task]] = None
-    started: float = 0.0
-    deadline: Optional[float] = None
-    allowed: Optional[float] = None  # the deadline in relative seconds
-
-    @property
-    def idle(self) -> bool:
-        return self.current is None
+    label: str
+    #: a spawned worker's child process (None for an accepted peer)
+    process: object = None
+    #: an accepted worker's heartbeat lease in seconds, set when it
+    #: registers (spawned workers hold none)
+    lease: Optional[float] = None
+    registered: bool = False
+    #: the frame in flight on this connection (None when idle)
+    frame: Optional[_Frame] = None
 
 
 class TaskScheduler:
-    """Shared retry / bisection / poison policy of one mining run.
+    """The one dispatch loop of a mining run, and its failure policy.
 
-    The in-process :class:`ShardSupervisor` and the socket-based
-    :class:`repro.dist.coordinator.Coordinator` differ in *where*
-    attempts run (local worker processes vs remote worker daemons) but
-    not in *what happens when one fails*: bounded retries with
-    deterministic backoff, poison-shard bisection down to a singleton,
-    quarantine of the isolated toxin, strict-mode fail-fast, and a
-    shared :class:`FailureLedger`.  That policy lives here so both
-    dispatchers stay byte-identical in their failure semantics.
+    ``ctx`` and ``jobs`` give the scheduler ``jobs`` spawned workers,
+    started by the first phase and persisting across phases; the
+    :class:`~repro.dist.coordinator.Coordinator` subclass accepts its
+    workers over a listening socket instead.  ``batch_programs`` is the
+    coalescing floor: first-attempt tasks are packed into one frame
+    until it carries at least that many programs (0 sends one task per
+    frame; the engine passes 0 whenever the armed plan has worker
+    faults, so a fault still sees one task per frame).  One instance
+    accumulates a run's history in one :class:`FailureLedger`; callers
+    must :meth:`close` it when the run ends.
     """
 
     def __init__(
@@ -521,18 +610,531 @@ class TaskScheduler:
         *,
         strict: bool = False,
         ledger: Optional[FailureLedger] = None,
-        clock: Callable[[], float] = time.monotonic,
+        ctx=None,
+        jobs: int = 0,
+        batch_programs: int = 0,
     ) -> None:
         self.supervision = supervision or SupervisionConfig()
         self.strict = strict
         self.ledger = ledger if ledger is not None else FailureLedger()
-        self._clock = clock
-        self._seq = 0
-        self._deadlines = DeadlineTracker(self.supervision)
+        self.ctx = ctx
+        self.jobs = jobs
+        self.batch_programs = max(0, batch_programs)
+        #: the accepting cluster's shape, whose speculation policy the
+        #: loop applies (a Coordinator sets it; None never speculates)
+        self.dist: Optional["DistConfig"] = None
         self.dispatch = DispatchStats()
-        #: the running phase's ``on_interim`` hook: items a worker sent
-        #: with :func:`send_interim` while its task still runs
-        self._on_interim: Optional[Callable[[object], None]] = None
+        self.stats = ClusterStats()
+        self._deadlines = DeadlineTracker(self.supervision)
+        self._workers: List[_Worker] = []
+        self._phase: Optional[_Phase] = None
+        self._seq = 0
+
+    # ------------------------------------------------------------------
+    # the dispatch loop
+
+    def run_phase(
+        self,
+        phase: str,
+        tasks: Sequence[Tuple[int, object]],
+        *,
+        runner: Callable,
+        splitter: Callable[[object], Optional[Tuple[object, object]]],
+        poisoner: Callable[[object, str, str], object],
+        validator: Callable[[object], bool],
+        on_interim: Optional[Callable[[object], None]] = None,
+    ) -> List[object]:
+        """Dispatch ``tasks`` (``(shard_id, payload)``) under supervision.
+
+        ``runner(payload, attempt)`` is the module-level function the
+        worker executes (module-level so it pickles under any start
+        method; an accepted worker imports it by name, so it must live
+        under ``repro.``).  ``splitter(payload)`` returns two halves for
+        bisection, or None for an unsplittable singleton.
+        ``poisoner(payload, outcome, error)`` converts an isolated
+        toxic singleton into a phase result (quarantine entry + empty
+        partial); it runs in the parent, so it may close over engine
+        state.  ``validator(result)`` rejects corrupt result payloads.
+        ``on_interim(item)`` runs in the parent for each item a worker
+        sends with :func:`send_interim` while its task is still in
+        flight, even if that attempt later fails.
+
+        Returns one result per surviving leaf task, in no particular
+        order — callers merge through the order-insensitive partials.
+        """
+        state = _Phase(self._wire_runner(runner), splitter, poisoner,
+                       validator, on_interim)
+        for shard_id, payload in tasks:
+            task = self._make_task(str(shard_id), shard_id, phase, payload)
+            state.queue.append(task)
+            state.live[task.task_id] = task
+        self._phase = state
+        try:
+            while state.live:
+                self._ensure_workers()
+                now = time.monotonic()
+                self._dispatch(state, now)
+                self._maybe_speculate(state, now)
+                self._pump(self._wait_timeout(state, now))
+                self._expire(state)
+        except BaseException:
+            # a strict-mode raise (or KeyboardInterrupt) ends the phase
+            # mid-frame: a spawned worker dies with it (and is respawned
+            # when next needed); an accepted one keeps its frame, whose
+            # reply is dropped when it arrives
+            for worker in list(self._workers):
+                if worker.process is not None and worker.frame is not None:
+                    self._drop(worker)
+            raise
+        finally:
+            self._phase = None
+        return state.results
+
+    def close(self, shutdown_workers: bool = True) -> None:
+        """Release every worker, telling registered ones to exit first;
+        spawned processes that do not exit are killed."""
+        for worker in self._workers:
+            if shutdown_workers and worker.registered:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+        for worker in list(self._workers):
+            if worker.process is not None and worker.frame is None:
+                worker.process.join(timeout=2.0)
+            self._drop(worker)
+
+    # ------------------------------------------------------------------
+    # how workers arrive (a Coordinator accepts them instead)
+
+    def _ensure_workers(self) -> None:
+        """Spawn workers up to ``jobs``, in place of any killed."""
+        while len(self._workers) < self.jobs:
+            parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+            inherited: Tuple = ()
+            if self.ctx.get_start_method() == "fork":
+                inherited = (parent_conn, *(w.conn for w in self._workers))
+            process = self.ctx.Process(
+                target=_pool_main, args=(child_conn, inherited),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            self._workers.append(_Worker(
+                conn=parent_conn, label=process.name, process=process,
+                registered=True,
+            ))
+
+    def _sources(self) -> List[object]:
+        """Listening sockets whose readiness admits a new worker."""
+        return []
+
+    def _accept(self, source) -> None:
+        """Admit the peer waiting on one of :meth:`_sources`."""
+
+    def _hello(self, worker: _Worker, message: object) -> None:
+        """Handle an unregistered worker's message (spawned workers
+        start registered, so only a Coordinator registers any)."""
+        self._drop(worker)
+
+    def _wire_runner(self, runner: Callable) -> object:
+        """``runner`` as frames carry it: a spawned worker unpickles
+        the function itself."""
+        return runner
+
+    # ------------------------------------------------------------------
+    # transport
+
+    def _pump(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` seconds, then read one message from
+        every ready worker and admit every waiting peer."""
+        by_conn = {worker.conn: worker for worker in self._workers}
+        for ready in connection_wait([*self._sources(), *by_conn],
+                                     timeout):
+            worker = by_conn.get(ready)
+            if worker is None:
+                self._accept(ready)
+            elif worker in self._workers:
+                self._receive(worker)
+
+    def _receive(self, worker: _Worker) -> None:
+        """Read and handle one message; a frame that is stalled,
+        oversized, truncated or not a pickle drops the worker."""
+        try:
+            frame = worker.conn.recv_bytes(MAX_FRAME_BYTES)
+        except (EOFError, OSError):
+            self._worker_lost(worker, "connection closed")
+            return
+        self.dispatch.bytes_received += len(frame)
+        started = time.perf_counter()
+        try:
+            message = pickle.loads(frame)
+        except Exception:
+            self._worker_lost(worker, "undecodable frame")
+            return
+        finally:
+            self.dispatch.seconds_deserialize += \
+                time.perf_counter() - started
+        self._handle_message(worker, message)
+
+    def _send(self, worker: _Worker, message: object) -> bool:
+        """Send one frame; False if the worker is gone."""
+        started = time.perf_counter()
+        # send_bytes of our own pickle: same wire format as conn.send,
+        # but the byte count becomes observable
+        data = pickle.dumps(message)
+        self.dispatch.seconds_serialize += time.perf_counter() - started
+        try:
+            worker.conn.send_bytes(data)
+        except OSError:
+            return False
+        self.dispatch.bytes_sent += len(data)
+        return True
+
+    # ------------------------------------------------------------------
+    # message handling
+
+    def _handle_message(self, worker: _Worker, message: object) -> None:
+        kind = message[0] if isinstance(message, tuple) and message \
+            else None
+        frame = worker.frame
+        if not worker.registered:
+            self._hello(worker, message)
+        elif kind == "heartbeat":
+            if frame is not None and worker.lease is not None:
+                frame.lease_expiry = time.monotonic() + worker.lease
+        elif kind == "interim":
+            # the frame is still running; its reply comes later
+            if (frame is not None and frame.phase is self._phase
+                    and len(message) == 2
+                    and frame.phase.on_interim is not None):
+                frame.phase.on_interim(message[1])
+        elif kind == "goodbye":
+            self._worker_lost(worker, "goodbye", graceful=True)
+        else:
+            self._handle_reply(worker, message)
+
+    def _handle_reply(self, worker: _Worker, message: object) -> None:
+        frame, worker.frame = worker.frame, None
+        if frame is None or frame.phase is not self._phase:
+            return  # a stray reply, or the late one of an ended phase
+        state = frame.phase
+        now = time.monotonic()
+        seconds = now - frame.started
+        if len(frame.tasks) == 1:
+            replies: List[object] = [message]
+        elif isinstance(message, list) and len(message) == len(frame.tasks):
+            replies = message
+        else:
+            # a coalesced frame must answer with one message per task
+            replies = [("batch-shape-mismatch",)] * len(frame.tasks)
+        any_ok = False
+        for index, (task, reply) in enumerate(zip(frame.tasks, replies)):
+            if task.task_id not in state.live:
+                # a speculation loser: the first result won already
+                self._unassign(state, frame, task)
+                continue
+            # the first reply of a frame is shape-revalidated; later
+            # ones come from the same healthy worker in the same round
+            # trip, so one validation vouches for the frame (strict
+            # mode validates every reply)
+            outcome, value = self._classify(
+                task, reply, seconds, frame.allowed, state.validator,
+                validate=index == 0 or self.strict,
+            )
+            if outcome != OUTCOME_OK:
+                self._attempt_failed(state, frame, task, outcome, value,
+                                     seconds, now,
+                                     recorded=outcome == OUTCOME_ERROR)
+                continue
+            any_ok = True
+            if frame.speculative:
+                self.stats.n_speculation_wins += 1
+            self.stats.credit(worker.label)
+            state.results.append(value)
+            state.live.pop(task.task_id, None)
+            # a re-queued copy may be waiting for retry — the result wins
+            state.queue[:] = [t for t in state.queue if t is not task]
+            state.inflight.pop(task.task_id, None)
+        if any_ok:
+            self._deadlines.observe(seconds, sum(
+                self._payload_size(t.payload) for t in frame.tasks
+            ))
+            state.ok_seconds.append(seconds)
+
+    # ------------------------------------------------------------------
+    # dispatch / speculation / expiry
+
+    def _idle_workers(self) -> List[_Worker]:
+        return [w for w in self._workers
+                if w.registered and w.frame is None]
+
+    def _dispatch(self, state: _Phase, now: float) -> None:
+        state.queue.sort(key=lambda t: (t.ready_at, t.seq))
+        for worker in self._idle_workers():
+            task = self._pop_ready(state.queue, now)
+            if task is None:
+                break  # nothing ready yet (backoff cooldowns)
+            tasks = [task]
+            if self.batch_programs > 0 and task.attempt == 0:
+                self._coalesce(tasks, state.queue, now)
+            self._assign(state, worker, tasks, now)
+
+    def _coalesce(
+        self, batch: List[_Task], queue: List[_Task], now: float,
+    ) -> None:
+        """Pack more small first-attempt tasks into one worker frame.
+
+        Greedy over the (sorted) ready queue until the frame carries at
+        least ``batch_programs`` programs.  Only clean first attempts
+        ride along — retries keep their own frame so failures stay
+        attributable.
+        """
+        total = self._payload_size(batch[0].payload)
+        i = 0
+        while total < self.batch_programs and i < len(queue):
+            task = queue[i]
+            if task.ready_at > now:
+                break  # sorted: nothing ready past this point
+            if task.attempt == 0:
+                queue.pop(i)
+                batch.append(task)
+                total += self._payload_size(task.payload)
+            else:
+                i += 1
+
+    def _assign(
+        self,
+        state: _Phase,
+        worker: _Worker,
+        tasks: List[_Task],
+        now: float,
+        speculative: bool = False,
+    ) -> None:
+        if len(tasks) == 1:
+            message: object = (state.runner, tasks[0].payload,
+                               tasks[0].attempt)
+        else:
+            message = ("jobs", state.runner,
+                       [(t.payload, t.attempt) for t in tasks])
+        if not self._send(worker, message):
+            # the frame never started: its tasks go back untouched
+            self._lose(worker)
+            if not speculative:
+                for task in tasks:
+                    task.ready_at = now
+                    state.queue.append(task)
+            return
+        allowed = self._deadlines.effective(sum(
+            self._payload_size(t.payload) for t in tasks
+        ))
+        frame = _Frame(
+            phase=state, tasks=tasks, started=now,
+            lease_expiry=(now + worker.lease
+                          if worker.lease is not None else None),
+            deadline=(now + allowed) if allowed is not None else None,
+            allowed=allowed, speculative=speculative,
+        )
+        worker.frame = frame
+        for task in tasks:
+            state.inflight.setdefault(task.task_id, []).append(frame)
+        self.dispatch.n_round_trips += 1
+        self.dispatch.n_tasks_dispatched += len(tasks)
+        self.stats.n_tasks_dispatched += len(tasks)
+        if len(tasks) > 1:
+            self.dispatch.n_batches += 1
+            self.dispatch.n_tasks_batched += len(tasks)
+        if speculative:
+            self.stats.n_speculated += 1
+
+    def _maybe_speculate(self, state: _Phase, now: float) -> None:
+        """Re-dispatch the slowest in-flight tasks to idle workers once
+        no real work is ready (the first result wins)."""
+        dist = self.dist
+        if dist is None or not dist.speculate:
+            return
+        if len(state.ok_seconds) < max(1, dist.speculation_min_observations):
+            return
+        if state.queue and state.queue[0].ready_at <= now:
+            return  # real work first
+        idle = self._idle_workers()
+        if not idle:
+            return
+        ordered = sorted(state.ok_seconds)
+        threshold = dist.speculation_factor * ordered[len(ordered) // 2]
+        candidates = [
+            copies[0]
+            for tid, copies in state.inflight.items()
+            if len(copies) == 1 and not copies[0].speculative
+            and now - copies[0].started > threshold
+            and tid in state.live
+        ]
+        candidates.sort(key=lambda frame: frame.started)  # slowest first
+        for worker, frame in zip(idle, candidates):
+            self._assign(state, worker, frame.tasks, now, speculative=True)
+
+    @staticmethod
+    def _is_live(state: _Phase, frame: _Frame) -> bool:
+        """False for a zombie frame: its phase ended, or a twin won."""
+        return frame.phase is state and frame in state.inflight.get(
+            frame.tasks[0].task_id, ())
+
+    def _expire(self, state: _Phase) -> None:
+        for worker in list(self._workers):
+            # unread data first: a reply or heartbeat queued behind a
+            # stalled peer wins over the clock
+            while (worker.frame is not None
+                   and worker.frame.lapsed(time.monotonic())
+                   and worker.conn.poll()):
+                self._receive(worker)
+            frame = worker.frame
+            if frame is None:
+                continue
+            now = time.monotonic()
+            # a zombie frame only holds its worker until the lease lapses
+            live = self._is_live(state, frame)
+            if frame.lease_expiry is not None and now > frame.lease_expiry:
+                self.stats.n_lease_expiries += 1
+                error = (f"lease expired: no heartbeat within "
+                         f"{worker.lease:g}s")
+            elif live and frame.deadline is not None \
+                    and now > frame.deadline:
+                error = f"shard deadline of {frame.allowed:g}s exceeded"
+            else:
+                continue
+            # the worker is unresponsive or wedged — drop it so it can
+            # never send a stale result for a re-dispatched task
+            self._lose(worker)
+            if live:
+                for task in frame.tasks:
+                    self._attempt_failed(state, frame, task,
+                                         OUTCOME_TIMEOUT, error,
+                                         now - frame.started, now)
+
+    def _wait_timeout(self, state: _Phase, now: float) -> float:
+        horizons = [_POLL_SECONDS]
+        for worker in self._workers:
+            frame = worker.frame
+            if frame is None:
+                continue
+            if frame.lease_expiry is not None:
+                horizons.append(frame.lease_expiry - now)
+            if frame.deadline is not None and self._is_live(state, frame):
+                horizons.append(frame.deadline - now)
+        if state.queue and self._idle_workers():
+            horizons.append(min(t.ready_at for t in state.queue) - now)
+        return max(0.0, min(horizons))
+
+    # ------------------------------------------------------------------
+    # failures
+
+    def _attempt_failed(
+        self,
+        state: _Phase,
+        frame: _Frame,
+        task: _Task,
+        outcome: str,
+        error: str,
+        seconds: float,
+        now: float,
+        recorded: bool = False,
+    ) -> None:
+        """One attempt of ``task`` failed: retry, bisect or poison the
+        task once no speculative twin of it is still running."""
+        self._unassign(state, frame, task)
+        if not recorded:
+            task.record.attempts.append(AttemptRecord(
+                attempt=task.attempt, outcome=outcome,
+                seconds=seconds, error=error,
+            ))
+        if state.inflight.get(task.task_id):
+            return  # a speculative twin is still running — let it race on
+        if task.attempt < self.supervision.max_retries:
+            task.attempt += 1
+            task.ready_at = now + self.supervision.backoff(task.attempt)
+            state.queue.append(task)
+            return
+        if self.strict:
+            cls = WorkerTimeout if outcome == OUTCOME_TIMEOUT else WorkerCrash
+            raise cls(
+                f"task {task.task_id} ({task.record.phase}) failed "
+                f"{task.attempt + 1} attempt(s): {error}"
+            )
+        state.live.pop(task.task_id, None)
+        halves = state.splitter(task.payload)
+        if halves is None:
+            # the toxic program is isolated: quarantine, keep the rest
+            label = WORKER_TIMEOUT if outcome == OUTCOME_TIMEOUT \
+                else WORKER_CRASH
+            task.record.poisoned = label
+            state.results.append(state.poisoner(task.payload, label, error))
+            return
+        task.record.bisected = True
+        for half_index, half in enumerate(halves):
+            child = self._make_task(
+                f"{task.task_id}.{half_index}", task.shard_id,
+                task.record.phase, half,
+            )
+            child.ready_at = now
+            state.queue.append(child)
+            state.live[child.task_id] = child
+
+    @staticmethod
+    def _unassign(state: _Phase, frame: _Frame, task: _Task) -> None:
+        copies = state.inflight.get(task.task_id)
+        if not copies:
+            return
+        copies[:] = [f for f in copies if f is not frame]
+        if not copies:
+            del state.inflight[task.task_id]
+
+    def _worker_lost(
+        self, worker: _Worker, reason: str, graceful: bool = False
+    ) -> None:
+        """A worker died, left or broke the wire: the live tasks of its
+        frame fail as crashes."""
+        frame = self._lose(worker)
+        state = self._phase
+        if frame is None or frame.phase is not state:
+            return
+        now = time.monotonic()
+        if worker.process is not None:
+            error = (f"worker died without reporting (exit code "
+                     f"{worker.process.exitcode})")
+        else:
+            label = "left" if graceful else "died"
+            error = (f"worker {worker.label} {label} holding the lease "
+                     f"({reason})")
+        for task in frame.tasks:
+            if task.task_id in state.live:
+                self._attempt_failed(state, frame, task, OUTCOME_CRASH,
+                                     error, now - frame.started, now)
+            else:
+                self._unassign(state, frame, task)
+
+    def _lose(self, worker: _Worker) -> Optional[_Frame]:
+        """Take a dead or dropped worker out of service; returns the
+        frame it held.  A spawned worker is killed (and respawned when
+        next needed); an accepted one is counted lost."""
+        frame, registered = worker.frame, worker.registered
+        self._drop(worker)
+        if worker.process is None and registered:
+            self.stats.n_workers_lost += 1
+        return frame
+
+    def _drop(self, worker: _Worker) -> None:
+        worker.conn.close()
+        process = worker.process
+        if process is not None:  # terminate; kill it if it lingers
+            process.terminate()
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        worker.registered = False
+        worker.frame = None
+        if worker in self._workers:
+            self._workers.remove(worker)
 
     # ------------------------------------------------------------------
 
@@ -611,433 +1213,3 @@ class TaskScheduler:
             return OUTCOME_ERROR, error
         return (OUTCOME_CORRUPT,
                 "worker result failed validation (corrupt payload)")
-
-    def _failed(
-        self,
-        task: _Task,
-        outcome: str,
-        error: str,
-        seconds: float,
-        now: float,
-        queue: List[_Task],
-        results: List[object],
-        splitter,
-        poisoner,
-        recorded: bool = False,
-    ) -> None:
-        """Retry, bisect, or poison a task whose attempt just failed."""
-        if not recorded:
-            task.record.attempts.append(AttemptRecord(
-                attempt=task.attempt, outcome=outcome,
-                seconds=seconds, error=error,
-            ))
-        if task.attempt < self.supervision.max_retries:
-            task.attempt += 1
-            task.ready_at = now + self.supervision.backoff(task.attempt)
-            queue.append(task)
-            return
-        if self.strict:
-            cls = WorkerTimeout if outcome == OUTCOME_TIMEOUT else WorkerCrash
-            raise cls(
-                f"task {task.task_id} ({task.record.phase}) failed "
-                f"{task.attempt + 1} attempt(s): {error}"
-            )
-        halves = splitter(task.payload)
-        if halves is None:
-            # the toxic program is isolated: quarantine, keep the rest
-            label = WORKER_TIMEOUT if outcome == OUTCOME_TIMEOUT \
-                else WORKER_CRASH
-            task.record.poisoned = label
-            results.append(poisoner(task.payload, label, error))
-            return
-        task.record.bisected = True
-        for half_index, half in enumerate(halves):
-            child = self._make_task(
-                f"{task.task_id}.{half_index}", task.shard_id,
-                task.record.phase, half,
-            )
-            child.ready_at = now
-            queue.append(child)
-
-
-class ShardSupervisor(TaskScheduler):
-    """Watchdog dispatcher for one mining run's shard tasks.
-
-    One instance supervises a mining run's analyse phase and
-    accumulates its history in a shared :class:`FailureLedger`.  The
-    worker pool is lazily spawned on the first phase and persists
-    across phases; callers must
-    :meth:`close` the supervisor when the run ends.  ``clock`` is
-    injectable for tests and must be monotone.
-    """
-
-    def __init__(
-        self,
-        ctx,
-        jobs: int,
-        supervision: Optional[SupervisionConfig] = None,
-        *,
-        strict: bool = False,
-        ledger: Optional[FailureLedger] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        batch_programs: int = 0,
-    ) -> None:
-        super().__init__(supervision, strict=strict, ledger=ledger,
-                         clock=clock)
-        self.ctx = ctx
-        self.jobs = max(1, jobs)
-        self._sleep = sleep
-        self._workers: List[_PoolWorker] = []
-        #: coalescing floor: first-attempt tasks are packed into one
-        #: round trip until the frame carries at least this many
-        #: programs (0 disables batching; the engine passes 0 whenever
-        #: the armed plan has worker faults, so a fault still sees one
-        #: task per frame)
-        self.batch_programs = max(0, batch_programs)
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-
-    def _spawn_worker(self, slot: int) -> _PoolWorker:
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        inherited: Tuple = ()
-        if self.ctx.get_start_method() == "fork":
-            inherited = (parent_conn, *(w.conn for w in self._workers))
-        process = self.ctx.Process(
-            target=_pool_main, args=(child_conn, inherited), daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(
-            slot=slot, process=process, conn=parent_conn,
-        )
-
-    def _ensure_pool(self) -> None:
-        while len(self._workers) < self.jobs:
-            self._workers.append(self._spawn_worker(len(self._workers)))
-
-    def _replace_worker(self, worker: _PoolWorker) -> None:
-        """Respawn one slot after its process died or was killed."""
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-        self._kill_process(worker)
-        self._workers[worker.slot] = self._spawn_worker(worker.slot)
-
-    def close(self) -> None:
-        """Tear the pool down (shutdown sentinel, then force-kill)."""
-        for worker in self._workers:
-            if worker.idle:
-                try:
-                    worker.conn.send(None)
-                except Exception:
-                    pass
-        for worker in self._workers:
-            try:
-                worker.process.join(timeout=2.0)
-            except Exception:
-                pass
-            self._kill_process(worker)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
-        self._workers = []
-
-    # ------------------------------------------------------------------
-
-    def run_phase(
-        self,
-        phase: str,
-        tasks: Sequence[Tuple[int, object]],
-        *,
-        runner: Callable,
-        splitter: Callable[[object], Optional[Tuple[object, object]]],
-        poisoner: Callable[[object, str, str], object],
-        validator: Callable[[object], bool],
-        on_interim: Optional[Callable[[object], None]] = None,
-    ) -> List[object]:
-        """Dispatch ``tasks`` (``(shard_id, payload)``) under supervision.
-
-        ``runner(payload, attempt)`` is the module-level function the
-        worker process executes (module-level so it pickles under any
-        start method).  ``splitter(payload)`` returns two halves for
-        bisection, or None for an unsplittable singleton.
-        ``poisoner(payload, outcome, error)`` converts an isolated
-        toxic singleton into a phase result (quarantine entry + empty
-        partial); it runs in the parent, so it may close over engine
-        state.  ``validator(result)`` rejects corrupt result payloads.
-        ``on_interim(item)`` runs in the parent for each item a worker
-        sends with :func:`send_interim` while its task is still in
-        flight, even if that attempt later fails.
-
-        Returns one result per surviving leaf task, in no particular
-        order — callers merge through the order-insensitive partials.
-        """
-        queue: List[_Task] = [
-            self._make_task(str(shard_id), shard_id, phase, payload)
-            for shard_id, payload in tasks
-        ]
-        results: List[object] = []
-        self._on_interim = on_interim
-        self._ensure_pool()
-        try:
-            while queue or any(not w.idle for w in self._workers):
-                now = self._clock()
-                self._launch_ready(queue, results, runner, now,
-                                   splitter, poisoner)
-                timeout = self._wait_timeout(queue, now)
-                conns = [w.conn for w in self._workers]
-                if conns:
-                    ready = connection_wait(conns, timeout=timeout)
-                elif timeout:
-                    ready = []
-                    self._sleep(timeout)
-                else:
-                    ready = []
-                now = self._clock()
-                for conn in ready:
-                    self._handle_event(
-                        conn, queue, results, now,
-                        splitter, poisoner, validator,
-                    )
-                self._reap_deadlines(
-                    queue, results, splitter, poisoner, validator,
-                )
-        except BaseException:
-            # a strict-mode raise (or KeyboardInterrupt) can leave
-            # workers mid-task; their stale results must not leak into
-            # a later phase, so the pool dies with the phase
-            self.close()
-            raise
-        finally:
-            self._on_interim = None
-        return results
-
-    # ------------------------------------------------------------------
-
-    def _coalesce(
-        self, batch: List[_Task], queue: List[_Task], now: float,
-    ) -> None:
-        """Pack more small first-attempt tasks into one worker frame.
-
-        Greedy over the (sorted) ready queue until the frame carries at
-        least ``batch_programs`` programs.  Only clean first attempts
-        ride along — retries keep their own frame so failures stay
-        attributable.
-        """
-        total = self._payload_size(batch[0].payload)
-        i = 0
-        while total < self.batch_programs and i < len(queue):
-            task = queue[i]
-            if task.ready_at > now:
-                break  # sorted: nothing ready past this point
-            if task.attempt == 0:
-                queue.pop(i)
-                batch.append(task)
-                total += self._payload_size(task.payload)
-            else:
-                i += 1
-
-    def _launch_ready(
-        self,
-        queue: List[_Task],
-        results: List[object],
-        runner: Callable,
-        now: float,
-        splitter,
-        poisoner,
-    ) -> None:
-        queue.sort(key=lambda t: (t.ready_at, t.seq))
-        for worker in list(self._workers):
-            if not worker.idle or not queue:
-                continue
-            task = self._pop_ready(queue, now)
-            if task is None:
-                break  # nothing ready yet (backoff cooldowns)
-            batch = [task]
-            if self.batch_programs > 0 and task.attempt == 0:
-                self._coalesce(batch, queue, now)
-            if len(batch) == 1:
-                frame: object = (runner, task.payload, task.attempt)
-            else:
-                frame = ("jobs", runner,
-                         [(t.payload, t.attempt) for t in batch])
-            t0 = time.perf_counter()
-            data = pickle.dumps(frame)
-            self.dispatch.seconds_serialize += time.perf_counter() - t0
-            try:
-                # send_bytes of our own pickle: same wire format as
-                # conn.send, but the byte count becomes observable
-                worker.conn.send_bytes(data)
-            except (OSError, ValueError):
-                # the worker died idle; replace the slot and put the
-                # tasks back untouched (the attempt never started)
-                for t in batch:
-                    t.ready_at = now
-                    queue.append(t)
-                queue.sort(key=lambda t: (t.ready_at, t.seq))
-                self._replace_worker(worker)
-                continue
-            self.dispatch.n_round_trips += 1
-            self.dispatch.n_tasks_dispatched += len(batch)
-            self.dispatch.bytes_sent += len(data)
-            if len(batch) > 1:
-                self.dispatch.n_batches += 1
-                self.dispatch.n_tasks_batched += len(batch)
-            allowed = self._deadlines.effective(sum(
-                self._payload_size(t.payload) for t in batch
-            ))
-            worker.current = batch
-            worker.started = now
-            worker.allowed = allowed
-            worker.deadline = (
-                (now + allowed) if allowed is not None else None
-            )
-
-    def _wait_timeout(
-        self,
-        queue: List[_Task],
-        now: float,
-    ) -> Optional[float]:
-        horizons = [_POLL_SECONDS]
-        horizons += [
-            w.deadline - now for w in self._workers
-            if w.deadline is not None and not w.idle
-        ]
-        if queue and any(w.idle for w in self._workers):
-            horizons.append(queue[0].ready_at - now)
-        return max(0.0, min(horizons))
-
-    # ------------------------------------------------------------------
-
-    def _worker_for(self, conn) -> Optional[_PoolWorker]:
-        for worker in self._workers:
-            if worker.conn is conn:
-                return worker
-        return None
-
-    def _handle_event(
-        self,
-        conn,
-        queue: List[_Task],
-        results: List[object],
-        now: float,
-        splitter,
-        poisoner,
-        validator,
-    ) -> None:
-        worker = self._worker_for(conn)
-        if worker is None:
-            return
-        batch = worker.current
-        seconds = now - worker.started
-        try:
-            buf = conn.recv_bytes()
-        except (EOFError, OSError):
-            buf = None
-        if buf is None:
-            # the process died: reap it for its exit code, respawn the
-            # slot, and fail the in-flight tasks (if any) as crashes
-            self._kill_process(worker)
-            exitcode = worker.process.exitcode
-            self._replace_worker(worker)
-            for task in batch or ():
-                self._failed(
-                    task, OUTCOME_CRASH,
-                    f"worker died without reporting (exit code {exitcode})",
-                    seconds, now, queue, results, splitter, poisoner,
-                )
-            return
-        self.dispatch.bytes_received += len(buf)
-        t0 = time.perf_counter()
-        try:
-            message: object = pickle.loads(buf)
-        except Exception:
-            message = ("undecodable-frame",)
-        self.dispatch.seconds_deserialize += time.perf_counter() - t0
-        if batch is None:
-            return  # stray frame from an idle worker: ignore
-        if isinstance(message, tuple) and message[:1] == ("interim",):
-            # the frame is still running; its reply comes later
-            if self._on_interim is not None:
-                self._on_interim(message[1])
-            return
-        worker.current = None
-        worker.deadline = None
-        if len(batch) == 1:
-            replies: List[object] = [message]
-        elif isinstance(message, list) and len(message) == len(batch):
-            replies = message
-        else:
-            # a batched frame must answer with one message per task
-            replies = [("batch-shape-mismatch",)] * len(batch)
-        any_ok = False
-        for index, (task, reply) in enumerate(zip(batch, replies)):
-            # the first reply of a frame is shape-revalidated; later
-            # ones come from the same healthy worker in the same round
-            # trip, so one validation vouches for the frame (strict
-            # mode validates every reply; runs with worker faults send
-            # one task per frame)
-            outcome, value = self._classify(
-                task, reply, seconds, worker.allowed, validator,
-                validate=index == 0 or self.strict,
-            )
-            if outcome == OUTCOME_OK:
-                results.append(value)
-                any_ok = True
-            else:
-                self._failed(task, outcome, value, seconds, now, queue,
-                             results, splitter, poisoner,
-                             recorded=outcome == OUTCOME_ERROR)
-        if any_ok:
-            self._deadlines.observe(seconds, sum(
-                self._payload_size(t.payload) for t in batch
-            ))
-
-    def _reap_deadlines(
-        self,
-        queue: List[_Task],
-        results: List[object],
-        splitter,
-        poisoner,
-        validator,
-    ) -> None:
-        now = self._clock()
-        for worker in list(self._workers):
-            if (worker.idle or worker.deadline is None
-                    or now < worker.deadline):
-                continue
-            if worker.conn.poll():
-                # the result raced the deadline: results win
-                self._handle_event(
-                    worker.conn, queue, results, self._clock(),
-                    splitter, poisoner, validator,
-                )
-                continue
-            batch = worker.current
-            allowed = worker.allowed
-            started = worker.started
-            self._replace_worker(worker)
-            for task in batch or ():
-                self._failed(
-                    task, OUTCOME_TIMEOUT,
-                    f"shard deadline of {allowed:g}s exceeded",
-                    now - started, now, queue, results,
-                    splitter, poisoner,
-                )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _kill_process(worker: _PoolWorker) -> None:
-        try:
-            worker.process.terminate()
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-        except Exception:
-            pass

@@ -31,8 +31,18 @@ from repro.dist import (
 )
 from repro.dist.protocol import pack_payload, unpack_payload
 from repro.mining import MiningConfig, MiningEngine
-from repro.mining.engine import _supervised_analyze
-from repro.mining.supervisor import SupervisionConfig
+from repro.mining.engine import (
+    AnalyzeTask,
+    _poison_analyze,
+    _split_analyze,
+    _supervised_analyze,
+    _valid_partial,
+)
+from repro.mining.supervisor import (
+    SupervisionConfig,
+    _run_job,
+    interim_channel,
+)
 from repro.runtime import (
     Budget,
     BudgetExceeded,
@@ -54,13 +64,14 @@ def java_corpus(n=12, seed=7):
 
 def learn(programs, *, coordinator=None, jobs=1, shards=None,
           store_dir=None, strict=False, faults="", max_retries=2,
-          adaptive_deadline=False, budget=None):
+          adaptive_deadline=False, shard_deadline=None, budget=None):
     config = PipelineConfig(runtime=RuntimeConfig(
         strict=strict, budget=budget or Budget(),
     ))
     supervision = SupervisionConfig(
         max_retries=max_retries,
         adaptive_deadline=adaptive_deadline,
+        shard_deadline=shard_deadline,
         backoff_base=0.01,  # keep test wall-clock down
     )
     mining = MiningConfig(
@@ -409,6 +420,107 @@ def test_speculation_beats_a_straggler():
     assert coordinator.stats.n_speculation_wins >= 1
 
 
+def test_speculation_loser_cannot_answer_the_next_phase():
+    """A frame still in flight when its phase ends stays on its worker:
+    the speculation loser's late reply and interims are dropped, never
+    credited to a task or the journal of the next phase."""
+    programs = java_corpus(n=6)
+    config = PipelineConfig()
+
+    def tasks(pairs):
+        return [(sid, AnalyzeTask(
+            config, sid, ((i, f"{i:06d}:{programs[i].source}", programs[i]),),
+            stream=True)) for sid, i in pairs]
+
+    release = threading.Event()
+
+    def holder(address):
+        """Holds its first task, heartbeating, until released or sent
+        another; then answers its tasks in arrival order, interims
+        first, as run_worker does."""
+        conn = _register(address, "holder")
+        lock = threading.Lock()
+
+        def send(message):
+            with lock:
+                conn.send(message)
+
+        held = []
+        try:
+            while True:
+                if conn.poll(0.05):
+                    message = conn.recv()
+                    if message is None:
+                        return
+                    if _is_task(message):
+                        held.append(message)
+                if held and (release.is_set() or len(held) > 1):
+                    ref, payload, attempt = held.pop(0)
+                    with interim_channel(
+                            lambda item: send(("interim", item))):
+                        send(_run_job(resolve_runner(ref), payload, attempt))
+                elif held:
+                    send(("heartbeat",))
+        except (EOFError, OSError):
+            return
+        finally:
+            conn.close()
+
+    coordinator = Coordinator(DistConfig(
+        min_workers=2, lease_seconds=10.0, no_worker_timeout=60.0,
+        speculation_min_observations=2,
+    ))
+    address = coordinator.bind()
+    peer = threading.Thread(target=holder, args=(address,), daemon=True)
+    peer.start()
+    coordinator.wait_for_workers(1, timeout=30.0)  # the holder is first
+    real = threading.Thread(
+        target=run_worker, args=address,
+        kwargs={"name": "real", "connect_retries": 60}, daemon=True,
+    )
+    real.start()
+    phase = dict(runner=_supervised_analyze, splitter=_split_analyze,
+                 poisoner=_poison_analyze, validator=_valid_partial)
+    interims = []
+    try:
+        coordinator.wait_for_workers(2, timeout=30.0)
+        first = coordinator.run_phase(
+            "analyze", tasks([(0, 0), (1, 1), (2, 2), (3, 3)]), **phase)
+        assert coordinator.stats.n_speculation_wins == 1
+        release.set()  # the loser answers while phase 2 runs
+        second = coordinator.run_phase(
+            "analyze", tasks([(10, 4), (11, 5)]),
+            on_interim=interims.append, **phase)
+    finally:
+        coordinator.close()
+    peer.join(timeout=10)
+    real.join(timeout=10)
+    assert sorted(p.metrics[0].shard_id for p in first) == [0, 1, 2, 3]
+    assert sorted(p.metrics[0].shard_id for p in second) == [10, 11]
+    assert sorted(item[0] for item in interims) == [
+        f"{i:06d}:{programs[i].source}" for i in (4, 5)]
+
+
+def test_hung_worker_is_reclaimed_by_its_deadline():
+    """A remote worker that hangs while heartbeating keeps its lease;
+    the shard deadline drops it and the retry lands elsewhere."""
+    programs = java_corpus(n=20)
+    local = learn(programs, jobs=2)
+    with cluster(3, processes=True, speculate=False) as (
+            coordinator, workers, _):
+        try:
+            dist = learn(programs, coordinator=coordinator, jobs=3,
+                         faults="hang:corpus_00005:1", shard_deadline=2.0)
+        finally:
+            # a hung worker never exits: do not wait out the join
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+    assert specs_text(dist) == specs_text(local)
+    assert manifest_text(dist) == manifest_text(local)
+    assert dist.mining.ledger.n_worker_timeouts == 1
+    assert dist.mining.cluster["n_workers_lost"] == 1
+
+
 def test_strict_typed_error_propagates_from_worker():
     programs = java_corpus(n=4)
     tight = Budget(max_solver_iterations=1)
@@ -717,6 +829,34 @@ def test_worker_stop_while_idle_sends_goodbye_and_returns():
         assert outcome["n"] == 0
 
 
+def test_worker_stop_racing_the_welcome_still_says_goodbye(monkeypatch):
+    """A stop request that lands before the worker reads the welcome
+    already waiting for it still deregisters with ``goodbye``."""
+    import repro.dist.worker as worker_module
+
+    welcomed = threading.Event()
+    recv = worker_module._recv
+
+    def late_recv(conn, stop):
+        assert welcomed.wait(30)  # the welcome waits; stop is set
+        return recv(conn, stop)
+
+    monkeypatch.setattr(worker_module, "_recv", late_recv)
+    with _stub_coordinator() as (listener, (host, port)):
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=run_worker, args=(host, port),
+            kwargs={"name": "late", "stop": stop}, daemon=True)
+        worker.start()
+        with listener.accept() as conn:
+            _handshake(conn)
+            stop.set()
+            welcomed.set()
+            assert conn.recv() == ("goodbye",)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+
+
 def test_recv_or_stop_treats_idle_timeout_as_waiting(monkeypatch):
     """An idle worker waits through many stop-poll periods of silence,
     then answers the task that finally arrives."""
@@ -811,6 +951,21 @@ def test_worker_reconnect_does_not_mask_protocol_errors():
                            sleep=lambda s: None)
         finally:
             server.join(timeout=10)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--retry-delay", "-1"], ["--retry-delay", "nan"],
+    ["--retry-delay", "inf"], ["--jitter", "3"], ["--jitter", "-0.1"],
+    ["--jitter", "nan"], ["--max-tasks", "0"], ["--max-tasks", "-2"],
+])
+def test_cli_worker_rejects_out_of_range_flags(flags, capsys):
+    # nothing listens on the port: a flag accepted at parse time would
+    # return from a refused connection instead of exiting
+    with pytest.raises(SystemExit) as exit_info:
+        main(["worker", "--connect", f"127.0.0.1:{_free_port()}",
+              "--connect-retries", "1", *flags])
+    assert exit_info.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_cli_worker_refused_registration_exits_2(capsys):

@@ -19,8 +19,8 @@ from repro.ir import ProgramBuilder
 from repro.mining import MiningConfig, MiningEngine, ShardPlan
 from repro.mining.supervisor import (
     DeadlineTracker,
-    ShardSupervisor,
     SupervisionConfig,
+    TaskScheduler,
 )
 from repro.runtime import (
     FaultPlan,
@@ -281,8 +281,8 @@ def _echo_pid(payload, attempt):
     reason="needs fork")
 def test_worker_pool_persists_across_phases():
     ctx = multiprocessing.get_context("fork")
-    supervisor = ShardSupervisor(
-        ctx, 2, SupervisionConfig(backoff_base=0.01))
+    supervisor = TaskScheduler(
+        SupervisionConfig(backoff_base=0.01), ctx=ctx, jobs=2)
     kwargs = dict(
         runner=_echo_pid,
         splitter=lambda payload: None,
@@ -307,11 +307,48 @@ def test_worker_pool_persists_across_phases():
     assert all(not p.is_alive() for p in processes)
 
 
+def _tagged(payload, attempt):
+    kind, tag = payload
+    if kind == "fail":
+        raise ValueError(tag)
+    if kind == "slow":
+        time.sleep(1.0)
+    return ("tag", tag)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork")
+def test_strict_abort_leaves_no_stale_frame_for_the_next_phase():
+    """A strict error ends phase 1 while the other worker is mid-frame;
+    phase 2 on the same scheduler returns exactly its own results."""
+    scheduler = TaskScheduler(
+        SupervisionConfig(backoff_base=0.01), strict=True,
+        ctx=multiprocessing.get_context("fork"), jobs=2)
+    kwargs = dict(
+        runner=_tagged,
+        splitter=lambda payload: None,
+        poisoner=lambda payload, kind, error: ("tag", None),
+        validator=lambda result: (
+            isinstance(result, tuple) and result[0] == "tag"),
+    )
+    try:
+        with pytest.raises(ValueError, match="boom"):
+            scheduler.run_phase(
+                "analyze", [(0, ("slow", "stale")), (1, ("fail", "boom"))],
+                **kwargs)
+        second = scheduler.run_phase(
+            "analyze", [(0, ("quick", "a")), (1, ("quick", "b"))], **kwargs)
+    finally:
+        scheduler.close()
+    assert sorted(tag for _, tag in second) == ["a", "b"]
+
+
 _KILLED_PARENT = """
 import multiprocessing, os, sys
-from repro.mining.supervisor import ShardSupervisor
-supervisor = ShardSupervisor(multiprocessing.get_context("fork"), 2)
-supervisor._ensure_pool()
+from repro.mining.supervisor import TaskScheduler
+supervisor = TaskScheduler(ctx=multiprocessing.get_context("fork"), jobs=2)
+supervisor._ensure_workers()
 with open(sys.argv[1], "w") as fh:
     fh.write(" ".join(str(w.process.pid) for w in supervisor._workers))
 os._exit(137)  # a crash: no close(), no shutdown sentinel
