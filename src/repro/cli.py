@@ -190,9 +190,7 @@ def _print_mining(mining) -> None:
         print(f"cluster: {c['n_workers_seen']} worker(s) "
               f"({c['n_workers_lost']} lost, "
               f"{c['n_lease_expiries']} lease expiries), "
-              f"{c['n_tasks_dispatched']} tasks dispatched, "
-              f"{c['n_speculated']} speculated "
-              f"({c['n_speculation_wins']} wins)")
+              f"{c['n_tasks_dispatched']} tasks dispatched")
     ledger = mining.ledger
     if ledger is not None and not ledger.clean:
         print(f"supervision: {ledger.n_retries} retried "
@@ -674,13 +672,14 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                        help="fail fast on the first per-program failure "
                             "instead of degrading and quarantining "
                             "(budget blow-ups exit with code 3)")
-    learn.add_argument("--jobs", type=int, default=1, metavar="N",
+    learn.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes for corpus analysis and "
                             "candidate matching (default 1 = "
                             "sequential); results are byte-identical "
                             "for any N, and --strict failures still "
                             "exit with codes 3/4")
-    learn.add_argument("--shards", type=int, default=None, metavar="N",
+    learn.add_argument("--shards", type=_positive_int, default=None,
+                       metavar="N",
                        help="corpus shard count (default: 1 when "
                             "sequential, 4×jobs when parallel); "
                             "programs map to shards by a stable hash "
@@ -719,14 +718,18 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "seconds is killed and the task retried "
                             "(enables supervised dispatch even with "
                             "--jobs 1)")
-    learn.add_argument("--budget-iterations", type=int, metavar="N",
+    learn.add_argument("--budget-iterations", type=_positive_int,
+                       metavar="N",
                        help="max points-to solver worklist iterations "
                             "per program (default: unbounded)")
-    learn.add_argument("--budget-constraints", type=int, metavar="N",
+    learn.add_argument("--budget-constraints", type=_positive_int,
+                       metavar="N",
                        help="max constraint-graph size per program")
-    learn.add_argument("--budget-events", type=int, metavar="N",
+    learn.add_argument("--budget-events", type=_positive_int,
+                       metavar="N",
                        help="max history-extension events per program")
-    learn.add_argument("--budget-seconds", type=float, metavar="S",
+    learn.add_argument("--budget-seconds", type=_positive_float,
+                       metavar="S",
                        help="soft wall-clock deadline per analysis stage")
     learn.add_argument("--adaptive-deadline", action="store_true",
                        help="derive the effective per-attempt deadline "
@@ -823,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     refine.add_argument("--patience", type=int, default=2, metavar="K",
                         help="stop after K generations with no "
                              "resolution and no F1 lift (default 2)")
-    refine.add_argument("--jobs", type=int, default=1, metavar="N",
+    refine.add_argument("--jobs", type=_positive_int, default=1,
+                        metavar="N",
                         help="mining worker processes (default 1); "
                              "results byte-identical for any N")
     refine.add_argument("--out", metavar="PATH",
@@ -881,18 +885,22 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("file")
     an.add_argument("--specs", help="specs JSON from 'uspec learn'")
     an.add_argument("--limit", type=int, default=20)
-    an.add_argument("--budget-seconds", type=float, metavar="S",
+    an.add_argument("--budget-seconds", type=_positive_float,
+                    metavar="S",
                     help="overall wall-clock deadline: a file over "
                          "budget degrades down the precision ladder "
                          "inside the remaining time instead of running "
                          "unboundedly (same path as serve's per-request "
                          "deadline)")
-    an.add_argument("--budget-constraints", type=int, metavar="N",
+    an.add_argument("--budget-constraints", type=_positive_int,
+                    metavar="N",
                     help="max constraint-graph size before degrading")
-    an.add_argument("--budget-iterations", type=int, metavar="N",
+    an.add_argument("--budget-iterations", type=_positive_int,
+                    metavar="N",
                     help="max solver worklist iterations before "
                          "degrading")
-    an.add_argument("--budget-events", type=int, metavar="N",
+    an.add_argument("--budget-events", type=_positive_int,
+                    metavar="N",
                     help="max history-extension events before degrading")
     an.add_argument("--strict", action="store_true",
                     help="no degradation ladder: the first failure "
@@ -928,12 +936,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="concurrent analyses admitted before "
                           "load-shedding with 429 'overloaded' "
                           "(default 8)")
-    srv.add_argument("--request-deadline", type=float, default=10.0,
+    srv.add_argument("--request-deadline", type=_positive_float,
+                     default=10.0,
                      metavar="S",
                      help="per-request wall-clock budget: pathological "
                           "snippets degrade down the precision ladder "
                           "within it, then answer 504 (default 10)")
-    srv.add_argument("--header-timeout", type=float, default=5.0,
+    srv.add_argument("--header-timeout", type=_positive_float,
+                     default=5.0,
                      metavar="S",
                      help="slow-loris cutoff: 408 if a request head or "
                           "body takes longer than S to arrive "
@@ -943,10 +953,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="SIGTERM grace: seconds to let in-flight "
                           "requests finish before forcing shutdown "
                           "(default 10)")
-    srv.add_argument("--cache-entries", type=int, default=1024,
-                     metavar="N",
+    srv.add_argument("--cache-entries", type=_non_negative_int,
+                     default=1024, metavar="N",
                      help="replies cached by snippet content "
-                          "fingerprint (default 1024, LRU)")
+                          "fingerprint (default 1024, LRU; 0 = no "
+                          "reply cache)")
     srv.add_argument("--breaker-threshold", type=int, default=5,
                      metavar="N",
                      help="consecutive pool failures that open the "
@@ -1017,7 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     repro.add_argument("--files", type=int, default=120)
     repro.add_argument("--seed", type=int, default=42)
-    repro.add_argument("--jobs", type=int, default=1, metavar="N",
+    repro.add_argument("--jobs", type=_positive_int, default=1,
+                       metavar="N",
                        help="worker processes per language corpus "
                             "(results are identical for any N)")
     repro.add_argument("--from-dir", metavar="DIR",

@@ -10,10 +10,11 @@ Workers run the unchanged in-process mining path (budget ladder, the
 fault plan each task carries) and stream each settled program back.
 The coordinator drives them with the one dispatch loop of local mining
 (:class:`~repro.mining.supervisor.TaskScheduler`): its leases,
-speculative re-execution and retry/bisection policy keep a loopback
-cluster byte-identical to ``--jobs N`` local mining — see
-:mod:`repro.dist.coordinator` for the failure model.  Frames are pickle from the first byte and peers are
-not authenticated: bind to loopback or a private network.
+shard deadline and retry/bisection policy keep a loopback cluster
+byte-identical to ``--jobs N`` local mining — see
+:mod:`repro.dist.coordinator` for the failure model.  Frames are
+pickle from the first byte and peers are not authenticated: bind to
+loopback or a private network.
 """
 
 from repro.dist.coordinator import Coordinator, DistConfig

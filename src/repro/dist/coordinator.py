@@ -5,8 +5,8 @@ The :class:`Coordinator` is the :class:`~repro.mining.supervisor.
 TaskScheduler` whose workers arrive over TCP instead of being spawned:
 worker daemons (:mod:`repro.dist.worker`) connect, register, and are
 leased shard tasks by the same loop that drives local worker processes.
-Reply classification, leases and deadlines, speculation, retries,
-backoff, poison-shard bisection, strict-mode fail-fast and the
+Reply classification, leases and deadlines, retries, backoff,
+poison-shard bisection, strict-mode fail-fast and the
 :class:`~repro.mining.supervisor.FailureLedger` are therefore
 byte-for-byte the same whether a worker is a local child process or a
 machine across the network.  This module adds only what accepting
@@ -39,13 +39,10 @@ Failure model (mapping onto the existing taxonomy):
   re-dispatched — the remote analogue of the watchdog deadline;
 * **per-attempt deadline** — the ``--shard-deadline`` wall clock (or
   its adaptive p95-derived replacement) also applies remotely: a
-  worker that heartbeats but never finishes is reclaimed as a
-  *timeout*;
-* **speculation** — when the queue is drained and workers sit idle,
-  the slowest in-flight task is speculatively re-dispatched to an idle
-  worker; the first result wins and later replies for the same task
-  are dropped, so stragglers bound tail latency without changing
-  results.
+  worker that heartbeats but never finishes is dropped and the
+  attempt recorded as a *timeout*.  This is the only rule for a slow
+  attempt: no second copy of a task ever runs, so a hang costs one
+  timeout and one worker, whichever workers sit idle.
 
 Determinism: like local supervision, distribution changes *scheduling*
 only.  Results fold through the same order-canonicalised
@@ -93,14 +90,6 @@ class DistConfig:
     #: seconds a leased task survives without a heartbeat before it is
     #: re-dispatched and the silent worker is dropped
     lease_seconds: float = 15.0
-    #: speculatively re-dispatch the slowest in-flight task when the
-    #: queue is empty and a worker sits idle (first result wins)
-    speculate: bool = True
-    #: a task is speculation-eligible once it has run longer than
-    #: factor × median OK-attempt duration of this phase
-    speculation_factor: float = 2.0
-    #: OK attempts observed before speculation may trigger
-    speculation_min_observations: int = 3
     #: abort (WorkerCrash) if work is queued but the cluster has had no
     #: registered workers for this long; None = wait forever
     no_worker_timeout: Optional[float] = None

@@ -190,14 +190,6 @@ class BytecodeOp:
     operands: Tuple
     targets: Tuple[int, ...] = ()
 
-    @property
-    def is_branch(self) -> bool:
-        return bool(self.targets)
-
-
-def _u1(code: bytes, at: int) -> int:
-    return code[at]
-
 
 def _need(code: bytes, at: int, n: int, offset: int) -> None:
     if at + n > len(code):

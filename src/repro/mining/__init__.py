@@ -13,8 +13,8 @@ map/reduce job:
 * :mod:`supervisor` — the one fault-tolerant dispatch loop, over
   spawned worker processes or the ``uspec worker`` daemons a
   :class:`~repro.dist.coordinator.Coordinator` accepts: deadlines,
-  leases, speculation, bounded retry/backoff, poison-shard bisection,
-  failure ledger;
+  leases, bounded retry/backoff, poison-shard bisection, failure
+  ledger;
 * :mod:`engine` — the orchestrator: one analyse pass emits each
   program's samples and Alg. 1 match records, the parent trains and
   scores; byte-identical output for any worker count, with or without

@@ -32,9 +32,12 @@ daemon holding a heartbeat lease); nothing else differs by kind:
   :class:`FailureLedger` and merged into the
   :class:`~repro.mining.partial.MiningReport`.
 
-A frame still in flight when its phase ends stays on its worker, and
-its late reply and interims are dropped, so they can never settle a
-later phase's task.
+A task runs in at most one frame at a time, and an attempt that runs
+too long has one rule: the shard deadline (or the lease) reclaims it
+and the task goes down retry → bisect → poison.  A frame still in
+flight when its phase ends (only after a raise) stays on its worker,
+and its late reply and interims are dropped, so they can never settle
+a later phase's task.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
 killed attempt contributes nothing (workers never write to disk; the
@@ -60,7 +63,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -76,9 +78,6 @@ from repro.runtime.errors import (
     WorkerCrash,
     WorkerTimeout,
 )
-
-if TYPE_CHECKING:  # repro.dist imports this module
-    from repro.dist.coordinator import DistConfig
 
 #: attempt outcomes recorded in the ledger
 OUTCOME_OK = "ok"
@@ -497,8 +496,6 @@ class ClusterStats:
     n_workers_lost: int = 0
     n_lease_expiries: int = 0
     n_tasks_dispatched: int = 0
-    n_speculated: int = 0
-    n_speculation_wins: int = 0
     #: OK results credited per worker name
     by_worker: Dict[str, int] = field(default_factory=dict)
 
@@ -511,16 +508,13 @@ class ClusterStats:
             "n_workers_lost": self.n_workers_lost,
             "n_lease_expiries": self.n_lease_expiries,
             "n_tasks_dispatched": self.n_tasks_dispatched,
-            "n_speculated": self.n_speculated,
-            "n_speculation_wins": self.n_speculation_wins,
             "by_worker": dict(sorted(self.by_worker.items())),
         }
 
     def __repr__(self) -> str:
         return (f"<ClusterStats {self.n_workers_seen} workers "
                 f"({self.n_workers_lost} lost), "
-                f"{self.n_tasks_dispatched} dispatched, "
-                f"{self.n_speculated} speculated>")
+                f"{self.n_tasks_dispatched} dispatched>")
 
 
 @dataclass
@@ -550,9 +544,6 @@ class _Phase:
         self.queue: List[_Task] = []
         self.results: List[object] = []
         self.live: Dict[str, _Task] = {}
-        #: task id → the frames running it (two while speculated)
-        self.inflight: Dict[str, List["_Frame"]] = {}
-        self.ok_seconds: List[float] = []
 
 
 @dataclass(eq=False)
@@ -566,7 +557,6 @@ class _Frame:
     lease_expiry: Optional[float]  # absolute; None for spawned workers
     deadline: Optional[float]  # absolute, from the shard deadline
     allowed: Optional[float]  # the same deadline in relative seconds
-    speculative: bool = False
 
     def lapsed(self, now: float) -> bool:
         return any(limit is not None and now > limit
@@ -620,9 +610,6 @@ class TaskScheduler:
         self.ctx = ctx
         self.jobs = jobs
         self.batch_programs = max(0, batch_programs)
-        #: the accepting cluster's shape, whose speculation policy the
-        #: loop applies (a Coordinator sets it; None never speculates)
-        self.dist: Optional["DistConfig"] = None
         self.dispatch = DispatchStats()
         self.stats = ClusterStats()
         self._deadlines = DeadlineTracker(self.supervision)
@@ -674,7 +661,6 @@ class TaskScheduler:
                 self._ensure_workers()
                 now = time.monotonic()
                 self._dispatch(state, now)
-                self._maybe_speculate(state, now)
                 self._pump(self._wait_timeout(state, now))
                 self._expire(state)
         except BaseException:
@@ -830,10 +816,6 @@ class TaskScheduler:
             replies = [("batch-shape-mismatch",)] * len(frame.tasks)
         any_ok = False
         for index, (task, reply) in enumerate(zip(frame.tasks, replies)):
-            if task.task_id not in state.live:
-                # a speculation loser: the first result won already
-                self._unassign(state, frame, task)
-                continue
             # the first reply of a frame is shape-revalidated; later
             # ones come from the same healthy worker in the same round
             # trip, so one validation vouches for the frame (strict
@@ -843,27 +825,21 @@ class TaskScheduler:
                 validate=index == 0 or self.strict,
             )
             if outcome != OUTCOME_OK:
-                self._attempt_failed(state, frame, task, outcome, value,
+                self._attempt_failed(state, task, outcome, value,
                                      seconds, now,
                                      recorded=outcome == OUTCOME_ERROR)
                 continue
             any_ok = True
-            if frame.speculative:
-                self.stats.n_speculation_wins += 1
             self.stats.credit(worker.label)
             state.results.append(value)
             state.live.pop(task.task_id, None)
-            # a re-queued copy may be waiting for retry — the result wins
-            state.queue[:] = [t for t in state.queue if t is not task]
-            state.inflight.pop(task.task_id, None)
         if any_ok:
             self._deadlines.observe(seconds, sum(
                 self._payload_size(t.payload) for t in frame.tasks
             ))
-            state.ok_seconds.append(seconds)
 
     # ------------------------------------------------------------------
-    # dispatch / speculation / expiry
+    # dispatch / expiry
 
     def _idle_workers(self) -> List[_Worker]:
         return [w for w in self._workers
@@ -909,7 +885,6 @@ class TaskScheduler:
         worker: _Worker,
         tasks: List[_Task],
         now: float,
-        speculative: bool = False,
     ) -> None:
         if len(tasks) == 1:
             message: object = (state.runner, tasks[0].payload,
@@ -920,10 +895,9 @@ class TaskScheduler:
         if not self._send(worker, message):
             # the frame never started: its tasks go back untouched
             self._lose(worker)
-            if not speculative:
-                for task in tasks:
-                    task.ready_at = now
-                    state.queue.append(task)
+            for task in tasks:
+                task.ready_at = now
+                state.queue.append(task)
             return
         allowed = self._deadlines.effective(sum(
             self._payload_size(t.payload) for t in tasks
@@ -933,51 +907,15 @@ class TaskScheduler:
             lease_expiry=(now + worker.lease
                           if worker.lease is not None else None),
             deadline=(now + allowed) if allowed is not None else None,
-            allowed=allowed, speculative=speculative,
+            allowed=allowed,
         )
         worker.frame = frame
-        for task in tasks:
-            state.inflight.setdefault(task.task_id, []).append(frame)
         self.dispatch.n_round_trips += 1
         self.dispatch.n_tasks_dispatched += len(tasks)
         self.stats.n_tasks_dispatched += len(tasks)
         if len(tasks) > 1:
             self.dispatch.n_batches += 1
             self.dispatch.n_tasks_batched += len(tasks)
-        if speculative:
-            self.stats.n_speculated += 1
-
-    def _maybe_speculate(self, state: _Phase, now: float) -> None:
-        """Re-dispatch the slowest in-flight tasks to idle workers once
-        no real work is ready (the first result wins)."""
-        dist = self.dist
-        if dist is None or not dist.speculate:
-            return
-        if len(state.ok_seconds) < max(1, dist.speculation_min_observations):
-            return
-        if state.queue and state.queue[0].ready_at <= now:
-            return  # real work first
-        idle = self._idle_workers()
-        if not idle:
-            return
-        ordered = sorted(state.ok_seconds)
-        threshold = dist.speculation_factor * ordered[len(ordered) // 2]
-        candidates = [
-            copies[0]
-            for tid, copies in state.inflight.items()
-            if len(copies) == 1 and not copies[0].speculative
-            and now - copies[0].started > threshold
-            and tid in state.live
-        ]
-        candidates.sort(key=lambda frame: frame.started)  # slowest first
-        for worker, frame in zip(idle, candidates):
-            self._assign(state, worker, frame.tasks, now, speculative=True)
-
-    @staticmethod
-    def _is_live(state: _Phase, frame: _Frame) -> bool:
-        """False for a zombie frame: its phase ended, or a twin won."""
-        return frame.phase is state and frame in state.inflight.get(
-            frame.tasks[0].task_id, ())
 
     def _expire(self, state: _Phase) -> None:
         for worker in list(self._workers):
@@ -991,8 +929,8 @@ class TaskScheduler:
             if frame is None:
                 continue
             now = time.monotonic()
-            # a zombie frame only holds its worker until the lease lapses
-            live = self._is_live(state, frame)
+            # a stale frame only holds its worker until the lease lapses
+            live = frame.phase is state
             if frame.lease_expiry is not None and now > frame.lease_expiry:
                 self.stats.n_lease_expiries += 1
                 error = (f"lease expired: no heartbeat within "
@@ -1007,9 +945,8 @@ class TaskScheduler:
             self._lose(worker)
             if live:
                 for task in frame.tasks:
-                    self._attempt_failed(state, frame, task,
-                                         OUTCOME_TIMEOUT, error,
-                                         now - frame.started, now)
+                    self._attempt_failed(state, task, OUTCOME_TIMEOUT,
+                                         error, now - frame.started, now)
 
     def _wait_timeout(self, state: _Phase, now: float) -> float:
         horizons = [_POLL_SECONDS]
@@ -1019,7 +956,7 @@ class TaskScheduler:
                 continue
             if frame.lease_expiry is not None:
                 horizons.append(frame.lease_expiry - now)
-            if frame.deadline is not None and self._is_live(state, frame):
+            if frame.deadline is not None and frame.phase is state:
                 horizons.append(frame.deadline - now)
         if state.queue and self._idle_workers():
             horizons.append(min(t.ready_at for t in state.queue) - now)
@@ -1031,7 +968,6 @@ class TaskScheduler:
     def _attempt_failed(
         self,
         state: _Phase,
-        frame: _Frame,
         task: _Task,
         outcome: str,
         error: str,
@@ -1039,16 +975,12 @@ class TaskScheduler:
         now: float,
         recorded: bool = False,
     ) -> None:
-        """One attempt of ``task`` failed: retry, bisect or poison the
-        task once no speculative twin of it is still running."""
-        self._unassign(state, frame, task)
+        """One attempt of ``task`` failed: retry, bisect or poison it."""
         if not recorded:
             task.record.attempts.append(AttemptRecord(
                 attempt=task.attempt, outcome=outcome,
                 seconds=seconds, error=error,
             ))
-        if state.inflight.get(task.task_id):
-            return  # a speculative twin is still running — let it race on
         if task.attempt < self.supervision.max_retries:
             task.attempt += 1
             task.ready_at = now + self.supervision.backoff(task.attempt)
@@ -1079,20 +1011,11 @@ class TaskScheduler:
             state.queue.append(child)
             state.live[child.task_id] = child
 
-    @staticmethod
-    def _unassign(state: _Phase, frame: _Frame, task: _Task) -> None:
-        copies = state.inflight.get(task.task_id)
-        if not copies:
-            return
-        copies[:] = [f for f in copies if f is not frame]
-        if not copies:
-            del state.inflight[task.task_id]
-
     def _worker_lost(
         self, worker: _Worker, reason: str, graceful: bool = False
     ) -> None:
-        """A worker died, left or broke the wire: the live tasks of its
-        frame fail as crashes."""
+        """A worker died, left or broke the wire: the tasks of its frame
+        fail as crashes, unless the frame is stale."""
         frame = self._lose(worker)
         state = self._phase
         if frame is None or frame.phase is not state:
@@ -1106,11 +1029,8 @@ class TaskScheduler:
             error = (f"worker {worker.label} {label} holding the lease "
                      f"({reason})")
         for task in frame.tasks:
-            if task.task_id in state.live:
-                self._attempt_failed(state, frame, task, OUTCOME_CRASH,
-                                     error, now - frame.started, now)
-            else:
-                self._unassign(state, frame, task)
+            self._attempt_failed(state, task, OUTCOME_CRASH, error,
+                                 now - frame.started, now)
 
     def _lose(self, worker: _Worker) -> Optional[_Frame]:
         """Take a dead or dropped worker out of service; returns the

@@ -16,7 +16,7 @@ augmented points-to analysis (:mod:`repro.pointsto`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Set, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -115,10 +115,6 @@ class SpecSet:
 
     def retargs_with_source(self, method: str) -> FrozenSet[RetArg]:
         return frozenset(self._retarg_by_source.get(method, ()))
-
-    @property
-    def retsame_methods(self) -> FrozenSet[str]:
-        return frozenset(self._retsame)
 
     def api_classes(self) -> FrozenSet[str]:
         """All API classes covered by at least one specification."""

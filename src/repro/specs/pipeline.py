@@ -18,12 +18,11 @@ analysis of §6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.events.graph import build_event_graph
-from repro.events.history import HistoryBuilder, HistoryOptions
+from repro.events.history import HistoryOptions
 from repro.ir.program import Program
 from repro.model.dataset import (
     GraphBundle,
@@ -34,7 +33,7 @@ from repro.model.dataset import (
 from repro.model.features import FeatureConfig, FeatureHasher
 from repro.model.logistic import SufficientStats, TrainConfig
 from repro.model.model import EventPairModel
-from repro.pointsto.analysis import PointsToOptions, analyze
+from repro.pointsto.analysis import PointsToOptions
 from repro.runtime.executor import (
     CorpusExecutor,
     CorpusRunReport,
@@ -111,11 +110,6 @@ class USpecPipeline:
 
     # ------------------------------------------------------------------
     # stage 1: corpus analysis (§3)
-
-    def analyze_program(self, program: Program) -> GraphBundle:
-        result = analyze(program, options=self.config.pointsto)
-        histories = HistoryBuilder(program, result, self.config.history).build()
-        return GraphBundle.of(program, build_event_graph(histories))
 
     def run_corpus(self, programs: Sequence[Program]) -> CorpusRunReport:
         """Analyse a corpus under the configured failure discipline.

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.runtime.budget import Budget
 from repro.runtime.errors import BUDGET_EXCEEDED
 from repro.serve import (
@@ -391,6 +392,21 @@ def test_cli_serve_on_port_zero_announces_the_bound_port():
             proc.kill()
             proc.wait()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cache-entries", "-1"), ("--request-deadline", "-1"),
+    ("--request-deadline", "0"), ("--header-timeout", "0"),
+])
+def test_cli_serve_rejects_values_that_fail_every_request(
+        tmp_path, capsys, flag, value):
+    """Each value would boot a daemon whose every request fails; the
+    parser rejects it before the (missing) specs file is opened."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--specs", str(tmp_path / "missing.json"),
+              flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_serve_alias_then_cache_hit(daemon):

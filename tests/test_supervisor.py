@@ -214,6 +214,11 @@ def test_cli_transient_chaos_matches_clean_run(tmp_path, monkeypatch):
     ["--shard-deadline", "0"], ["--shard-deadline", "-1"],
     ["--shard-deadline", "nan"], ["--max-retries", "-1"],
     ["--lease", "0"], ["--lease", "-1"], ["--lease", "nan"],
+    ["--jobs", "0"], ["--jobs", "-2"], ["--shards", "0"],
+    ["--shards", "-1"], ["--budget-seconds", "-1"],
+    ["--budget-seconds", "0"], ["--budget-iterations", "-5"],
+    ["--budget-iterations", "0"], ["--budget-constraints", "0"],
+    ["--budget-events", "-1"],
 ])
 def test_cli_rejects_out_of_range_supervision_flags(tmp_path, flags):
     with pytest.raises(SystemExit) as exit_info:
@@ -221,6 +226,15 @@ def test_cli_rejects_out_of_range_supervision_flags(tmp_path, flags):
               "--out", str(tmp_path / "specs.json")])
     assert exit_info.value.code == 2
     assert not (tmp_path / "specs.json").exists()
+
+
+def test_cli_analyze_rejects_a_negative_budget(tmp_path, capsys):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text("d = dict()\nx = d.get('a')\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", str(snippet), "--budget-seconds", "-1"])
+    assert exit_info.value.code == 2
+    assert "--budget-seconds" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
