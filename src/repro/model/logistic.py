@@ -5,16 +5,18 @@ paper uses (§7.1).  Features are sparse binary index tuples (from the
 hashing trick in :mod:`repro.model.features`).
 
 Training is two steps.  :func:`compile_examples` turns the examples
-into flat arrays over the columns they use, once; :func:`run_lanes`
-then trains any set of independent models over them into given weight
-rows.  Each model sees its examples in its own seeded per-epoch shuffle
-and takes one Adagrad step per example, as a per-sample trainer would;
-the loop only interleaves the models.  Models are grouped into *lanes*
-that run their models back to back, and one iteration advances every
-lane by one step with a fixed handful of numpy calls, so the Python
-iteration count is the longest lane's step count rather than the sum
-over all models.  :func:`pack_lanes` balances models of unequal size
-over lanes, and a lane that finishes early idles until the longest is
+into flat arrays, once, over a block of columns per group of examples
+(for ϕ, per position key) that holds only the indices the group uses;
+:func:`run_lanes` then trains any set of independent models over them
+into given blocks of one flat weight vector.  Each model sees its
+examples in its own seeded per-epoch shuffle and takes one Adagrad
+step per example, as a per-sample trainer would; the loop only
+interleaves the models.  Models are grouped into *lanes* that run
+their models back to back, and one iteration advances every lane by
+one step with a fixed handful of numpy calls, so the Python iteration
+count is the longest lane's step count rather than the sum over all
+models.  :func:`pack_lanes` balances models of unequal size over
+lanes, and a lane that finishes early idles until the longest is
 done.
 """
 
@@ -24,19 +26,19 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.features import EncodedSample
 
-#: one model of a lane: (weight-matrix row, ids of its examples in
-#: stream order, shuffle seed)
+#: one model of a lane: (offset of its weight block, ids of its
+#: examples in stream order, shuffle seed)
 LaneModel = Tuple[int, Sequence[int], int]
 
-#: steps whose gather indices are built in one batch, so index memory
-#: stays flat however long the lanes are
+#: steps whose per-element gather indices are built in one batch (the
+#: lanes' step schedules themselves are built whole)
 CHUNK_STEPS = 256
 
 
@@ -154,22 +156,24 @@ def sigmoid(z: float) -> float:
 def _lane_schedule(
     lane: Sequence[LaneModel], epochs: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, example id) of every step of one lane, in step order.
+    """(block offset, example id) of every step of one lane, in step
+    order.
 
     Each model reshuffles its example positions once per epoch with a
     ``random.Random(seed)`` of its own.
     """
-    rows: List[np.ndarray] = [np.empty(0, np.int64)]
+    offsets: List[np.ndarray] = [np.empty(0, np.int64)]
     ids: List[np.ndarray] = [np.empty(0, np.int64)]
-    for row, examples, seed in lane:
+    for offset, examples, seed in lane:
         examples = np.asarray(examples, dtype=np.int64)
         rng = random.Random(seed)
         order = list(range(len(examples)))
         for _ in range(epochs):
             rng.shuffle(order)
             ids.append(examples[order])
-        rows.append(np.full(epochs * len(examples), row, dtype=np.int64))
-    return np.concatenate(rows), np.concatenate(ids)
+        offsets.append(
+            np.full(epochs * len(examples), offset, dtype=np.int64))
+    return np.concatenate(offsets), np.concatenate(ids)
 
 
 def pack_lanes(models: Sequence[LaneModel]) -> List[List[LaneModel]]:
@@ -199,14 +203,18 @@ def pack_lanes(models: Sequence[LaneModel]) -> List[List[LaneModel]]:
 class CompiledExamples:
     """Training examples as flat arrays, compiled once for any lane run.
 
-    ``columns`` holds every hashed index seen, sorted, behind a ``-1``
-    sentinel at position 0.  Example ``i`` is ``cols[starts[i]:
-    starts[i] + lengths[i] + 1]``: the zero column 0, then the
-    positions in ``columns`` of its indices.  The last example, id
-    :attr:`idle`, is empty, so its only element is the zero column.
+    Every example belongs to one *group*, and each group numbers only
+    the hashed indices its own examples use.  Group ``g``'s columns are
+    ``columns[bases[g]:bases[g + 1]]``: a ``-1`` sentinel naming its
+    zero column, then its indices, sorted.  Example ``i`` is
+    ``cols[starts[i]:starts[i] + lengths[i] + 1]``: its group's zero
+    column, then the positions in ``columns`` of its indices, all in
+    its group's block.  The last example, id :attr:`idle`, is empty and
+    in group 0, so its only element is column 0.
     """
 
     columns: np.ndarray
+    bases: np.ndarray
     lengths: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
@@ -217,12 +225,29 @@ class CompiledExamples:
         """The empty example a finished lane steps on."""
         return len(self.labels) - 1
 
+    def merged(self) -> "CompiledExamples":
+        """The same examples as one group over every column seen: the
+        arrays :func:`compile_examples` makes without groups."""
+        columns, cols = np.unique(self.columns[self.cols],
+                                  return_inverse=True)
+        return replace(self, columns=columns,
+                       bases=np.array([0, len(columns)], np.int64),
+                       cols=cols.ravel().astype(np.int32))
+
 
 def compile_examples(
     examples: Sequence[Tuple[Sequence[int], int]],
+    groups: Optional[Sequence[int]] = None,
 ) -> CompiledExamples:
     """Compact ``(sorted unique hashed indices, label)`` examples onto
-    the columns they use, and append the idle example."""
+    the columns each group uses, and append the idle example.
+
+    ``groups`` numbers each example's group ``0 … G-1`` (default: one
+    group).  Columns keep their index order within a group, so an
+    example's elements come in the same order under any grouping.
+    Column positions, lengths and labels are stored narrow (int32 and
+    int8): these arrays stay alive as long as the examples do.
+    """
     n = len(examples)
     lengths = np.zeros(n + 1, np.int64)
     lengths[:n] = np.fromiter((len(ix) for ix, _ in examples), np.int64,
@@ -231,16 +256,37 @@ def compile_examples(
         itertools.chain.from_iterable(ix for ix, _ in examples),
         np.int64, count=int(lengths.sum()),
     )
-    seen, inverse = np.unique(hashed, return_inverse=True)
-    labels = np.zeros(n + 1, np.int64)
-    labels[:n] = np.fromiter((label for _, label in examples), np.int64,
+    of_example = np.zeros(n + 1, np.int64)
+    if groups is not None:
+        of_example[:n] = np.fromiter(groups, np.int64, count=n)
+    n_groups = int(of_example.max()) + 1
+    # one (group, index) pair per element; the element-sized arrays go
+    # as soon as they are used, since compiling sets the memory peak
+    span = int(hashed.max()) + 1 if len(hashed) else 1
+    pairs = np.repeat(of_example * span, lengths)
+    pairs += hashed
+    del hashed
+    seen, inverse = np.unique(pairs, return_inverse=True)
+    del pairs
+    group = seen // span
+    bases = np.zeros(n_groups + 1, np.int64)
+    np.cumsum(np.bincount(group, minlength=n_groups) + 1, out=bases[1:])
+    # distinct pairs sort group by group, so pair j of group g is
+    # column j + g + 1, behind g + 1 zero columns
+    position = group + np.arange(1, len(seen) + 1)
+    columns = np.full(int(bases[-1]), -1, np.int64)
+    columns[position] = seen % span
+    labels = np.zeros(n + 1, np.int8)
+    labels[:n] = np.fromiter((label for _, label in examples), np.int8,
                              count=n)
     firsts = np.cumsum(lengths) - lengths
     return CompiledExamples(
-        columns=np.concatenate([np.array([-1], np.int64), seen]),
-        lengths=lengths,
-        cols=np.insert(inverse.ravel() + 1, firsts, 0),
-        starts=firsts + np.arange(n + 1),
+        columns=columns,
+        bases=bases,
+        lengths=lengths.astype(np.int32),
+        cols=np.insert(position[inverse.ravel()], firsts,
+                       bases[of_example]).astype(np.int32),
+        starts=(firsts + np.arange(n + 1)).astype(np.int32),
         labels=labels,
     )
 
@@ -251,35 +297,39 @@ def run_lanes(
     weights: np.ndarray,
     config: TrainConfig = TrainConfig(),
 ) -> None:
-    """Train the lanes' models into rows of ``weights``, in place.
+    """Train the lanes' models into blocks of ``weights``, in place.
 
-    ``weights`` is a C-contiguous ``(rows, len(examples.columns))``
-    matrix of untrained (zero) rows, and each lane lists the models it
-    trains back to back.  Lanes may differ in length: a finished lane
-    steps on the idle example, whose zero column takes the zero
-    gradient, until the longest lane is done.  Column 0 stays zero in
-    every row, so an index absent from training can map to it.
+    ``weights`` is a C-contiguous array of untrained (zero) cells, read
+    flat, and each lane lists the models it trains back to back.  A
+    model's examples all come from one group, and its weight of
+    ``columns[c]``, for each ``c`` of that group's block, is cell
+    ``offset + c``: the model owns one block of cells.  Cell 0 must be
+    where a model keeps column 0.  Lanes may differ in length: a
+    finished lane steps on the idle example, whose zero column takes
+    the zero gradient, until the longest lane is done.  Every zero
+    column stays zero, so an index absent from a model's training can
+    map to it.
 
     Every step is the per-sample Adagrad update of each lane's model:
     the decision sums the gathered weights behind the zero column (the
     same float sum as ``weights[idx].sum()`` over a dense vector), and
     the update is elementwise, so vectorizing across lanes changes no
-    operation of any single model.
+    operation of any single model.  The Adagrad accumulator has the
+    layout of ``weights``.
     """
     schedules = [_lane_schedule(lane, config.epochs) for lane in lanes]
     n_steps = max((len(ids) for _, ids in schedules), default=0)
     if not n_steps:
         return
     n_lanes = len(schedules)
-    # idle steps gather row 0's zero column, possibly in several lanes
-    # at once; every write leaves that cell as it was
-    step_rows = np.zeros((n_steps, n_lanes), np.int64)
+    # idle steps gather cell 0, a zero column, possibly in several
+    # lanes at once; every write leaves that cell as it was
+    step_offsets = np.zeros((n_steps, n_lanes), np.int64)
     step_ids = np.full((n_steps, n_lanes), examples.idle, np.int64)
-    for j, (rows, ids) in enumerate(schedules):
-        step_rows[:len(rows), j] = rows
+    for j, (offsets, ids) in enumerate(schedules):
+        step_offsets[:len(offsets), j] = offsets
         step_ids[:len(ids), j] = ids
 
-    width = weights.shape[1]
     grad_sq = np.full(weights.shape, 1e-8)
     w_flat = weights.reshape(-1)
     g_flat = grad_sq.reshape(-1)
@@ -287,7 +337,7 @@ def run_lanes(
     for t0 in range(0, n_steps, CHUNK_STEPS):
         # the chunk's (step, lane) pairs, step-major, and their
         # elements: one flat weight index per gathered column
-        pair_row = step_rows[t0:t0 + CHUNK_STEPS].ravel()
+        pair_offset = step_offsets[t0:t0 + CHUNK_STEPS].ravel()
         pair_id = step_ids[t0:t0 + CHUNK_STEPS].ravel()
         counts = examples.lengths[pair_id] + 1
         pair_end = np.cumsum(counts)
@@ -295,7 +345,7 @@ def run_lanes(
         source = np.arange(int(pair_end[-1])) \
             + np.repeat(examples.starts[pair_id] - pair_start, counts)
         elem_flat = examples.cols[source] \
-            + np.repeat(pair_row * width, counts)
+            + np.repeat(pair_offset, counts)
         # each element's gradient slot: its lane's, or for the zero
         # column a trailing zero gradient, so that column never moves
         elem_slot = np.repeat(

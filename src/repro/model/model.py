@@ -12,7 +12,8 @@ averaging it out keeps the learned specification set stable across
 runs.
 
 **Training.**  :meth:`EventPairModel.fit_encoded` compiles the stream
-once and trains every position key's members in one
+once, with each position key's columns numbered within the key, and
+trains every position key's members in one
 :func:`~repro.model.logistic.run_lanes` pass, packed onto lanes by
 :func:`~repro.model.logistic.pack_lanes`, so the loop is about as long
 as the largest key's model.  The fallback trains over the whole stream
@@ -22,13 +23,16 @@ still sees exactly its own examples in stream order, reshuffled every
 epoch by ``random.Random(seed + 101·m)``, and takes the Adagrad steps
 it would take if trained alone.
 
-**State.**  One weight matrix over the hashed indices seen in training
-(``columns``): rows ``0 … N_MEMBERS-1`` are the fallback's members
-(zero until it is trained), and each position key owns the next
-``N_MEMBERS`` rows.  An index absent from training maps to column 0,
-which is zero in every row — the weight it would have in a dense hashed
-weight vector.  Because prediction may train the fallback, a model
-belongs to one thread.
+**State.**  One flat weight vector of *blocks*.  Block ``b`` covers the
+hashed indices ``columns[bases[b]:bases[b + 1]]``: a ``-1`` sentinel
+naming the zero column, then the indices its samples use, sorted.  It
+holds its ``N_MEMBERS`` members' weights one after the other, one cell
+per column, from ``N_MEMBERS · bases[b]`` on.  Each position key owns
+one block over its own samples' indices; the fallback's block covers
+every index seen and is appended when the fallback trains.  An index
+absent from a block maps to its column 0, which stays zero — the
+weight it would have in a dense hashed weight vector.  Because
+prediction may train the fallback, a model belongs to one thread.
 """
 
 from __future__ import annotations
@@ -69,13 +73,19 @@ class EventPairModel:
                  train_config: TrainConfig = TrainConfig()) -> None:
         self.feature_config = feature_config
         self.train_config = train_config
-        #: hashed index of each weight column, sorted; ``columns[0]``
-        #: is a -1 sentinel naming the all-zero column
+        #: hashed index of each column, block by block; each block
+        #: starts with a -1 sentinel naming its all-zero column
         self.columns = np.array([-1], dtype=np.int64)
-        #: one row per ensemble member: the fallback's, then each key's
-        self.weights = np.zeros((N_MEMBERS, 1))
-        #: first weight row of each position key's ensemble
-        self._rows: Dict[PositionKey, int] = {}
+        #: the blocks' bounds in ``columns``: block b is
+        #: ``columns[bases[b]:bases[b + 1]]``
+        self.bases = np.array([0, 1], dtype=np.int64)
+        #: every block's members, one cell per column (see the module
+        #: docstring); untrained, the one block is a zero fallback
+        self.weights = np.zeros(N_MEMBERS)
+        #: the block of each position key's ensemble
+        self._blocks: Dict[PositionKey, int] = {}
+        #: the fallback's block, once it exists
+        self._fallback: Optional[int] = 0
         #: the training examples, kept until the fallback trains on them
         self._examples: Optional[CompiledExamples] = None
         self.n_samples = 0
@@ -103,29 +113,47 @@ class EventPairModel:
         by_key: Dict[PositionKey, List[int]] = {}
         for i, sample in enumerate(samples):
             by_key.setdefault(sample.position_key, []).append(i)
-        self._rows = {key: (k + 1) * N_MEMBERS
-                      for k, key in enumerate(by_key)}
+        self._blocks = {key: b for b, key in enumerate(by_key)}
         self._examples = compile_examples(
-            [(s.indices, s.label) for s in samples])
-        self.columns = self._examples.columns
-        self.weights = np.zeros(
-            ((len(by_key) + 1) * N_MEMBERS, len(self.columns)))
+            [(s.indices, s.label) for s in samples],
+            [self._blocks[s.position_key] for s in samples])
+        self.bases = self._examples.bases[:len(by_key) + 1]
+        self.columns = self._examples.columns[:self.bases[-1]]
+        self.weights = np.zeros(N_MEMBERS * int(self.bases[-1]))
+        self._fallback = None
         models: List[LaneModel] = [
-            (k * N_MEMBERS + m, ids, self._seed(m))
-            for k, ids in enumerate(by_key.values())
+            (self._offset(b, m), ids, self._seed(m))
+            for b, ids in enumerate(by_key.values())
             for m in range(N_MEMBERS)
         ]
-        run_lanes(self._examples, pack_lanes(models),
-                  self.weights[N_MEMBERS:], self.train_config)
+        run_lanes(self._examples, pack_lanes(models), self.weights,
+                  self.train_config)
         self.n_samples = len(samples)
 
-    def _train_fallback(self) -> None:
-        """Train the fallback's members over the whole stream, once."""
+    def _offset(self, block: int, member: int) -> int:
+        """The ``run_lanes`` offset of ``member`` of ``block``: its
+        weight of ``columns[j]`` is ``weights[offset + j]``."""
+        base = int(self.bases[block])
+        return (N_MEMBERS - 1) * base \
+            + member * (int(self.bases[block + 1]) - base)
+
+    def _train_fallback(self) -> int:
+        """Train the fallback's members over the whole stream, once,
+        into a block appended over every column; returns the block."""
+        examples = self._examples.merged()
+        width = len(examples.columns)
+        block = np.zeros(N_MEMBERS * width)
         stream = np.arange(self.n_samples)
-        run_lanes(self._examples,
-                  [[(m, stream, self._seed(m))] for m in range(N_MEMBERS)],
-                  self.weights[:N_MEMBERS], self.train_config)
+        run_lanes(examples,
+                  [[(m * width, stream, self._seed(m))]
+                   for m in range(N_MEMBERS)],
+                  block, self.train_config)
+        self.columns = np.concatenate([self.columns, examples.columns])
+        self.bases = np.append(self.bases, self.bases[-1] + width)
+        self.weights = np.concatenate([self.weights, block])
         self._examples = None
+        self._fallback = len(self.bases) - 2
+        return self._fallback
 
     # ------------------------------------------------------------------
 
@@ -139,24 +167,27 @@ class EventPairModel:
     def predict_encoded(self, position_key: PositionKey,
                         indices: Sequence[int]) -> float:
         """ϕ of an already-hashed feature (see :func:`encode_feature`)."""
+        block = self._blocks.get(position_key)
+        if block is None:
+            block = self._fallback
+            if block is None:
+                block = self._train_fallback()
+        lo, hi = int(self.bases[block]), int(self.bases[block + 1])
+        columns = self.columns[lo:hi]
         idx = as_index_array(indices)
-        pos = np.searchsorted(self.columns, idx, side="right") - 1
-        cols = np.where(self.columns[pos] == idx, pos, 0)
-        row = self._rows.get(position_key)
-        if row is None:
-            if self._examples is not None:
-                self._train_fallback()
-            row = 0
+        pos = np.searchsorted(columns, idx, side="right") - 1
+        cols = np.where(columns[pos] == idx, pos, 0)
         # take() yields C-ordered rows, whose sums are the same floats
         # as each member's 1-D weights[idx].sum()
-        decisions = self.weights[row:row + N_MEMBERS].take(
-            cols, axis=1).sum(axis=1)
+        members = self.weights[N_MEMBERS * lo:N_MEMBERS * hi].reshape(
+            N_MEMBERS, hi - lo)
+        decisions = members.take(cols, axis=1).sum(axis=1)
         return sum(sigmoid(z) for z in decisions.tolist()) / N_MEMBERS
 
     @property
     def position_keys(self) -> List[PositionKey]:
-        return sorted(self._rows)
+        return sorted(self._blocks)
 
     def __repr__(self) -> str:
-        return (f"<EventPairModel {len(self._rows)} position keys × "
+        return (f"<EventPairModel {len(self._blocks)} position keys × "
                 f"{N_MEMBERS} members, {self.n_samples} samples>")

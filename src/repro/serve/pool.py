@@ -25,6 +25,12 @@ Failure detection is the supervisor's taxonomy, one-shot per request:
 Retry policy deliberately does *not* live here: the pool reports each
 failure once, and the server decides whether to retry, serve a cached
 reply, or trip the circuit breaker.
+
+A fresh spawn-context worker pays its interpreter boot and imports on
+its first job, so the pool sends every spawned or respawned worker a
+``warmup`` job before any request.  A worker takes requests, and
+counts towards :attr:`AnalysisPool.healthy`, only once it has answered
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import asyncio
 import collections
 import itertools
 import multiprocessing
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.mining.supervisor import _pool_main
 from repro.runtime.errors import WorkerCrash, WorkerTimeout
@@ -49,7 +55,7 @@ class PoolClosed(RuntimeError):
 class _Worker:
     """One supervised child process plus its parent-side pipe."""
 
-    __slots__ = ("label", "process", "conn", "job")
+    __slots__ = ("label", "process", "conn", "job", "warm")
 
     def __init__(self, label: str, process, conn) -> None:
         self.label = label
@@ -57,6 +63,8 @@ class _Worker:
         self.conn = conn
         #: the in-flight (future, watchdog handle) pair, or None
         self.job: Optional[Tuple[asyncio.Future, Optional[asyncio.TimerHandle]]] = None
+        #: False while the warm-up job is in flight
+        self.warm = False
 
     @property
     def busy(self) -> bool:
@@ -69,13 +77,16 @@ class AnalysisPool:
     ``validator`` is the shape check applied to every ``("ok", ...)``
     reply (default: accept anything) — the supervisor's corrupt-result
     guard, applied at the trust boundary where pickled bytes become a
-    client-visible reply.
+    client-visible reply.  ``warmup`` returns the ``(runner, payload)``
+    job each new worker runs first; its reply, whatever it is, only
+    marks the worker warm.
     """
 
     def __init__(
         self,
         size: int = 2,
         *,
+        warmup: Callable[[], Tuple[Callable, Any]],
         ctx_name: str = "fork",
         validator: Optional[Callable[[object], bool]] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
@@ -84,6 +95,7 @@ class AnalysisPool:
             raise ValueError("pool size must be >= 1")
         self.size = size
         self.validator = validator
+        self.warmup = warmup
         self._loop = loop or asyncio.get_event_loop()
         try:
             self._ctx = multiprocessing.get_context(ctx_name)
@@ -116,7 +128,11 @@ class AnalysisPool:
         child_conn.close()
         worker = _Worker(label, process, parent_conn)
         self._workers[label] = worker
-        self._idle.append(label)
+        runner, payload = self.warmup()
+        try:
+            parent_conn.send((runner, payload, 0))
+        except OSError:
+            pass  # dead already: the reader sees EOF and respawns
         self._loop.add_reader(parent_conn.fileno(),
                               self._on_readable, label)
         return worker
@@ -210,7 +226,11 @@ class AnalysisPool:
             return
         job, worker.job = worker.job, None
         if job is None:
-            return  # stray reply from a reclaimed job; drop it
+            if not worker.warm:  # the warm-up's reply
+                worker.warm = True
+                self._idle.append(label)
+                self._pump()
+            return  # else a stray reply from a reclaimed job; drop it
         future, handle = job
         if handle is not None:
             handle.cancel()
@@ -287,7 +307,9 @@ class AnalysisPool:
 
     @property
     def healthy(self) -> bool:
-        return not self._closed and self.alive >= max(1, self.size // 2)
+        warm = sum(1 for w in self._workers.values()
+                   if w.warm and w.process.is_alive())
+        return not self._closed and warm >= max(1, self.size // 2)
 
     def kill_one(self) -> Optional[str]:
         """Chaos hook: SIGKILL one worker (busy preferred), return label.

@@ -363,6 +363,13 @@ def _specs_for(payload: QueryPayload) -> Tuple[Optional[SpecSet], Dict]:
     return cached
 
 
+def warm_up(payload: QueryPayload, attempt: int = 0) -> None:
+    """The analysis pool's first job in every worker: unpickling this
+    runner imports the query path, and the call parses the payload's
+    specs, so neither cost lands on a request."""
+    _specs_for(payload)
+
+
 def run_query(payload: QueryPayload, attempt: int = 0) -> Dict:
     """Execute one query; the analysis pool's module-level runner.
 

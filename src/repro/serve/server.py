@@ -257,6 +257,7 @@ class SpecServer:
             self.config.workers,
             ctx_name=self.config.mp_context,
             validator=q.valid_reply,
+            warmup=self._warmup_job,
             loop=self._loop,
         )
         limit = max(self.config.max_head_bytes,
@@ -267,6 +268,13 @@ class SpecServer:
         )
         sock = self._server.sockets[0].getsockname()
         return sock[0], sock[1]
+
+    def _warmup_job(self) -> Tuple:
+        """Each pool worker's first job: import the query path and
+        parse the specs being served."""
+        return q.warm_up, q.QueryPayload(
+            kind=q.KIND_ALIAS, language="python", code="",
+            specs_json=self._specs_json, specs_digest=self.specs_digest)
 
     def install_signals(self) -> None:
         """SIGHUP→reload, SIGTERM/SIGINT→drain (CLI main thread only)."""

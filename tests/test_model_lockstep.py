@@ -7,6 +7,10 @@ split by position key, reshuffled per epoch by ``Random(seed + 101·m)``.
 If lane order or update arithmetic drifts, predictions stop agreeing.
 The fallback trains on first use, so these tests also pin when it
 trains and that packing schedules every position-key model once.
+Each key's ensemble keeps weights over its own samples' indices only,
+so a key's probabilities must equal, bit for bit, those of a model
+fitted on that key's samples alone, and weight storage must follow
+the keys' own column counts.
 """
 
 import random
@@ -27,6 +31,8 @@ from repro.model.model import N_MEMBERS, EventPairModel
 from repro.specs.candidates import match_records
 from repro.specs.pipeline import USpecPipeline
 from repro.specs.serialize import specs_to_json
+
+UNSEEN = ("arg5+", "arg5+")
 
 
 class ReferenceModel:
@@ -77,22 +83,28 @@ class ReferenceModel:
             / len(members)
 
 
-@pytest.mark.parametrize("registry", [java_registry, python_registry],
-                         ids=["java", "python"])
-def test_lockstep_matches_per_sample_reference(registry, monkeypatch):
+@pytest.fixture(scope="module", params=[java_registry, python_registry],
+                ids=["java", "python"])
+def corpus_run(request):
+    """A 10-file corpus learned by the pipeline, with its training
+    stream and its probes: every Alg. 1 record, then every sample of
+    the stream, so each position key's ensemble is asked."""
     programs = CorpusGenerator(
-        registry(), CorpusConfig(n_files=10, seed=3)).programs()
+        request.param(), CorpusConfig(n_files=10, seed=3)).programs()
     pipeline = USpecPipeline()
     learned = pipeline.learn(programs)
     bundles = learned.run.bundles
     stream = pipeline.collect_stats(bundles).stream(pipeline.config.seed)
-    reference = ReferenceModel(stream, pipeline.config.train)
-
     records = [(key, indices) for bundle in bundles
                for _, key, indices, _ in match_records(bundle)]
     assert records
-    # the stream's own samples reach every position key's ensemble
     probes = records + [(s.position_key, s.indices) for s in stream]
+    return programs, learned, stream, probes
+
+
+def test_lockstep_matches_per_sample_reference(corpus_run, monkeypatch):
+    programs, learned, stream, probes = corpus_run
+    reference = ReferenceModel(stream, USpecPipeline().config.train)
     for key, indices in probes:
         assert learned.model.predict_encoded(key, indices) == \
             pytest.approx(reference.predict_encoded(key, indices), abs=1e-9)
@@ -105,6 +117,56 @@ def test_lockstep_matches_per_sample_reference(registry, monkeypatch):
     expected = USpecPipeline().learn(programs)
     assert specs_to_json(learned.specs, learned.scores) == \
         specs_to_json(expected.specs, expected.scores)
+
+
+def test_each_key_predicts_as_if_trained_alone(corpus_run):
+    _, learned, stream, probes = corpus_run
+    train = USpecPipeline().config.train
+    alone = {}
+    for key in {s.position_key for s in stream}:
+        alone[key] = EventPairModel(train_config=train)
+        alone[key].fit_encoded(
+            [s for s in stream if s.position_key == key])
+    for key, indices in probes:
+        assert learned.model.predict_encoded(key, indices) == \
+            alone[key].predict_encoded(key, indices)
+    # the fallback is one model over the whole stream under one key
+    whole = EventPairModel(train_config=train)
+    whole.fit_encoded([EncodedSample(("0", "ret"), s.indices, s.label)
+                       for s in stream])
+    for _, indices in probes:
+        assert learned.model.predict_encoded(UNSEEN, indices) == \
+            whole.predict_encoded(("0", "ret"), indices)
+
+
+def _key_cells(stream):
+    """3·Σₖ(|colsₖ| + 1): each key's members over the indices its own
+    samples use, plus the zero column."""
+    columns = {}
+    for s in stream:
+        columns.setdefault(s.position_key, set()).update(s.indices)
+    return N_MEMBERS * sum(len(c) + 1 for c in columns.values())
+
+
+def _fallback_cells(stream):
+    return N_MEMBERS * (len({i for s in stream for i in s.indices}) + 1)
+
+
+def test_weight_storage_follows_each_keys_own_columns(corpus_run):
+    _, _, stream, probes = corpus_run
+    model = EventPairModel()
+    model.fit_encoded(stream)
+    n_keys = len(model.position_keys)
+    assert n_keys > 1
+    keyed = _key_cells(stream)
+    # not keys × every column seen
+    assert keyed < n_keys * _fallback_cells(stream) / 2
+    assert model.weights.size == keyed
+    for key, indices in probes:
+        model.predict_encoded(key, indices)
+    assert model.weights.size == keyed
+    model.predict_encoded(UNSEEN, stream[0].indices)
+    assert model.weights.size == keyed + _fallback_cells(stream)
 
 
 def _toy_stream():
@@ -158,9 +220,6 @@ def _fit_recording_lanes(stream, monkeypatch):
     return model, runs[0]
 
 
-UNSEEN = ("arg5+", "arg5+")
-
-
 def test_skewed_stream_matches_reference(monkeypatch):
     stream = _skewed_stream()
     model, lanes = _fit_recording_lanes(stream, monkeypatch)
@@ -180,12 +239,15 @@ def test_fallback_trains_on_first_unseen_key():
     model.fit_encoded(stream)
     for s in stream:
         model.predict_encoded(s.position_key, s.indices)
-    assert not model.weights[:N_MEMBERS].any()
+    # no fallback block yet
+    assert model.weights.size == _key_cells(stream)
     reference = ReferenceModel(stream)
     for indices in [(0, 11), (0, 10, 25), (0, 11)]:
         assert model.predict_encoded(UNSEEN, indices) == pytest.approx(
             reference.predict_encoded(UNSEEN, indices), abs=1e-9)
-    assert model.weights[:N_MEMBERS].any()
+    fallback = model.weights[_key_cells(stream):]
+    assert fallback.size == _fallback_cells(stream)
+    assert fallback.any()
 
 
 def test_refit_discards_the_trained_fallback():
@@ -197,7 +259,8 @@ def test_refit_discards_the_trained_fallback():
     model.fit_encoded(first)
     model.predict_encoded(UNSEEN, (0, 11))
     model.fit_encoded(second)
-    assert not model.weights[:N_MEMBERS].any()
+    # the refit keeps no fallback block
+    assert model.weights.size == _key_cells(second)
     assert model.predict_encoded(UNSEEN, (0, 11)) == \
         pytest.approx(expected, abs=1e-9)
 
@@ -208,14 +271,23 @@ def test_refit_discards_the_trained_fallback():
     _sized_stream([13, 8, 8, 3, 2, 1, 1]),
 ], ids=["toy", "skewed", "one-key", "dominant", "even", "mixed"])
 def test_every_key_model_is_scheduled_once(stream, monkeypatch):
-    _, lanes = _fit_recording_lanes(stream, monkeypatch)
+    model, lanes = _fit_recording_lanes(stream, monkeypatch)
     config = TrainConfig()
     by_key = {}
     for i, sample in enumerate(stream):
         by_key.setdefault(sample.position_key, []).append(i)
-    scheduled = [model for lane in lanes for model in lane]
-    rows = sorted(row for row, _, _ in scheduled)
-    assert rows == list(range(N_MEMBERS * len(by_key)))
+    scheduled = [m for lane in lanes for m in lane]
+    # a model's weight of columns[j] is cell offset + j, for the j of
+    # its key's block: the models' cells tile the weight vector
+    cells = []
+    for offset, ids, _ in scheduled:
+        (key,) = {stream[i].position_key for i in ids}
+        block = model._blocks[key]
+        cells.append((offset + model.bases[block],
+                      offset + model.bases[block + 1]))
+    cells.sort()
+    assert cells[0][0] == 0 and cells[-1][1] == model.weights.size
+    assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
     assert sorted((list(ids), seed) for _, ids, seed in scheduled) == \
         sorted((ids, config.seed + 101 * m)
                for ids in by_key.values() for m in range(N_MEMBERS))

@@ -312,7 +312,8 @@ def test_run_query_rejects_unknown_kind_and_language():
 
 @contextlib.contextmanager
 def serve_daemon(**overrides):
-    """A SpecServer on an ephemeral port, run in a background loop."""
+    """A SpecServer on an ephemeral port, run in a background loop,
+    yielded once ``/readyz`` says ready (as a client waits for it)."""
     overrides.setdefault("port", 0)
     overrides.setdefault("workers", 2)
     # fork keeps worker boot fast in tests; the loadgen client reads
@@ -336,6 +337,10 @@ def serve_daemon(**overrides):
     assert ready.wait(timeout=60), "daemon failed to boot"
     host, port = bound["addr"]
     try:
+        deadline = time.monotonic() + 60
+        while http_request(host, port, "GET", "/readyz")[0] != 200:
+            assert time.monotonic() < deadline, "daemon never got ready"
+            time.sleep(0.01)
         yield server, host, port
     finally:
         server.request_stop()
@@ -364,6 +369,31 @@ def test_serve_health_ready_statz(daemon):
     assert stats["admission_limit"] == 8
     assert stats["n_specs"] == 2
     assert stats["pool"]["size"] == 2
+
+
+def _parsed_specs(payload, attempt=0):
+    """Pool runner: the specs digests this worker has parsed."""
+    from repro.serve import query
+    return {"kind": "alias", "parsed": sorted(query._SPECS_CACHE)}
+
+
+def test_serve_ready_only_once_workers_have_warmed(tmp_path):
+    """A spawn-context worker imports the query path and parses the
+    specs on its warm-up job.  Until one has, /readyz is not ready and
+    no job reaches it, so no request pays for a cold worker."""
+    specs_path = tmp_path / "specs.json"
+    specs_path.write_text(_specs_fixture_text())
+    with serve_daemon(specs_path=str(specs_path),
+                      mp_context="spawn") as (server, host, port):
+
+        async def probe():
+            return await asyncio.gather(*(
+                server.pool.submit(_parsed_specs, None) for _ in range(4)))
+
+        replies = asyncio.run_coroutine_threadsafe(
+            probe(), server._loop).result(timeout=60)
+        digest = server.specs_digest
+    assert [r["parsed"] for r in replies] == [[digest]] * 4
 
 
 def test_cli_serve_on_port_zero_announces_the_bound_port():
