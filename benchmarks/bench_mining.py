@@ -421,14 +421,16 @@ def test_serve_chaos_latency(benchmark, tmp_path):
     """Latency percentiles of `uspec serve` under full chaos load.
 
     The load is open-loop with Poisson arrivals, 30% cache-warm
-    snippets, and all three chaos modes (worker kills, malformed
-    frames, slow-loris) cycling through the run.  The asserted
-    contract: every accepted request gets an explicit reply — shedding
-    and deadline replies are fine, a dropped connection never is.
+    snippets, malformed-frame and slow-loris clients cycling through
+    the run, and analysis-worker kills from an armed fault plan.  The
+    asserted contract: every accepted request gets an explicit reply —
+    shedding and deadline replies are fine, a dropped connection never
+    is.
     """
     import asyncio
     import threading
 
+    from repro.runtime.faults import FaultPlan, arm
     from repro.serve import ServeConfig, SpecServer
     from repro.serve.loadgen import LoadConfig, run_load
 
@@ -443,7 +445,7 @@ def test_serve_chaos_latency(benchmark, tmp_path):
     warm_path = tmp_path / "warm.usps"
     serve_config = dict(
         port=0, specs_path=str(specs_path), workers=2, max_queue=8,
-        chaos_enabled=True, mp_context="fork", header_timeout=1.0,
+        mp_context="fork", header_timeout=1.0,
         warm_path=str(warm_path),
     )
 
@@ -467,13 +469,15 @@ def test_serve_chaos_latency(benchmark, tmp_path):
     thread, loop, (host, port) = boot_daemon(server)
 
     def measure():
-        return run_load(LoadConfig(
-            host=host, port=port, requests=N_SERVE_REQUESTS,
-            arrival="exp:0.03", sizes="normal:8,3", cache_ratio=0.3,
-            seed=1337, timeout=60,
-            chaos=("kill-worker", "malformed", "slow-loris"),
-            chaos_every=8,
-        ))
+        # the plan kills the first attempt of every snippet whose keys
+        # contain "k102": requests 20-29 that draw a unique snippet
+        with arm(FaultPlan.parse("kill:k102:1")):
+            return run_load(LoadConfig(
+                host=host, port=port, requests=N_SERVE_REQUESTS,
+                arrival="exp:0.03", sizes="normal:8,3", cache_ratio=0.3,
+                seed=1337, timeout=60, chaos=("malformed", "slow-loris"),
+                chaos_every=8,
+            ))
 
     prime = make_snippet(6, variant=424242)
     try:
@@ -508,7 +512,8 @@ def test_serve_chaos_latency(benchmark, tmp_path):
         report.to_dict(),
         n_stats_degraded=server.stats.degraded,
         n_stats_shed=server.stats.shed,
-        pool_respawns=server.pool.respawns if server.pool else 0,
+        pool_crashes=server.pool.crashes,
+        pool_respawns=server.pool.respawns,
         workers=2, max_queue=8,
         warm_restart=dict(
             first_query_cached=first_query_cached,
@@ -533,7 +538,7 @@ def test_serve_chaos_latency(benchmark, tmp_path):
             ["rejected (typed errors)", str(report.n_rejected)],
             ["dropped (contract violations)", str(report.n_dropped)],
             ["chaos: kills/malformed/loris",
-             f"{report.chaos_kills}/{report.chaos_malformed}"
+             f"{server.pool.crashes}/{report.chaos_malformed}"
              f"/{report.chaos_loris}"],
             ["p50 / p95 / p99", f"{ms(50)} / {ms(95)} / {ms(99)}"],
             ["warm-restart first query",

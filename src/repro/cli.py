@@ -60,8 +60,9 @@ exit codes:
 environment:
   USPEC_FAULTS  deterministic fault plan for tests: where:match[:n] specs
                 joined by ';' — stage faults (pointsto, history, graph),
-                worker faults (kill, hang, corrupt) and write points
-                (write, pre-fsync, pre-rename, post-rename)
+                worker faults (kill, hang, corrupt; serve matches them
+                on the snippet text) and write points (write,
+                pre-fsync, pre-rename, post-rename)
 """
 
 
@@ -491,7 +492,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_entries=args.cache_entries,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        chaos_enabled=args.chaos,
         mp_context=args.mp_context,
         warm_path=args.warm_snapshot,
     )
@@ -972,10 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "startup — a rolling restart answers its "
                           "first query from the previous process's "
                           "reply cache instead of cold-starting")
-    srv.add_argument("--chaos", action="store_true",
-                     help="enable the POST /chaosz fault-injection "
-                          "endpoint (kills one analysis worker); for "
-                          "the load harness and CI only")
     srv.add_argument("--mp-context", default="spawn",
                      choices=("spawn", "fork", "forkserver"),
                      help="multiprocessing start method for analysis "
@@ -1009,14 +1005,16 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 0.3)")
     lg.add_argument("--seed", type=int, default=1337,
                     help="deterministic schedule seed")
-    lg.add_argument("--timeout", type=float, default=30.0, metavar="S",
+    lg.add_argument("--timeout", type=_positive_float, default=30.0,
+                    metavar="S",
                     help="client-side reply timeout (default 30)")
     lg.add_argument("--chaos", action="append", default=[],
-                    choices=("slow-loris", "malformed", "kill-worker"),
-                    help="inject this fault during the run "
-                         "(repeatable; kill-worker needs the daemon "
-                         "started with --chaos)")
-    lg.add_argument("--chaos-every", type=int, default=10, metavar="N",
+                    choices=("slow-loris", "malformed"),
+                    help="add this misbehaving client to the run "
+                         "(repeatable); worker faults come from the "
+                         "daemon's USPEC_FAULTS")
+    lg.add_argument("--chaos-every", type=_positive_int, default=10,
+                    metavar="N",
                     help="one chaos event per N requests (default 10)")
     lg.add_argument("--out", metavar="FILE",
                     help="write the full report JSON here")

@@ -372,8 +372,7 @@ class MiningEngine:
         supervisor = self.coordinator
         if supervised and not distributed:
             supervisor = self._local_scheduler(
-                jobs, sum(len(items) for _, items in tasks), ledger,
-                faults.has_worker_faults)
+                jobs, ledger, faults.has_worker_faults)
 
         try:
             # phase 1: map-analyze ------------------------------------
@@ -458,16 +457,10 @@ class MiningEngine:
             run=run, mining=report,
         )
 
-    def _local_scheduler(self, jobs: int, n_programs: int,
+    def _local_scheduler(self, jobs: int,
                          ledger: Optional[FailureLedger],
                          worker_faults: bool) -> TaskScheduler:
-        """The spawned workers for the ``n_programs`` this run analyses."""
-        # coalescing floor: pack small shard tasks until one frame
-        # carries ~a worker's fair share of the programs to analyse, so
-        # dispatch round trips scale with jobs, not shards.  Runs with
-        # worker faults keep one task per frame — a fault (and the
-        # tests asserting its exact attempt counts) targets single tasks.
-        batch = 0 if worker_faults else max(1, -(-n_programs // jobs))
+        """The spawned workers of this run, one shard task per frame."""
         # the pool never oversubscribes the host: extra CPU-bound
         # workers on a smaller machine only add fork and timeshare
         # overhead.  Shard count (and therefore results) still follows
@@ -483,7 +476,6 @@ class MiningEngine:
             ledger=ledger,
             ctx=self.mining.resolve_context(),
             jobs=pool_jobs,
-            batch_programs=batch,
         )
 
     # ------------------------------------------------------------------

@@ -193,7 +193,7 @@ class MiningReport:
     #: store; a first generation reports ``previous: None``)
     drift: Optional[Dict[str, object]] = None
     #: DispatchStats.to_dict() of the supervisor or coordinator (round
-    #: trips, batching, serialize/deserialize time, IPC bytes)
+    #: trips, serialize/deserialize time, IPC bytes)
     dispatch: Optional[Dict[str, object]] = None
     #: always 0: the trained model never leaves the parent.  Kept
     #: because benchmarks/perf/child.py reads it

@@ -10,12 +10,15 @@ killed and respawned when it dies) or *accepted* by a
 :class:`~repro.dist.coordinator.Coordinator` (a ``uspec worker``
 daemon holding a heartbeat lease); nothing else differs by kind:
 
+* **one job contract** — each frame carries one ``(runner, payload,
+  attempt)`` task and gets one reply, and every ``ok`` reply passes the
+  validator before it counts;
 * **liveness + deadlines** — EOF, or a frame that is oversized or not
-  a pickle, drops the worker and fails its frame's tasks as *crashes*;
+  a pickle, drops the worker and fails its frame's task as a *crash*;
   a worker that outlives the shard deadline (or its lease) is dropped
-  and its tasks fail as *timeouts*; a result that does not decode to
+  and its task fails as a *timeout*; a result that does not decode to
   the expected shape is *corrupt*.  Unread data is read before a
-  deadline expires, and a frame whose send fails goes back untouched;
+  deadline expires, and a task whose send fails goes back untouched;
 * **bounded retries with exponential backoff** — a failed task is
   re-queued with a deterministic backoff schedule (``base × factor^n``,
   capped); backoff is implemented as a not-before timestamp so the
@@ -390,16 +393,16 @@ def _run_job(runner, payload, attempt: int) -> Tuple:
 def _pool_main(conn, inherited: Sequence = ()) -> None:
     """Task loop of one persistent pool worker (runs in the child).
 
-    Jobs arrive over the duplex pipe either as one ``(runner, payload,
-    attempt)`` tuple (the original protocol, still spoken by
-    :mod:`repro.serve.pool`) or as a coalesced ``("jobs", runner,
-    [(payload, attempt), ...])`` frame, answered with a list of one
-    message per entry; ``None`` is the shutdown sentinel.  A running
-    job may precede its reply with ``("interim", item)`` messages
-    (:func:`send_interim`).  The process persists across jobs and
-    phases.  ``inherited`` are the parent's pipe ends a forked worker
-    holds copies of; closing them lets a parent killed outright read as
-    EOF (or a broken pipe) here, so the worker exits with it.
+    Every job arrives over the duplex pipe as one ``(runner, payload,
+    attempt)`` tuple and gets one reply (:func:`_run_job`), whether a
+    mining scheduler or the :mod:`repro.serve.pool` sent it; ``None``
+    is the shutdown sentinel.  A running job may precede its reply with
+    ``("interim", item)`` messages (:func:`send_interim`).  Worker
+    faults fire only from the plan the payload carries.  The process
+    persists across jobs and phases.  ``inherited`` are the parent's
+    pipe ends a forked worker holds copies of; closing them lets a
+    parent killed outright read as EOF (or a broken pipe) here, so the
+    worker exits with it.
     """
     for end in inherited:
         end.close()
@@ -412,28 +415,17 @@ def _pool_main(conn, inherited: Sequence = ()) -> None:
             return  # parent gone
         if job is None:
             return
-        if isinstance(job, tuple) and job and job[0] == "jobs":
-            _, runner, entries = job
-            message: object = [
-                _run_job(runner, payload, attempt)
-                for payload, attempt in entries
-            ]
-        else:
-            runner, payload, attempt = job
-            message = _run_job(runner, payload, attempt)
+        runner, payload, attempt = job
+        message = _run_job(runner, payload, attempt)
         try:
             conn.send(message)
         except (BrokenPipeError, EOFError, OSError):
             return
         except Exception as err:
             # unpicklable result: report instead of dying silently
-            fallback: object = ("error", RuntimeError(
-                f"unpicklable result: {err}"
-            ))
-            if isinstance(message, list):
-                fallback = [fallback] * len(message)
             try:
-                conn.send(fallback)
+                conn.send(("error", RuntimeError(
+                    f"unpicklable result: {err}")))
             except Exception:
                 return
 
@@ -447,40 +439,28 @@ class DispatchStats:
     """Cheap per-run dispatch instrumentation of one scheduler.
 
     Every counter is incremented on the parent side of the connection,
-    so the numbers attribute *supervision overhead* (round trips, frame
-    serialisation, result revalidation, queue scans) separately from
-    the work the shards themselves do.  Folded into the
-    :class:`~repro.mining.partial.MiningReport` as ``dispatch``.
+    so the numbers attribute *supervision overhead* (round trips and
+    frame serialisation) separately from the work the shards themselves
+    do.  Folded into the :class:`~repro.mining.partial.MiningReport` as
+    ``dispatch``.
     """
 
-    #: worker round trips (frames sent), vs tasks those frames carried
+    #: worker round trips: task frames sent, one task each
     n_round_trips: int = 0
-    n_tasks_dispatched: int = 0
-    #: frames that coalesced >1 task / tasks riding such frames
-    n_batches: int = 0
-    n_tasks_batched: int = 0
     #: pipe traffic, parent-side (task frames out, result frames in)
     bytes_sent: int = 0
     bytes_received: int = 0
     #: parent-side pickle/unpickle wall-clock
     seconds_serialize: float = 0.0
     seconds_deserialize: float = 0.0
-    #: result-shape revalidations run vs skipped on the warm batch path
-    n_validations: int = 0
-    n_validations_skipped: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "n_round_trips": self.n_round_trips,
-            "n_tasks_dispatched": self.n_tasks_dispatched,
-            "n_batches": self.n_batches,
-            "n_tasks_batched": self.n_tasks_batched,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "seconds_serialize": round(self.seconds_serialize, 6),
             "seconds_deserialize": round(self.seconds_deserialize, 6),
-            "n_validations": self.n_validations,
-            "n_validations_skipped": self.n_validations_skipped,
         }
 
 
@@ -548,11 +528,10 @@ class _Phase:
 
 @dataclass(eq=False)
 class _Frame:
-    """One frame in flight: a task, or several coalesced into one round
-    trip."""
+    """One frame in flight: one task's attempt on one worker."""
 
     phase: _Phase
-    tasks: List[_Task]
+    task: _Task
     started: float
     lease_expiry: Optional[float]  # absolute; None for spawned workers
     deadline: Optional[float]  # absolute, from the shard deadline
@@ -585,13 +564,10 @@ class TaskScheduler:
     ``ctx`` and ``jobs`` give the scheduler ``jobs`` spawned workers,
     started by the first phase and persisting across phases; the
     :class:`~repro.dist.coordinator.Coordinator` subclass accepts its
-    workers over a listening socket instead.  ``batch_programs`` is the
-    coalescing floor: first-attempt tasks are packed into one frame
-    until it carries at least that many programs (0 sends one task per
-    frame; the engine passes 0 whenever the armed plan has worker
-    faults, so a fault still sees one task per frame).  One instance
-    accumulates a run's history in one :class:`FailureLedger`; callers
-    must :meth:`close` it when the run ends.
+    workers over a listening socket instead.  Either kind gets one task
+    per frame and answers it with one reply.  One instance accumulates
+    a run's history in one :class:`FailureLedger`; callers must
+    :meth:`close` it when the run ends.
     """
 
     def __init__(
@@ -602,14 +578,12 @@ class TaskScheduler:
         ledger: Optional[FailureLedger] = None,
         ctx=None,
         jobs: int = 0,
-        batch_programs: int = 0,
     ) -> None:
         self.supervision = supervision or SupervisionConfig()
         self.strict = strict
         self.ledger = ledger if ledger is not None else FailureLedger()
         self.ctx = ctx
         self.jobs = jobs
-        self.batch_programs = max(0, batch_programs)
         self.dispatch = DispatchStats()
         self.stats = ClusterStats()
         self._deadlines = DeadlineTracker(self.supervision)
@@ -804,39 +778,19 @@ class TaskScheduler:
         frame, worker.frame = worker.frame, None
         if frame is None or frame.phase is not self._phase:
             return  # a stray reply, or the late one of an ended phase
-        state = frame.phase
+        state, task = frame.phase, frame.task
         now = time.monotonic()
         seconds = now - frame.started
-        if len(frame.tasks) == 1:
-            replies: List[object] = [message]
-        elif isinstance(message, list) and len(message) == len(frame.tasks):
-            replies = message
-        else:
-            # a coalesced frame must answer with one message per task
-            replies = [("batch-shape-mismatch",)] * len(frame.tasks)
-        any_ok = False
-        for index, (task, reply) in enumerate(zip(frame.tasks, replies)):
-            # the first reply of a frame is shape-revalidated; later
-            # ones come from the same healthy worker in the same round
-            # trip, so one validation vouches for the frame (strict
-            # mode validates every reply)
-            outcome, value = self._classify(
-                task, reply, seconds, frame.allowed, state.validator,
-                validate=index == 0 or self.strict,
-            )
-            if outcome != OUTCOME_OK:
-                self._attempt_failed(state, task, outcome, value,
-                                     seconds, now,
-                                     recorded=outcome == OUTCOME_ERROR)
-                continue
-            any_ok = True
-            self.stats.credit(worker.label)
-            state.results.append(value)
-            state.live.pop(task.task_id, None)
-        if any_ok:
-            self._deadlines.observe(seconds, sum(
-                self._payload_size(t.payload) for t in frame.tasks
-            ))
+        outcome, value = self._classify(task, message, seconds,
+                                        frame.allowed, state.validator)
+        if outcome != OUTCOME_OK:
+            self._attempt_failed(state, task, outcome, value, seconds,
+                                 now, recorded=outcome == OUTCOME_ERROR)
+            return
+        self.stats.credit(worker.label)
+        state.results.append(value)
+        state.live.pop(task.task_id, None)
+        self._deadlines.observe(seconds, self._payload_size(task.payload))
 
     # ------------------------------------------------------------------
     # dispatch / expiry
@@ -851,59 +805,22 @@ class TaskScheduler:
             task = self._pop_ready(state.queue, now)
             if task is None:
                 break  # nothing ready yet (backoff cooldowns)
-            tasks = [task]
-            if self.batch_programs > 0 and task.attempt == 0:
-                self._coalesce(tasks, state.queue, now)
-            self._assign(state, worker, tasks, now)
-
-    def _coalesce(
-        self, batch: List[_Task], queue: List[_Task], now: float,
-    ) -> None:
-        """Pack more small first-attempt tasks into one worker frame.
-
-        Greedy over the (sorted) ready queue until the frame carries at
-        least ``batch_programs`` programs.  Only clean first attempts
-        ride along — retries keep their own frame so failures stay
-        attributable.
-        """
-        total = self._payload_size(batch[0].payload)
-        i = 0
-        while total < self.batch_programs and i < len(queue):
-            task = queue[i]
-            if task.ready_at > now:
-                break  # sorted: nothing ready past this point
-            if task.attempt == 0:
-                queue.pop(i)
-                batch.append(task)
-                total += self._payload_size(task.payload)
-            else:
-                i += 1
+            self._assign(state, worker, task, now)
 
     def _assign(
-        self,
-        state: _Phase,
-        worker: _Worker,
-        tasks: List[_Task],
-        now: float,
+        self, state: _Phase, worker: _Worker, task: _Task, now: float,
     ) -> None:
-        if len(tasks) == 1:
-            message: object = (state.runner, tasks[0].payload,
-                               tasks[0].attempt)
-        else:
-            message = ("jobs", state.runner,
-                       [(t.payload, t.attempt) for t in tasks])
-        if not self._send(worker, message):
-            # the frame never started: its tasks go back untouched
+        if not self._send(worker, (state.runner, task.payload,
+                                   task.attempt)):
+            # the frame never started: its task goes back untouched
             self._lose(worker)
-            for task in tasks:
-                task.ready_at = now
-                state.queue.append(task)
+            task.ready_at = now
+            state.queue.append(task)
             return
-        allowed = self._deadlines.effective(sum(
-            self._payload_size(t.payload) for t in tasks
-        ))
+        allowed = self._deadlines.effective(
+            self._payload_size(task.payload))
         frame = _Frame(
-            phase=state, tasks=tasks, started=now,
+            phase=state, task=task, started=now,
             lease_expiry=(now + worker.lease
                           if worker.lease is not None else None),
             deadline=(now + allowed) if allowed is not None else None,
@@ -911,11 +828,7 @@ class TaskScheduler:
         )
         worker.frame = frame
         self.dispatch.n_round_trips += 1
-        self.dispatch.n_tasks_dispatched += len(tasks)
-        self.stats.n_tasks_dispatched += len(tasks)
-        if len(tasks) > 1:
-            self.dispatch.n_batches += 1
-            self.dispatch.n_tasks_batched += len(tasks)
+        self.stats.n_tasks_dispatched += 1
 
     def _expire(self, state: _Phase) -> None:
         for worker in list(self._workers):
@@ -944,9 +857,8 @@ class TaskScheduler:
             # never send a stale result for a re-dispatched task
             self._lose(worker)
             if live:
-                for task in frame.tasks:
-                    self._attempt_failed(state, task, OUTCOME_TIMEOUT,
-                                         error, now - frame.started, now)
+                self._attempt_failed(state, frame.task, OUTCOME_TIMEOUT,
+                                     error, now - frame.started, now)
 
     def _wait_timeout(self, state: _Phase, now: float) -> float:
         horizons = [_POLL_SECONDS]
@@ -1014,8 +926,8 @@ class TaskScheduler:
     def _worker_lost(
         self, worker: _Worker, reason: str, graceful: bool = False
     ) -> None:
-        """A worker died, left or broke the wire: the tasks of its frame
-        fail as crashes, unless the frame is stale."""
+        """A worker died, left or broke the wire: its frame's task fails
+        as a crash, unless the frame is stale."""
         frame = self._lose(worker)
         state = self._phase
         if frame is None or frame.phase is not state:
@@ -1028,9 +940,8 @@ class TaskScheduler:
             label = "left" if graceful else "died"
             error = (f"worker {worker.label} {label} holding the lease "
                      f"({reason})")
-        for task in frame.tasks:
-            self._attempt_failed(state, task, OUTCOME_CRASH, error,
-                                 now - frame.started, now)
+        self._attempt_failed(state, frame.task, OUTCOME_CRASH, error,
+                             now - frame.started, now)
 
     def _lose(self, worker: _Worker) -> Optional[_Frame]:
         """Take a dead or dropped worker out of service; returns the
@@ -1093,14 +1004,12 @@ class TaskScheduler:
         seconds: float,
         allowed: Optional[float],
         validator: Callable[[object], bool],
-        validate: bool = True,
     ) -> Tuple[str, object]:
         """Classify one worker reply as ``(outcome, result or error)``.
 
         ``("ok", result)`` whose result passes ``validator`` is
-        :data:`OUTCOME_OK` with the result (``validate=False`` trusts
-        it unchecked); ``("error", exc)`` with a typed exception is
-        :data:`OUTCOME_ERROR` and anything else
+        :data:`OUTCOME_OK` with the result; ``("error", exc)`` with a
+        typed exception is :data:`OUTCOME_ERROR` and anything else
         :data:`OUTCOME_CORRUPT`, each with the ledger's error text.
         OK and error attempts are recorded here (an OK one slower than
         ``straggler_fraction`` of ``allowed`` as a straggler); in
@@ -1109,20 +1018,15 @@ class TaskScheduler:
         """
         kind, value = reply if isinstance(reply, tuple) \
             and len(reply) == 2 else (None, None)
-        if kind == "ok":
-            if validate:
-                self.dispatch.n_validations += 1
-            else:
-                self.dispatch.n_validations_skipped += 1
-            if not validate or validator(value):
-                task.record.attempts.append(AttemptRecord(
-                    attempt=task.attempt, outcome=OUTCOME_OK,
-                    seconds=seconds, straggler=bool(
-                        allowed is not None and seconds
-                        > self.supervision.straggler_fraction * allowed),
-                ))
-                return OUTCOME_OK, value
-        elif kind == "error" and isinstance(value, BaseException):
+        if kind == "ok" and validator(value):
+            task.record.attempts.append(AttemptRecord(
+                attempt=task.attempt, outcome=OUTCOME_OK,
+                seconds=seconds, straggler=bool(
+                    allowed is not None and seconds
+                    > self.supervision.straggler_fraction * allowed),
+            ))
+            return OUTCOME_OK, value
+        if kind == "error" and isinstance(value, BaseException):
             error = f"{type(value).__name__}: {value}"
             task.record.attempts.append(AttemptRecord(
                 attempt=task.attempt, outcome=OUTCOME_ERROR,

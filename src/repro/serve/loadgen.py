@@ -10,12 +10,13 @@ datagen, rebuilt on ``random.Random`` so the harness stays
 stdlib-only and deterministic under ``--seed``).
 
 Chaos, layered on the same run (``--chaos``): slow-loris clients that
-trickle header bytes, malformed-frame clients that send garbage, and
-mid-request analysis-process kills via the daemon's ``/chaosz`` hook.
-The report separates *contract violations* (an accepted request whose
-connection dropped without a reply — ``n_dropped``, asserted zero in
-CI) from *explicit outcomes* (shed, deadline-exceeded, degraded),
-which are the daemon doing its job under pressure.
+trickle header bytes and malformed-frame clients that send garbage.
+Both are client behaviour; analysis-worker faults come from the
+daemon's own ``USPEC_FAULTS`` plan.  The report separates *contract
+violations* (an accepted request whose connection dropped without a
+reply — ``n_dropped``, asserted zero in CI) from *explicit outcomes*
+(shed, deadline-exceeded, degraded), which are the daemon doing its
+job under pressure.
 """
 
 from __future__ import annotations
@@ -262,15 +263,6 @@ def malformed_client(host: str, port: int, payload: bytes = b"") -> int:
         return 0
 
 
-def kill_worker(host: str, port: int) -> Optional[str]:
-    """Ask the daemon's chaos hook to SIGKILL one analysis worker."""
-    try:
-        status, reply = http_request(host, port, "POST", "/chaosz")
-    except (OSError, ConnectionError):
-        return None
-    return reply.get("killed") if status == 200 else None
-
-
 # ----------------------------------------------------------------------
 # the run
 
@@ -286,7 +278,7 @@ class LoadConfig:
     cache_ratio: float = 0.3  # fraction drawn from a small variant pool
     seed: int = 1337
     timeout: float = 30.0
-    chaos: Tuple[str, ...] = ()  # of: slow-loris, malformed, kill-worker
+    chaos: Tuple[str, ...] = ()  # of: slow-loris, malformed
     chaos_every: int = 10  # one chaos event per this many requests
 
 
@@ -302,7 +294,6 @@ class LoadReport:
     n_dropped: int = 0  # accepted-class requests with NO reply: violations
     chaos_loris: int = 0
     chaos_malformed: int = 0
-    chaos_kills: int = 0
     latencies: List[float] = field(default_factory=list)
     statuses: Dict[int, int] = field(default_factory=dict)
     #: the daemon's /readyz body sampled after the run (None if the
@@ -329,7 +320,6 @@ class LoadReport:
             "n_dropped": self.n_dropped,
             "chaos_loris": self.chaos_loris,
             "chaos_malformed": self.chaos_malformed,
-            "chaos_kills": self.chaos_kills,
             "statuses": {str(k): v
                          for k, v in sorted(self.statuses.items())},
         }
@@ -388,10 +378,6 @@ def run_load(config: LoadConfig) -> LoadReport:
             malformed_client(config.host, config.port)
             with lock:
                 report.chaos_malformed += 1
-        elif kind == "kill-worker":
-            if kill_worker(config.host, config.port):
-                with lock:
-                    report.chaos_kills += 1
 
     # ~cache_ratio of requests reuse a pool of 3 variants; the rest
     # are unique snippets (variant = request index + offset)
@@ -405,7 +391,7 @@ def run_load(config: LoadConfig) -> LoadReport:
         thread.start()
         threads.append(thread)
         report.n_sent += 1
-        if config.chaos and i % max(1, config.chaos_every) == 0:
+        if config.chaos and i % config.chaos_every == 0:
             kind = config.chaos[(i // config.chaos_every)
                                 % len(config.chaos)]
             chaos_thread = threading.Thread(

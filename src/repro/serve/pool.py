@@ -5,10 +5,12 @@ is untrusted input, and a segfault, runaway recursion, or memory blow-
 up inside the Andersen solver would take the whole service down.  This
 module reuses the supervisor's child loop
 (:func:`repro.mining.supervisor._pool_main` — the exact process the
-mining engine supervises) and rebuilds the *parent* side for an event
-loop: pipes are registered with ``loop.add_reader`` instead of
-``connection.wait`` polling, and each in-flight job gets a ``call_later``
-watchdog instead of a scheduler sweep.
+mining engine supervises, with its one job contract: one ``(runner,
+payload, attempt)`` frame, one reply) and rebuilds the *parent* side
+for an event loop: pipes are registered with ``loop.add_reader``
+instead of ``connection.wait`` polling, and each in-flight job gets a
+``call_later`` watchdog instead of a scheduler sweep.  Worker faults
+come only from the fault plan a job's payload carries.
 
 Failure detection is the supervisor's taxonomy, one-shot per request:
 
@@ -104,7 +106,8 @@ class AnalysisPool:
         self._workers: Dict[str, _Worker] = {}
         self._idle: Deque[str] = collections.deque()
         self._backlog: Deque[Tuple[asyncio.Future, object, object,
-                                   Optional[float]]] = collections.deque()
+                                   Optional[float], int]] = \
+            collections.deque()
         self._labels = itertools.count(1)
         self._generation = itertools.count(1)
         self._closed = False
@@ -167,17 +170,20 @@ class AnalysisPool:
     # submission
 
     def submit(self, runner, payload,
-               deadline_seconds: Optional[float] = None) -> asyncio.Future:
+               deadline_seconds: Optional[float] = None,
+               attempt: int = 0) -> asyncio.Future:
         """Queue one job; the future resolves with the runner's result.
 
         ``deadline_seconds`` arms the watchdog from *dispatch* (not
         submission — queueing delay is the admission layer's problem,
-        already bounded by ``--max-queue``).
+        already bounded by ``--max-queue``).  ``attempt`` is what the
+        runner sees as its attempt number: the caller's retry count.
         """
         if self._closed:
             raise PoolClosed("analysis pool is draining")
         future: asyncio.Future = self._loop.create_future()
-        self._backlog.append((future, runner, payload, deadline_seconds))
+        self._backlog.append((future, runner, payload, deadline_seconds,
+                              attempt))
         self._pump()
         return future
 
@@ -187,16 +193,17 @@ class AnalysisPool:
             worker = self._workers.get(label)
             if worker is None or worker.busy:
                 continue
-            future, runner, payload, deadline = self._backlog.popleft()
+            job = self._backlog.popleft()
+            future, runner, payload, deadline, attempt = job
             if future.cancelled():
                 self._idle.appendleft(label)
                 continue
             try:
-                worker.conn.send((runner, payload, 0))
+                worker.conn.send((runner, payload, attempt))
             except (BrokenPipeError, OSError):
                 # died while idle: the job never started, so requeue it
                 # (invisible to the caller) and replace the worker
-                self._backlog.appendleft((future, runner, payload, deadline))
+                self._backlog.appendleft(job)
                 self.crashes += 1
                 self._discard(worker)
                 self._respawn()
@@ -290,7 +297,7 @@ class AnalysisPool:
         self._maybe_drained()
 
     # ------------------------------------------------------------------
-    # health / chaos / drain
+    # health / drain
 
     @property
     def alive(self) -> int:
@@ -310,24 +317,6 @@ class AnalysisPool:
         warm = sum(1 for w in self._workers.values()
                    if w.warm and w.process.is_alive())
         return not self._closed and warm >= max(1, self.size // 2)
-
-    def kill_one(self) -> Optional[str]:
-        """Chaos hook: SIGKILL one worker (busy preferred), return label.
-
-        The pipe EOF then drives the normal crash path — exactly what a
-        real mid-request analysis-process death looks like.
-        """
-        victim = None
-        for worker in self._workers.values():
-            if worker.busy:
-                victim = worker
-                break
-        if victim is None and self._workers:
-            victim = next(iter(self._workers.values()))
-        if victim is None:
-            return None
-        victim.process.kill()
-        return victim.label
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -355,7 +344,7 @@ class AnalysisPool:
         """
         self._closed = True
         while self._backlog:  # nothing new is coming; fail the queue
-            future, _, _, _ = self._backlog.popleft()
+            future = self._backlog.popleft()[0]
             self._fail_job(future, PoolClosed("pool drained"))
         self._maybe_drained()
         clean = True
@@ -379,7 +368,7 @@ class AnalysisPool:
         """Immediate synchronous teardown (tests, error paths)."""
         self._closed = True
         while self._backlog:
-            future, _, _, _ = self._backlog.popleft()
+            future = self._backlog.popleft()[0]
             self._fail_job(future, PoolClosed("pool closed"))
         for worker in list(self._workers.values()):
             if worker.job is not None:

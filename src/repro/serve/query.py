@@ -19,6 +19,8 @@ degradation ladder — applies per request here:
 * :func:`run_query` is the module-level runner executed inside an
   analysis-pool subprocess (the same ``(payload, attempt)`` contract as
   the mining supervisor's workers), returning a plain JSON-able dict.
+  It fires worker faults (``kill|hang|corrupt:<match>[:n]``) only from
+  the plan its payload carries, matched on the snippet text.
 
 Reply caching reuses the :mod:`repro.mining.cache` key scheme: a query
 fingerprint (analysis knobs + specs digest, *excluding* the per-request
@@ -45,6 +47,7 @@ from repro.mining.cache import compose_key
 from repro.pointsto.analysis import PointsToOptions, analyze
 from repro.runtime.budget import Budget, Clock
 from repro.runtime.errors import BUDGET_EXCEEDED, classify_error
+from repro.runtime.faults import CorruptResult, FaultPlan
 from repro.runtime.ladder import DEFAULT_LADDER, LadderTier
 from repro.runtime.manifest import TierAttempt
 from repro.specs.patterns import RetArg, SpecSet
@@ -335,8 +338,9 @@ class QueryPayload:
     """One request as shipped to an analysis-pool subprocess.
 
     Self-contained and picklable: the specs ride along as JSON text
-    (keyed by digest, so a worker parses each specs version once), and
-    the budget carries the request's remaining deadline.
+    (keyed by digest, so a worker parses each specs version once), the
+    budget carries the request's remaining deadline, and ``faults`` the
+    fault plan armed in the daemon.
     """
 
     kind: str
@@ -346,6 +350,7 @@ class QueryPayload:
     specs_json: Optional[str] = None
     specs_digest: str = ""
     budget: Budget = Budget()
+    faults: FaultPlan = field(default_factory=FaultPlan)
 
 
 #: per-process parsed-specs cache: digest → (SpecSet, scores)
@@ -370,14 +375,21 @@ def warm_up(payload: QueryPayload, attempt: int = 0) -> None:
     _specs_for(payload)
 
 
-def run_query(payload: QueryPayload, attempt: int = 0) -> Dict:
+def run_query(payload: QueryPayload, attempt: int = 0) -> object:
     """Execute one query; the analysis pool's module-level runner.
 
     Parse errors and :class:`QueryFailed` propagate as typed
     exceptions — the pool ships them back intact and the daemon maps
     them to invalid-snippet / analysis-failed / deadline-exceeded
-    replies.  A successful return is a plain JSON-able dict.
+    replies.  A successful return is a plain JSON-able dict.  A worker
+    fault of the payload's plan whose match is in the snippet fires
+    first, on ``attempt`` (0, then 1 on the daemon's crash retry); a
+    ``corrupt`` one returns its text, which :func:`valid_reply` rejects.
     """
+    try:
+        payload.faults.fire_worker(payload.code, attempt)
+    except CorruptResult as corrupt:
+        return str(corrupt)
     if payload.kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {payload.kind!r}")
     specs, scores = _specs_for(payload)

@@ -20,7 +20,10 @@ A minimal asyncio HTTP/1.1 server wrapping the analysis pool
    :class:`~repro.runtime.budget.Budget` deadline, degrading down the
    precision ladder; an outer watchdog (grace ×1.5) backstops a solver
    stuck between budget polls.  A worker crash is retried once (the
-   snippet may be innocent), then surfaced as 503.
+   snippet may be innocent), then surfaced as 503.  Worker faults
+   (``kill|hang|corrupt:<match>[:n]`` in ``USPEC_FAULTS``) ride on
+   every request's payload and fire in the pool worker, on attempt 0
+   and then 1 on that retry, as they do in mining.
 
 Every accepted request gets exactly one reply — full, degraded,
 deadline-exceeded, or a typed error — never a dropped connection.
@@ -54,6 +57,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.runtime.budget import Budget
 from repro.runtime.errors import WorkerCrash, WorkerTimeout
+from repro.runtime.faults import armed
 from repro.serve import query as q
 from repro.serve.admission import (AdmissionQueue, CircuitBreaker, OPEN,
                                    ServeStats)
@@ -88,7 +92,6 @@ class ServeConfig:
     cache_entries: int = 1024
     breaker_threshold: int = 5
     breaker_cooldown: float = 2.0
-    chaos_enabled: bool = False
     #: "spawn", deliberately not the mining default "fork": a worker
     #: respawned mid-run would otherwise inherit dups of every live
     #: client socket, keeping connections half-open after the server
@@ -444,8 +447,6 @@ class SpecServer:
             return self._readyz()
         if path == "/statz":
             return 200, self._statz()
-        if path == "/chaosz":
-            return self._chaosz(method)
         if path.startswith("/v1/"):
             kind = path[len("/v1/"):]
             if kind not in q.QUERY_KINDS:
@@ -483,14 +484,6 @@ class SpecServer:
         if self.pool is not None:
             out["pool"] = self.pool.stats()
         return out
-
-    def _chaosz(self, method: str) -> Tuple[int, Dict]:
-        if not self.config.chaos_enabled:
-            return 404, {"error": "not_found"}
-        if method != "POST":
-            return 405, {"error": "method_not_allowed"}
-        label = self.pool.kill_one() if self.pool else None
-        return 200, {"killed": label}
 
     # ------------------------------------------------------------------
     # the query path
@@ -539,7 +532,7 @@ class SpecServer:
         payload = q.QueryPayload(
             kind=kind, language=language, code=code, params=params,
             specs_json=self._specs_json, specs_digest=self.specs_digest,
-            budget=Budget(deadline_seconds=deadline),
+            budget=Budget(deadline_seconds=deadline), faults=armed(),
         )
         if not self.breaker.allow():
             self.stats.breaker_rejections += 1
@@ -547,10 +540,10 @@ class SpecServer:
                          "retry_after_seconds":
                              self.breaker.cooldown_seconds}
         watchdog = deadline * 1.5 + 1.0
-        for retry in (False, True):
+        for attempt in (0, 1):
             try:
                 reply = await self.pool.submit(q.run_query, payload,
-                                               watchdog)
+                                               watchdog, attempt)
             except WorkerTimeout:
                 self.breaker.record_failure()
                 self.stats.deadline_exceeded += 1
@@ -558,7 +551,7 @@ class SpecServer:
                              "deadline_seconds": deadline}
             except WorkerCrash:
                 self.breaker.record_failure()
-                if not retry and self.breaker.allow():
+                if attempt == 0 and self.breaker.allow():
                     self.stats.crashes_retried += 1
                     continue
                 self.stats.failed += 1

@@ -1,7 +1,8 @@
 """repro.serve: the query ladder, admission control and breaker, the
 reply cache keys, the resident daemon end-to-end (including chaos:
-slow-loris, malformed frames, worker kills), spec hot-reload, graceful
-drain, and the load harness's zero-drop contract."""
+slow-loris, malformed frames, and worker kills, hangs and corrupt
+replies from the one fault plan), spec hot-reload, graceful drain, and
+the load harness's zero-drop contract."""
 
 import asyncio
 import contextlib
@@ -22,6 +23,7 @@ import pytest
 from repro.cli import main
 from repro.runtime.budget import Budget
 from repro.runtime.errors import BUDGET_EXCEEDED
+from repro.runtime.faults import FaultPlan, arm
 from repro.serve import (
     AdmissionQueue,
     CircuitBreaker,
@@ -353,8 +355,7 @@ def serve_daemon(**overrides):
 def daemon(tmp_path_factory):
     specs_path = tmp_path_factory.mktemp("serve") / "specs.json"
     specs_path.write_text(_specs_fixture_text())
-    with serve_daemon(specs_path=str(specs_path),
-                      chaos_enabled=True) as (server, host, port):
+    with serve_daemon(specs_path=str(specs_path)) as (server, host, port):
         yield server, host, port
 
 
@@ -498,15 +499,75 @@ def test_serve_malformed_bytes_answered_not_fatal(daemon):
     assert http_request(host, port, "GET", "/healthz")[0] == 200
 
 
-def test_serve_worker_kill_invisible_to_next_request(daemon):
-    server, host, port = daemon
-    status, reply = http_request(host, port, "POST", "/chaosz")
-    assert status == 200 and reply["killed"]
-    status, reply = post_query(host, port, "alias", make_snippet(4, 91))
-    assert status == 200 and reply["n_sites"] == 4
-    status, stats = http_request(host, port, "GET", "/statz")
-    assert stats["pool"]["crashes"] + stats["pool"]["timeouts"] >= 0
-    assert stats["pool"]["respawns"] >= 1
+def _in_process_reply(code):
+    """What a daemon without specs answers for an alias query on
+    ``code``, computed in-process and passed through JSON."""
+    reply = run_query(QueryPayload(kind="alias", language="python",
+                                   code=code))
+    return json.loads(json.dumps(reply))
+
+
+def _counters(stats):
+    """The /statz counters a worker fault moves."""
+    pool = stats["pool"]
+    return dict(crashes=pool["crashes"], timeouts=pool["timeouts"],
+                respawns=pool["respawns"],
+                crashes_retried=stats["crashes_retried"],
+                failed=stats["failed"],
+                deadline_exceeded=stats["deadline_exceeded"])
+
+
+def test_serve_worker_kill_invisible_to_next_request():
+    """An idle analysis worker SIGKILLed from outside is replaced, and
+    the next request gets its reply as if nothing had happened."""
+    code = make_snippet(4, 90)
+    with serve_daemon() as (server, host, port):
+        victim = next(iter(server.pool._workers.values()))
+        os.kill(victim.process.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while server.pool.respawns < 1:
+            assert time.monotonic() < deadline, "the death went unnoticed"
+            time.sleep(0.01)
+        status, reply = post_query(host, port, "alias", code)
+        stats = http_request(host, port, "GET", "/statz")[1]
+    assert status == 200 and reply == _in_process_reply(code)
+    assert _counters(stats) == dict(
+        crashes=1, timeouts=0, respawns=1, crashes_retried=0, failed=0,
+        deadline_exceeded=0)
+
+
+@pytest.mark.parametrize("plan, variant, deadline, status, counters", [
+    ("kill:k91_:1", 91, 10.0, 200, dict(
+        crashes=1, timeouts=0, respawns=1, crashes_retried=1, failed=0,
+        deadline_exceeded=0)),
+    ("corrupt:k92_:1", 92, 10.0, 200, dict(
+        crashes=0, timeouts=0, respawns=0, crashes_retried=1, failed=0,
+        deadline_exceeded=0)),
+    ("kill:k93_", 93, 10.0, 503, dict(
+        crashes=2, timeouts=0, respawns=2, crashes_retried=1, failed=1,
+        deadline_exceeded=0)),
+    ("hang:k94_:1", 94, 0.3, 504, dict(
+        crashes=0, timeouts=1, respawns=1, crashes_retried=0, failed=0,
+        deadline_exceeded=1)),
+], ids=["kill-once", "corrupt-once", "kill-always", "hang-once"])
+def test_serve_worker_faults_come_from_the_plan(
+        plan, variant, deadline, status, counters):
+    """Worker faults ride on the request payload and fire in the pool
+    worker on the snippet text: attempt 0, then 1 on the daemon's one
+    crash retry.  A corrupt reply is rejected and retried like a
+    crash; a hang is reclaimed by the request watchdog."""
+    code = make_snippet(4, variant)
+    with arm(FaultPlan.parse(plan)), serve_daemon(
+            request_deadline=deadline) as (server, host, port):
+        got, reply = post_query(host, port, "alias", code)
+        stats = http_request(host, port, "GET", "/statz")[1]
+    assert got == status
+    assert reply == {
+        200: _in_process_reply(code),
+        503: {"error": "analysis_unavailable"},
+        504: {"error": "deadline_exceeded", "deadline_seconds": deadline},
+    }[status]
+    assert _counters(stats) == counters
 
 
 def test_serve_request_deadline_override_maps_to_504(daemon):
@@ -599,12 +660,14 @@ def test_serve_drain_finishes_inflight_then_exits():
 
 
 def test_run_load_zero_drops_under_chaos():
-    with serve_daemon(chaos_enabled=True) as (server, host, port):
+    # request i's unique snippet is variant 1000 + i: the plan kills the
+    # first attempt of those with i < 10
+    with arm(FaultPlan.parse("kill:k100:1")), \
+            serve_daemon() as (server, host, port):
         report = run_load(LoadConfig(
             host=host, port=port, requests=12, arrival="fixed:0.02",
             sizes="fixed:5", cache_ratio=0.5, seed=11, timeout=60,
-            chaos=("kill-worker", "malformed", "slow-loris"),
-            chaos_every=4,
+            chaos=("malformed", "slow-loris"), chaos_every=4,
         ))
         assert report.n_sent == 12
         assert report.n_dropped == 0  # the contract under test
@@ -612,8 +675,25 @@ def test_run_load_zero_drops_under_chaos():
         replied = (report.n_ok + report.n_shed + report.n_deadline
                    + report.n_rejected)
         assert replied == report.n_sent
-        assert report.chaos_kills >= 1
+        assert server.pool.crashes >= 1
+        assert server.stats.crashes_retried >= 1
         assert report.to_dict()["p50_seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--chaos-every", "0"), ("--timeout", "-1"),
+])
+def test_cli_loadgen_rejects_values_that_falsify_the_run(
+        capsys, flag, value):
+    """Each value would falsify the run: ``--chaos-every 0`` divides
+    by zero mid-run, and a negative ``--timeout`` kills every request
+    thread while the report counts nothing dropped and exits 0.  The
+    parser rejects both before any request is sent."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["loadgen", "--connect", "127.0.0.1:9", "--requests", "1",
+              "--chaos", "malformed", flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_load_report_percentiles():

@@ -439,23 +439,17 @@ def test_sequential_report_has_no_ledger():
 
 
 # ----------------------------------------------------------------------
-# dispatch batching (the coalescing floor) and its instrumentation
+# one task per frame, and the dispatch instrumentation
 
 
-def test_small_shards_coalesce_into_few_round_trips():
+def test_each_shard_task_is_one_round_trip():
     programs = java_corpus(n=16)
     learned = learn(programs, jobs=2, shards=8)
     dispatch = learned.mining.dispatch
     assert dispatch is not None
-    # 8 analyze tasks (the only phase), but the coalescing floor packs
-    # each worker's fair share of the corpus into one frame: at most
-    # jobs round trips, not one per shard task
-    assert dispatch["n_tasks_dispatched"] == 8
-    assert dispatch["n_round_trips"] <= 2
-    assert dispatch["n_batches"] >= 2
-    assert dispatch["n_tasks_batched"] > dispatch["n_batches"]
-    # only the first reply of each healthy frame is shape-revalidated
-    assert dispatch["n_validations_skipped"] > 0
+    # 8 analyze tasks (the only phase), each in a frame of its own
+    assert len(learned.mining.shards) == 8
+    assert dispatch["n_round_trips"] == 8
     # pipe traffic and serialisation time are observable
     assert dispatch["bytes_sent"] > 0 and dispatch["bytes_received"] > 0
     assert learned.mining.to_dict()["dispatch"] == dispatch
@@ -467,18 +461,6 @@ def test_batched_specs_byte_identical_to_sequential():
     batched = learn(programs, jobs=4)
     assert specs_text(batched) == specs_text(sequential)
     assert batched.mining.ledger.clean
-    assert batched.mining.dispatch["n_batches"] >= 1
-
-
-def test_chaos_disables_coalescing():
-    programs = java_corpus(n=8)
-    faults = "kill:corpus_00003:1"
-    learned = learn(programs, jobs=2, faults=faults)
-    dispatch = learned.mining.dispatch
-    # a worker fault targets single tasks; every frame stays singleton
-    # so the fault tests' exact attempt counts keep meaning something
-    assert dispatch["n_batches"] == 0
-    assert dispatch["n_validations_skipped"] == 0
 
 
 # ----------------------------------------------------------------------
