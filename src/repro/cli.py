@@ -32,7 +32,6 @@ from typing import List, Optional, Tuple
 
 from repro.clients.taint import TaintConfig, find_taint_flows
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry, python_registry
-from repro.events import RET
 from repro.frontend.minijava import parse_minijava
 from repro.frontend.pyfront import parse_python
 from repro.mining import MiningConfig, MiningEngine, SupervisionConfig
@@ -122,7 +121,6 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
         supervision=SupervisionConfig(
             max_retries=args.max_retries,
             shard_deadline=args.shard_deadline,
-            adaptive_deadline=args.adaptive_deadline,
         ),
         store_dir=args.store_dir,
     )
@@ -200,8 +198,7 @@ def _print_mining(mining) -> None:
               f"{ledger.n_corrupt_results} corrupt, "
               f"{ledger.n_worker_errors} errors), "
               f"{ledger.n_bisections} bisected, "
-              f"{ledger.n_poisoned} poisoned, "
-              f"{ledger.n_stragglers} stragglers")
+              f"{ledger.n_poisoned} poisoned")
 
 
 def _parse_suffixes(spec: Optional[str]) -> Tuple[str, ...]:
@@ -416,7 +413,7 @@ def _load_program(path: Path):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.serve.query import QueryFailed, analyze_with_ladder
+    from repro.serve.query import QueryFailed, alias_pairs, analyze_with_ladder
 
     program = _load_program(Path(args.file))
     specs = None
@@ -442,19 +439,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"({len(sa.attempts) - 1} richer tier(s) over budget)")
     print(f"{args.file}: {len(result.api_sites)} API call sites, "
           f"{len(graph.events)} events, {graph.edge_count} edges")
-    shown = 0
-    for i, s1 in enumerate(result.api_sites):
-        if s1.instr.dst is None:
-            continue
-        for s2 in result.api_sites[:i]:
-            if s2.instr.dst is None or s1.method_id == s2.method_id:
-                continue
-            if result.events_may_alias(s1, RET, s2, RET):
-                print(f"  may-alias: {s1.method_id}() ~ {s2.method_id}()")
-                shown += 1
-                if shown >= args.limit:
-                    return 0
-    if not shown:
+    pairs = alias_pairs(result, args.limit)
+    for earlier, later in pairs:
+        print(f"  may-alias: {later}() ~ {earlier}()")
+    if not pairs:
         print("  no cross-method return aliasing found")
     return 0
 
@@ -731,12 +719,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
     learn.add_argument("--budget-seconds", type=_positive_float,
                        metavar="S",
                        help="soft wall-clock deadline per analysis stage")
-    learn.add_argument("--adaptive-deadline", action="store_true",
-                       help="derive the effective per-attempt deadline "
-                            "from observed per-program analysis times "
-                            "(p95 × slack × task size) so slow-but-"
-                            "healthy shards are not killed as hangs; "
-                            "--shard-deadline stays as the floor")
     learn.add_argument("--distributed", action="store_true",
                        help="dispatch shard tasks to remote uspec "
                             "workers instead of local processes (see "
@@ -884,7 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="may-alias analysis of one file")
     an.add_argument("file")
     an.add_argument("--specs", help="specs JSON from 'uspec learn'")
-    an.add_argument("--limit", type=int, default=20)
+    an.add_argument("--limit", type=_positive_int, default=20,
+                    metavar="N",
+                    help="print at most N may-alias pairs (default 20)")
     an.add_argument("--budget-seconds", type=_positive_float,
                     metavar="S",
                     help="overall wall-clock deadline: a file over "

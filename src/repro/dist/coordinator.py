@@ -37,12 +37,12 @@ Failure model (mapping onto the existing taxonomy):
   partition, paused VM, hard hang) loses the lease, the attempt is
   recorded as a *timeout*, the connection is dropped and the task is
   re-dispatched — the remote analogue of the watchdog deadline;
-* **per-attempt deadline** — the ``--shard-deadline`` wall clock (or
-  its adaptive p95-derived replacement) also applies remotely: a
-  worker that heartbeats but never finishes is dropped and the
-  attempt recorded as a *timeout*.  This is the only rule for a slow
-  attempt: no second copy of a task ever runs, so a hang costs one
-  timeout and one worker, whichever workers sit idle.
+* **per-attempt deadline** — the ``--shard-deadline`` wall clock,
+  counted from dispatch, also applies remotely: a worker that
+  heartbeats but never finishes is dropped and the attempt recorded
+  as a *timeout*.  This is the only rule for a slow attempt: no second
+  copy of a task ever runs, so a hang costs one timeout and one
+  worker, whichever workers sit idle.
 
 Determinism: like local supervision, distribution changes *scheduling*
 only.  Results fold through the same order-canonicalised
@@ -63,7 +63,6 @@ from typing import Callable, Optional, Tuple
 from repro.dist.protocol import PROTOCOL_VERSION, runner_ref
 from repro.mining.supervisor import (
     _POLL_SECONDS,
-    DeadlineTracker,
     FailureLedger,
     SupervisionConfig,
     TaskScheduler,
@@ -144,7 +143,6 @@ class Coordinator(TaskScheduler):
         self.strict = strict
         if ledger is not None:
             self.ledger = ledger
-        self._deadlines = DeadlineTracker(supervision)
 
     @property
     def n_workers(self) -> int:

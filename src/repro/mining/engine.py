@@ -326,8 +326,10 @@ class MiningEngine:
         jobs = self.mining.resolve_jobs()
         distributed = self.coordinator is not None
         faults = armed()
+        # a deadline needs a watchdog outside the worker, so it puts
+        # even --jobs 1 on the supervised path (as worker faults do)
         supervised = (jobs > 1 or distributed or faults.has_worker_faults
-                      or self.mining.supervision.wants_supervision)
+                      or self.mining.supervision.shard_deadline is not None)
         ledger = FailureLedger() if supervised else None
         if distributed:
             self.coordinator.configure(

@@ -20,9 +20,10 @@ daemon holding a heartbeat lease); nothing else differs by kind:
   the expected shape is *corrupt*.  Unread data is read before a
   deadline expires, and a task whose send fails goes back untouched;
 * **bounded retries with exponential backoff** — a failed task is
-  re-queued with a deterministic backoff schedule (``base × factor^n``,
-  capped); backoff is implemented as a not-before timestamp so the
-  scheduler keeps dispatching other work while a retry cools down;
+  re-queued with a deterministic backoff (0.05 s before the first
+  retry, doubling, capped at 2 s); backoff is implemented as a
+  not-before timestamp so the scheduler keeps dispatching other work
+  while a retry cools down;
 * **poison-shard bisection** — a task that exhausts its retries is
   split in half and both halves re-enter the queue with fresh retry
   budgets; recursion isolates the toxic program in O(log shard)
@@ -31,16 +32,18 @@ daemon holding a heartbeat lease); nothing else differs by kind:
   the quarantine manifest and the durable store, so it is never
   re-attempted) while every other program's results are kept;
 * **failure ledger** — the complete per-task attempt history (retries,
-  bisections, stragglers, backoff) is recorded in a
+  bisections, poisoned singletons) is recorded in a
   :class:`FailureLedger` and merged into the
   :class:`~repro.mining.partial.MiningReport`.
 
 A task runs in at most one frame at a time, and an attempt that runs
-too long has one rule: the shard deadline (or the lease) reclaims it
-and the task goes down retry → bisect → poison.  A frame still in
-flight when its phase ends (only after a raise) stays on its worker,
-and its late reply and interims are dropped, so they can never settle
-a later phase's task.
+too long has one rule: ``shard_deadline`` seconds after dispatch (or
+when the lease lapses) it is reclaimed and the task goes down retry →
+bisect → poison, so only a program slower than the deadline on its own
+is quarantined.  Slow programs are the per-program budget's job, not
+the scheduler's.  A frame still in flight when its phase ends (only
+after a raise) stays on its worker, and its late reply and interims
+are dropped, so they can never settle a later phase's task.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
 killed attempt contributes nothing (workers never write to disk; the
@@ -97,6 +100,11 @@ _POLL_SECONDS = 0.25
 #: stays far below this; anything larger is a framing bug, not data)
 MAX_FRAME_BYTES = 1 << 30
 
+#: cooldown before a task's first retry (seconds); it doubles with each
+#: further retry, up to the cap
+_BACKOFF_FIRST = 0.05
+_BACKOFF_CAP = 2.0
+
 
 @dataclass(frozen=True)
 class SupervisionConfig:
@@ -104,85 +112,10 @@ class SupervisionConfig:
 
     #: retries per task before bisection (strict mode: before raising)
     max_retries: int = 2
-    #: wall-clock seconds one shard-task attempt may run; None = no
-    #: watchdog (hung workers are then only reclaimable by the user)
+    #: wall-clock seconds one shard-task attempt may run, counted from
+    #: dispatch; None = no watchdog (a hung spawned worker is then only
+    #: reclaimable by the user, a hung accepted one by its lease)
     shard_deadline: Optional[float] = None
-    #: derive the effective per-attempt deadline from observed
-    #: per-program analysis times (p95 × slack × task size) once enough
-    #: OK attempts have been seen; ``shard_deadline`` stays as the
-    #: floor, so slow-but-healthy shards are not killed as hangs
-    adaptive_deadline: bool = False
-    #: adaptive deadline = p95(per-program seconds) × slack × n_programs
-    deadline_slack: float = 8.0
-    #: OK attempts observed before the adaptive estimate kicks in
-    deadline_min_samples: int = 3
-    #: exponential backoff schedule: base × factor^(attempt-1), capped
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    #: an OK attempt slower than this fraction of the deadline is
-    #: counted as a straggler in the ledger
-    straggler_fraction: float = 0.5
-
-    def backoff(self, attempt: int) -> float:
-        """Cooldown before retry ``attempt`` (1-based) of a task."""
-        if attempt <= 0 or self.backoff_base <= 0:
-            return 0.0
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-
-    @property
-    def wants_supervision(self) -> bool:
-        """True if this config only makes sense with worker processes.
-
-        A deadline needs a watchdog outside the worker, so it forces
-        the engine onto the supervised path even for ``--jobs 1`` (as
-        worker faults in the armed plan do).
-        """
-        return self.shard_deadline is not None or self.adaptive_deadline
-
-
-class DeadlineTracker:
-    """Adaptive per-attempt deadlines from observed analysis times.
-
-    A fixed ``--shard-deadline`` mistakes slow-but-healthy shards for
-    hangs: shard wall-clock scales with shard size and per-program
-    cost, neither of which the flag knows.  The tracker records the
-    per-program seconds of every OK attempt and, once
-    ``deadline_min_samples`` have been seen, derives the allowance for
-    a task of ``n`` programs as ``p95 × deadline_slack × n``.  The
-    fixed flag survives as a *floor* (and as the whole policy until
-    the estimate warms up), so a hang is always reclaimable even on
-    the first wave of tasks.
-
-    Each :class:`TaskScheduler` owns one, so every phase of a run
-    observes through the same instance.  A run is either local or
-    distributed, so the evidence comes from one kind of worker.
-    """
-
-    def __init__(self, supervision: SupervisionConfig) -> None:
-        self.supervision = supervision
-        self.samples: List[float] = []
-
-    def observe(self, seconds: float, n_programs: int) -> None:
-        """Record one OK attempt's per-program wall-clock."""
-        if self.supervision.adaptive_deadline and seconds >= 0:
-            self.samples.append(seconds / max(1, n_programs))
-
-    def effective(self, n_programs: int) -> Optional[float]:
-        """The deadline for a task of ``n_programs``, or None."""
-        fixed = self.supervision.shard_deadline
-        if (not self.supervision.adaptive_deadline
-                or len(self.samples) < max(
-                    1, self.supervision.deadline_min_samples)):
-            return fixed
-        ordered = sorted(self.samples)
-        p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        candidate = (p95 * self.supervision.deadline_slack
-                     * max(1, n_programs))
-        return candidate if fixed is None else max(fixed, candidate)
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +130,14 @@ class AttemptRecord:
     outcome: str
     seconds: float = 0.0
     error: Optional[str] = None
-    straggler: bool = False
 
-    def to_dict(self, timings: bool = True) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+    def to_dict(self) -> Dict[str, object]:
+        return {
             "attempt": self.attempt,
             "outcome": self.outcome,
             "error": self.error,
-            "straggler": self.straggler,
+            "seconds": round(self.seconds, 6),
         }
-        if timings:
-            payload["seconds"] = round(self.seconds, 6)
-        return payload
 
 
 @dataclass
@@ -232,7 +161,7 @@ class TaskRecord:
     def n_failures(self) -> int:
         return sum(1 for a in self.attempts if a.outcome != OUTCOME_OK)
 
-    def to_dict(self, timings: bool = True) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         return {
             "task_id": self.task_id,
             "shard_id": self.shard_id,
@@ -240,7 +169,7 @@ class TaskRecord:
             "n_programs": self.n_programs,
             "bisected": self.bisected,
             "poisoned": self.poisoned,
-            "attempts": [a.to_dict(timings) for a in self.attempts],
+            "attempts": [a.to_dict() for a in self.attempts],
         }
 
 
@@ -297,12 +226,6 @@ class FailureLedger:
         return sum(1 for t in self.tasks if t.poisoned is not None)
 
     @property
-    def n_stragglers(self) -> int:
-        return sum(
-            1 for t in self.tasks for a in t.attempts if a.straggler
-        )
-
-    @property
     def clean(self) -> bool:
         return self.n_attempts == self.n_tasks and self.n_failures == 0
 
@@ -310,7 +233,7 @@ class FailureLedger:
     def n_failures(self) -> int:
         return sum(t.n_failures for t in self.tasks)
 
-    def to_dict(self, timings: bool = True) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         """Deterministic dict: counters plus only the *troubled* tasks.
 
         Clean single-attempt tasks are summarised by the counters; the
@@ -319,8 +242,7 @@ class FailureLedger:
         """
         troubled = sorted(
             (t for t in self.tasks
-             if t.bisected or t.poisoned or t.n_failures
-             or any(a.straggler for a in t.attempts)),
+             if t.bisected or t.poisoned or t.n_failures),
             key=lambda t: (t.phase, t.shard_id, t.task_id),
         )
         return {
@@ -333,8 +255,7 @@ class FailureLedger:
             "n_worker_errors": self.n_worker_errors,
             "n_bisections": self.n_bisections,
             "n_poisoned": self.n_poisoned,
-            "n_stragglers": self.n_stragglers,
-            "tasks": [t.to_dict(timings) for t in troubled],
+            "tasks": [t.to_dict() for t in troubled],
         }
 
     def __repr__(self) -> str:
@@ -535,7 +456,6 @@ class _Frame:
     started: float
     lease_expiry: Optional[float]  # absolute; None for spawned workers
     deadline: Optional[float]  # absolute, from the shard deadline
-    allowed: Optional[float]  # the same deadline in relative seconds
 
     def lapsed(self, now: float) -> bool:
         return any(limit is not None and now > limit
@@ -586,7 +506,6 @@ class TaskScheduler:
         self.jobs = jobs
         self.dispatch = DispatchStats()
         self.stats = ClusterStats()
-        self._deadlines = DeadlineTracker(self.supervision)
         self._workers: List[_Worker] = []
         self._phase: Optional[_Phase] = None
         self._seq = 0
@@ -782,7 +701,7 @@ class TaskScheduler:
         now = time.monotonic()
         seconds = now - frame.started
         outcome, value = self._classify(task, message, seconds,
-                                        frame.allowed, state.validator)
+                                        state.validator)
         if outcome != OUTCOME_OK:
             self._attempt_failed(state, task, outcome, value, seconds,
                                  now, recorded=outcome == OUTCOME_ERROR)
@@ -790,7 +709,6 @@ class TaskScheduler:
         self.stats.credit(worker.label)
         state.results.append(value)
         state.live.pop(task.task_id, None)
-        self._deadlines.observe(seconds, self._payload_size(task.payload))
 
     # ------------------------------------------------------------------
     # dispatch / expiry
@@ -817,14 +735,12 @@ class TaskScheduler:
             task.ready_at = now
             state.queue.append(task)
             return
-        allowed = self._deadlines.effective(
-            self._payload_size(task.payload))
+        deadline = self.supervision.shard_deadline
         frame = _Frame(
             phase=state, task=task, started=now,
             lease_expiry=(now + worker.lease
                           if worker.lease is not None else None),
-            deadline=(now + allowed) if allowed is not None else None,
-            allowed=allowed,
+            deadline=(now + deadline) if deadline is not None else None,
         )
         worker.frame = frame
         self.dispatch.n_round_trips += 1
@@ -850,7 +766,8 @@ class TaskScheduler:
                          f"{worker.lease:g}s")
             elif live and frame.deadline is not None \
                     and now > frame.deadline:
-                error = f"shard deadline of {frame.allowed:g}s exceeded"
+                error = (f"shard deadline of "
+                         f"{self.supervision.shard_deadline:g}s exceeded")
             else:
                 continue
             # the worker is unresponsive or wedged — drop it so it can
@@ -895,7 +812,8 @@ class TaskScheduler:
             ))
         if task.attempt < self.supervision.max_retries:
             task.attempt += 1
-            task.ready_at = now + self.supervision.backoff(task.attempt)
+            task.ready_at = now + min(
+                _BACKOFF_CAP, _BACKOFF_FIRST * 2 ** (task.attempt - 1))
             state.queue.append(task)
             return
         if self.strict:
@@ -1002,7 +920,6 @@ class TaskScheduler:
         task: _Task,
         reply: object,
         seconds: float,
-        allowed: Optional[float],
         validator: Callable[[object], bool],
     ) -> Tuple[str, object]:
         """Classify one worker reply as ``(outcome, result or error)``.
@@ -1011,19 +928,15 @@ class TaskScheduler:
         :data:`OUTCOME_OK` with the result; ``("error", exc)`` with a
         typed exception is :data:`OUTCOME_ERROR` and anything else
         :data:`OUTCOME_CORRUPT`, each with the ledger's error text.
-        OK and error attempts are recorded here (an OK one slower than
-        ``straggler_fraction`` of ``allowed`` as a straggler); in
-        strict mode the worker's typed error is re-raised intact, so
-        exit codes 3/4 survive supervision.
+        OK and error attempts are recorded here; in strict mode the
+        worker's typed error is re-raised intact, so exit codes 3/4
+        survive supervision.
         """
         kind, value = reply if isinstance(reply, tuple) \
             and len(reply) == 2 else (None, None)
         if kind == "ok" and validator(value):
             task.record.attempts.append(AttemptRecord(
-                attempt=task.attempt, outcome=OUTCOME_OK,
-                seconds=seconds, straggler=bool(
-                    allowed is not None and seconds
-                    > self.supervision.straggler_fraction * allowed),
+                attempt=task.attempt, outcome=OUTCOME_OK, seconds=seconds,
             ))
             return OUTCOME_OK, value
         if kind == "error" and isinstance(value, BaseException):

@@ -21,8 +21,9 @@ Failure detection is the supervisor's taxonomy, one-shot per request:
 * **watchdog fires** → the child is killed, the future gets
   :class:`~repro.runtime.errors.WorkerTimeout`, respawn.
 * **shape validation fails** → the reply is treated as corrupt
-  (:class:`~repro.runtime.errors.WorkerCrash` with a corrupt label) —
-  a garbled pipe is indistinguishable from a garbled worker.
+  (:class:`~repro.runtime.errors.WorkerCrash` with a corrupt label,
+  counted in ``corrupt``) — a garbled pipe is indistinguishable from a
+  garbled worker.
 
 Retry policy deliberately does *not* live here: the pool reports each
 failure once, and the server decides whether to retry, serve a cached
@@ -114,6 +115,7 @@ class AnalysisPool:
         self._drained = asyncio.Event()
         self.crashes = 0
         self.timeouts = 0
+        self.corrupt = 0
         self.respawns = 0
         for _ in range(size):
             self._spawn()
@@ -247,25 +249,18 @@ class AnalysisPool:
         self._maybe_drained()
 
     def _resolve(self, future: asyncio.Future, message, label: str) -> None:
-        if not (isinstance(message, tuple) and len(message) == 2):
-            self._fail_job(future, WorkerCrash(
-                f"{CORRUPT_PREFIX} from {label}: bad frame shape",
-            ))
-            return
-        status, value = message
-        if status == "ok":
-            if self.validator is not None and not self.validator(value):
-                self._fail_job(future, WorkerCrash(
-                    f"{CORRUPT_PREFIX} from {label}: failed validation",
-                ))
-                return
+        status, value = message if isinstance(message, tuple) \
+            and len(message) == 2 else (None, None)
+        if status == "ok" and (self.validator is None
+                               or self.validator(value)):
             if not future.done():
                 future.set_result(value)
         elif status == "error" and isinstance(value, BaseException):
             self._fail_job(future, value)
         else:
+            self.corrupt += 1
             self._fail_job(future, WorkerCrash(
-                f"{CORRUPT_PREFIX} from {label}: unknown status {status!r}",
+                f"{CORRUPT_PREFIX} from {label} (status {status!r})",
             ))
 
     def _on_crash(self, worker: _Worker) -> None:
@@ -326,6 +321,7 @@ class AnalysisPool:
             "backlog": self.backlog,
             "crashes": self.crashes,
             "timeouts": self.timeouts,
+            "corrupt": self.corrupt,
             "respawns": self.respawns,
         }
 

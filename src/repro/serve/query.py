@@ -205,18 +205,20 @@ def analyze_with_ladder(
 
 
 def alias_pairs(result, limit: int = 20) -> List[Tuple[str, str]]:
-    """Cross-method return-value may-alias pairs, program order."""
+    """Cross-method return-value may-alias pairs, program order: at
+    most ``limit`` (none if it is not positive), each as ``(earlier
+    site's method, later site's method)``."""
     pairs: List[Tuple[str, str]] = []
     for i, s1 in enumerate(result.api_sites):
         if s1.instr.dst is None:
             continue
         for s2 in result.api_sites[:i]:
+            if len(pairs) >= limit:
+                return pairs
             if s2.instr.dst is None or s1.method_id == s2.method_id:
                 continue
             if result.events_may_alias(s1, RET, s2, RET):
                 pairs.append((s2.method_id, s1.method_id))
-                if len(pairs) >= limit:
-                    return pairs
     return pairs
 
 

@@ -64,16 +64,12 @@ def java_corpus(n=12, seed=7):
 
 def learn(programs, *, coordinator=None, jobs=1, shards=None,
           store_dir=None, strict=False, faults="", max_retries=2,
-          adaptive_deadline=False, shard_deadline=None, budget=None):
+          shard_deadline=None, budget=None):
     config = PipelineConfig(runtime=RuntimeConfig(
         strict=strict, budget=budget or Budget(),
     ))
     supervision = SupervisionConfig(
-        max_retries=max_retries,
-        adaptive_deadline=adaptive_deadline,
-        shard_deadline=shard_deadline,
-        backoff_base=0.01,  # keep test wall-clock down
-    )
+        max_retries=max_retries, shard_deadline=shard_deadline)
     mining = MiningConfig(
         jobs=jobs, shards=shards,
         store_dir=str(store_dir) if store_dir else None,
@@ -224,15 +220,6 @@ def test_loopback_run_reports_dispatch_and_only_analyze_tasks():
     # the model never leaves the coordinator: every task is an analyze
     assert {t.phase for t in dist.mining.ledger.tasks} == {"analyze"}
     assert dist.mining.model_broadcast_bytes == 0
-
-
-def test_adaptive_deadline_distributed_matches_baseline():
-    programs = java_corpus()
-    local = learn(programs, jobs=2)
-    with cluster(2) as (coordinator, _, _):
-        dist = learn(programs, coordinator=coordinator, jobs=2,
-                     adaptive_deadline=True)
-    assert specs_text(dist) == specs_text(local)
 
 
 # ----------------------------------------------------------------------

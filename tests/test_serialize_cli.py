@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.frontend.pyfront import parse_python
+from repro.runtime import Budget
+from repro.serve.query import alias_pairs, analyze_with_ladder
 from repro.specs import RetArg, RetSame, SpecSet
 from repro.specs.serialize import (
     spec_from_dict,
@@ -84,6 +87,46 @@ def test_cli_analyze_python_file(tmp_path, specs_file, capsys):
     out = capsys.readouterr().out
     assert "API call sites" in out
     assert "may-alias" in out  # fetch() ~ SubscriptLoad ret
+
+
+THREE_PAIRS = (
+    "d = {}\nd['k'] = fetch()\nx = d['k']\n"
+    "e = {}\ne['k'] = load()\ny = e['k']\n"
+    "f = {}\nf['k'] = read()\nz = f['k']\n"
+)
+
+
+@pytest.mark.parametrize("flags, limit", [
+    (["--limit", "1"], 1), (["--limit", "2"], 2), ([], 20),
+], ids=["limit-1", "limit-2", "default"])
+def test_cli_analyze_prints_what_alias_pairs_returns(
+        tmp_path, specs_file, capsys, flags, limit):
+    """``uspec analyze`` prints the serve query's pairs, later site
+    first, in program order and up to ``--limit``."""
+    target = tmp_path / "prog.py"
+    target.write_text(THREE_PAIRS)
+    assert main(["analyze", str(target), "--specs", str(specs_file),
+                 *flags]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if "may-alias" in line]
+    specs, _ = specs_from_json(specs_file.read_text())
+    result = analyze_with_ladder(parse_python(THREE_PAIRS), specs=specs,
+                                 budget=Budget()).result
+    assert len(alias_pairs(result)) == 3
+    assert alias_pairs(result, 0) == alias_pairs(result, -1) == []
+    assert printed == [f"  may-alias: {later}() ~ {earlier}()"
+                       for earlier, later in alias_pairs(result, limit)]
+    assert len(printed) == min(limit, 3)
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_cli_analyze_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    target = tmp_path / "prog.py"
+    target.write_text(THREE_PAIRS)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", str(target), "--limit", limit])
+    assert exit_info.value.code == 2
+    assert "--limit" in capsys.readouterr().err
 
 
 def test_cli_taint_finds_flow(tmp_path, specs_file, capsys):

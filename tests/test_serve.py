@@ -511,7 +511,7 @@ def _counters(stats):
     """The /statz counters a worker fault moves."""
     pool = stats["pool"]
     return dict(crashes=pool["crashes"], timeouts=pool["timeouts"],
-                respawns=pool["respawns"],
+                corrupt=pool["corrupt"], respawns=pool["respawns"],
                 crashes_retried=stats["crashes_retried"],
                 failed=stats["failed"],
                 deadline_exceeded=stats["deadline_exceeded"])
@@ -532,23 +532,23 @@ def test_serve_worker_kill_invisible_to_next_request():
         stats = http_request(host, port, "GET", "/statz")[1]
     assert status == 200 and reply == _in_process_reply(code)
     assert _counters(stats) == dict(
-        crashes=1, timeouts=0, respawns=1, crashes_retried=0, failed=0,
-        deadline_exceeded=0)
+        crashes=1, timeouts=0, corrupt=0, respawns=1, crashes_retried=0,
+        failed=0, deadline_exceeded=0)
 
 
 @pytest.mark.parametrize("plan, variant, deadline, status, counters", [
     ("kill:k91_:1", 91, 10.0, 200, dict(
-        crashes=1, timeouts=0, respawns=1, crashes_retried=1, failed=0,
-        deadline_exceeded=0)),
+        crashes=1, timeouts=0, corrupt=0, respawns=1, crashes_retried=1,
+        failed=0, deadline_exceeded=0)),
     ("corrupt:k92_:1", 92, 10.0, 200, dict(
-        crashes=0, timeouts=0, respawns=0, crashes_retried=1, failed=0,
-        deadline_exceeded=0)),
+        crashes=0, timeouts=0, corrupt=1, respawns=0, crashes_retried=1,
+        failed=0, deadline_exceeded=0)),
     ("kill:k93_", 93, 10.0, 503, dict(
-        crashes=2, timeouts=0, respawns=2, crashes_retried=1, failed=1,
-        deadline_exceeded=0)),
+        crashes=2, timeouts=0, corrupt=0, respawns=2, crashes_retried=1,
+        failed=1, deadline_exceeded=0)),
     ("hang:k94_:1", 94, 0.3, 504, dict(
-        crashes=0, timeouts=1, respawns=1, crashes_retried=0, failed=0,
-        deadline_exceeded=1)),
+        crashes=0, timeouts=1, corrupt=0, respawns=1, crashes_retried=0,
+        failed=0, deadline_exceeded=1)),
 ], ids=["kill-once", "corrupt-once", "kill-always", "hang-once"])
 def test_serve_worker_faults_come_from_the_plan(
         plan, variant, deadline, status, counters):

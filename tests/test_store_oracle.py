@@ -72,7 +72,7 @@ def learn(programs, store_dir, jobs, runtime=None, append=False,
     config = PipelineConfig(runtime=runtime or RuntimeConfig(budget=BUDGET))
     supervision = SupervisionConfig()
     if faults:
-        supervision = SupervisionConfig(max_retries=0, backoff_base=0.01)
+        supervision = SupervisionConfig(max_retries=0)
     mining = MiningConfig(jobs=jobs, store_dir=str(store_dir),
                           append=append, supervision=supervision)
     with arm(FaultPlan.parse(faults)):

@@ -17,11 +17,7 @@ from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.ir import ProgramBuilder
 from repro.mining import MiningConfig, MiningEngine, ShardPlan
-from repro.mining.supervisor import (
-    DeadlineTracker,
-    SupervisionConfig,
-    TaskScheduler,
-)
+from repro.mining.supervisor import SupervisionConfig, TaskScheduler
 from repro.runtime import (
     FaultPlan,
     RuntimeConfig,
@@ -56,10 +52,7 @@ def learn(programs, *, jobs=1, shards=None, store_dir=None,
           faults="", max_retries=2, shard_deadline=None):
     config = PipelineConfig(runtime=RuntimeConfig(strict=strict))
     supervision = SupervisionConfig(
-        max_retries=max_retries,
-        shard_deadline=shard_deadline,
-        backoff_base=0.01,  # keep test wall-clock down
-    )
+        max_retries=max_retries, shard_deadline=shard_deadline)
     mining = MiningConfig(
         jobs=jobs, shards=shards,
         store_dir=str(store_dir) if store_dir else None,
@@ -210,6 +203,21 @@ def test_cli_transient_chaos_matches_clean_run(tmp_path, monkeypatch):
     assert clean.read_bytes() == faulty.read_bytes()
 
 
+def test_cli_prints_the_whole_supervision_line(tmp_path, capsys,
+                                               monkeypatch):
+    """For a given fault plan the ``supervision:`` line is
+    deterministic, so it is pinned whole."""
+    monkeypatch.setenv("USPEC_FAULTS", "kill:corpus_00004:1")
+    assert main([
+        "learn", "--language", "java", "--files", "20", "--seed", "7",
+        "--jobs", "2", "--out", str(tmp_path / "specs.json"),
+    ]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("supervision:")]
+    assert lines == ["supervision: 1 retried (1 crashes, 0 timeouts, "
+                     "0 corrupt, 0 errors), 0 bisected, 0 poisoned"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--shard-deadline", "0"], ["--shard-deadline", "-1"],
     ["--shard-deadline", "nan"], ["--max-retries", "-1"],
@@ -295,8 +303,7 @@ def _echo_pid(payload, attempt):
     reason="needs fork")
 def test_worker_pool_persists_across_phases():
     ctx = multiprocessing.get_context("fork")
-    supervisor = TaskScheduler(
-        SupervisionConfig(backoff_base=0.01), ctx=ctx, jobs=2)
+    supervisor = TaskScheduler(SupervisionConfig(), ctx=ctx, jobs=2)
     kwargs = dict(
         runner=_echo_pid,
         splitter=lambda payload: None,
@@ -337,7 +344,7 @@ def test_strict_abort_leaves_no_stale_frame_for_the_next_phase():
     """A strict error ends phase 1 while the other worker is mid-frame;
     phase 2 on the same scheduler returns exactly its own results."""
     scheduler = TaskScheduler(
-        SupervisionConfig(backoff_base=0.01), strict=True,
+        SupervisionConfig(), strict=True,
         ctx=multiprocessing.get_context("fork"), jobs=2)
     kwargs = dict(
         runner=_tagged,
@@ -527,44 +534,3 @@ def test_acceptance_chaos_quarantines_only_toxins_byte_identical():
     assert ledger.n_poisoned == 2
     assert ledger.n_worker_crashes >= 1
     assert ledger.n_worker_timeouts >= 1
-
-
-# ----------------------------------------------------------------------
-# adaptive deadlines
-
-
-def test_deadline_tracker_warmup_returns_fixed():
-    tracker = DeadlineTracker(SupervisionConfig(
-        shard_deadline=5.0, adaptive_deadline=True,
-        deadline_min_samples=3))
-    assert tracker.effective(10) == 5.0
-    tracker.observe(0.2, 2)
-    tracker.observe(0.3, 3)
-    assert tracker.effective(10) == 5.0  # still below min samples
-
-
-def test_deadline_tracker_scales_p95_by_slack_and_size():
-    tracker = DeadlineTracker(SupervisionConfig(
-        adaptive_deadline=True, deadline_slack=4.0,
-        deadline_min_samples=3))
-    for seconds in (0.1, 0.2, 0.3):  # one program each
-        tracker.observe(seconds, 1)
-    # p95 of [0.1, 0.2, 0.3] lands on the 0.2 sample (index 1 of 2)
-    assert tracker.effective(1) == pytest.approx(0.2 * 4.0)
-    assert tracker.effective(5) == pytest.approx(0.2 * 4.0 * 5)
-
-
-def test_deadline_tracker_fixed_flag_is_a_floor():
-    tracker = DeadlineTracker(SupervisionConfig(
-        shard_deadline=60.0, adaptive_deadline=True,
-        deadline_slack=2.0, deadline_min_samples=1))
-    tracker.observe(0.01, 1)
-    assert tracker.effective(1) == 60.0  # estimate far below the floor
-
-
-def test_deadline_tracker_disabled_is_inert():
-    tracker = DeadlineTracker(SupervisionConfig(
-        shard_deadline=7.0, adaptive_deadline=False))
-    tracker.observe(100.0, 1)
-    assert tracker.samples == []
-    assert tracker.effective(50) == 7.0
