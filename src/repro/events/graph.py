@@ -80,8 +80,8 @@ class EventGraph:
                         continue
                     forward.add((e1, e2))
                     backward.add((e2, e1))
-        ordered = sorted(forward,
-                         key=lambda p: (p[0].sort_key, p[1].sort_key))
+        keys = {e: e.sort_key for e in self.events}
+        ordered = sorted(forward, key=lambda p: (keys[p[0]], keys[p[1]]))
         for pair in ordered:
             if pair in backward:
                 continue  # inconsistent ordering across histories: no edge

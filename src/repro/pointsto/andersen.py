@@ -14,11 +14,19 @@ propagation.  Constraint variables ("nodes") are:
 
 Complex constraints (field and ghost accesses) are registered as *ops*
 watching their input nodes and re-run whenever a watched points-to set
-grows; ops are monotone and idempotent, so re-running from scratch is
-sound.  The GhostR "allocate a fresh object on empty field" rule is
-non-monotone, so it runs in an outer loop: solve to fixpoint, allocate
-ghost objects for read-but-empty eligible fields, resolve, repeat until
-stable (this converges because allocations only ever add objects).
+grows.  Field ops are monotone and idempotent, so they re-run from
+scratch.  A ghost op applies only its delta: it recomputes its
+GhostW/GhostR fields only when an argument's points-to set has grown
+(sets only grow, so equal sizes mean equal sets), else applies them to
+new receivers.  Ops still run when, and with the argument sets, a
+from-scratch solver would run them, as they must: ``max_combos``
+truncates the key tuples, so an op's ghost fields depend on when it
+runs.  So the effective constraints, their order and the meter's totals
+are the from-scratch solver's.  The GhostR "allocate a fresh object on
+empty field" rule is non-monotone, so it runs in an outer loop: solve
+to fixpoint, allocate ghost objects for read-but-empty eligible fields,
+resolve, repeat until stable (this converges because allocations only
+ever add objects).
 """
 
 from __future__ import annotations
@@ -89,6 +97,13 @@ class _GhostOp:
     recv_node: Node
     arg_nodes: Tuple[Node, ...]
     dst_node: Optional[Node]
+    #: argument points-to set sizes the cached fields were computed for
+    arg_sizes: Optional[Tuple[int, ...]] = None
+    writes: Set[Tuple[AbstractObject, GhostField]] = field(default_factory=set)
+    reads: Set[GhostField] = field(default_factory=set)
+    alloc_eligible: Set[GhostField] = field(default_factory=set)
+    #: receivers the cached fields have been applied to
+    applied: Set[AbstractObject] = field(default_factory=set)
 
 
 class Solver:
@@ -317,35 +332,45 @@ class Solver:
                 self.add_edge(other, self.field_node(obj, fieldname))
 
     def _run_ghost_op(self, op: _GhostOp) -> None:
-        call = op.site.instr
-        assert isinstance(call, Call)
-        method = call.method
         receivers = list(self.pts.get(op.recv_node, ()))
         if not receivers:
             return
-        args = [self._arg_values(an) for an in op.arg_nodes]
-        arg_objects = [self.pts_of(an) for an in op.arg_nodes]
+        sizes = tuple(len(self.pts.get(an, ())) for an in op.arg_nodes)
+        if sizes != op.arg_sizes:
+            # an argument grew: recompute, and apply to every receiver
+            method = op.site.instr.method
+            args = [self._arg_values(an) for an in op.arg_nodes]
+            arg_objects = [self.pts_of(an) for an in op.arg_nodes]
+            op.arg_sizes = sizes
+            op.writes = ghost_writes(
+                method, args, arg_objects, self.specs, self.coverage_mode,
+                self.max_combos,
+            )
+            if op.dst_node is not None:
+                op.reads, op.alloc_eligible = ghost_reads(
+                    method, args, self.specs, self.coverage_mode,
+                    self.max_combos,
+                )
+            op.applied = set(receivers)
+        elif len(receivers) == len(op.applied):
+            return
+        else:
+            receivers = [r for r in receivers if r not in op.applied]
+            op.applied.update(receivers)
 
         # GhostW: store argument objects into ghost fields of receivers
-        writes = ghost_writes(
-            method, args, arg_objects, self.specs, self.coverage_mode,
-            self.max_combos,
-        )
         for recv in receivers:
-            for obj, gf in writes:
+            for obj, gf in op.writes:
                 self.add_objects(self.ghost_node(recv, gf), {obj})
 
         # GhostR: flow ghost field contents to the call destination
         if op.dst_node is None:
             return
-        fields, alloc_eligible = ghost_reads(
-            method, args, self.specs, self.coverage_mode, self.max_combos
-        )
         for recv in receivers:
-            for gf in fields:
+            for gf in op.reads:
                 self.add_edge(self.ghost_node(recv, gf), op.dst_node)
                 key = (recv, gf)
-                eligible = gf in alloc_eligible
+                eligible = gf in op.alloc_eligible
                 self._ghost_reads_seen[key] = (
                     self._ghost_reads_seen.get(key, False) or eligible
                 )

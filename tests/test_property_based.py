@@ -29,18 +29,27 @@ from repro.specs import (
 
 
 _METHODS = ["A.make", "A.use", "B.get", "B.put", "C.read"]
+_FIELDS = ["f", "g"]
+#: ``field_ops`` draws: calls (2) three times as often as the rest
+_SOLVER_OPS = (0, 1, 2, 2, 2, 3, 4, 5, 6, 7, 8)
 
 
 @st.composite
-def small_programs(draw):
-    """A random straight-line/branchy program over a small API alphabet."""
+def small_programs(draw, field_ops: bool = False):
+    """A random straight-line/branchy program over a small API alphabet.
+
+    ``field_ops`` adds field stores, field loads and copies into
+    existing variables, and lets later ops use copies, so points-to
+    sets keep growing after the ops that read them first ran.
+    """
     pb = ProgramBuilder(source="prop.java")
     b = pb.function("main")
     variables = [b.alloc("Root")]
 
     def emit_ops(n_ops: int, depth: int) -> None:
         for _ in range(n_ops):
-            op = draw(st.integers(min_value=0, max_value=5))
+            op = draw(st.sampled_from(_SOLVER_OPS) if field_ops
+                      else st.integers(min_value=0, max_value=5))
             if op == 0:
                 variables.append(b.alloc(draw(st.sampled_from("TUV"))))
             elif op == 1:
@@ -68,8 +77,21 @@ def small_programs(draw):
                 with b.while_(cond):
                     emit_ops(draw(st.integers(min_value=0, max_value=3)),
                              depth + 1)
+            elif op == 6:
+                b.field_store(draw(st.sampled_from(variables)),
+                              draw(st.sampled_from(_FIELDS)),
+                              draw(st.sampled_from(variables)))
+            elif op == 7:
+                variables.append(b.field_load(draw(st.sampled_from(variables)),
+                                              draw(st.sampled_from(_FIELDS))))
+            elif op == 8:
+                b.assign(draw(st.sampled_from(variables)),
+                         draw(st.sampled_from(variables)))
             else:
-                b.assign(b.fresh("copy"), draw(st.sampled_from(variables)))
+                copy = b.assign(b.fresh("copy"),
+                                draw(st.sampled_from(variables)))
+                if field_ops:
+                    variables.append(copy)
 
     emit_ops(draw(st.integers(min_value=1, max_value=10)), 0)
     pb.add(b.finish())

@@ -1,5 +1,9 @@
 """Edge cases of the Python frontend: imports, modules, odd constructs."""
 
+import sys
+
+import pytest
+
 from repro.frontend.pyfront import parse_python
 from repro.frontend.signatures import ApiSignatures, MethodSig
 from repro.ir import Call, iter_calls, iter_instructions
@@ -141,3 +145,98 @@ def test_conditional_expression_merges():
     use = next(c for c in iter_calls(prog.functions["main"])
                if c.method == "use")
     assert use.args[0].name.startswith("ifexp#")
+
+
+_NESTED_DEFS = '''\
+from lib import (top, nested, method, in_if, in_elif, in_else, in_for,
+                 for_else, in_while, while_else, in_try, in_except, try_else,
+                 in_finally, in_with, coro, in_async_for,
+                 in_async_with, helper)
+
+def top():
+    def nested():
+        pass
+
+class Box:
+    def method(self):
+        pass
+
+if flag:
+    def in_if():
+        pass
+elif other:
+    def in_elif():
+        pass
+else:
+    def in_else():
+        pass
+
+for item in items:
+    def in_for():
+        pass
+else:
+    def for_else():
+        pass
+
+while cond:
+    def in_while():
+        pass
+else:
+    def while_else():
+        pass
+
+try:
+    def in_try():
+        pass
+except ValueError:
+    def in_except():
+        pass
+else:
+    def try_else():
+        pass
+finally:
+    def in_finally():
+        pass
+
+with manager() as handle:
+    def in_with():
+        pass
+
+async def coro():
+    async for chunk in stream:
+        def in_async_for():
+            pass
+    async with lock:
+        def in_async_with():
+            pass
+'''
+_DEF_NAMES = ("top nested method in_if in_elif in_else in_for for_else "
+              "in_while while_else in_try in_except try_else in_finally "
+              "in_with coro in_async_for in_async_with").split()
+
+
+def test_def_in_any_block_shadows_an_import():
+    """A ``def`` anywhere in the module — nested in a function, class,
+    branch, loop, ``else``, handler, ``finally``, ``with`` or ``async``
+    block — makes a call of its name internal, even though the
+    name is also imported; ``helper``, imported and never defined, stays
+    an external call."""
+    calls = "".join(f"{name}()\n" for name in _DEF_NAMES + ["helper"])
+    methods = calls_of(parse_python(_NESTED_DEFS + calls))
+    for name in _DEF_NAMES:
+        assert name in methods
+        assert f"lib.{name}" not in methods
+    assert "lib.helper" in methods and "helper" not in methods
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="match statements need Python 3.10")
+def test_def_in_a_match_case_shadows_an_import():
+    source = ("from lib import in_case\n"
+              "match command:\n"
+              "    case \"go\":\n"
+              "        def in_case():\n"
+              "            pass\n"
+              "in_case()\n")
+    methods = calls_of(parse_python(source))
+    assert "in_case" in methods and "lib.in_case" not in methods
