@@ -18,43 +18,25 @@ system inventory and per-experiment index.
 
 __version__ = "1.0.0"
 
-from repro.pointsto.analysis import PointsToOptions, analyze
-from repro.specs.patterns import RetArg, RetRecv, RetSame, SpecSet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "CorpusExecutor",
-    "PointsToOptions",
-    "QuarantineManifest",
-    "RetArg",
-    "RetRecv",
-    "RetSame",
-    "RuntimeConfig",
-    "SpecSet",
-    "USpecPipeline",
-    "analyze",
-    "java_registry",
-    "python_registry",
-]
-
+# every export is lazy: this module runs first on any import of a
+# submodule, and each process loads only what its role runs
 _LAZY = {
     "Budget": "repro.runtime.budget",
     "CorpusExecutor": "repro.runtime.executor",
+    "PointsToOptions": "repro.pointsto.analysis",
     "QuarantineManifest": "repro.runtime.manifest",
+    "RetArg": "repro.specs.patterns",
+    "RetRecv": "repro.specs.patterns",
+    "RetSame": "repro.specs.patterns",
     "RuntimeConfig": "repro.runtime.executor",
+    "SpecSet": "repro.specs.patterns",
     "USpecPipeline": "repro.specs.pipeline",
+    "analyze": "repro.pointsto.analysis",
     "java_registry": "repro.corpus.apis",
     "python_registry": "repro.corpus.apis",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -18,6 +18,11 @@ Learning always goes through the sharded mining engine
 processes, ``--store-dir`` makes re-runs incremental, and the learned
 specifications are byte-identical for any ``--jobs``/``--shards``
 setting.
+
+Each command imports its own dependencies when it runs.  A spawn-
+context pool worker of ``uspec serve`` re-runs this module as
+``__mp_main__`` before its first job, so the module itself imports
+only what ``main`` needs: no numpy, no mining engine, no store.
 """
 
 from __future__ import annotations
@@ -30,16 +35,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.clients.taint import TaintConfig, find_taint_flows
-from repro.corpus import CorpusConfig, CorpusGenerator, java_registry, python_registry
-from repro.frontend.minijava import parse_minijava
-from repro.frontend.pyfront import parse_python
-from repro.mining import MiningConfig, MiningEngine, SupervisionConfig
-from repro.runtime import Budget, BudgetExceeded, RuntimeConfig, RuntimeFault
-from repro.runtime.checkpoint import atomic_write_text
+from repro.runtime.errors import BudgetExceeded, RuntimeFault
 from repro.runtime.faults import FaultPlan, arm
-from repro.specs.pipeline import PipelineConfig
-from repro.specs.serialize import specs_from_json, specs_to_json
 
 #: Exit codes (also documented in ``uspec --help``):
 EXIT_OK = 0  # clean run (quarantined stragglers are still "clean")
@@ -65,14 +62,21 @@ environment:
 """
 
 
-def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
-    budget = Budget(
+def _budget(args: argparse.Namespace):
+    from repro.runtime.budget import Budget
+
+    return Budget(
         max_solver_iterations=args.budget_iterations,
         max_constraints=args.budget_constraints,
         max_history_events=args.budget_events,
         deadline_seconds=args.budget_seconds,
     )
-    return RuntimeConfig(budget=budget, strict=args.strict)
+
+
+def _registry(language: str):
+    from repro.corpus import java_registry, python_registry
+
+    return java_registry() if language == "java" else python_registry()
 
 
 def _non_negative_int(text: str) -> int:
@@ -114,7 +118,9 @@ def _fraction(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
 
 
-def _mining_config(args: argparse.Namespace) -> MiningConfig:
+def _mining_config(args: argparse.Namespace):
+    from repro.mining import MiningConfig, SupervisionConfig
+
     return MiningConfig(
         jobs=args.jobs,
         shards=args.shards,
@@ -219,13 +225,18 @@ def _parse_suffixes(spec: Optional[str]) -> Tuple[str, ...]:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    from repro.corpus import CorpusConfig, CorpusGenerator, mine_directory
+    from repro.mining import MiningEngine
+    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.executor import RuntimeConfig
+    from repro.specs.pipeline import PipelineConfig
+    from repro.specs.serialize import specs_to_json
+
     if args.drift_out and not args.store_dir:
         print("error: --drift-out requires --store-dir", file=sys.stderr)
         return EXIT_ERROR
-    registry = java_registry() if args.language == "java" else python_registry()
+    registry = _registry(args.language)
     if args.from_dir:
-        from repro.corpus import mine_directory
-
         report = mine_directory(Path(args.from_dir),
                                 registry.signatures(),
                                 suffixes=_parse_suffixes(args.suffixes))
@@ -247,7 +258,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         programs = generator.programs()
     print("learning specifications (analysis → model → candidates → "
           "selection)...")
-    config = PipelineConfig(runtime=_runtime_config(args))
+    config = PipelineConfig(
+        runtime=RuntimeConfig(budget=_budget(args), strict=args.strict))
     coordinator = _make_coordinator(args) if args.distributed else None
     profiler = None
     if getattr(args, "profile_out", None):
@@ -316,9 +328,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     """Closed-loop active learning over a synthetic corpus."""
     from repro.active import RefineConfig, RefineStateError, RefinementEngine
+    from repro.corpus import CorpusConfig, CorpusGenerator
+    from repro.mining import MiningConfig
+    from repro.runtime.checkpoint import atomic_write_text
+    from repro.specs.pipeline import PipelineConfig
 
-    registry = java_registry() if args.language == "java" \
-        else python_registry()
+    registry = _registry(args.language)
     generator = CorpusGenerator(
         registry, CorpusConfig(n_files=args.files, seed=args.seed)
     )
@@ -366,6 +381,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     from repro.dist import ProtocolError, run_worker
     from repro.dist.worker import install_stop_signals
+    # the module of the only runner a coordinator sends: importing it
+    # here keeps numpy and the engine in registration, not in a task
+    import repro.mining.engine  # noqa: F401
 
     host, port = args.connect
     log = (lambda line: None) if args.quiet else \
@@ -395,6 +413,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from repro.specs.serialize import specs_from_json
+
     specs, scores = specs_from_json(Path(args.specs).read_text())
     for spec in sorted(specs, key=lambda s: -scores.get(s, 0.0)):
         score = scores.get(spec)
@@ -406,6 +426,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _load_program(path: Path):
+    from repro.frontend.minijava import parse_minijava
+    from repro.frontend.pyfront import parse_python
+
     text = path.read_text()
     if path.suffix == ".java":
         return parse_minijava(text, source=str(path))
@@ -414,19 +437,14 @@ def _load_program(path: Path):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.serve.query import QueryFailed, alias_pairs, analyze_with_ladder
+    from repro.specs.serialize import specs_from_json
 
     program = _load_program(Path(args.file))
     specs = None
     if args.specs:
         specs, _ = specs_from_json(Path(args.specs).read_text())
-    budget = Budget(
-        max_solver_iterations=args.budget_iterations,
-        max_constraints=args.budget_constraints,
-        max_history_events=args.budget_events,
-        deadline_seconds=args.budget_seconds,
-    )
     try:
-        sa = analyze_with_ladder(program, specs=specs, budget=budget,
+        sa = analyze_with_ladder(program, specs=specs, budget=_budget(args),
                                  strict=args.strict)
     except QueryFailed as err:
         print(f"error: {err}", file=sys.stderr)
@@ -448,6 +466,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_taint(args: argparse.Namespace) -> int:
+    from repro.clients.taint import TaintConfig, find_taint_flows
+    from repro.specs.serialize import specs_from_json
+
     program = _load_program(Path(args.file))
     specs = None
     if args.specs:
@@ -488,8 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serve.loadgen import LoadConfig, run_load
 
     host, port = args.connect
@@ -531,8 +550,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     """A scaled-down, single-command tour of the paper's evaluation."""
     from repro.baselines import default_dynamic_registry, run_atlas
     from repro.baselines.atlas import STATUS_FRESH, STATUS_NO_CONSTRUCTOR
+    from repro.corpus import (CorpusConfig, CorpusGenerator, java_registry,
+                              mine_directory, python_registry)
     from repro.eval import precision_recall_curve
     from repro.eval.tables import format_table, tab3_rows
+    from repro.mining import MiningConfig, MiningEngine
 
     out: List[str] = []
     mining_rows: List[List[str]] = []
@@ -578,8 +600,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         ))
 
     if args.from_dir:
-        from repro.corpus import mine_directory
-
         print(f"[mined] mining {args.from_dir} ...")
         report = mine_directory(Path(args.from_dir),
                                 java_registry().signatures(),

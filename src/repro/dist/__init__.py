@@ -17,24 +17,19 @@ pickle from the first byte and peers are not authenticated: bind to
 loopback or a private network.
 """
 
-from repro.dist.coordinator import Coordinator, DistConfig
-from repro.dist.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    resolve_runner,
-    runner_ref,
-)
-from repro.dist.worker import run_worker
-from repro.mining.supervisor import MAX_FRAME_BYTES, ClusterStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterStats",
-    "Coordinator",
-    "DistConfig",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "resolve_runner",
-    "run_worker",
-    "runner_ref",
-]
+_LAZY = {
+    "ClusterStats": "repro.mining.supervisor",
+    "Coordinator": "repro.dist.coordinator",
+    "DistConfig": "repro.dist.coordinator",
+    "MAX_FRAME_BYTES": "repro.mining.supervisor",
+    "PROTOCOL_VERSION": "repro.dist.protocol",
+    "ProtocolError": "repro.dist.protocol",
+    "resolve_runner": "repro.dist.protocol",
+    "run_worker": "repro.dist.worker",
+    "runner_ref": "repro.dist.protocol",
+}
+
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)

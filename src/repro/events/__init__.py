@@ -5,6 +5,7 @@ points-to package, which itself needs the light-weight event
 primitives from :mod:`repro.events.events`.
 """
 
+from repro._lazy import lazy_exports
 from repro.events.events import RET, Event, Pos, Site
 
 __all__ = [
@@ -27,14 +28,4 @@ _LAZY = {
     "build_event_graph": "repro.events.graph",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.events' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -21,28 +21,23 @@ map/reduce job:
   injected worker faults (modulo quarantined toxic programs).
 """
 
-from repro.mining.cache import pipeline_fingerprint, program_fingerprint
-from repro.mining.engine import MiningConfig, MiningEngine, learn_sharded
-from repro.mining.partial import MiningReport, ShardMetrics, ShardPartial
-from repro.mining.sharding import ShardPlan, shard_of
-from repro.mining.supervisor import (
-    FailureLedger,
-    SupervisionConfig,
-    TaskScheduler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FailureLedger",
-    "MiningConfig",
-    "MiningEngine",
-    "MiningReport",
-    "ShardMetrics",
-    "ShardPartial",
-    "ShardPlan",
-    "SupervisionConfig",
-    "TaskScheduler",
-    "learn_sharded",
-    "pipeline_fingerprint",
-    "program_fingerprint",
-    "shard_of",
-]
+_LAZY = {
+    "FailureLedger": "repro.mining.supervisor",
+    "MiningConfig": "repro.mining.engine",
+    "MiningEngine": "repro.mining.engine",
+    "MiningReport": "repro.mining.partial",
+    "ShardMetrics": "repro.mining.partial",
+    "ShardPartial": "repro.mining.partial",
+    "ShardPlan": "repro.mining.sharding",
+    "SupervisionConfig": "repro.mining.supervisor",
+    "TaskScheduler": "repro.mining.supervisor",
+    "learn_sharded": "repro.mining.engine",
+    "pipeline_fingerprint": "repro.mining.cache",
+    "program_fingerprint": "repro.mining.cache",
+    "shard_of": "repro.mining.sharding",
+}
+
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -27,7 +27,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from repro.model.features import EncodedSample
 #: examples in stream order, shuffle seed)
 LaneModel = Tuple[int, Sequence[int], int]
 
-#: steps whose per-element gather indices are built in one batch (the
-#: lanes' step schedules themselves are built whole)
+#: steps built, and gathered, in one batch: each lane's schedule is
+#: built a chunk at a time as the loop reaches it
 CHUNK_STEPS = 256
 
 
@@ -153,27 +153,48 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _lane_schedule(
+def _lane_epochs(
     lane: Sequence[LaneModel], epochs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(block offset, example id) of every step of one lane, in step
-    order.
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(block offset, example ids) of each epoch of each model of one
+    lane, in step order.
 
     Each model reshuffles its example positions once per epoch with a
     ``random.Random(seed)`` of its own.
     """
-    offsets: List[np.ndarray] = [np.empty(0, np.int64)]
-    ids: List[np.ndarray] = [np.empty(0, np.int64)]
     for offset, examples, seed in lane:
         examples = np.asarray(examples, dtype=np.int64)
         rng = random.Random(seed)
         order = list(range(len(examples)))
         for _ in range(epochs):
             rng.shuffle(order)
-            ids.append(examples[order])
-        offsets.append(
-            np.full(epochs * len(examples), offset, dtype=np.int64))
-    return np.concatenate(offsets), np.concatenate(ids)
+            yield offset, examples[order]
+
+
+class _LaneSteps:
+    """One lane's steps, built an epoch at a time as training reaches
+    them, so a lane never holds more than one model's epoch."""
+
+    def __init__(self, lane: Sequence[LaneModel], epochs: int) -> None:
+        self.n_steps = epochs * sum(len(ids) for _, ids, _ in lane)
+        self._epochs = _lane_epochs(lane, epochs)
+        self._offset, self._ids = 0, np.empty(0, np.int64)
+
+    def fill(self, offsets: np.ndarray, ids: np.ndarray) -> None:
+        """Write the lane's next steps into ``offsets`` and ``ids``,
+        leaving the cells past its last step as they are."""
+        done = 0
+        while done < len(ids):
+            if not len(self._ids):
+                epoch = next(self._epochs, None)
+                if epoch is None:
+                    return
+                self._offset, self._ids = epoch
+            n = min(len(ids) - done, len(self._ids))
+            offsets[done:done + n] = self._offset
+            ids[done:done + n] = self._ids[:n]
+            self._ids = self._ids[n:]
+            done += n
 
 
 def pack_lanes(models: Sequence[LaneModel]) -> List[List[LaneModel]]:
@@ -317,28 +338,30 @@ def run_lanes(
     operation of any single model.  The Adagrad accumulator has the
     layout of ``weights``.
     """
-    schedules = [_lane_schedule(lane, config.epochs) for lane in lanes]
-    n_steps = max((len(ids) for _, ids in schedules), default=0)
+    steps = [_LaneSteps(lane, config.epochs) for lane in lanes]
+    n_steps = max((lane.n_steps for lane in steps), default=0)
     if not n_steps:
         return
-    n_lanes = len(schedules)
-    # idle steps gather cell 0, a zero column, possibly in several
-    # lanes at once; every write leaves that cell as it was
-    step_offsets = np.zeros((n_steps, n_lanes), np.int64)
-    step_ids = np.full((n_steps, n_lanes), examples.idle, np.int64)
-    for j, (offsets, ids) in enumerate(schedules):
-        step_offsets[:len(offsets), j] = offsets
-        step_ids[:len(ids), j] = ids
+    n_lanes = len(steps)
+    step_offsets = np.empty((CHUNK_STEPS, n_lanes), np.int64)
+    step_ids = np.empty((CHUNK_STEPS, n_lanes), np.int64)
 
     grad_sq = np.full(weights.shape, 1e-8)
     w_flat = weights.reshape(-1)
     g_flat = grad_sq.reshape(-1)
     lr, l2 = config.learning_rate, config.l2
     for t0 in range(0, n_steps, CHUNK_STEPS):
-        # the chunk's (step, lane) pairs, step-major, and their
-        # elements: one flat weight index per gathered column
-        pair_offset = step_offsets[t0:t0 + CHUNK_STEPS].ravel()
-        pair_id = step_ids[t0:t0 + CHUNK_STEPS].ravel()
+        # the chunk's (step, lane) pairs, step-major: idle steps gather
+        # cell 0, a zero column, possibly in several lanes at once, and
+        # every write leaves that cell as it was
+        size = min(CHUNK_STEPS, n_steps - t0)
+        step_offsets[:size] = 0
+        step_ids[:size] = examples.idle
+        for j, lane in enumerate(steps):
+            lane.fill(step_offsets[:size, j], step_ids[:size, j])
+        # and their elements: one flat weight index per gathered column
+        pair_offset = step_offsets[:size].ravel()
+        pair_id = step_ids[:size].ravel()
         counts = examples.lengths[pair_id] + 1
         pair_end = np.cumsum(counts)
         pair_start = pair_end - counts

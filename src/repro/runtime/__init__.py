@@ -9,95 +9,50 @@ so all of it is testable.  A killed run resumes through the mining
 engine's durable store (:mod:`repro.store`).
 """
 
-from repro.runtime.budget import Budget, BudgetMeter
-from repro.runtime.checkpoint import program_key
-from repro.runtime.errors import (
-    BUDGET_EXCEEDED,
-    LOWERING_FAILURE,
-    MALFORMED_CLASSFILE,
-    PARSE_FAILURE,
-    READ_FAILURE,
-    SOLVER_CRASH,
-    TAXONOMY,
-    UNSUPPORTED_BYTECODE,
-    WORKER_CRASH,
-    WORKER_TIMEOUT,
-    BudgetExceeded,
-    LoweringFailure,
-    ParseFailure,
-    RuntimeFault,
-    SolverCrash,
-    WorkerCrash,
-    WorkerTimeout,
-    classify_error,
-)
-from repro.runtime.executor import (
-    CorpusExecutor,
-    CorpusRunReport,
-    ProgramOutcome,
-    RuntimeConfig,
-)
-from repro.runtime.faults import (
-    FaultPlan,
-    FaultSpec,
-    SimulatedCrash,
-    STAGES,
-    arm,
-    armed,
-)
-from repro.runtime.ladder import (
-    DEFAULT_LADDER,
-    LadderTier,
-    TIER_CONTEXT_INSENSITIVE,
-    TIER_CONTEXT_SENSITIVE,
-    TIER_FIELD_INSENSITIVE,
-    TIER_QUARANTINE,
-)
-from repro.runtime.manifest import (
-    QuarantineEntry,
-    QuarantineManifest,
-    TierAttempt,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "BudgetMeter",
-    "BudgetExceeded",
-    "BUDGET_EXCEEDED",
-    "arm",
-    "armed",
-    "classify_error",
-    "CorpusExecutor",
-    "CorpusRunReport",
-    "DEFAULT_LADDER",
-    "FaultPlan",
-    "FaultSpec",
-    "LadderTier",
-    "LoweringFailure",
-    "LOWERING_FAILURE",
-    "MALFORMED_CLASSFILE",
-    "ParseFailure",
-    "PARSE_FAILURE",
-    "program_key",
-    "ProgramOutcome",
-    "QuarantineEntry",
-    "QuarantineManifest",
-    "READ_FAILURE",
-    "RuntimeConfig",
-    "RuntimeFault",
-    "SimulatedCrash",
-    "SolverCrash",
-    "SOLVER_CRASH",
-    "STAGES",
-    "TAXONOMY",
-    "TIER_CONTEXT_INSENSITIVE",
-    "TIER_CONTEXT_SENSITIVE",
-    "TIER_FIELD_INSENSITIVE",
-    "TIER_QUARANTINE",
-    "TierAttempt",
-    "UNSUPPORTED_BYTECODE",
-    "WORKER_CRASH",
-    "WORKER_TIMEOUT",
-    "WorkerCrash",
-    "WorkerTimeout",
-]
+_LAZY = {
+    "Budget": "repro.runtime.budget",
+    "BudgetMeter": "repro.runtime.budget",
+    "BudgetExceeded": "repro.runtime.errors",
+    "BUDGET_EXCEEDED": "repro.runtime.errors",
+    "arm": "repro.runtime.faults",
+    "armed": "repro.runtime.faults",
+    "classify_error": "repro.runtime.errors",
+    "CorpusExecutor": "repro.runtime.executor",
+    "CorpusRunReport": "repro.runtime.executor",
+    "DEFAULT_LADDER": "repro.runtime.ladder",
+    "FaultPlan": "repro.runtime.faults",
+    "FaultSpec": "repro.runtime.faults",
+    "LadderTier": "repro.runtime.ladder",
+    "LoweringFailure": "repro.runtime.errors",
+    "LOWERING_FAILURE": "repro.runtime.errors",
+    "MALFORMED_CLASSFILE": "repro.runtime.errors",
+    "ParseFailure": "repro.runtime.errors",
+    "PARSE_FAILURE": "repro.runtime.errors",
+    "program_key": "repro.runtime.checkpoint",
+    "ProgramOutcome": "repro.runtime.executor",
+    "QuarantineEntry": "repro.runtime.manifest",
+    "QuarantineManifest": "repro.runtime.manifest",
+    "READ_FAILURE": "repro.runtime.errors",
+    "RuntimeConfig": "repro.runtime.executor",
+    "RuntimeFault": "repro.runtime.errors",
+    "SimulatedCrash": "repro.runtime.faults",
+    "SolverCrash": "repro.runtime.errors",
+    "SOLVER_CRASH": "repro.runtime.errors",
+    "STAGES": "repro.runtime.faults",
+    "TAXONOMY": "repro.runtime.errors",
+    "TIER_CONTEXT_INSENSITIVE": "repro.runtime.ladder",
+    "TIER_CONTEXT_SENSITIVE": "repro.runtime.ladder",
+    "TIER_FIELD_INSENSITIVE": "repro.runtime.ladder",
+    "TIER_QUARANTINE": "repro.runtime.ladder",
+    "TierAttempt": "repro.runtime.manifest",
+    "UNSUPPORTED_BYTECODE": "repro.runtime.errors",
+    "WORKER_CRASH": "repro.runtime.errors",
+    "WORKER_TIMEOUT": "repro.runtime.errors",
+    "WorkerCrash": "repro.runtime.errors",
+    "WorkerTimeout": "repro.runtime.errors",
+}
+
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)

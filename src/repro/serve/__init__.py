@@ -12,25 +12,24 @@ fail only through the process's one fault plan (``USPEC_FAULTS``),
 which every query payload carries.
 """
 
-from repro.serve.admission import AdmissionQueue, CircuitBreaker, ServeStats
-from repro.serve.pool import AnalysisPool, PoolClosed
-from repro.serve.query import (QueryFailed, QueryPayload, SnippetAnalysis,
-                               analyze_with_ladder, parse_snippet, run_query)
-from repro.serve.server import ServeConfig, SpecServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "AnalysisPool",
-    "CircuitBreaker",
-    "PoolClosed",
-    "QueryFailed",
-    "QueryPayload",
-    "ServeConfig",
-    "ServeStats",
-    "SnippetAnalysis",
-    "SpecServer",
-    "analyze_with_ladder",
-    "parse_snippet",
-    "run_query",
-    "serve",
-]
+_LAZY = {
+    "AdmissionQueue": "repro.serve.admission",
+    "AnalysisPool": "repro.serve.pool",
+    "CircuitBreaker": "repro.serve.admission",
+    "PoolClosed": "repro.serve.pool",
+    "QueryFailed": "repro.serve.query",
+    "QueryPayload": "repro.serve.query",
+    "ServeConfig": "repro.serve.server",
+    "ServeStats": "repro.serve.admission",
+    "SnippetAnalysis": "repro.serve.query",
+    "SpecServer": "repro.serve.server",
+    "analyze_with_ladder": "repro.serve.query",
+    "parse_snippet": "repro.serve.query",
+    "run_query": "repro.serve.query",
+    "serve": "repro.serve.server",
+}
+
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)

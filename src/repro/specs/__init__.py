@@ -11,6 +11,7 @@ Only :mod:`patterns` is imported eagerly — the points-to package needs
 it and must not drag in the full learning stack.
 """
 
+from repro._lazy import lazy_exports
 from repro.specs.patterns import RetArg, RetRecv, RetSame, Spec, SpecSet, api_class_of
 
 __all__ = [
@@ -61,14 +62,4 @@ _LAZY = {
     "USpecPipeline": "repro.specs.pipeline",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.specs' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -13,25 +13,22 @@ Every durable writer crosses the write points of
 :mod:`repro.runtime.faults`, so an armed fault plan can crash it at
 any of them.
 """
-from repro.store.journal import QuarantinedRecord, RecordJournal, RecoveryReport
-from repro.store.snapshot import (
-    SnapshotCorrupt,
-    load_snapshot,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.store.stats import SpecDrift, StatsStore, StoredProgram, spec_key
 
-__all__ = [
-    "QuarantinedRecord",
-    "RecordJournal",
-    "RecoveryReport",
-    "SnapshotCorrupt",
-    "SpecDrift",
-    "StatsStore",
-    "StoredProgram",
-    "load_snapshot",
-    "read_snapshot",
-    "spec_key",
-    "write_snapshot",
-]
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "QuarantinedRecord": "repro.store.journal",
+    "RecordJournal": "repro.store.journal",
+    "RecoveryReport": "repro.store.journal",
+    "SnapshotCorrupt": "repro.store.snapshot",
+    "SpecDrift": "repro.store.stats",
+    "StatsStore": "repro.store.stats",
+    "StoredProgram": "repro.store.stats",
+    "load_snapshot": "repro.store.snapshot",
+    "read_snapshot": "repro.store.snapshot",
+    "spec_key": "repro.store.stats",
+    "write_snapshot": "repro.store.snapshot",
+}
+
+__all__ = list(_LAZY)
+__getattr__ = lazy_exports(__name__, _LAZY)
