@@ -445,8 +445,7 @@ def test_serve_chaos_latency(benchmark, tmp_path):
     warm_path = tmp_path / "warm.usps"
     serve_config = dict(
         port=0, specs_path=str(specs_path), workers=2, max_queue=8,
-        mp_context="fork", header_timeout=1.0,
-        warm_path=str(warm_path),
+        header_timeout=1.0, warm_path=str(warm_path),
     )
 
     def boot_daemon(server):

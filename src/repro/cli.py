@@ -19,10 +19,9 @@ processes, ``--store-dir`` makes re-runs incremental, and the learned
 specifications are byte-identical for any ``--jobs``/``--shards``
 setting.
 
-Each command imports its own dependencies when it runs.  A spawn-
-context pool worker of ``uspec serve`` re-runs this module as
-``__mp_main__`` before its first job, so the module itself imports
-only what ``main`` needs: no numpy, no mining engine, no store.
+Each command imports its own dependencies when it runs, so the module
+itself imports only what ``main`` needs: no numpy, no mining engine,
+no store.
 """
 
 from __future__ import annotations
@@ -501,7 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_entries=args.cache_entries,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        mp_context=args.mp_context,
         warm_path=args.warm_snapshot,
     )
     asyncio.run(serve(config))
@@ -976,11 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "startup — a rolling restart answers its "
                           "first query from the previous process's "
                           "reply cache instead of cold-starting")
-    srv.add_argument("--mp-context", default="spawn",
-                     choices=("spawn", "fork", "forkserver"),
-                     help="multiprocessing start method for analysis "
-                          "workers (default spawn: respawned workers "
-                          "must not inherit live client sockets)")
     srv.set_defaults(func=_cmd_serve)
 
     lg = sub.add_parser(

@@ -7,14 +7,14 @@ module reuses the supervisor's child loop
 (:func:`repro.mining.supervisor._pool_main` — the exact process the
 mining engine supervises, with its one job contract: one ``(runner,
 payload, attempt)`` frame, one reply) and rebuilds the *parent* side
-for an event loop: pipes are registered with ``loop.add_reader``
+for an event loop: sockets are registered with ``loop.add_reader``
 instead of ``connection.wait`` polling, and each in-flight job gets a
 ``call_later`` watchdog instead of a scheduler sweep.  Worker faults
 come only from the fault plan a job's payload carries.
 
 Failure detection is the supervisor's taxonomy, one-shot per request:
 
-* **EOF on the pipe** → the child died mid-job → the waiting future
+* **EOF on the socket** → the child died mid-job → the waiting future
   gets :class:`~repro.runtime.errors.WorkerCrash` and the worker is
   respawned.  Every *other* in-flight request has its own worker and
   never notices.
@@ -22,18 +22,18 @@ Failure detection is the supervisor's taxonomy, one-shot per request:
   :class:`~repro.runtime.errors.WorkerTimeout`, respawn.
 * **shape validation fails** → the reply is treated as corrupt
   (:class:`~repro.runtime.errors.WorkerCrash` with a corrupt label,
-  counted in ``corrupt``) — a garbled pipe is indistinguishable from a
+  counted in ``corrupt``) — a garbled socket is indistinguishable from a
   garbled worker.
 
 Retry policy deliberately does *not* live here: the pool reports each
 failure once, and the server decides whether to retry, serve a cached
 reply, or trip the circuit breaker.
 
-A fresh spawn-context worker pays its interpreter boot and imports on
+Each worker is a fresh interpreter (:func:`worker_command`), started
+without spawn's resource tracker, that pays its boot and imports on
 its first job, so the pool sends every spawned or respawned worker a
 ``warmup`` job before any request.  A worker takes requests, and
-counts towards :attr:`AnalysisPool.healthy`, only once it has answered
-it.
+counts towards :attr:`AnalysisPool.healthy`, only once it has answered.
 """
 
 from __future__ import annotations
@@ -41,14 +41,30 @@ from __future__ import annotations
 import asyncio
 import collections
 import itertools
-import multiprocessing
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+import socket
+import subprocess
+import sys
+from multiprocessing.connection import Connection
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.mining.supervisor import _pool_main
 from repro.runtime.errors import WorkerCrash, WorkerTimeout
 
 #: shape-validation failures carry this prefix (tested by the server)
 CORRUPT_PREFIX = "corrupt reply"
+
+#: a pool worker's program; importing this module would load asyncio
+_WORKER_MAIN = ("import sys; sys.path[:] = sys.argv[2:]; "
+                "from multiprocessing.connection import Connection; "
+                "from repro.mining.supervisor import _pool_main; "
+                "_pool_main(Connection(int(sys.argv[1])))")
+
+
+def worker_command(fd: int) -> List[str]:
+    """A pool worker's command line: this interpreter, with the flags
+    spawn would pass it and this process's ``sys.path``, running the
+    supervisor's job loop on socket ``fd``."""
+    return [sys.executable, *subprocess._args_from_interpreter_flags(),
+            "-c", _WORKER_MAIN, str(fd), *sys.path]
 
 
 class PoolClosed(RuntimeError):
@@ -56,7 +72,7 @@ class PoolClosed(RuntimeError):
 
 
 class _Worker:
-    """One supervised child process plus its parent-side pipe."""
+    """One supervised child process plus its parent-side socket."""
 
     __slots__ = ("label", "process", "conn", "job", "warm")
 
@@ -90,7 +106,6 @@ class AnalysisPool:
         size: int = 2,
         *,
         warmup: Callable[[], Tuple[Callable, Any]],
-        ctx_name: str = "fork",
         validator: Optional[Callable[[object], bool]] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
@@ -100,10 +115,6 @@ class AnalysisPool:
         self.validator = validator
         self.warmup = warmup
         self._loop = loop or asyncio.get_event_loop()
-        try:
-            self._ctx = multiprocessing.get_context(ctx_name)
-        except ValueError:
-            self._ctx = multiprocessing.get_context()
         self._workers: Dict[str, _Worker] = {}
         self._idle: Deque[str] = collections.deque()
         self._backlog: Deque[Tuple[asyncio.Future, object, object,
@@ -125,12 +136,14 @@ class AnalysisPool:
 
     def _spawn(self) -> _Worker:
         label = f"serve-w{next(self._labels)}.g{next(self._generation)}"
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_pool_main, args=(child_conn,), daemon=True, name=label,
-        )
-        process.start()
-        child_conn.close()
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            # close_fds: a respawned worker holding dups of live client
+            # sockets would keep them half-open after the daemon closes
+            process = subprocess.Popen(
+                worker_command(theirs.fileno()), stdin=subprocess.DEVNULL,
+                close_fds=True, pass_fds=(theirs.fileno(),))
+            parent_conn = Connection(ours.detach())
         worker = _Worker(label, process, parent_conn)
         self._workers[label] = worker
         runner, payload = self.warmup()
@@ -142,8 +155,8 @@ class AnalysisPool:
                               self._on_readable, label)
         return worker
 
-    def _discard(self, worker: _Worker, *, kill: bool = True) -> None:
-        """Tear one worker down (reader, pipe, process)."""
+    def _discard(self, worker: _Worker) -> None:
+        """Tear one worker down (reader, socket, process)."""
         try:
             self._loop.remove_reader(worker.conn.fileno())
         except (OSError, ValueError):
@@ -152,8 +165,8 @@ class AnalysisPool:
             worker.conn.close()
         except OSError:
             pass
-        if kill and worker.process.is_alive():
-            worker.process.kill()
+        worker.process.kill()  # skips a worker that has exited
+        worker.process.wait()
         self._workers.pop(worker.label, None)
         try:
             self._idle.remove(worker.label)
@@ -297,7 +310,7 @@ class AnalysisPool:
     @property
     def alive(self) -> int:
         return sum(1 for w in self._workers.values()
-                   if w.process.is_alive())
+                   if w.process.poll() is None)
 
     @property
     def busy_count(self) -> int:
@@ -310,7 +323,7 @@ class AnalysisPool:
     @property
     def healthy(self) -> bool:
         warm = sum(1 for w in self._workers.values()
-                   if w.warm and w.process.is_alive())
+                   if w.warm and w.process.poll() is None)
         return not self._closed and warm >= max(1, self.size // 2)
 
     def stats(self) -> Dict[str, int]:

@@ -92,11 +92,6 @@ class ServeConfig:
     cache_entries: int = 1024
     breaker_threshold: int = 5
     breaker_cooldown: float = 2.0
-    #: "spawn", deliberately not the mining default "fork": a worker
-    #: respawned mid-run would otherwise inherit dups of every live
-    #: client socket, keeping connections half-open after the server
-    #: closes them (clients waiting on EOF hang for their timeout)
-    mp_context: str = "spawn"
     #: warm-restart snapshot file: written on drain + after reloads,
     #: loaded on startup (None = cold starts only)
     warm_path: Optional[str] = None
@@ -258,7 +253,6 @@ class SpecServer:
         self._loop = asyncio.get_running_loop()
         self.pool = AnalysisPool(
             self.config.workers,
-            ctx_name=self.config.mp_context,
             validator=q.valid_reply,
             warmup=self._warmup_job,
             loop=self._loop,

@@ -3,33 +3,42 @@
 A ``uspec serve`` daemon and its pool workers run only the spec-
 augmented points-to analysis, so neither may load the learner: numpy,
 the model, the mining engine, the store, the corpus generator or the
-classfile frontend.  A spawn-context pool worker re-runs the daemon's
-main module (``repro.cli``) as ``__mp_main__`` and then imports
-``repro.mining.supervisor`` for its loop and ``repro.serve.query`` for
-its jobs; none of them may pull in asyncio either, except the daemon.
-A ``uspec worker`` is the opposite case: the engine holds the only
-runner a coordinator sends, so the worker imports it before it
-registers, and the import never lands inside a timed task.  Packages
-export heavy names lazily (:mod:`repro._lazy`); every export must
-still resolve, and a learn run must import nothing once the engine is
-imported.
+classfile frontend.  The daemon starts each pool worker itself
+(:func:`repro.serve.pool.worker_command`): a fresh interpreter that
+imports ``repro.mining.supervisor`` for its loop and
+``repro.serve.query`` for its jobs, and nothing of the daemon's own:
+no asyncio, no ``repro.cli``, and no ``multiprocessing`` spawn
+machinery, so no resource tracker joins the daemon's process group.
+``repro.cli`` itself imports each command's dependencies when the
+command runs.  A ``uspec worker`` is the opposite case: the engine
+holds the only runner a coordinator sends, so the worker imports it
+before it registers, and the import never lands inside a timed task.
+Packages export heavy names lazily (:mod:`repro._lazy`); every export
+must still resolve, and a learn run must import nothing once the
+engine is imported.
 """
 
+import contextlib
 import importlib
 import json
 import os
 import pkgutil
 import re
 import signal
+import socket
 import subprocess
 import sys
+import tempfile
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.serve.loadgen import http_request, post_query
+from repro.serve.pool import worker_command
+from repro.serve.query import KIND_ALIAS, QueryPayload, warm_up
 from repro.specs.patterns import RetSame, SpecSet
 from repro.specs.serialize import specs_to_json
 
@@ -59,10 +68,48 @@ def _loaded(modules, names):
                   if m == name or m.startswith(name + "."))
 
 
+#: the serve daemon's own machinery, which a pool worker never runs
+DAEMON_ONLY = ("asyncio", "repro.cli", "multiprocessing.spawn",
+               "multiprocessing.resource_tracker")
+
+#: the specs every serving process below is given
+SPECS_JSON = specs_to_json(SpecSet([RetSame(method="Dict.get")]))
+
+
+def _pool_worker_modules():
+    """Every module a serve pool worker has imported once it answers
+    its warm-up job: the launcher's exact command, its imports traced
+    by ``PYTHONPROFILEIMPORTTIME``."""
+    ours, theirs = socket.socketpair()
+    with tempfile.TemporaryFile("w+") as trace:
+        with theirs:
+            worker = subprocess.Popen(
+                worker_command(theirs.fileno()),
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL, stderr=trace,
+                env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"))
+        with Connection(ours.detach()) as conn:
+            conn.send((warm_up, QueryPayload(
+                kind=KIND_ALIAS, language="python", code="",
+                specs_json=SPECS_JSON, specs_digest="specs"), 0))
+            assert conn.recv() == ("ok", None)
+        assert worker.wait(timeout=60) == 0  # EOF ends its loop
+        trace.seek(0)
+        lines = trace.read().splitlines()
+    return [line.rsplit("|", 1)[1].strip() for line in lines
+            if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize("module", [
     "repro.cli", "repro.mining.supervisor", "repro.serve.query",
+    "serve pool worker",
 ])
 def test_serving_modules_import_no_learner(module):
+    if module == "serve pool worker":
+        modules = _pool_worker_modules()
+        assert "repro.serve.query" in modules
+        assert _loaded(modules, LEARNER + DAEMON_ONLY) == []
+        return
     modules = json.loads(_python(
         f"import json, sys, {module}; print(json.dumps(list(sys.modules)))"))
     assert _loaded(modules, LEARNER + ("asyncio",)) == []
@@ -83,16 +130,26 @@ def _group_members(pgid: int):
     return members
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
-                    reason="reads /proc/<pid>/maps (Linux)")
-def test_serve_daemon_and_pool_workers_map_no_numpy(tmp_path):
+def _cmdline(pid: int) -> str:
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes() \
+            .replace(b"\0", b" ").decode(errors="replace")
+    except OSError:
+        return ""
+
+
+@contextlib.contextmanager
+def _serve_group(tmp_path, faults: str = ""):
+    """``uspec serve --workers 2`` under fault plan ``faults``, in its
+    own process group: its Popen, host and port once ``/readyz``
+    answers 200.  Whatever is left of the group is killed on exit."""
     specs = tmp_path / "specs.json"
-    specs.write_text(specs_to_json(SpecSet([RetSame(method="Dict.get")])))
+    specs.write_text(SPECS_JSON)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--bind",
          "127.0.0.1:0", "--specs", str(specs), "--workers", "2"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        env=_env(), start_new_session=True,
+        env=dict(_env(), USPEC_FAULTS=faults), start_new_session=True,
     )
     try:
         line = proc.stderr.readline()
@@ -103,17 +160,7 @@ def test_serve_daemon_and_pool_workers_map_no_numpy(tmp_path):
         while http_request(host, port, "GET", "/readyz")[0] != 200:
             assert time.monotonic() < deadline, "daemon never got ready"
             time.sleep(0.02)
-        status, _ = post_query(host, port, "alias",
-                               'd = dict()\nx = d.get("a")\n')
-        assert status == 200
-        members = _group_members(proc.pid)
-        # the daemon and both pool workers (spawn adds its resource
-        # tracker)
-        assert len(members) >= 3, members
-        for pid in members:
-            maps = Path(f"/proc/{pid}/maps").read_text()
-            assert "/numpy/" not in maps, \
-                Path(f"/proc/{pid}/cmdline").read_text()
+        yield proc, host, port
     finally:
         proc.send_signal(signal.SIGTERM)
         try:
@@ -124,6 +171,53 @@ def test_serve_daemon_and_pool_workers_map_no_numpy(tmp_path):
             except ProcessLookupError:
                 pass
             proc.stderr.close()
+
+
+def _assert_daemon_and_two_workers(pgid: int) -> None:
+    members = _group_members(pgid)
+    cmdlines = {pid: _cmdline(pid) for pid in members}
+    assert len(members) == 3, cmdlines
+    for cmdline in cmdlines.values():
+        assert "multiprocessing.resource_tracker" not in cmdline, cmdline
+        assert "spawn_main" not in cmdline, cmdline
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="reads /proc/<pid>/maps (Linux)")
+def test_serve_daemon_and_pool_workers_map_no_numpy(tmp_path):
+    """The group is the daemon and its two workers, at ``/readyz`` and
+    after a worker killed mid-request is replaced."""
+    marker = "crash_here"
+    with _serve_group(tmp_path, f"kill:{marker}:1") as (proc, host, port):
+        status, _ = post_query(host, port, "alias",
+                               'd = dict()\nx = d.get("a")\n')
+        assert status == 200
+        _assert_daemon_and_two_workers(proc.pid)
+        for pid in _group_members(proc.pid):
+            maps = Path(f"/proc/{pid}/maps").read_text()
+            assert "/numpy/" not in maps, _cmdline(pid)
+        status, _ = post_query(host, port, "alias",
+                               f'd = dict()\n{marker} = d.get("a")\n')
+        assert status == 200  # answered by the daemon's one retry
+        pool = http_request(host, port, "GET", "/statz")[1]["pool"]
+        assert (pool["crashes"], pool["respawns"]) == (1, 1)
+        _assert_daemon_and_two_workers(proc.pid)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads /proc/<pid>/stat (Linux)")
+def test_killed_daemon_leaves_no_worker_behind(tmp_path):
+    """A worker reads EOF on its socket once the daemon is gone, so
+    SIGKILL to the daemon alone ends the whole group."""
+    with _serve_group(tmp_path) as (proc, _, _):
+        assert set(_group_members(proc.pid)) > {proc.pid}
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _group_members(proc.pid):
+            assert time.monotonic() < deadline, \
+                [_cmdline(pid) for pid in _group_members(proc.pid)]
+            time.sleep(0.05)
 
 
 #: ``uspec worker`` against a listener that never answers: the hello

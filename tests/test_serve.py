@@ -318,9 +318,6 @@ def serve_daemon(**overrides):
     yielded once ``/readyz`` says ready (as a client waits for it)."""
     overrides.setdefault("port", 0)
     overrides.setdefault("workers", 2)
-    # fork keeps worker boot fast in tests; the loadgen client reads
-    # Content-Length so inherited-fd EOF delays cannot bite here
-    overrides.setdefault("mp_context", "fork")
     overrides.setdefault("header_timeout", 1.0)
     config = ServeConfig(**overrides)
     server = SpecServer(config)
@@ -379,13 +376,12 @@ def _parsed_specs(payload, attempt=0):
 
 
 def test_serve_ready_only_once_workers_have_warmed(tmp_path):
-    """A spawn-context worker imports the query path and parses the
-    specs on its warm-up job.  Until one has, /readyz is not ready and
+    """A fresh pool worker imports the query path and parses the specs
+    on its warm-up job.  Until one has, /readyz is not ready and
     no job reaches it, so no request pays for a cold worker."""
     specs_path = tmp_path / "specs.json"
     specs_path.write_text(_specs_fixture_text())
-    with serve_daemon(specs_path=str(specs_path),
-                      mp_context="spawn") as (server, host, port):
+    with serve_daemon(specs_path=str(specs_path)) as (server, host, port):
 
         async def probe():
             return await asyncio.gather(*(
