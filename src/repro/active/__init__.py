@@ -10,7 +10,7 @@ Bastani et al., *Active Learning of Points-To Specifications*:
 * :mod:`synthesis` directs :mod:`repro.corpus.generator` to emit a
   validated aliasing-path / non-aliasing-path program pair per
   candidate;
-* :mod:`refine` runs synthesize → mine (``--append`` through the
+* :mod:`refine` runs synthesize → mine (incrementally, through the
   journaled :class:`repro.store.StatsStore`) → retrain → measure
   generations with a stopping rule, crash-consistent resume, and a
   deterministic machine-readable :class:`~repro.active.refine.RefinementReport`.

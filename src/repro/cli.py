@@ -134,9 +134,10 @@ def _mining_config(args: argparse.Namespace):
 def _parse_endpoint(text: str):
     """``host:port`` → (host, port) for --bind / --connect."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdigit() or int(port) > 65535:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not host:port (e.g. 127.0.0.1:7777)"
+            f"{text!r} is not host:port with a port in 0-65535 "
+            f"(e.g. 127.0.0.1:7777)"
         )
     return host or "127.0.0.1", int(port)
 
@@ -246,38 +247,24 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         for path, reason in report.skipped[:5]:
             print(f"  skipped {path}: {reason}")
         programs = report.programs
-        if not programs:
-            print("error: nothing to learn from", file=sys.stderr)
-            return EXIT_ERROR
     else:
         generator = CorpusGenerator(
             registry, CorpusConfig(n_files=args.files, seed=args.seed)
         )
         print(f"generating and parsing {args.files} {args.language} files...")
         programs = generator.programs()
+    if not programs:
+        print("error: nothing to learn from", file=sys.stderr)
+        return EXIT_ERROR
     print("learning specifications (analysis → model → candidates → "
           "selection)...")
     config = PipelineConfig(
         runtime=RuntimeConfig(budget=_budget(args), strict=args.strict))
-    coordinator = _make_coordinator(args) if args.distributed else None
-    profiler = None
-    if getattr(args, "profile_out", None):
-        import cProfile
-
-        profiler = cProfile.Profile()
+    coordinator = _make_coordinator(args) \
+        if args.command == "coordinator" else None
     try:
-        engine = MiningEngine(config, _mining_config(args), coordinator)
-        if profiler is not None:
-            profiler.enable()
-            try:
-                learned = engine.learn(programs)
-            finally:
-                profiler.disable()
-                profiler.dump_stats(args.profile_out)
-                print(f"profile written to {args.profile_out} "
-                      f"(inspect with: python -m pstats {args.profile_out})")
-        else:
-            learned = engine.learn(programs)
+        learned = MiningEngine(config, _mining_config(args),
+                               coordinator).learn(programs)
     finally:
         if coordinator is not None:
             coordinator.close()
@@ -291,9 +278,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         for kind, count in run.manifest.by_kind().items():
             print(f"  {kind}: {count}")
     if args.quarantine_out and run is not None:
-        # timings=False: manifest bytes must not depend on wall-clock,
-        # so --jobs N and --jobs 1 runs write identical files
-        run.manifest.write(Path(args.quarantine_out), timings=False)
+        run.manifest.write(Path(args.quarantine_out))
         print(f"wrote quarantine manifest to {args.quarantine_out}")
     if args.drift_out and learned.mining is not None:
         payload = {
@@ -307,7 +292,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             durable=True,
         )
         print(f"wrote drift report to {args.drift_out}")
-    if run is not None and programs and run.n_ok == 0:
+    if run is not None and run.n_ok == 0:
         print("error: every corpus program was quarantined",
               file=sys.stderr)
         return EXIT_ALL_QUARANTINED
@@ -339,6 +324,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     print(f"generating {args.files} {args.language} base files "
           f"(seed {args.seed})...")
     base = generator.generate()
+    if not base:
+        print("error: nothing to learn from", file=sys.stderr)
+        return EXIT_ERROR
     refine_config = RefineConfig(
         tau=args.tau,
         band=args.tau_band,
@@ -496,10 +484,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         request_deadline=args.request_deadline,
         header_timeout=args.header_timeout,
-        drain_timeout=args.drain_timeout,
         cache_entries=args.cache_entries,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         warm_path=args.warm_snapshot,
     )
     asyncio.run(serve(config))
@@ -668,12 +653,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
     learn.add_argument("--quarantine-out", metavar="PATH",
                        help="write the quarantine manifest (JSON) of "
                             "programs that failed every analysis tier")
-    learn.add_argument("--profile-out", metavar="PATH",
-                       help="profile the learn pipeline with cProfile "
-                            "and dump the stats here (inspect with "
-                            "python -m pstats); covers the coordinator "
-                            "process only — worker time shows up as "
-                            "pipe waits")
     learn.add_argument("--strict", action="store_true",
                        help="fail fast on the first per-program failure "
                             "instead of degrading and quarantining "
@@ -690,8 +669,7 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "sequential, 4×jobs when parallel); "
                             "programs map to shards by a stable hash "
                             "of their source path")
-    learn.add_argument("--store-dir", "--cache-dir", "--checkpoint-dir",
-                       dest="store_dir", metavar="DIR",
+    learn.add_argument("--store-dir", metavar="DIR",
                        help="durable store: journals every program's "
                             "samples and match records, or its "
                             "quarantine verdict, as it settles (CRC-"
@@ -701,13 +679,8 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "A warm re-run, a resume after a kill and a "
                             "run after editing k files re-analyze only "
                             "the programs without a record, for any "
-                            "--jobs/--shards setting.  --cache-dir and "
-                            "--checkpoint-dir are other names for it")
-    learn.add_argument("--append", action="store_true",
-                       help="no effect: every --store-dir run is "
-                            "incremental (re-analyzes only new or edited "
-                            "programs and reports spec drift vs the "
-                            "previous generation); kept for old scripts")
+                            "--jobs/--shards setting, and report spec "
+                            "drift vs the previous generation")
     learn.add_argument("--drift-out", metavar="PATH",
                        help="write the spec drift report (gained/lost/"
                             "score-shifted vs the previous store "
@@ -737,26 +710,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
     learn.add_argument("--budget-seconds", type=_positive_float,
                        metavar="S",
                        help="soft wall-clock deadline per analysis stage")
-    learn.add_argument("--distributed", action="store_true",
-                       help="dispatch shard tasks to remote uspec "
-                            "workers instead of local processes (see "
-                            "--bind/--min-workers/--lease; equivalent "
-                            "to the 'coordinator' subcommand)")
-    learn.add_argument("--bind", type=_parse_endpoint,
-                       default=("127.0.0.1", 0), metavar="HOST:PORT",
-                       help="interface the coordinator listens on "
-                            "(default 127.0.0.1:0 = loopback, "
-                            "ephemeral port; the bound address is "
-                            "printed at startup)")
-    learn.add_argument("--min-workers", type=int, default=1, metavar="N",
-                       help="wait for N registered workers before "
-                            "dispatching (default 1)")
-    learn.add_argument("--lease", type=_positive_float, default=15.0,
-                       metavar="S",
-                       help="seconds a dispatched task survives without "
-                            "a worker heartbeat before it is "
-                            "re-dispatched and the silent worker "
-                            "dropped (default 15)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -779,12 +732,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     coord = sub.add_parser(
         "coordinator",
-        help="learn over a worker cluster (learn --distributed)",
+        help="learn over a cluster of remote uspec workers",
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_learn_arguments(coord)
-    coord.set_defaults(func=_cmd_learn, distributed=True)
+    coord.add_argument("--bind", type=_parse_endpoint,
+                       default=("127.0.0.1", 0), metavar="HOST:PORT",
+                       help="interface the coordinator listens on "
+                            "(default 127.0.0.1:0 = loopback, "
+                            "ephemeral port; the bound address is "
+                            "printed at startup)")
+    coord.add_argument("--min-workers", type=int, default=1, metavar="N",
+                       help="wait for N registered workers before "
+                            "dispatching (default 1)")
+    coord.add_argument("--lease", type=_positive_float, default=15.0,
+                       metavar="S",
+                       help="seconds a dispatched task survives without "
+                            "a worker heartbeat before it is "
+                            "re-dispatched and the silent worker "
+                            "dropped (default 15)")
+    coord.set_defaults(func=_cmd_learn)
 
     refine = sub.add_parser(
         "refine",
@@ -950,24 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slow-loris cutoff: 408 if a request head or "
                           "body takes longer than S to arrive "
                           "(default 5)")
-    srv.add_argument("--drain-timeout", type=float, default=10.0,
-                     metavar="S",
-                     help="SIGTERM grace: seconds to let in-flight "
-                          "requests finish before forcing shutdown "
-                          "(default 10)")
     srv.add_argument("--cache-entries", type=_non_negative_int,
                      default=1024, metavar="N",
                      help="replies cached by snippet content "
                           "fingerprint (default 1024, LRU; 0 = no "
                           "reply cache)")
-    srv.add_argument("--breaker-threshold", type=int, default=5,
-                     metavar="N",
-                     help="consecutive pool failures that open the "
-                          "circuit breaker (default 5)")
-    srv.add_argument("--breaker-cooldown", type=float, default=2.0,
-                     metavar="S",
-                     help="seconds the breaker stays open before "
-                          "probing the pool again (default 2)")
     srv.add_argument("--warm-snapshot", metavar="FILE",
                      help="warm-restart snapshot: written on SIGTERM "
                           "drain (and after SIGHUP reloads), loaded on "

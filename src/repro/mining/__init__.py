@@ -33,7 +33,6 @@ _LAZY = {
     "ShardPlan": "repro.mining.sharding",
     "SupervisionConfig": "repro.mining.supervisor",
     "TaskScheduler": "repro.mining.supervisor",
-    "learn_sharded": "repro.mining.engine",
     "pipeline_fingerprint": "repro.mining.cache",
     "program_fingerprint": "repro.mining.cache",
     "shard_of": "repro.mining.sharding",

@@ -122,8 +122,6 @@ class MiningConfig:
     jobs: int = 1
     #: shard count; None = 1 for sequential runs, jobs×4 for parallel
     shards: Optional[int] = None
-    #: multiprocessing start method; None = fork if available
-    mp_context: Optional[str] = None
     #: watchdog / retry / bisection policy
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig
@@ -150,12 +148,13 @@ class MiningConfig:
             else (1 if jobs == 1 else SHARDS_PER_JOB * jobs)
         return max(1, min(n, max(1, n_units)))
 
-    def resolve_context(self) -> multiprocessing.context.BaseContext:
-        method = self.mp_context
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        return multiprocessing.get_context(method)
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The local pool's start method: fork where the platform has it,
+    else its first method."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0])
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +475,7 @@ class MiningEngine:
             self.mining.supervision,
             strict=self.config.runtime.strict,
             ledger=ledger,
-            ctx=self.mining.resolve_context(),
+            ctx=pool_context(),
             jobs=pool_jobs,
         )
 
@@ -660,13 +659,3 @@ def _poison_analyze(payload: AnalyzeTask, label: str,
     metrics.n_programs = 1
     metrics.n_quarantined = 1
     return partial
-
-
-def learn_sharded(
-    programs: Sequence[Program],
-    config: Optional[PipelineConfig] = None,
-    mining: Optional[MiningConfig] = None,
-    coordinator: Optional["Coordinator"] = None,
-) -> LearnedSpecs:
-    """Convenience wrapper: one-call sharded learning."""
-    return MiningEngine(config, mining, coordinator).learn(programs)

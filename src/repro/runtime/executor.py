@@ -22,7 +22,6 @@ tier propagates, which is what you want in CI over a curated corpus.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from repro.events.history import HistoryBuilder, HistoryOptions
 from repro.ir.program import Program
 from repro.model.dataset import GraphBundle
 from repro.pointsto.analysis import PointsToOptions, analyze
-from repro.runtime.budget import Budget, Clock
+from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import program_key
 from repro.runtime.errors import classify_error
 from repro.runtime.faults import FaultPlan
@@ -72,7 +71,6 @@ class ProgramOutcome:
     source: Optional[str]
     attempts: List[TierAttempt] = field(default_factory=list)
     tier: str = TIER_QUARANTINE  # tier that succeeded, or "quarantine"
-    seconds: float = 0.0
     cached: bool = False  # satisfied from the durable store, not recomputed
 
     @property
@@ -125,8 +123,7 @@ class CorpusExecutor:
     """Runs corpus analysis under a :class:`RuntimeConfig` policy.
 
     ``faults`` is the plan whose stage and worker faults this executor
-    fires (default: none).  ``clock`` is injectable for deterministic
-    timings in tests; it must be monotone.
+    fires (default: none).
     """
 
     def __init__(
@@ -134,13 +131,11 @@ class CorpusExecutor:
         pointsto: Optional[PointsToOptions] = None,
         history: Optional[HistoryOptions] = None,
         runtime: Optional[RuntimeConfig] = None,
-        clock: Optional[Clock] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.pointsto = pointsto or PointsToOptions()
         self.history = history or HistoryOptions()
         self.runtime = runtime or RuntimeConfig()
-        self.clock: Clock = clock or time.monotonic
         self.faults = faults or FaultPlan()
 
     # ------------------------------------------------------------------
@@ -202,14 +197,12 @@ class CorpusExecutor:
         self, program: Program, key: str
     ) -> Tuple[ProgramOutcome, Optional[GraphBundle]]:
         outcome = ProgramOutcome(key=key, source=program.source)
-        started = self.clock()
         budget = self.runtime.budget
         # strict mode fails fast: first tier only, errors propagate
         ladder = self.runtime.ladder[:1] if self.runtime.strict \
             else self.runtime.ladder
         result: Optional[GraphBundle] = None
         for index, tier in enumerate(ladder):
-            tier_started = self.clock()
             try:
                 bundle = self._analyze_tier(program, key, tier, index,
                                             budget)
@@ -220,16 +213,12 @@ class CorpusExecutor:
                     tier=tier.name,
                     error_kind=classify_error(err),
                     error=f"{type(err).__name__}: {err}",
-                    seconds=self.clock() - tier_started,
                 ))
                 continue
-            outcome.attempts.append(TierAttempt(
-                tier=tier.name, seconds=self.clock() - tier_started,
-            ))
+            outcome.attempts.append(TierAttempt(tier=tier.name))
             outcome.tier = tier.name
             result = bundle
             break
-        outcome.seconds = self.clock() - started
         return outcome, result
 
     def _analyze_tier(
@@ -257,5 +246,4 @@ class CorpusExecutor:
             error_kind=last.error_kind or "SolverCrash",
             error=last.error or "",
             attempts=list(outcome.attempts),
-            seconds=outcome.seconds,
         )

@@ -3,11 +3,11 @@
 Every program the :class:`~repro.runtime.executor.CorpusExecutor`
 fails to analyse — after walking the whole degradation ladder — gets a
 :class:`QuarantineEntry` recording the taxonomy class of the final
-error, the full per-tier attempt trail, and timings.  The manifest is
-plain JSON so external tooling (and resumed runs) can consume it, and
-its serialisation is deterministic: entries are sorted by program key
-and timings are rounded, so identical runs produce byte-identical
-manifests (pair with an injected clock for fully reproducible tests).
+error and the full per-tier attempt trail.  The manifest is plain JSON
+so external tooling (and resumed runs) can consume it, and its
+serialisation is deterministic: it carries no wall-clock readings and
+entries are sorted by program key, so runs with any worker count
+produce byte-identical manifests.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.runtime.checkpoint import atomic_write_text
 
 SCHEMA_VERSION = 1
 
-_ROUND = 6  # seconds precision in the JSON output
-
 
 @dataclass
 class TierAttempt:
@@ -31,21 +29,17 @@ class TierAttempt:
     tier: str
     error_kind: Optional[str] = None  # None ⇒ this tier succeeded
     error: Optional[str] = None
-    seconds: float = 0.0
 
     @property
     def succeeded(self) -> bool:
         return self.error_kind is None
 
-    def to_dict(self, timings: bool = True) -> Dict:
-        payload = {
+    def to_dict(self) -> Dict:
+        return {
             "tier": self.tier,
             "error_kind": self.error_kind,
             "error": self.error,
         }
-        if timings:
-            payload["seconds"] = round(self.seconds, _ROUND)
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TierAttempt":
@@ -53,7 +47,6 @@ class TierAttempt:
             tier=data["tier"],
             error_kind=data.get("error_kind"),
             error=data.get("error"),
-            seconds=float(data.get("seconds", 0.0)),
         )
 
 
@@ -66,19 +59,15 @@ class QuarantineEntry:
     error_kind: str  # taxonomy label of the *final* attempt's error
     error: str
     attempts: List[TierAttempt] = field(default_factory=list)
-    seconds: float = 0.0
 
-    def to_dict(self, timings: bool = True) -> Dict:
-        payload = {
+    def to_dict(self) -> Dict:
+        return {
             "program": self.program,
             "source": self.source,
             "error_kind": self.error_kind,
             "error": self.error,
-            "attempts": [a.to_dict(timings) for a in self.attempts],
+            "attempts": [a.to_dict() for a in self.attempts],
         }
-        if timings:
-            payload["seconds"] = round(self.seconds, _ROUND)
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict) -> "QuarantineEntry":
@@ -88,7 +77,6 @@ class QuarantineEntry:
             error_kind=data["error_kind"],
             error=data.get("error", ""),
             attempts=[TierAttempt.from_dict(a) for a in data.get("attempts", [])],
-            seconds=float(data.get("seconds", 0.0)),
         )
 
 
@@ -118,15 +106,14 @@ class QuarantineManifest:
             counts[entry.error_kind] = counts.get(entry.error_kind, 0) + 1
         return dict(sorted(counts.items()))
 
-    def to_json(self, indent: int = 2, timings: bool = True) -> str:
-        """Deterministic JSON; ``timings=False`` drops wall-clock fields
-        so runs with different worker counts produce identical bytes."""
+    def to_json(self, indent: int = 2) -> str:
+        """Deterministic JSON: the same entries give the same bytes."""
         payload = {
             "schema_version": SCHEMA_VERSION,
             "n_quarantined": len(self.entries),
             "by_kind": self.by_kind(),
             "entries": [
-                e.to_dict(timings)
+                e.to_dict()
                 for e in sorted(self.entries, key=lambda e: e.program)
             ],
         }
@@ -142,9 +129,8 @@ class QuarantineManifest:
             )
         return cls([QuarantineEntry.from_dict(e) for e in data["entries"]])
 
-    def write(self, path: Path, timings: bool = True) -> None:
-        atomic_write_text(Path(path), self.to_json(timings=timings) + "\n",
-                          durable=True)
+    def write(self, path: Path) -> None:
+        atomic_write_text(Path(path), self.to_json() + "\n", durable=True)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -27,12 +27,11 @@ import select
 import socket
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
-class Distribution(ABC):
+class Distribution:
     """A pre-drawn sample vector (iterate, index, describe)."""
 
     _samples: List[float]
@@ -59,10 +58,6 @@ class Distribution(ABC):
             n=self.n,
         )
 
-    @abstractmethod
-    def _draw(self) -> None:  # pragma: no cover - interface only
-        ...
-
 
 class NormalDist(Distribution):
     def __init__(self, samples: int, generator: random.Random,
@@ -70,8 +65,6 @@ class NormalDist(Distribution):
         super().__init__(samples, generator, mean, stdev)
         self._samples = [max(0.0, generator.gauss(mean, stdev))
                          for _ in range(samples)]
-
-    def _draw(self) -> None: ...
 
 
 class ExponentialDist(Distribution):
@@ -84,8 +77,6 @@ class ExponentialDist(Distribution):
         self._samples = [generator.expovariate(rate)
                          for _ in range(samples)]
 
-    def _draw(self) -> None: ...
-
 
 class UniformDist(Distribution):
     def __init__(self, samples: int, generator: random.Random,
@@ -94,16 +85,12 @@ class UniformDist(Distribution):
         self._samples = [generator.uniform(low, high)
                          for _ in range(samples)]
 
-    def _draw(self) -> None: ...
-
 
 class FixedDist(Distribution):
     def __init__(self, samples: int, generator: random.Random,
                  value: float) -> None:
         super().__init__(samples, generator, value)
         self._samples = [float(value)] * samples
-
-    def _draw(self) -> None: ...
 
 
 _DIST_KINDS = {

@@ -100,7 +100,7 @@ class QueryFailed(RuntimeError):
         )
 
     def attempts_dicts(self) -> List[Dict]:
-        return [a.to_dict(timings=False) for a in self.attempts]
+        return [a.to_dict() for a in self.attempts]
 
     def __reduce__(self):
         return (type(self), (self.attempts,))
@@ -173,7 +173,6 @@ def analyze_with_ladder(
                 ))
                 break
             tier_budget = budget.with_deadline(left)
-        tier_started = clock()
         try:
             opts = replace(tier.apply(options), budget=tier_budget)
             hist_opts = replace(history, budget=tier_budget)
@@ -187,12 +186,9 @@ def analyze_with_ladder(
                 tier=tier.name,
                 error_kind=classify_error(err),
                 error=f"{type(err).__name__}: {err}",
-                seconds=clock() - tier_started,
             ))
             continue
-        attempts.append(TierAttempt(
-            tier=tier.name, seconds=clock() - tier_started,
-        ))
+        attempts.append(TierAttempt(tier=tier.name))
         return SnippetAnalysis(
             program=program, result=result, graph=graph,
             tier=tier.name, attempts=attempts,
@@ -405,8 +401,7 @@ def run_query(payload: QueryPayload, attempt: int = 0) -> object:
         "degraded": sa.degraded,
     }
     if sa.degraded:
-        reply["attempts"] = [a.to_dict(timings=False)
-                             for a in sa.attempts]
+        reply["attempts"] = [a.to_dict() for a in sa.attempts]
     if payload.kind == KIND_ALIAS:
         reply.update(_alias_reply(sa, params))
     elif payload.kind == KIND_SPEC:

@@ -6,7 +6,7 @@ A minimal asyncio HTTP/1.1 server wrapping the analysis pool
 
 1. **header/body deadlines** — a client that trickles bytes
    (slow-loris) is cut off with 408 after ``header_timeout``; a head
-   or body over the configured byte caps gets 431/413.  Malformed
+   or body over its byte cap gets 431/413.  Malformed
    requests get 400.  No client behaviour can park a handler forever.
 2. **reply cache** — content-fingerprint lookup (the
    :mod:`repro.mining.cache` key scheme) *before* admission: answering
@@ -30,7 +30,7 @@ deadline-exceeded, or a typed error — never a dropped connection.
 
 Lifecycle: SIGHUP swaps the specs file in (new digest → new cache
 namespace, old entries orphaned); SIGTERM drains — stop accepting,
-finish in-flight requests within ``drain_timeout``, time out the
+finish in-flight requests within :data:`DRAIN_TIMEOUT`, time out the
 stragglers, exit 0.  A reload that lands mid-drain is ignored: it must
 not resurrect the accepting state or touch a pool that is going away.
 
@@ -74,6 +74,16 @@ REASONS = {
     504: "Gateway Timeout",
 }
 
+#: byte caps on a request head (431 over it) and body (413 over it)
+MAX_HEAD_BYTES = 16 * 1024
+MAX_BODY_BYTES = 256 * 1024
+#: SIGTERM grace: seconds in-flight requests get to finish
+DRAIN_TIMEOUT = 10.0
+#: consecutive pool failures that open the circuit breaker, and the
+#: seconds it stays open before probing the pool again
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN = 2.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -86,12 +96,7 @@ class ServeConfig:
     max_queue: int = 8
     request_deadline: float = 10.0
     header_timeout: float = 5.0
-    max_head_bytes: int = 16 * 1024
-    max_body_bytes: int = 256 * 1024
-    drain_timeout: float = 10.0
     cache_entries: int = 1024
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 2.0
     #: warm-restart snapshot file: written on drain + after reloads,
     #: loaded on startup (None = cold starts only)
     warm_path: Optional[str] = None
@@ -104,8 +109,7 @@ class SpecServer:
         self.config = config
         self.stats = ServeStats()
         self.admission = AdmissionQueue(config.max_queue)
-        self.breaker = CircuitBreaker(
-            config.breaker_threshold, config.breaker_cooldown)
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
         self.pool: Optional[AnalysisPool] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -257,8 +261,7 @@ class SpecServer:
             warmup=self._warmup_job,
             loop=self._loop,
         )
-        limit = max(self.config.max_head_bytes,
-                    self.config.max_body_bytes) + 4096
+        limit = max(MAX_HEAD_BYTES, MAX_BODY_BYTES) + 4096
         self._server = await asyncio.start_server(
             self._client_connected,
             self.config.host, self.config.port, limit=limit,
@@ -291,7 +294,7 @@ class SpecServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while self._handlers and time.monotonic() < deadline:
             await asyncio.wait(self._handlers,
                                timeout=max(0.05, deadline - time.monotonic()))
@@ -354,7 +357,7 @@ class SpecServer:
             return False
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             return False  # client hung up mid-head; nothing to answer
-        if len(head) > self.config.max_head_bytes:
+        if len(head) > MAX_HEAD_BYTES:
             await self._respond(writer, 431, {"error": "headers_too_large"},
                                 keep_alive=False)
             return False
@@ -370,7 +373,7 @@ class SpecServer:
             await self._respond(writer, 400, {"error": "malformed_request"},
                                 keep_alive=False)
             return False
-        if length < 0 or length > self.config.max_body_bytes:
+        if length < 0 or length > MAX_BODY_BYTES:
             await self._respond(writer, 413, {"error": "body_too_large"},
                                 keep_alive=False)
             return False

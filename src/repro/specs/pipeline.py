@@ -85,7 +85,7 @@ class LearnedSpecs:
     extraction: CandidateExtraction
     model: EventPairModel
     config: PipelineConfig
-    #: corpus execution report (quarantines, ladder tiers, timings)
+    #: corpus execution report (quarantines, ladder tiers)
     run: Optional[CorpusRunReport] = None
     #: sharded-mining report (cache hits, per-shard wall-clock); set
     #: when learning went through :class:`repro.mining.MiningEngine`

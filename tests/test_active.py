@@ -384,8 +384,8 @@ def test_cli_learn_drift_out(tmp_path):
     assert first["store_generation"] == 1
     assert first["drift"]["n_unchanged"] == 0  # nothing to differ from
 
-    # an identical append run drifts nothing
-    assert main(args + ["--append"]) == 0
+    # an identical rerun drifts nothing
+    assert main(args) == 0
     second = json.loads(drift.read_text())
     assert second["store_generation"] == 2
     assert second["drift"]["gained"] == [] and second["drift"]["lost"] == []

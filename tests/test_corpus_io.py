@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.corpus import (
     CorpusConfig,
@@ -85,3 +87,15 @@ def test_cli_learn_from_empty_dir(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["learn", "--from-dir", str(tmp_path / "empty")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--files", "0"], ["learn", "--files", "-3"],
+    ["refine", "--files", "0"],
+])
+def test_cli_empty_generated_corpus_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--store-dir", str(tmp_path / "store"),
+                        "--out", str(out)]) == 2
+    assert "error: nothing to learn from" in capsys.readouterr().err
+    assert not out.exists()

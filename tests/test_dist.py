@@ -84,7 +84,7 @@ def specs_text(learned):
 
 
 def manifest_text(learned):
-    return learned.run.manifest.to_json(timings=False)
+    return learned.run.manifest.to_json()
 
 
 @contextlib.contextmanager

@@ -242,8 +242,7 @@ def test_parallel_mining_is_byte_identical_to_sequential():
     assert len(seq.specs) > 0
     assert specs_to_json(seq.specs, seq.scores) == \
         specs_to_json(par.specs, par.scores)
-    assert seq.run.manifest.to_json(timings=False) == \
-        par.run.manifest.to_json(timings=False)
+    assert seq.run.manifest.to_json() == par.run.manifest.to_json()
     assert seq.run.n_quarantined == par.run.n_quarantined == 1
     assert par.mining.jobs == 2 and par.mining.n_shards > 1
 
@@ -352,8 +351,7 @@ def test_cached_quarantine_verdicts_are_reused(tmp_path):
     warm = learn(programs, store_dir=tmp_path / "store", runtime=runtime)
     assert warm.mining.n_analyzed == 0  # the blow-up was not re-attempted
     assert warm.run.n_quarantined == 1
-    assert warm.run.manifest.to_json(timings=False) == \
-        cold.run.manifest.to_json(timings=False)
+    assert warm.run.manifest.to_json() == cold.run.manifest.to_json()
 
 
 # ----------------------------------------------------------------------
@@ -467,9 +465,9 @@ def test_cli_parallel_everything_quarantined_exits_4(capsys):
     assert "every corpus program was quarantined" in capsys.readouterr().err
 
 
-def test_cli_cache_dir_warm_run_reports_hits(tmp_path, capsys):
+def test_cli_store_dir_warm_run_reports_hits(tmp_path, capsys):
     args = ["learn", "--files", "5", "--seed", "7",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store-dir", str(tmp_path / "store"),
             "--out", str(tmp_path / "specs.json")]
     assert main(args) == 0
     capsys.readouterr()

@@ -277,12 +277,12 @@ def test_strict_mode_propagates_budget_exhaustion():
 # quarantine manifest determinism and round-tripping
 
 
-def run_with_fake_clock():
+def run_with_two_faults():
     plan = FaultPlan([
         FaultSpec("pointsto", "bad1"),
         FaultSpec("pointsto", "bad2", error=BUDGET_EXCEEDED),
     ])
-    executor = CorpusExecutor(clock=FakeClock(), faults=plan)
+    executor = CorpusExecutor(faults=plan)
     report = executor.run([
         small_program("bad2"), small_program("good"), small_program("bad1"),
     ])
@@ -290,8 +290,8 @@ def run_with_fake_clock():
 
 
 def test_manifest_is_deterministic():
-    first = run_with_fake_clock().manifest.to_json()
-    second = run_with_fake_clock().manifest.to_json()
+    first = run_with_two_faults().manifest.to_json()
+    second = run_with_two_faults().manifest.to_json()
     assert first == second
     data = json.loads(first)
     assert data["n_quarantined"] == 2
@@ -301,7 +301,7 @@ def test_manifest_is_deterministic():
 
 
 def test_manifest_json_round_trip():
-    manifest = run_with_fake_clock().manifest
+    manifest = run_with_two_faults().manifest
     restored = QuarantineManifest.from_json(manifest.to_json())
     assert len(restored) == len(manifest)
     assert restored.by_kind() == manifest.by_kind()
@@ -436,15 +436,13 @@ def test_cli_clean_run_with_quarantine_manifest(tmp_path):
     assert json.loads(manifest_path.read_text())["n_quarantined"] == 0
 
 
-def test_cli_checkpoint_dir_resumes(tmp_path, capsys):
-    ckpt = tmp_path / "ckpt"
+def test_cli_store_dir_resumes(tmp_path, capsys):
     args = ["learn", "--files", "4", "--seed", "7",
-            "--checkpoint-dir", str(ckpt),
+            "--store-dir", str(tmp_path / "store"),
             "--out", str(tmp_path / "specs.json")]
     assert main(args) == 0
     capsys.readouterr()
     assert main(args) == 0
-    # --checkpoint-dir is another name for --store-dir
     assert "analyzed 0, from store 4" in capsys.readouterr().out
 
 

@@ -1,14 +1,17 @@
 """Tests for spec serialization and the command-line interface."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.mining import MiningConfig
 from repro.frontend.pyfront import parse_python
 from repro.runtime import Budget
 from repro.serve.query import alias_pairs, analyze_with_ladder
+from repro.serve.server import ServeConfig
 from repro.specs import RetArg, RetSame, SpecSet
 from repro.specs.serialize import (
     spec_from_dict,
@@ -166,3 +169,53 @@ def test_cli_learn_small(tmp_path, capsys):
     specs, scores = specs_from_json(out_file.read_text())
     assert len(specs) >= 1
     assert all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+# ----------------------------------------------------------------------
+# the option surface: one name per knob
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--append"], ["learn", "--cache-dir", "d"],
+    ["learn", "--checkpoint-dir", "d"], ["learn", "--profile-out", "p"],
+    ["learn", "--distributed"], ["learn", "--bind", "127.0.0.1:0"],
+    ["learn", "--min-workers", "2"], ["learn", "--lease", "3"],
+    ["serve", "--drain-timeout", "1"], ["serve", "--breaker-threshold", "1"],
+    ["serve", "--breaker-cooldown", "1"],
+])
+def test_cli_removed_spellings_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_cli_coordinator_keeps_its_cluster_options():
+    args = build_parser().parse_args([
+        "coordinator", "--bind", "127.0.0.1:7791", "--min-workers", "2",
+        "--lease", "3"])
+    assert args.bind == ("127.0.0.1", 7791)
+    assert (args.min_workers, args.lease) == (2, 3.0)
+
+
+def test_configs_hold_only_the_fields_callers_set():
+    assert [f.name for f in fields(ServeConfig)] == [
+        "host", "port", "specs_path", "workers", "max_queue",
+        "request_deadline", "header_timeout", "cache_entries", "warm_path"]
+    assert [f.name for f in fields(MiningConfig)] == [
+        "jobs", "shards", "supervision", "store_dir", "append"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("serve", "--bind"), ("coordinator", "--bind"),
+    ("worker", "--connect"), ("loadgen", "--connect"),
+])
+def test_cli_endpoint_port_must_fit_in_16_bits(command, flag, capsys):
+    parser = build_parser()
+    for port in (0, 65535):
+        args = parser.parse_args([command, flag, f"127.0.0.1:{port}"])
+        assert getattr(args, flag[2:]) == ("127.0.0.1", port)
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([command, flag, "127.0.0.1:65536"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

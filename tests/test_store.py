@@ -461,7 +461,7 @@ def test_cli_reports_store_recovery(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# learn --append end to end
+# incremental reruns end to end
 
 
 def test_append_reanalyzes_exactly_the_changed_programs(tmp_path):

@@ -127,8 +127,7 @@ def test_one_lookup_matches_the_reference_pipeline(tmp_path, mode, jobs):
     entries = final.run.manifest.entries
     kept = QuarantineManifest(
         [e for e in entries if e.error_kind != WORKER_CRASH])
-    assert kept.to_json(timings=False) \
-        == reference.run.manifest.to_json(timings=False)
+    assert kept.to_json() == reference.run.manifest.to_json()
     assert [e.source for e in reference.run.manifest.entries] \
         == ["pathological.java"]
     poisoned = [e.source for e in entries if e.error_kind == WORKER_CRASH]

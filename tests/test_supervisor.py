@@ -47,8 +47,7 @@ def toxic_program(name):
     return pb.finish()
 
 
-def learn(programs, *, jobs=1, shards=None, store_dir=None,
-          mp_context=None, strict=False,
+def learn(programs, *, jobs=1, shards=None, store_dir=None, strict=False,
           faults="", max_retries=2, shard_deadline=None):
     config = PipelineConfig(runtime=RuntimeConfig(strict=strict))
     supervision = SupervisionConfig(
@@ -56,7 +55,6 @@ def learn(programs, *, jobs=1, shards=None, store_dir=None,
     mining = MiningConfig(
         jobs=jobs, shards=shards,
         store_dir=str(store_dir) if store_dir else None,
-        mp_context=mp_context,
         supervision=supervision,
     )
     with arm(FaultPlan.parse(faults)):
@@ -228,11 +226,14 @@ def test_cli_prints_the_whole_supervision_line(tmp_path, capsys,
     ["--budget-iterations", "0"], ["--budget-constraints", "0"],
     ["--budget-events", "-1"],
 ])
-def test_cli_rejects_out_of_range_supervision_flags(tmp_path, flags):
+def test_cli_rejects_out_of_range_supervision_flags(tmp_path, capsys,
+                                                   flags):
+    command = "coordinator" if flags[0] == "--lease" else "learn"
     with pytest.raises(SystemExit) as exit_info:
-        main(["learn", "--files", "4", *flags,
+        main([command, "--files", "4", *flags,
               "--out", str(tmp_path / "specs.json")])
     assert exit_info.value.code == 2
+    assert f"argument {flags[0]}:" in capsys.readouterr().err
     assert not (tmp_path / "specs.json").exists()
 
 
@@ -413,10 +414,12 @@ def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
 # spawn start method
 
 
-def test_spawn_context_matches_sequential():
+def test_spawn_context_matches_sequential(monkeypatch):
     programs = java_corpus(n=4)
     clean = learn(programs)
-    spawned = learn(programs, jobs=2, shards=2, mp_context="spawn")
+    monkeypatch.setattr("repro.mining.engine.pool_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    spawned = learn(programs, jobs=2, shards=2)
     assert specs_text(spawned) == specs_text(clean)
     assert spawned.mining.ledger.clean
 
