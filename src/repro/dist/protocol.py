@@ -58,7 +58,10 @@ from typing import Callable
 #: status is gone
 #: v6: pickled ``Connection`` frames with the pool's message tuples
 #: replace JSON frames, base64 and zlib; ``ready`` and task ids are gone
-PROTOCOL_VERSION = 6
+#: v7: analyze results and ``interim`` items carry each program's
+#: samples as one ``SampleBlock`` of raw arrays, not ``EncodedSample``
+#: objects
+PROTOCOL_VERSION = 7
 
 #: runner functions must live under this package prefix — the worker
 #: executes whatever the coordinator names, so restrict the namespace

@@ -204,7 +204,7 @@ def _analyze_shard(
 
     def sink(outcome, bundle, entry) -> None:
         key = outcome.key
-        samples: List = []
+        samples = ()
         if bundle is not None:
             # one feature table per program, for its samples and its
             # match records alike
@@ -256,13 +256,14 @@ def _analyze_shard(
 def _settled(partial: ShardPartial, key: str,
              entry: Optional[QuarantineEntry], samples=()) -> Tuple:
     """One settled program as the journal stores it: ``(key, entry,
-    samples, match records, n_events, n_edges)``, where a quarantined
-    program has its entry and nothing else."""
+    samples, match records, n_events, n_edges)``, where ``samples`` is
+    the program's :class:`~repro.model.features.SampleBlock`, the one
+    its partial holds, and a quarantined program has its entry and
+    nothing else."""
     if entry is not None:
         return (key, entry, (), (), 0, 0)
     n_events, n_edges = partial.program_meta[key]
-    return (key, None, tuple(samples), partial.records[key], n_events,
-            n_edges)
+    return (key, None, samples, partial.records[key], n_events, n_edges)
 
 
 def _supervised_analyze(payload: AnalyzeTask, attempt: int):
@@ -529,7 +530,7 @@ class MiningEngine:
                         tier=TIER_STORE, cached=True,
                     ))
                     sp.stats.add(stream_key(program.source, index),
-                                 list(rec.samples))
+                                 rec.samples)
                     sp.records[key] = tuple(rec.records)
                     sp.program_meta[key] = (rec.n_events, rec.n_edges)
                     metrics.n_samples += len(rec.samples)

@@ -17,9 +17,11 @@ pipeline byte-for-byte from any number of workers.
 
 :func:`sample_pairs` draws a program's pairs as event ids of its
 :class:`~repro.model.features.FeatureTable`; :func:`encode_bundle_samples`
-encodes them through the table, and :func:`collect_bundle_samples`
-renders the same draws as string :class:`LabeledSample` features (the
-reference the table is tested against).
+encodes them through the table into one
+:class:`~repro.model.features.SampleBlock`, and
+:func:`collect_bundle_samples` renders the same draws as string
+:class:`LabeledSample` features (the reference the table is tested
+against).
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from repro.events.events import Event
 from repro.events.graph import EventGraph
 from repro.ir.program import Program
 from repro.model.features import (
-    EncodedSample,
     FeatureConfig,
     FeatureHasher,
     FeatureTable,
     GuardIndex,
     PairFeature,
+    SampleBlock,
     extract_feature,
 )
 
@@ -217,12 +219,15 @@ def encode_bundle_samples(
     negative_ratio: float = 1.0,
     seed: int = 13,
     stratified_fraction: float = 0.25,
-) -> List[EncodedSample]:
-    """The hashed samples of one analysed program (map-stage unit)."""
-    return [EncodedSample(*table.encode(i, j, hide_pair=label == 1), label)
-            for i, j, label in sample_pairs(
-                table, max_positives_per_graph, negative_ratio, seed,
-                stratified_fraction)]
+) -> SampleBlock:
+    """The hashed samples of one analysed program (map-stage unit),
+    packed as they are encoded."""
+    block = SampleBlock()
+    for i, j, label in sample_pairs(table, max_positives_per_graph,
+                                    negative_ratio, seed,
+                                    stratified_fraction):
+        block.append(*table.encode(i, j, hide_pair=label == 1), label)
+    return block
 
 
 def collect_bundle_samples(

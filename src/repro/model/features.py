@@ -31,17 +31,22 @@ Two implementations compute the same indices:
 
 from __future__ import annotations
 
+import itertools
 import zlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
+    Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.events.events import Event, Pos
@@ -211,16 +216,112 @@ def extract_feature(
 class EncodedSample:
     """One training sample after the hashing trick.
 
-    The fully-hashed form of a :class:`PairFeature` plus its label:
-    only string/int payload, so it is cheap to pickle across process
-    boundaries and to accumulate in the mergeable sufficient statistics
-    of the sharded mining engine
-    (:class:`repro.model.logistic.SufficientStats`).
+    The fully-hashed form of a :class:`PairFeature` plus its label, as
+    one object: what :func:`encode_sample` returns and what a
+    :class:`SampleBlock` iterates back as.  Samples on their way to
+    training travel packed in a block instead.
     """
 
     position_key: Tuple[str, str]
     indices: Tuple[int, ...]
     label: int
+
+
+class SampleBlock:
+    """Hashed samples packed flat, in order.
+
+    The form samples take from
+    :func:`~repro.model.dataset.encode_bundle_samples` to training:
+    each program's samples are one block in a shard partial, a journal
+    record and the mergeable
+    :class:`~repro.model.logistic.SufficientStats`, and the training
+    stream is one block.  Per sample it holds a position-key id, a
+    label and a length, and its indices sit in one flat int32 array,
+    each a stdlib ``array``: about 4 bytes per index, where an
+    :class:`EncodedSample` tuple holds a Python int per index.  A
+    block pickles natively (an ``array`` pickles as its raw bytes),
+    and the trainer reads its arrays as zero-copy numpy views.  An
+    index that does not fit int32 raises ``OverflowError``.
+
+    ``keys`` maps each position key to its id, in the order the keys
+    first appear in the block.  A block is not changed once built:
+    :meth:`concat` and :meth:`permuted` return new blocks.
+    """
+
+    __slots__ = ("keys", "key_ids", "labels", "lengths", "indices")
+
+    def __init__(self) -> None:
+        self.keys: Dict[Tuple[str, str], int] = {}
+        self.key_ids = array("i")
+        self.labels = array("b")
+        self.lengths = array("i")
+        self.indices = array("i")
+
+    def append(self, position_key: Tuple[str, str],
+               indices: Sequence[int], label: int) -> None:
+        """Add one sample at the end (while building the block)."""
+        # fromlist adds every index or, on overflow, none, and takes
+        # half the time of extend over a tuple
+        self.indices.fromlist(list(indices))
+        keys = self.keys
+        self.key_ids.append(keys.setdefault(position_key, len(keys)))
+        self.labels.append(label)
+        self.lengths.append(len(indices))
+
+    @classmethod
+    def pack(cls, samples: Iterable[EncodedSample]) -> "SampleBlock":
+        """The block of ``samples``, in their order."""
+        block = cls()
+        for sample in samples:
+            block.append(sample.position_key, sample.indices, sample.label)
+        return block
+
+    @classmethod
+    def of(cls, samples: Union["SampleBlock", Iterable[EncodedSample]]
+           ) -> "SampleBlock":
+        """``samples`` itself if it is a block, else its :meth:`pack`."""
+        return samples if isinstance(samples, cls) else cls.pack(samples)
+
+    @classmethod
+    def concat(cls, blocks: Iterable["SampleBlock"]) -> "SampleBlock":
+        """One block of every sample of ``blocks``, in order."""
+        whole = cls()
+        keys = whole.keys
+        for block in blocks:
+            ids = [keys.setdefault(key, len(keys)) for key in block.keys]
+            whole.key_ids.extend([ids[k] for k in block.key_ids])
+            whole.labels.extend(block.labels)
+            whole.lengths.extend(block.lengths)
+            whole.indices.extend(block.indices)
+        return whole
+
+    def permuted(self, order: Sequence[int]) -> "SampleBlock":
+        """A block of sample ``order[0]``, then ``order[1]``, …"""
+        starts = list(itertools.accumulate(self.lengths, initial=0))
+        table = list(self.keys)
+        copy = SampleBlock()
+        keys = copy.keys
+        for i in order:
+            copy.key_ids.append(
+                keys.setdefault(table[self.key_ids[i]], len(keys)))
+            copy.labels.append(self.labels[i])
+            copy.lengths.append(self.lengths[i])
+            # an array slice extends by one copy of its bytes
+            copy.indices.extend(self.indices[starts[i]:starts[i + 1]])
+        return copy
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[EncodedSample]:
+        table = list(self.keys)
+        indices = self.indices
+        start = 0
+        for key_id, label, n in zip(self.key_ids, self.labels,
+                                    self.lengths):
+            yield EncodedSample(table[key_id],
+                                tuple(indices[start:start + n]), label)
+            start += n
 
 
 def encode_sample(feature: PairFeature, label: int,

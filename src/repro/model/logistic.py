@@ -1,37 +1,47 @@
 """Sparse logistic regression trained with Adagrad SGD, many models at once.
 
 A minimal, dependency-light stand-in for the Vowpal Wabbit models the
-paper uses (§7.1).  Features are sparse binary index tuples (from the
-hashing trick in :mod:`repro.model.features`).
+paper uses (§7.1).  Features are sparse binary hashed indices (from
+the hashing trick in :mod:`repro.model.features`), and examples
+arrive packed: the flat arrays of a
+:class:`~repro.model.features.SampleBlock`.
 
 Training is two steps.  :func:`compile_examples` turns the examples
 into flat arrays, once, over a block of columns per group of examples
-(for ϕ, per position key) that holds only the indices the group uses;
-:func:`run_lanes` then trains any set of independent models over them
-into given blocks of one flat weight vector.  Each model sees its
-examples in its own seeded per-epoch shuffle and takes one Adagrad
-step per example, as a per-sample trainer would; the loop only
-interleaves the models.  Models are grouped into *lanes* that run
-their models back to back, and one iteration advances every lane by
-one step with a fixed handful of numpy calls, so the Python iteration
-count is the longest lane's step count rather than the sum over all
-models.  :func:`pack_lanes` balances models of unequal size over
-lanes, and a lane that finishes early idles until the longest is
-done.
+(for ϕ, per position key) that holds only the indices the group uses,
+numbering one group at a time; :func:`run_lanes` then trains any set
+of independent models over them into given blocks of one flat weight
+vector.  Each model sees its examples in its own seeded per-epoch
+shuffle and takes one Adagrad step per example, as a per-sample
+trainer would; the loop only interleaves the models.  Models are
+grouped into *lanes* that run their models back to back, and one
+iteration advances every lane by one step with a fixed handful of
+numpy calls, so the Python iteration count is the longest lane's step
+count rather than the sum over all models.  :func:`pack_lanes`
+balances models of unequal size over lanes, and a lane that finishes
+early idles until the longest is done.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.model.features import EncodedSample
+from repro.model.features import EncodedSample, SampleBlock
 
 #: one model of a lane: (offset of its weight block, ids of its
 #: examples in stream order, shuffle seed)
@@ -56,80 +66,52 @@ class SufficientStats:
     The sharded mining engine cannot thread one RNG through the whole
     corpus — shards finish in arbitrary order on arbitrary workers — so
     each worker instead accumulates the *hashed samples of each
-    program* under the program's
-    :func:`~repro.model.dataset.stream_key`.  ``merge`` is the monoid
-    operation (keys are disjoint across shards by construction;
-    duplicate keys concatenate defensively), and :meth:`stream`
-    linearises the accumulated blocks into the canonical training
+    program*, one :class:`~repro.model.features.SampleBlock` under the
+    program's :func:`~repro.model.dataset.stream_key`.  ``merge`` is
+    the monoid operation (keys are disjoint across shards by
+    construction; duplicate keys concatenate defensively), and
+    :meth:`stream` linearises the blocks into the canonical training
     order: keys sorted, then one seeded global shuffle.  The resulting
     SGD stream is byte-identical regardless of worker count, shard
-    count, completion order or corpus order.
+    count, completion order or corpus order.  Blocks pickle as raw
+    arrays, so shard partials cross the worker pipes as they are.
     """
 
-    blocks: Dict[Hashable, List[EncodedSample]] = field(default_factory=dict)
+    blocks: Dict[Hashable, SampleBlock] = field(default_factory=dict)
 
-    def add(self, key: Hashable, samples: Sequence[EncodedSample]) -> None:
-        self.blocks.setdefault(key, []).extend(samples)
+    def add(self, key: Hashable,
+            samples: Union[SampleBlock, Iterable[EncodedSample]]) -> None:
+        """Hold ``samples`` under ``key``: a block as it is, anything
+        else packed (a journal record written as ``EncodedSample``
+        tuples loads this way)."""
+        block = SampleBlock.of(samples)
+        held = self.blocks.get(key)
+        self.blocks[key] = block if held is None \
+            else SampleBlock.concat([held, block])
 
     def merge(self, other: "SufficientStats") -> "SufficientStats":
-        for key, samples in other.blocks.items():
-            self.blocks.setdefault(key, []).extend(samples)
+        for key, block in other.blocks.items():
+            self.add(key, block)
         return self
 
     @property
     def n_samples(self) -> int:
         return sum(len(v) for v in self.blocks.values())
 
-    def stream(self, seed: int) -> List[EncodedSample]:
-        """The canonical, deterministically shuffled training stream."""
-        ordered: List[EncodedSample] = []
-        for key in sorted(self.blocks):
-            ordered.extend(self.blocks[key])
-        random.Random(seed).shuffle(ordered)
-        return ordered
+    def stream(self, seed: int) -> SampleBlock:
+        """The canonical, deterministically shuffled training stream.
+
+        ``shuffle`` draws its permutation from the length alone, so
+        shuffling sample positions orders the samples as shuffling
+        the samples themselves would."""
+        ordered = SampleBlock.concat(
+            [self.blocks[key] for key in sorted(self.blocks)])
+        order = list(range(len(ordered)))
+        random.Random(seed).shuffle(order)
+        return ordered.permuted(order)
 
     def __len__(self) -> int:
         return self.n_samples
-
-    # ------------------------------------------------------------------
-    # pickling: shard partials carry these across the worker result
-    # pipes.  Pickling tens of thousands of EncodedSample objects pays
-    # a per-object opcode tax on both ends; instead each program block
-    # is packed into a handful of flat numpy buffers (interned position
-    # keys, labels, per-sample index counts, concatenated indices) and
-    # the samples are rebuilt — field-identical — on unpickle.
-
-    def __getstate__(self) -> Dict:
-        packed = {}
-        for key, samples in self.blocks.items():
-            uniq: Dict[Tuple[str, str], int] = {}
-            kid = np.empty(len(samples), dtype=np.int32)
-            labels = np.empty(len(samples), dtype=np.int8)
-            counts = np.empty(len(samples), dtype=np.int64)
-            for i, s in enumerate(samples):
-                kid[i] = uniq.setdefault(s.position_key, len(uniq))
-                labels[i] = s.label
-                counts[i] = len(s.indices)
-            flat = np.empty(int(counts.sum()), dtype=np.int64)
-            pos = 0
-            for s in samples:
-                n = len(s.indices)
-                flat[pos:pos + n] = as_index_array(s.indices)
-                pos += n
-            packed[key] = (list(uniq), kid, labels, counts, flat)
-        return {"packed": packed}
-
-    def __setstate__(self, state: Dict) -> None:
-        self.blocks = {}
-        for key, (uniq, kid, labels, counts, flat) in \
-                state["packed"].items():
-            splits = np.split(flat, np.cumsum(counts[:-1])) \
-                if len(counts) else []
-            self.blocks[key] = [
-                EncodedSample(uniq[k], tuple(part.tolist()), label)
-                for k, label, part in zip(
-                    kid.tolist(), labels.tolist(), splits)
-            ]
 
     def __repr__(self) -> str:
         return (f"<SufficientStats {self.n_samples} samples / "
@@ -257,58 +239,64 @@ class CompiledExamples:
 
 
 def compile_examples(
-    examples: Sequence[Tuple[Sequence[int], int]],
-    groups: Optional[Sequence[int]] = None,
+    lengths: Sequence[int],
+    indices: Sequence[int],
+    labels: Sequence[int],
+    groups: Sequence[int],
 ) -> CompiledExamples:
-    """Compact ``(sorted unique hashed indices, label)`` examples onto
-    the columns each group uses, and append the idle example.
+    """Compact a stream's examples onto the columns each group uses,
+    and append the idle example.
 
-    ``groups`` numbers each example's group ``0 … G-1`` (default: one
-    group).  Columns keep their index order within a group, so an
-    example's elements come in the same order under any grouping.
-    Column positions, lengths and labels are stored narrow (int32 and
-    int8): these arrays stay alive as long as the examples do.
+    Example ``i`` is the next ``lengths[i]`` of the flat ``indices``
+    (sorted, unique hashed indices), labelled ``labels[i]``, in group
+    ``groups[i]`` of ``0 … G-1``.  Each group numbers its columns with
+    one ``np.unique`` over its own elements, so compiling holds the
+    largest group's elements at a time, never every element's.
+    Columns keep their index order within a group, so an example's
+    elements come in the same order under any grouping.  Column
+    positions, lengths and labels are stored narrow (int32 and int8):
+    these arrays stay alive as long as the examples do.
     """
-    n = len(examples)
-    lengths = np.zeros(n + 1, np.int64)
-    lengths[:n] = np.fromiter((len(ix) for ix, _ in examples), np.int64,
-                              count=n)
-    hashed = np.fromiter(
-        itertools.chain.from_iterable(ix for ix, _ in examples),
-        np.int64, count=int(lengths.sum()),
-    )
+    n = len(lengths)
+    sizes = np.zeros(n + 1, np.int64)
+    sizes[:n] = lengths
     of_example = np.zeros(n + 1, np.int64)
-    if groups is not None:
-        of_example[:n] = np.fromiter(groups, np.int64, count=n)
+    of_example[:n] = groups
+    flat = np.asarray(indices)
     n_groups = int(of_example.max()) + 1
-    # one (group, index) pair per element; the element-sized arrays go
-    # as soon as they are used, since compiling sets the memory peak
-    span = int(hashed.max()) + 1 if len(hashed) else 1
-    pairs = np.repeat(of_example * span, lengths)
-    pairs += hashed
-    del hashed
-    seen, inverse = np.unique(pairs, return_inverse=True)
-    del pairs
-    group = seen // span
+    firsts = np.cumsum(sizes) - sizes
+    starts = firsts + np.arange(n + 1)
+    # example i is its group's zero column at starts[i], then element
+    # e of the stream, for each e of its own, at e + i + 1
+    cols = np.empty(int(starts[-1]) + 1, np.int32)
     bases = np.zeros(n_groups + 1, np.int64)
-    np.cumsum(np.bincount(group, minlength=n_groups) + 1, out=bases[1:])
-    # distinct pairs sort group by group, so pair j of group g is
-    # column j + g + 1, behind g + 1 zero columns
-    position = group + np.arange(1, len(seen) + 1)
+    distinct = []
+    for g in range(n_groups):
+        members = np.flatnonzero(of_example[:n] == g)
+        counts = sizes[members]
+        ends = np.cumsum(counts)
+        at = np.repeat(firsts[members] - (ends - counts), counts)
+        at += np.arange(len(at))
+        seen, inverse = np.unique(flat[at], return_inverse=True)
+        at += np.repeat(members + 1, counts)
+        # the group's j-th index is column j + 1 of its block
+        inverse += bases[g] + 1
+        cols[at] = inverse
+        bases[g + 1] = bases[g] + len(seen) + 1
+        distinct.append(seen)
+    cols[starts] = bases[of_example]
     columns = np.full(int(bases[-1]), -1, np.int64)
-    columns[position] = seen % span
-    labels = np.zeros(n + 1, np.int8)
-    labels[:n] = np.fromiter((label for _, label in examples), np.int8,
-                             count=n)
-    firsts = np.cumsum(lengths) - lengths
+    for g, seen in enumerate(distinct):
+        columns[bases[g] + 1:bases[g + 1]] = seen
+    compiled_labels = np.zeros(n + 1, np.int8)
+    compiled_labels[:n] = labels
     return CompiledExamples(
         columns=columns,
         bases=bases,
-        lengths=lengths.astype(np.int32),
-        cols=np.insert(position[inverse.ravel()], firsts,
-                       bases[of_example]).astype(np.int32),
-        starts=(firsts + np.arange(n + 1)).astype(np.int32),
-        labels=labels,
+        lengths=sizes.astype(np.int32),
+        cols=cols,
+        starts=starts.astype(np.int32),
+        labels=compiled_labels,
     )
 
 

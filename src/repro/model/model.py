@@ -12,7 +12,8 @@ averaging it out keeps the learned specification set stable across
 runs.
 
 **Training.**  :meth:`EventPairModel.fit_encoded` compiles the stream
-once, with each position key's columns numbered within the key, and
+(one :class:`~repro.model.features.SampleBlock`) once, numbering each
+position key's columns within the key, one key at a time, and
 trains every position key's members in one
 :func:`~repro.model.logistic.run_lanes` pass, packed onto lanes by
 :func:`~repro.model.logistic.pack_lanes`, so the loop is about as long
@@ -37,7 +38,8 @@ prediction may train the fallback, a model belongs to one thread.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from repro.model.features import (
     EncodedSample,
     FeatureConfig,
     PairFeature,
+    SampleBlock,
     encode_feature,
     encode_sample,
 )
@@ -64,6 +67,11 @@ PositionKey = Tuple[str, str]
 
 #: ensemble members per position key and for the fallback
 N_MEMBERS = 3
+
+
+def _view(packed: array) -> np.ndarray:
+    """A zero-copy numpy view of one of a sample block's arrays."""
+    return np.frombuffer(packed, dtype=packed.typecode)
 
 
 class EventPairModel:
@@ -97,38 +105,43 @@ class EventPairModel:
 
     def fit(self, samples: Sequence[LabeledSample]) -> None:
         """Train the per-position ensembles (the fallback on first use)."""
-        self.fit_encoded([
+        self.fit_encoded(
             encode_sample(s.feature, s.label, self.feature_config)
             for s in samples
-        ])
+        )
 
-    def fit_encoded(self, samples: Sequence[EncodedSample]) -> None:
-        """Train from already-hashed samples (the map/reduce path).
+    def fit_encoded(self, samples: Union[SampleBlock,
+                                         Iterable[EncodedSample]]) -> None:
+        """Train from already-hashed samples (the map/reduce path): a
+        :class:`~repro.model.features.SampleBlock`, or samples to pack.
 
         The sharded mining engine hashes samples on the workers and
         merges them into one deterministic stream; training from that
         stream here is float-for-float identical to :meth:`fit` on the
-        corresponding :class:`LabeledSample` sequence.
+        corresponding :class:`LabeledSample` sequence.  Position keys
+        number their blocks in the order they first appear in the
+        stream, which is the order of the stream block's key table.
         """
-        by_key: Dict[PositionKey, List[int]] = {}
-        for i, sample in enumerate(samples):
-            by_key.setdefault(sample.position_key, []).append(i)
-        self._blocks = {key: b for b, key in enumerate(by_key)}
+        stream = SampleBlock.of(samples)
+        self._blocks = dict(stream.keys)
+        groups = _view(stream.key_ids)
         self._examples = compile_examples(
-            [(s.indices, s.label) for s in samples],
-            [self._blocks[s.position_key] for s in samples])
-        self.bases = self._examples.bases[:len(by_key) + 1]
+            _view(stream.lengths), _view(stream.indices),
+            _view(stream.labels), groups)
+        self.bases = self._examples.bases[:len(self._blocks) + 1]
         self.columns = self._examples.columns[:self.bases[-1]]
         self.weights = np.zeros(N_MEMBERS * int(self.bases[-1]))
         self._fallback = None
+        by_key = [np.flatnonzero(groups == b)
+                  for b in range(len(self._blocks))]
         models: List[LaneModel] = [
             (self._offset(b, m), ids, self._seed(m))
-            for b, ids in enumerate(by_key.values())
+            for b, ids in enumerate(by_key)
             for m in range(N_MEMBERS)
         ]
         run_lanes(self._examples, pack_lanes(models), self.weights,
                   self.train_config)
-        self.n_samples = len(samples)
+        self.n_samples = len(stream)
 
     def _offset(self, block: int, member: int) -> int:
         """The ``run_lanes`` offset of ``member`` of ``block``: its

@@ -59,8 +59,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.errors import WorkerCrash, WorkerTimeout
 from repro.runtime.faults import armed
 from repro.serve import query as q
-from repro.serve.admission import (AdmissionQueue, CircuitBreaker, OPEN,
-                                   ServeStats)
+from repro.serve.admission import AdmissionQueue, CircuitBreaker, ServeStats
 from repro.serve.pool import AnalysisPool, PoolClosed
 
 SERVER_NAME = "uspec-serve"

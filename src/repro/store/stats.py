@@ -2,7 +2,8 @@
 
 A :class:`StatsStore` is the one place a mining run persists
 per-program results: per pipeline fingerprint, each program's encoded
-sufficient statistics (the :class:`EncodedSample` lists that feed
+sufficient statistics (the
+:class:`~repro.model.features.SampleBlock` that feeds
 ``SufficientStats``), Alg. 1 match records and graph counts — or its
 quarantine verdict — plus the specification set of each training
 generation.  A warm re-run, a resume after a kill and a run after
@@ -19,7 +20,10 @@ Record kinds:
   quarantine entry, keyed by its content fingerprint.  Samples are
   derived from the *source name* (``bundle_seed`` hashes the name, not
   the corpus position), so a stored record stays valid when the corpus
-  is reordered — only the corpus key is re-stamped on load.
+  is reordered — only the corpus key is re-stamped on load.  Its
+  samples are one pickled ``SampleBlock`` (raw arrays); a record
+  written before blocks existed holds a tuple of ``EncodedSample``
+  objects and still loads, because ``SufficientStats.add`` packs it.
 * ``RETIRE`` — the program left the corpus; drop its statistics.
 * ``GENERATION`` — the canonical spec → score map of one training run,
   the baseline that spec drift is computed against.
@@ -62,7 +66,9 @@ class StoredProgram:
     fingerprint: str            # content fingerprint (source + IR)
     key: str                    # corpus key at the time of storing
     source: Optional[str]
-    samples: Tuple             # Tuple[EncodedSample, ...]
+    #: the program's SampleBlock (older records: a tuple of
+    #: EncodedSamples, which SufficientStats.add packs)
+    samples: object
     n_events: int = 0
     n_edges: int = 0
     records: Tuple = ()        # Tuple[MatchRecord, ...]

@@ -26,7 +26,7 @@ from repro.mining import (
 )
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint
 from repro.mining.partial import ShardMetrics
-from repro.model.features import FeatureConfig
+from repro.model.features import FeatureConfig, SampleBlock
 from repro.model.logistic import SufficientStats
 from repro.runtime import (
     Budget,
@@ -186,7 +186,7 @@ def test_sufficient_stats_stream_is_merge_order_independent():
     b.add("000001:y", [sample("y"), sample("z")])
     ab = SufficientStats().merge(a).merge(b)
     ba = SufficientStats().merge(b).merge(a)
-    assert ab.stream(seed=13) == ba.stream(seed=13)
+    assert list(ab.stream(seed=13)) == list(ba.stream(seed=13))
     assert ab.n_samples == 3
 
 
@@ -465,15 +465,53 @@ def test_cli_parallel_everything_quarantined_exits_4(capsys):
     assert "every corpus program was quarantined" in capsys.readouterr().err
 
 
-def test_cli_store_dir_warm_run_reports_hits(tmp_path, capsys):
+def _program_records(store_dir):
+    store = StatsStore(store_dir, pipeline_fingerprint(PipelineConfig()))
+    try:
+        return list(store.programs.values())
+    finally:
+        store.close()
+
+
+def _rewrite_samples_as_tuples(store_dir):
+    """Journal every program record again the way runs wrote it before
+    sample blocks: its samples a tuple of ``EncodedSample`` objects."""
+    store = StatsStore(store_dir, pipeline_fingerprint(PipelineConfig()))
+    try:
+        for record in list(store.programs.values()):
+            store.put_program(replace(record, samples=tuple(record.samples)))
+    finally:
+        store.close()
+
+
+def _assert_warm_run_reports_hits(tmp_path, capsys, *, tuples):
+    """A warm rerun analyses nothing and writes the cold run's specs
+    byte for byte, over records holding sample blocks or, with
+    ``tuples``, as older runs journaled them: tuples of
+    ``EncodedSample`` objects."""
+    store_dir = tmp_path / "store"
+    out_path = tmp_path / "specs.json"
     args = ["learn", "--files", "5", "--seed", "7",
-            "--store-dir", str(tmp_path / "store"),
-            "--out", str(tmp_path / "specs.json")]
+            "--store-dir", str(store_dir), "--out", str(out_path)]
     assert main(args) == 0
+    cold = out_path.read_bytes()
+    if tuples:
+        _rewrite_samples_as_tuples(store_dir)
+    held = {type(record.samples) for record in _program_records(store_dir)}
+    assert held == {tuple if tuples else SampleBlock}
     capsys.readouterr()
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "analyzed 0, from store 5 (100%)" in out
+    assert out_path.read_bytes() == cold
+
+
+def test_cli_store_dir_warm_run_reports_hits(tmp_path, capsys):
+    _assert_warm_run_reports_hits(tmp_path, capsys, tuples=False)
+
+
+def test_cli_store_dir_warm_run_reads_tuple_records(tmp_path, capsys):
+    _assert_warm_run_reports_hits(tmp_path, capsys, tuples=True)
 
 
 def test_cli_jobs_prints_mining_metrics(tmp_path, capsys):

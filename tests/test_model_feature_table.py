@@ -91,7 +91,7 @@ def _assert_table_equals_reference(bundles, config, enable_retrecv=False):
                 for s in collect_bundle_samples(
                     bundle, config, pipeline.max_positives_per_graph,
                     pipeline.negative_ratio, seed)]
-        assert got == want, bundle.program.source
+        assert list(got) == want, bundle.program.source
         bundle._table = table
         got_records = match_records(bundle, config, 10, enable_retrecv)
         assert got_records == _reference_records(
@@ -135,7 +135,7 @@ def test_hasher_at_its_memo_bound_returns_the_same_indices(monkeypatch):
     unbounded, _ = encode_all()
     monkeypatch.setattr(features_module, "MEMO_LIMIT", 3)
     bounded, hasher = encode_all()
-    assert bounded == unbounded
+    assert [list(b) for b in bounded] == [list(b) for b in unbounded]
     # the memos were cleared on the way, never grown past the bound
     assert 0 < len(hasher._paths) <= 3
     assert 0 < len(hasher._indices) <= 3

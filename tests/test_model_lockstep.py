@@ -96,7 +96,8 @@ def corpus_run(request):
     pipeline = USpecPipeline()
     learned = pipeline.learn(programs)
     bundles = learned.run.bundles
-    stream = pipeline.collect_stats(bundles).stream(pipeline.config.seed)
+    stream = list(
+        pipeline.collect_stats(bundles).stream(pipeline.config.seed))
     records = [(key, indices) for bundle in bundles
                for _, key, indices, _ in match_records(bundle)]
     assert records
@@ -114,7 +115,7 @@ def test_lockstep_matches_per_sample_reference(corpus_run, monkeypatch):
     monkeypatch.setattr(
         USpecPipeline, "train_from_stats",
         lambda self, stats: ReferenceModel(
-            stats.stream(self.config.seed), self.config.train),
+            list(stats.stream(self.config.seed)), self.config.train),
     )
     expected = USpecPipeline().learn(programs)
     assert specs_to_json(learned.specs, learned.scores) == \

@@ -82,7 +82,8 @@ def test_l2_shrinks_weights():
 
 def test_single_step_is_one_adagrad_update():
     config = TrainConfig(epochs=1)
-    examples = compile_examples([((5,), 1)])
+    # one example, [5], labelled 1, in group 0
+    examples = compile_examples([1], [5], [1], [0])
     weights = np.zeros((1, len(examples.columns)))
     run_lanes(examples, [[(0, [0], config.seed)]], weights, config)
     # p = 0.5, so g = -0.5 and the accumulator becomes 1e-8 + 0.25
