@@ -21,7 +21,10 @@ format and message tuples of the pool's pipes (see
 :func:`multiprocessing.connection.wait` call multiplexes the listener
 and every worker.  Blocking reads and writes on a connection are
 bounded by a 30 s I/O timeout (``SO_RCVTIMEO``/``SO_SNDTIMEO``), so a
-peer stalled mid-frame is dropped instead of wedging the loop.
+peer stalled mid-frame is dropped instead of wedging the loop.  Both
+ends set ``TCP_NODELAY``: ``Connection`` writes the 4-byte header of a
+large frame as a send of its own, and Nagle's algorithm would hold the
+frame's body back until that header is acknowledged.
 
 Failure model (mapping onto the existing taxonomy):
 
@@ -45,10 +48,11 @@ Failure model (mapping onto the existing taxonomy):
   worker, whichever workers sit idle.
 
 Determinism: like local supervision, distribution changes *scheduling*
-only.  Results fold through the same order-canonicalised
-``ShardPartial`` monoid, so a loopback cluster of N workers produces
-specs and quarantine manifest byte-identical to ``--jobs N`` on one
-machine.
+only.  A worker streams each program it settles in an ``interim``
+frame, the engine folds it once by program key whichever worker sent
+it, and a task's reply carries only the shard's wall-clock, so a
+loopback cluster of N workers produces specs and quarantine manifest
+byte-identical to ``--jobs N`` on one machine.
 """
 
 from __future__ import annotations
@@ -199,6 +203,7 @@ class Coordinator(TaskScheduler):
         except OSError:
             return
         sock.setblocking(True)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # bound blocking I/O on the fd itself: Connection reads and
         # writes the raw descriptor, and settimeout would leave it
         # non-blocking

@@ -19,9 +19,11 @@ message                              direction    meaning
 ``("error", reason)``                coord→worker registration refused
 ``(runner_ref, payload, attempt)``   coord→worker one task
 ``("heartbeat",)``                   worker→coord renew the held lease
-``("interim", item)``                worker→coord one item sent ahead of
-                                                  the reply
-``("ok", result)``                   worker→coord the task's result
+``("interim", item)``                worker→coord one settled program,
+                                                  ahead of the reply
+``("ok", result)``                   worker→coord the task's result (an
+                                                  analyze task's: the
+                                                  shard's wall-clock)
 ``("error", exc)``                   worker→coord the task's typed error
 ``("goodbye",)``                     worker→coord graceful leave
 ``None``                             coord→worker shut down
@@ -30,7 +32,8 @@ message                              direction    meaning
 A worker is idle once it has been welcomed or has replied; each
 connection holds at most one task, so replies and heartbeats carry no
 task id.  The coordinator drops a connection whose first message is not
-``hello``.
+``hello``, and one whose ``interim`` item is not a settled program of
+the task it holds, failing that task's attempt as a crash.
 
 Security note: frames are **pickle from the first byte**, and there is
 no authentication: a peer that can reach the coordinator's port can
@@ -61,7 +64,11 @@ from typing import Callable
 #: v7: analyze results and ``interim`` items carry each program's
 #: samples as one ``SampleBlock`` of raw arrays, not ``EncodedSample``
 #: objects
-PROTOCOL_VERSION = 7
+#: v8: an ``interim`` item is one settled program, ``(ProgramOutcome,
+#: StoredProgram)``, and every analyze task streams each program it
+#: settles; an analyze result carries only the shard's ``(shard id,
+#: seconds)``
+PROTOCOL_VERSION = 8
 
 #: runner functions must live under this package prefix — the worker
 #: executes whatever the coordinator names, so restrict the namespace

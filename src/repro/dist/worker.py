@@ -4,10 +4,11 @@ exact in-process mining path.
 One worker is the remote analogue of one spawned pool process (one
 dispatch loop, :class:`~repro.mining.supervisor.TaskScheduler`, serves
 both kinds): it connects with
-:func:`multiprocessing.connection.Client`, registers
-(``hello``/``welcome``), then answers each ``(runner_ref, payload,
-attempt)`` task with :func:`repro.mining.supervisor._run_job` — the
-function the pool's :func:`~repro.mining.supervisor._pool_main` runs —
+:func:`multiprocessing.connection.Client`, sets ``TCP_NODELAY``,
+registers (``hello``/``welcome``), then answers each ``(runner_ref,
+payload, attempt)`` task with
+:func:`repro.mining.supervisor._run_job` — the function the pool's
+:func:`~repro.mining.supervisor._pool_main` runs —
 so the budget ladder and the fault plan the task carried (never one of
 the worker's own process) behave identically to local mining.  The
 runner crosses the wire by name and must live under ``repro.``; the
@@ -135,9 +136,16 @@ def _connect(
         if attempt:
             sleep(retry_delay)
         try:
-            return Client((host, port))
+            conn = Client((host, port))
         except OSError as err:
             last = err
+            continue
+        # frames go out whole (see repro.dist.coordinator); the option
+        # set on a duplicate descriptor holds for the socket itself
+        with socket.fromfd(conn.fileno(), socket.AF_INET,
+                           socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
     raise ConnectionError(
         f"could not reach coordinator at {host}:{port} after "
         f"{max(1, retries)} attempt(s): {last}"

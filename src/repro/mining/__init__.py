@@ -1,4 +1,4 @@
-"""Sharded parallel mining with mergeable partial results (scaling §7).
+"""Sharded parallel mining, one fold of settled programs (scaling §7).
 
 The paper mines specifications from corpora of up to 64M LoC — far
 beyond what a single sequential pass handles comfortably.  This package
@@ -6,7 +6,8 @@ turns :class:`~repro.specs.pipeline.USpecPipeline` into a deterministic
 map/reduce job:
 
 * :mod:`sharding` — stable hash-based corpus shards;
-* :mod:`partial` — per-shard results that merge as a monoid;
+* :mod:`partial` — the one fold every settled program goes through,
+  once, whichever way it arrived, and the run's report;
 * :mod:`cache` — the (pipeline, program) fingerprints that key every
   record of the durable store (:mod:`repro.store`), so a re-run after
   editing *k* corpus files re-analyses exactly *k*;
@@ -28,8 +29,8 @@ _LAZY = {
     "MiningConfig": "repro.mining.engine",
     "MiningEngine": "repro.mining.engine",
     "MiningReport": "repro.mining.partial",
+    "ProgramFold": "repro.mining.partial",
     "ShardMetrics": "repro.mining.partial",
-    "ShardPartial": "repro.mining.partial",
     "ShardPlan": "repro.mining.sharding",
     "SupervisionConfig": "repro.mining.supervisor",
     "TaskScheduler": "repro.mining.supervisor",

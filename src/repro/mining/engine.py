@@ -8,16 +8,18 @@ map/reduce phases over deterministic corpus shards
    :class:`~repro.store.stats.StatsStore` (same pipeline fingerprint,
    same program content) are taken from it; each shard's remaining
    programs run corpus analysis under the :mod:`repro.runtime` failure
-   discipline and produce a :class:`~repro.mining.partial.ShardPartial`:
-   per program, its hashed training samples *and* its Alg. 1 match
+   discipline.  Each program settles as one value
+   (:mod:`repro.mining.partial`): its outcome and its store record,
+   which holds its hashed training samples *and* its Alg. 1 match
    records (:func:`~repro.specs.candidates.match_records`) — the
    single-edge matches with their hashed ``ftr(e1, e2)``, which need no
-   model — or its quarantine entry.  The parent journals each program's
-   result to the store as soon as it has it: workers send every
-   settled program ahead of their task reply;
-2. **reduce: train** — partials fold through ``ShardPartial.merge``
-   into one canonical set of sufficient statistics; the model trains
-   over their seed-shuffled sample stream, ordered by source name
+   model — or its quarantine entry.  A worker sends every program to
+   the parent as it settles, and its task reply carries only the
+   shard's wall-clock;
+2. **reduce: train** — the parent folds every settled program once,
+   whichever way it arrived (:class:`~repro.mining.partial.ProgramFold`),
+   journaling it to the store first; the model trains over the
+   seed-shuffled sample stream, ordered by source name
    (:func:`~repro.model.dataset.stream_key`) as in the reference
    pipeline, whatever the corpus order;
 3. **finalize** — the parent scores every match record in canonical
@@ -31,10 +33,11 @@ resume after a kill and a run after edits are therefore one lookup:
 exactly the programs without a journal record are analysed.
 
 Determinism guarantee: because per-program work depends only on the
-program identity and the corpus seed, and every merge is canonicalised
-by program key, the final specifications and quarantine manifest are
-**byte-identical for any worker count, shard count and completion
-order**.  ``--jobs 4`` is a wall-clock knob, never a results knob.
+program identity and the corpus seed, and the fold keeps one copy per
+program key and sorts by it, the final specifications and quarantine
+manifest are **byte-identical for any worker count, shard count and
+completion order**.  ``--jobs 4`` is a wall-clock knob, never a
+results knob.
 
 Parallel runs dispatch shards through the
 :class:`~repro.mining.supervisor.TaskScheduler`: every task attempt
@@ -54,7 +57,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
-    Dict,
+    Callable,
     List,
     Optional,
     Sequence,
@@ -62,11 +65,7 @@ from typing import (
 )
 
 from repro.ir.program import Program
-from repro.model.dataset import (
-    bundle_seed,
-    encode_bundle_samples,
-    stream_key,
-)
+from repro.model.dataset import bundle_seed, encode_bundle_samples
 from repro.model.features import FeatureHasher
 from repro.runtime.checkpoint import program_key
 from repro.runtime.executor import (
@@ -83,7 +82,12 @@ from repro.specs.pipeline import (
     USpecPipeline,
 )
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint
-from repro.mining.partial import MiningReport, ShardPartial
+from repro.mining.partial import (
+    TIER_STORE,
+    TIER_SUPERVISED,
+    MiningReport,
+    ProgramFold,
+)
 from repro.store.stats import SpecDrift, StatsStore, StoredProgram
 from repro.mining.sharding import ShardPlan
 from repro.mining.supervisor import (
@@ -102,15 +106,12 @@ if TYPE_CHECKING:  # engine → dist would close an import cycle at
 #: busy when shard sizes are skewed, at negligible merge cost
 SHARDS_PER_JOB = 4
 
-#: outcome tier label for programs satisfied from the durable store
-TIER_STORE = "store"
-
-#: attempt tier label for supervisor-level quarantines (the program
-#: never reached the analysis ladder — it killed the worker instead)
-TIER_SUPERVISED = "supervised"
-
 #: one corpus unit: (global index, program key, program)
 Unit = Tuple[int, str, Program]
+
+#: one settled program: its outcome and its store record (without a
+#: fingerprint until the parent stamps one)
+Settled = Tuple[ProgramOutcome, StoredProgram]
 
 
 @dataclass(frozen=True)
@@ -171,81 +172,63 @@ class AnalyzeTask:
     #: the armed fault plan; rides on the payload (not the pipeline
     #: config) so it can never perturb the store fingerprint
     faults: FaultPlan = field(default_factory=FaultPlan)
-    #: send each program to the parent as it settles (the parent
-    #: journals it), so a kill loses at most the program in flight
-    stream: bool = False
 
 
 def _analyze_shard(
     config: PipelineConfig,
-    shard_id: int,
     items: Sequence[Unit],
-    settled=None,
+    settle: Callable[[ProgramOutcome, StoredProgram], None],
     faults: Optional[FaultPlan] = None,
     attempt: Optional[int] = None,
-) -> ShardPartial:
-    """Analyse one shard's programs with the corpus executor.
+) -> float:
+    """Analyse one shard's programs with the corpus executor; returns
+    its wall-clock seconds.
 
-    Every analysed program contributes its encoded training samples and
-    its Alg. 1 match records to the partial; its event graph is dropped
-    here.  ``settled(result)`` runs with each program's
-    :func:`_settled` result as it settles: the in-process engine
-    journals it there and a worker sends it to the parent, so a run
-    killed mid-shard keeps everything that completed.  ``faults`` and
+    ``settle(outcome, record)`` runs with each program's settled value
+    as it settles: the record holds the program's encoded training
+    samples, Alg. 1 match records and graph counts, or its quarantine
+    entry, and its event graph is dropped here.  In process the fold
+    takes it at once; a worker sends it to the parent, so a run killed
+    mid-shard keeps everything that completed.  ``faults`` and
     ``attempt`` go to the executor: a worker passes the plan its task
     carried and the task attempt, the parent no attempt.
     """
     started = time.monotonic()
-    partial = ShardPartial.empty(shard_id)
-    metrics = partial.metrics[0]
     index_of = {key: index for index, key, _ in items}
-
     hasher = FeatureHasher(config.feature)
 
     def sink(outcome, bundle, entry) -> None:
-        key = outcome.key
-        samples = ()
-        if bundle is not None:
-            # one feature table per program, for its samples and its
-            # match records alike
-            samples = encode_bundle_samples(
-                bundle.features(hasher),
-                config.max_positives_per_graph,
-                config.negative_ratio,
-                bundle_seed(config.seed, bundle.program.source,
-                            index_of[key]),
-            )
-            graph = bundle.graph
-            partial.stats.add(
-                stream_key(bundle.program.source, index_of[key]), samples)
-            partial.records[key] = tuple(match_records(
-                bundle, config.feature, config.max_receiver_distance,
-                config.enable_retrecv,
-            ))
-            partial.program_meta[key] = (len(graph.events),
-                                         graph.edge_count)
-            metrics.n_samples += len(samples)
-            metrics.n_events += len(graph.events)
-            metrics.n_edges += graph.edge_count
-        partial.analyzed_keys.append(key)
-        if settled is not None:
-            settled(_settled(partial, key, entry, samples))
+        key, source = outcome.key, outcome.source
+        if bundle is None:
+            settle(outcome, StoredProgram("", key, source, (), entry=entry))
+            return
+        # one feature table per program, for its samples and its match
+        # records alike
+        samples = encode_bundle_samples(
+            bundle.features(hasher),
+            config.max_positives_per_graph,
+            config.negative_ratio,
+            bundle_seed(config.seed, source, index_of[key]),
+        )
+        records = tuple(match_records(
+            bundle, config.feature, config.max_receiver_distance,
+            config.enable_retrecv,
+        ))
+        graph = bundle.graph
+        settle(outcome, StoredProgram(
+            "", key, source, samples, len(graph.events), graph.edge_count,
+            records,
+        ))
 
     executor = CorpusExecutor(config.pointsto, config.history,
                               config.runtime, faults=faults)
-    report = executor.run(
+    executor.run(
         [program for _, _, program in items],
         keys=[key for _, key, _ in items],
         sink=sink,
         attempt=attempt,
     )
-    partial.outcomes.extend(report.outcomes)
-    partial.manifest.merge(report.manifest)
-    metrics.n_programs = len(items)
-    metrics.n_analyzed = len(partial.analyzed_keys)
-    metrics.n_quarantined = len(partial.manifest)
-    metrics.seconds = time.monotonic() - started
-    return partial
+    return time.monotonic() - started
 
 
 # ----------------------------------------------------------------------
@@ -253,24 +236,13 @@ def _analyze_shard(
 # the process boundary by pickle under the spawn start method)
 
 
-def _settled(partial: ShardPartial, key: str,
-             entry: Optional[QuarantineEntry], samples=()) -> Tuple:
-    """One settled program as the journal stores it: ``(key, entry,
-    samples, match records, n_events, n_edges)``, where ``samples`` is
-    the program's :class:`~repro.model.features.SampleBlock`, the one
-    its partial holds, and a quarantined program has its entry and
-    nothing else."""
-    if entry is not None:
-        return (key, entry, (), (), 0, 0)
-    n_events, n_edges = partial.program_meta[key]
-    return (key, None, samples, partial.records[key], n_events, n_edges)
-
-
 def _supervised_analyze(payload: AnalyzeTask, attempt: int):
+    """Stream each settled program to the parent; reply with the
+    shard's ``(shard id, seconds)``."""
     try:
-        return _analyze_shard(
-            payload.config, payload.shard_id, payload.items,
-            settled=send_interim if payload.stream else None,
+        return payload.shard_id, _analyze_shard(
+            payload.config, payload.items,
+            lambda outcome, record: send_interim((outcome, record)),
             faults=payload.faults, attempt=attempt,
         )
     except CorruptResult as corrupt:
@@ -288,15 +260,49 @@ def _split_analyze(payload: AnalyzeTask):
     )
 
 
-def _valid_partial(result) -> bool:
-    return isinstance(result, ShardPartial)
+def _valid_reply(result) -> bool:
+    return (isinstance(result, tuple) and len(result) == 2
+            and isinstance(result[0], int)
+            and isinstance(result[1], float))
+
+
+def _settles(payload: AnalyzeTask, item: object) -> bool:
+    """Whether ``item`` is a settled program of ``payload``'s own task:
+    an executor's outcome and record for one of its keys."""
+    if not (isinstance(item, tuple) and len(item) == 2):
+        return False
+    outcome, record = item
+    return (isinstance(outcome, ProgramOutcome)
+            and isinstance(record, StoredProgram)
+            and not outcome.cached
+            and record.key == outcome.key
+            and (record.entry is None) == outcome.succeeded
+            and any(key == outcome.key for _, key, _ in payload.items))
+
+
+def _poisoned(payload: AnalyzeTask, label: str, error: str) -> Settled:
+    """The settled value of a singleton task whose program kills its
+    worker: a ``worker-*`` quarantine the parent makes itself."""
+    ((_, key, program),) = payload.items
+    entry = QuarantineEntry(
+        program=key,
+        source=program.source,
+        error_kind=label,
+        error=error,
+        attempts=[TierAttempt(
+            tier=TIER_SUPERVISED, error_kind=label, error=error,
+        )],
+    )
+    outcome = ProgramOutcome(key=key, source=program.source,
+                             attempts=list(entry.attempts))
+    return outcome, StoredProgram("", key, program.source, (), entry=entry)
 
 
 # ----------------------------------------------------------------------
 
 
 class MiningEngine:
-    """Shard → map → merge orchestration around :class:`USpecPipeline`."""
+    """Shard → map → fold orchestration around :class:`USpecPipeline`."""
 
     def __init__(
         self,
@@ -356,18 +362,30 @@ class MiningEngine:
             (shard_id, [units[i] for i in plan.members(shard_id)])
             for shard_id in range(n_shards)
         ]
-        tasks = [(sid, items) for sid, items in shard_items if items]
 
-        # the one lookup: programs with a store record skip dispatch
         store: Optional[StatsStore] = None
         journal: Optional[_Journal] = None
-        store_partials: List[ShardPartial] = []
         if self.mining.store_dir:
             store = StatsStore(self.mining.store_dir,
                                pipeline_fingerprint(self.config))
             journal = _Journal(store, units)
-            tasks, store_partials = self._fold_from_store(
-                store, tasks, journal.fps)
+        fold = ProgramFold(
+            {key: (index, sid) for sid, items in shard_items
+             for index, key, _ in items},
+            journal=journal.put if journal is not None else None,
+        )
+        # the one lookup: programs with a store record skip dispatch
+        tasks: List[Tuple[int, List[Unit]]] = []
+        for sid, items in shard_items:
+            fresh = []
+            for unit in items:
+                held = journal.held(unit) if journal is not None else None
+                if held is None:
+                    fresh.append(unit)
+                else:
+                    fold.fold(*held)
+            if fresh:
+                tasks.append((sid, fresh))
         drift: Optional[SpecDrift] = None
 
         # the dispatcher: the coordinator, or a local scheduler
@@ -376,51 +394,45 @@ class MiningEngine:
             supervisor = self._local_scheduler(
                 jobs, ledger, faults.has_worker_faults)
 
+        def poison(payload: AnalyzeTask, label: str, error: str):
+            fold.fold(*_poisoned(payload, label, error))
+            return payload.shard_id, 0.0
+
+        def interim(payload: AnalyzeTask, item: object) -> bool:
+            if not _settles(payload, item):
+                return False
+            fold.fold(*item)
+            return True
+
         try:
             # phase 1: map-analyze ------------------------------------
-            if not tasks:
-                partials: List[ShardPartial] = []
-            elif supervisor is not None:
-                partials = supervisor.run_phase(
+            if supervisor is not None and tasks:
+                for sid, seconds in supervisor.run_phase(
                     "analyze",
                     [(sid, AnalyzeTask(self.config, sid, tuple(items),
-                                       faults=faults,
-                                       stream=journal is not None))
+                                       faults=faults))
                      for sid, items in tasks],
                     runner=_supervised_analyze,
                     splitter=_split_analyze,
-                    poisoner=journal.poison if journal else _poison_analyze,
-                    validator=_valid_partial,
-                    on_interim=journal.put if journal else None,
-                )
+                    poisoner=poison,
+                    validator=_valid_reply,
+                    on_interim=interim,
+                ):
+                    fold.clock(sid, seconds)
             else:
-                partials = [
-                    _analyze_shard(self.config, sid, items,
-                                   settled=journal.put if journal
-                                   else None, faults=faults)
-                    for sid, items in tasks
-                ]
-            partials = list(partials) + store_partials
+                for sid, items in tasks:
+                    fold.clock(sid, _analyze_shard(
+                        self.config, items, fold.fold, faults=faults))
             t1 = time.monotonic()
 
             # phase 2: reduce-train -----------------------------------
-            merged = ShardPartial()
-            for partial in sorted(
-                partials, key=lambda p: p.metrics[0].shard_id
-            ):
-                merged.merge(partial)
-            merged.canonicalize()
             if journal is not None:
                 journal.retire_departed()
-            model = self.pipeline.train_from_stats(merged.stats)
+            model = self.pipeline.train_from_stats(fold.stats)
             t2 = time.monotonic()
 
             # phase 3: finalize ---------------------------------------
-            extraction = score_records(
-                (record for key in sorted(merged.records)
-                 for record in merged.records[key]),
-                model,
-            )
+            extraction = score_records(fold.records(), model)
             scores = self.pipeline.score(extraction)
             specs = self.pipeline.select(scores)
             t3 = time.monotonic()
@@ -435,20 +447,36 @@ class MiningEngine:
                 supervisor.close()
 
         run = CorpusRunReport(
-            outcomes=merged.outcomes, manifest=merged.manifest,
+            outcomes=fold.outcomes, manifest=fold.manifest,
         )
-        report = self._report(
-            jobs, n_shards, merged, t0, t1, t2, t3,
-            ledger=ledger, supervised=supervised,
+        shards, analyzed_keys = fold.shards, fold.analyzed_keys
+        report = MiningReport(
+            jobs=jobs,
+            n_shards=n_shards,
+            n_programs=len(run.outcomes),
+            n_analyzed=len(analyzed_keys),
+            n_quarantined=len(run.manifest),
+            n_events=sum(m.n_events for m in shards),
+            n_edges=sum(m.n_edges for m in shards),
+            n_samples=sum(m.n_samples for m in shards),
+            seconds_analyze=t1 - t0,
+            seconds_train=t2 - t1,
+            seconds_extract=t3 - t2,
+            seconds_total=time.monotonic() - t0,
+            shards=shards,
+            analyzed_keys=analyzed_keys,
+            ledger=ledger,
+            supervised=supervised,
             distributed=distributed,
             cluster=(
                 self.coordinator.stats.to_dict() if distributed else None
             ),
-            store_generation=store.generation if store is not None else None,
-            drift=drift.to_dict() if drift is not None else None,
+            n_from_store=sum(m.n_from_store for m in shards),
             store_recovery=(
                 store.recovery_counts() if store is not None else None
             ),
+            store_generation=store.generation if store is not None else None,
+            drift=drift.to_dict() if drift is not None else None,
             dispatch=(
                 supervisor.dispatch.to_dict()
                 if supervisor is not None else None
@@ -480,127 +508,15 @@ class MiningEngine:
             jobs=pool_jobs,
         )
 
-    # ------------------------------------------------------------------
-    # the durable store (--store-dir)
-
-    def _fold_from_store(
-        self,
-        store: StatsStore,
-        tasks: List[Tuple[int, List[Unit]]],
-        fps: Dict[str, str],
-    ) -> Tuple[List[Tuple[int, List[Unit]]], List[ShardPartial]]:
-        """Partition shard tasks into fresh work and store-satisfied work.
-
-        A unit is satisfied from the store when its content fingerprint
-        has a journal record, which carries everything the run needs
-        from it: samples, match records and graph counts, or the
-        quarantine entry that keeps it from being re-attempted.
-        Satisfied units become ready-made per-shard partials —
-        re-stamped to the unit's *current* corpus key, which is sound
-        because persisted samples derive from the source name
-        (``bundle_seed``), not the corpus position.
-        """
-        remaining: List[Tuple[int, List[Unit]]] = []
-        store_partials: List[ShardPartial] = []
-        for sid, items in tasks:
-            fresh: List[Unit] = []
-            held: List[Tuple[Unit, StoredProgram]] = []
-            for unit in items:
-                fp = fps.get(unit[1])
-                rec = store.get(fp) if fp is not None else None
-                if rec is not None:
-                    held.append((unit, rec))
-                else:
-                    fresh.append(unit)
-            if held:
-                sp = ShardPartial.empty(sid)
-                metrics = sp.metrics[0]
-                for (index, key, program), rec in held:
-                    metrics.n_programs += 1
-                    metrics.n_from_store += 1
-                    if rec.entry is not None:
-                        sp.outcomes.append(ProgramOutcome(
-                            key=key, source=program.source, cached=True,
-                        ))
-                        sp.manifest.add(replace(rec.entry, program=key))
-                        metrics.n_quarantined += 1
-                        continue
-                    sp.outcomes.append(ProgramOutcome(
-                        key=key, source=program.source,
-                        tier=TIER_STORE, cached=True,
-                    ))
-                    sp.stats.add(stream_key(program.source, index),
-                                 rec.samples)
-                    sp.records[key] = tuple(rec.records)
-                    sp.program_meta[key] = (rec.n_events, rec.n_edges)
-                    metrics.n_samples += len(rec.samples)
-                    metrics.n_events += rec.n_events
-                    metrics.n_edges += rec.n_edges
-                store_partials.append(sp)
-            if fresh:
-                remaining.append((sid, fresh))
-        return remaining, store_partials
-
-    # ------------------------------------------------------------------
-
-    def _report(
-        self,
-        jobs: int,
-        n_shards: int,
-        merged: ShardPartial,
-        t0: float, t1: float, t2: float, t3: float,
-        ledger: Optional[FailureLedger] = None,
-        supervised: bool = False,
-        distributed: bool = False,
-        cluster: Optional[Dict[str, object]] = None,
-        store_generation: Optional[int] = None,
-        drift: Optional[Dict[str, object]] = None,
-        store_recovery: Optional[Dict[str, object]] = None,
-        dispatch: Optional[Dict[str, object]] = None,
-    ) -> MiningReport:
-        def total(attr: str) -> int:
-            return sum(getattr(m, attr) for m in merged.metrics)
-
-        return MiningReport(
-            jobs=jobs,
-            n_shards=n_shards,
-            n_programs=merged.n_programs,
-            n_analyzed=merged.n_analyzed,
-            n_quarantined=len(merged.manifest),
-            n_events=total("n_events"),
-            n_edges=total("n_edges"),
-            n_samples=total("n_samples"),
-            seconds_analyze=t1 - t0,
-            seconds_train=t2 - t1,
-            seconds_extract=t3 - t2,
-            seconds_total=time.monotonic() - t0,
-            shards=list(merged.metrics),
-            analyzed_keys=list(merged.analyzed_keys),
-            ledger=ledger,
-            supervised=supervised,
-            distributed=distributed,
-            cluster=cluster,
-            n_from_store=total("n_from_store"),
-            store_recovery=store_recovery,
-            store_generation=store_generation,
-            drift=drift,
-            dispatch=dispatch,
-        )
-
 
 class _Journal:
-    """Persists each settled program's result to the store at once.
-
-    :meth:`put` takes each program's :func:`_settled` result as it
-    settles: in-process, or sent ahead of its task reply by a pool or
-    dist worker.  :meth:`poison` journals the verdict the parent itself
-    makes for a program that kills its worker.  A later crash or strict
-    abort therefore loses at most the programs still in flight.
-    """
+    """The run's view of its store: the lookup before dispatch, and the
+    write of each program the fold takes that is not from the store,
+    so a crash or strict abort loses at most the programs still in
+    flight."""
 
     def __init__(self, store: StatsStore, units: Sequence[Unit]) -> None:
         self.store = store
-        self.sources = {key: program.source for _, key, program in units}
         #: program key → content fingerprint.  Source-less programs are
         #: never stored: their sample seed and key are their position.
         self.fps = {
@@ -608,55 +524,36 @@ class _Journal:
             for _, key, program in units
             if program.source is not None
         }
-        #: keys journaled this run (a retried task settles them again)
-        self.done: set = set()
 
-    def put(self, settled: Tuple) -> None:
-        key, entry, samples, records, n_events, n_edges = settled
+    def held(self, unit: Unit) -> Optional[Settled]:
+        """``unit``'s settled value from its store record, or None.
+
+        The record is re-stamped to the unit's *current* corpus key,
+        which is sound because persisted samples derive from the source
+        name (``bundle_seed``), not the corpus position.
+        """
+        _, key, program = unit
         fp = self.fps.get(key)
-        if fp is None or key in self.done:
-            return
-        self.done.add(key)
-        self.store.put_program(StoredProgram(
-            fp, key, self.sources[key], samples, n_events, n_edges,
-            records, entry=entry,
-        ))
+        record = self.store.get(fp) if fp is not None else None
+        if record is None:
+            return None
+        outcome = ProgramOutcome(key=key, source=program.source, cached=True)
+        entry = record.entry
+        if entry is None:
+            outcome.tier = TIER_STORE
+        else:
+            entry = replace(entry, program=key)
+        return outcome, replace(record, key=key, entry=entry)
 
-    def poison(self, payload: AnalyzeTask, label: str,
-               error: str) -> ShardPartial:
-        partial = _poison_analyze(payload, label, error)
-        (entry,) = partial.manifest.entries
-        self.put(_settled(partial, entry.program, entry))
-        return partial
+    def put(self, record: StoredProgram) -> None:
+        """Stamp ``record`` with its program's fingerprint and journal
+        it (a source-less program has none and is not stored)."""
+        fp = self.fps.get(record.key)
+        if fp is not None:
+            self.store.put_program(replace(record, fingerprint=fp))
 
     def retire_departed(self) -> None:
         """Retire the records of programs that left the corpus."""
         live = set(self.fps.values())
         self.store.retire([fp for fp in self.store.programs
                            if fp not in live])
-
-
-def _poison_analyze(payload: AnalyzeTask, label: str,
-                    error: str) -> ShardPartial:
-    """The result of a singleton task whose program kills its worker:
-    a ``worker-*`` quarantine, journaled like any other verdict."""
-    ((index, key, program),) = payload.items
-    entry = QuarantineEntry(
-        program=key,
-        source=program.source,
-        error_kind=label,
-        error=error,
-        attempts=[TierAttempt(
-            tier=TIER_SUPERVISED, error_kind=label, error=error,
-        )],
-    )
-    partial = ShardPartial.empty(payload.shard_id)
-    partial.outcomes.append(ProgramOutcome(
-        key=key, source=program.source,
-        attempts=list(entry.attempts),
-    ))
-    partial.manifest.add(entry)
-    metrics = partial.metrics[0]
-    metrics.n_programs = 1
-    metrics.n_quarantined = 1
-    return partial

@@ -1,37 +1,52 @@
-"""Mergeable per-shard mining results.
+"""What a mining run folds: every settled program, once.
 
-Every shard worker produces a :class:`ShardPartial` — its slice of the
-corpus analysis folded into values that are cheap to pickle and that
-*merge*: ``a.merge(b)`` is associative and, combined with the key-sorted
-canonicalisation applied after the fold, insensitive to the order in
-which shards complete.  That is the whole determinism story of the
-parallel engine: workers may finish in any order, the fold may happen in
-any order, and the canonical view is still byte-for-byte the one a
-sequential run produces.
+A program *settles* as one value, ``(outcome, record)``: its
+:class:`~repro.runtime.executor.ProgramOutcome` and its
+:class:`~repro.store.stats.StoredProgram`, which holds the hashed
+training samples (one :class:`~repro.model.features.SampleBlock`), the
+Alg. 1 match records (:func:`repro.specs.candidates.match_records`)
+and the graph counts, or the quarantine entry.  The executor's sink
+builds it, in process or in a worker that streams it to the parent;
+the parent builds it for a store hit and for a poisoned singleton.
+:meth:`ProgramFold.fold` takes it whichever way it arrived, and is the
+only way a program enters a run's result.
 
-The partial carries:
-
-* per-program :class:`~repro.runtime.executor.ProgramOutcome` records;
-* the shard's :class:`~repro.runtime.manifest.QuarantineManifest`;
-* :class:`~repro.model.logistic.SufficientStats` — the hashed training
-  samples of the shard's programs, keyed by program so the merged
-  stream has one canonical order;
-* per-program Alg. 1 match records (:func:`repro.specs.candidates.
-  match_records`), which the parent scores once the model is trained;
-* :class:`ShardMetrics` — event/edge counts, store hits, wall-clock.
+Determinism: the fold keeps the first copy of each program key (a
+retried or bisected attempt re-sends the programs its failed attempt
+already settled, with equal values), and every view sorts by program
+key: outcomes, the manifest, match records in the order the parent
+scores them, and ``SufficientStats.stream``.  Arrival order therefore
+never changes a byte of the specs or the quarantine manifest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
+from repro.model.dataset import stream_key
 from repro.model.logistic import SufficientStats
 from repro.runtime.executor import ProgramOutcome
-from repro.runtime.manifest import QuarantineManifest
+from repro.runtime.manifest import QuarantineEntry, QuarantineManifest
 
 if TYPE_CHECKING:  # avoid the partial → supervisor import cycle
     from repro.mining.supervisor import FailureLedger
+    from repro.store.stats import StoredProgram
+
+#: outcome tier label for programs satisfied from the durable store
+TIER_STORE = "store"
+
+#: attempt tier label for supervisor-level quarantines (the program
+#: never reached the analysis ladder — it killed the worker instead)
+TIER_SUPERVISED = "supervised"
 
 
 @dataclass
@@ -62,92 +77,91 @@ class ShardMetrics:
         }
 
 
-@dataclass
-class ShardPartial:
-    """The mergeable result of mining one (or several merged) shards."""
+class ProgramFold:
+    """Every settled program of one run, each folded once."""
 
-    metrics: List[ShardMetrics] = field(default_factory=list)
-    outcomes: List[ProgramOutcome] = field(default_factory=list)
-    manifest: QuarantineManifest = field(default_factory=QuarantineManifest)
-    stats: SufficientStats = field(default_factory=SufficientStats)
-    #: program key → its match records (``MatchRecord`` tuples)
-    records: Dict[str, Tuple] = field(default_factory=dict)
-    #: keys actually *computed* this run (not from the store)
-    analyzed_keys: List[str] = field(default_factory=list)
-    #: program key → (n_events, n_edges) — the per-program graph sizes
-    #: the statistics store persists alongside each program's samples
-    program_meta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        places: Dict[str, Tuple[int, int]],
+        journal: Optional[Callable[["StoredProgram"], None]] = None,
+    ) -> None:
+        #: program key → (corpus index, shard id)
+        self.places = places
+        #: persists a record before it is folded (None: no store)
+        self.journal = journal
+        self.stats = SufficientStats()
+        self._outcomes: Dict[str, ProgramOutcome] = {}
+        self._entries: List[QuarantineEntry] = []
+        self._records: Dict[str, Tuple] = {}
+        self._analyzed: List[str] = []
+        self._shards: Dict[int, ShardMetrics] = {}
 
-    @classmethod
-    def empty(cls, shard_id: Optional[int] = None) -> "ShardPartial":
-        partial = cls()
-        if shard_id is not None:
-            partial.metrics.append(ShardMetrics(shard_id=shard_id))
-        return partial
+    def fold(self, outcome: ProgramOutcome,
+             record: "StoredProgram") -> None:
+        """Fold one settled program: the executor's, a store hit
+        (``outcome.cached``) or a poisoned singleton.
 
-    def merge(self, other: "ShardPartial") -> "ShardPartial":
-        """Fold ``other`` into ``self`` (associative; returns self).
-
-        Raw containers are concatenated; order-insensitivity comes from
-        :meth:`canonicalize` (and from ``SufficientStats.stream`` /
-        ``QuarantineManifest.to_json``, which sort by program key).
+        The first copy of a key wins and later ones are dropped before
+        they reach the journal.  Anything not from the store is
+        journaled before it is folded, so a storage error ends the run
+        with the program in neither.
         """
-        self.metrics.extend(other.metrics)
-        self.outcomes.extend(other.outcomes)
-        self.manifest.merge(other.manifest)
-        self.stats.merge(other.stats)
-        self.records.update(other.records)
-        self.analyzed_keys.extend(other.analyzed_keys)
-        self.program_meta.update(other.program_meta)
-        return self
+        key = outcome.key
+        if key in self._outcomes:
+            return
+        if self.journal is not None and not outcome.cached:
+            self.journal(record)
+        index, shard_id = self.places[key]
+        metrics = self._shards.setdefault(shard_id, ShardMetrics(shard_id))
+        self._outcomes[key] = outcome
+        metrics.n_programs += 1
+        if outcome.cached:
+            metrics.n_from_store += 1
+        elif all(a.tier != TIER_SUPERVISED for a in outcome.attempts):
+            metrics.n_analyzed += 1
+            self._analyzed.append(key)
+        if record.entry is not None:
+            self._entries.append(record.entry)
+            metrics.n_quarantined += 1
+            return
+        self.stats.add(stream_key(outcome.source, index), record.samples)
+        self._records[key] = tuple(record.records)
+        metrics.n_samples += len(record.samples)
+        metrics.n_events += record.n_events
+        metrics.n_edges += record.n_edges
 
-    def canonicalize(self) -> "ShardPartial":
-        """Sort every per-program container by program key (in place).
-
-        After this, two folds of the same shard set in different orders
-        compare equal field-by-field — the property the monoid-law
-        tests check, and the one the engine relies on before handing
-        outcomes to the order-sensitive downstream stages.
-
-        Metrics carrying the same shard id — the sub-partials a
-        supervised bisection produced for one shard — are coalesced
-        into a single per-shard entry, so reports look the same whether
-        a shard ran whole or in pieces.
-        """
-        by_id: Dict[int, ShardMetrics] = {}
-        for m in self.metrics:
-            agg = by_id.get(m.shard_id)
-            if agg is None:
-                by_id[m.shard_id] = m
-                continue
-            for attr in ("n_programs", "n_analyzed", "n_from_store",
-                         "n_quarantined", "n_events", "n_edges",
-                         "n_samples", "seconds"):
-                setattr(agg, attr, getattr(agg, attr) + getattr(m, attr))
-        self.metrics = list(by_id.values())
-        self.metrics.sort(key=lambda m: m.shard_id)
-        self.outcomes.sort(key=lambda o: o.key)
-        self.manifest.entries.sort(key=lambda e: e.program)
-        self.analyzed_keys.sort()
-        return self
+    def clock(self, shard_id: int, seconds: float) -> None:
+        """Add one task's wall-clock to its shard's (bisected halves
+        sum)."""
+        metrics = self._shards.setdefault(shard_id, ShardMetrics(shard_id))
+        metrics.seconds += seconds
 
     # ------------------------------------------------------------------
+    # canonical views: sorted by program key (or shard id)
 
     @property
-    def n_programs(self) -> int:
-        return len(self.outcomes)
+    def outcomes(self) -> List[ProgramOutcome]:
+        return [self._outcomes[key] for key in sorted(self._outcomes)]
 
     @property
-    def n_analyzed(self) -> int:
-        return len(self.analyzed_keys)
+    def manifest(self) -> QuarantineManifest:
+        return QuarantineManifest(
+            sorted(self._entries, key=lambda e: e.program))
 
-    def __repr__(self) -> str:
-        return (
-            f"<ShardPartial {len(self.metrics)} shards, "
-            f"{self.n_programs} programs ({self.n_analyzed} analyzed), "
-            f"{len(self.manifest)} quarantined, "
-            f"{self.stats.n_samples} samples>"
-        )
+    def records(self) -> Iterator[Tuple]:
+        """Every match record, in program-key order."""
+        for key in sorted(self._records):
+            yield from self._records[key]
+
+    @property
+    def analyzed_keys(self) -> List[str]:
+        """Programs the executor settled this run, quarantined ones
+        included (not store hits, nor poisoned singletons)."""
+        return sorted(self._analyzed)
+
+    @property
+    def shards(self) -> List[ShardMetrics]:
+        return [self._shards[sid] for sid in sorted(self._shards)]
 
 
 @dataclass

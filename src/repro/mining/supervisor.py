@@ -46,12 +46,13 @@ after a raise) stays on its worker, and its late reply and interims
 are dropped, so they can never settle a later phase's task.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
-killed attempt contributes nothing (workers never write to disk; the
-parent persists each result as it settles), a retried attempt
-recomputes the same per-program values, and bisected halves produce the
-same mergeable partials the whole shard would have — so specs and
-manifest stay byte-identical with worker faults on or off, for any
-``--jobs`` and ``--shards``, modulo the quarantined toxic programs.
+killed attempt contributes only the programs it settled before it died
+(workers never write to disk; the parent folds and persists each
+program as it settles), a retried attempt recomputes the same
+per-program values, and bisected halves settle the same programs the
+whole shard would have — so specs and manifest stay byte-identical with
+worker faults on or off, for any ``--jobs`` and ``--shards``, modulo
+the quarantined toxic programs.
 
 ``strict=True`` keeps fail-fast semantics: a typed error shipped back
 by a worker re-raises in the parent with its type intact (``--strict``
@@ -522,7 +523,7 @@ class TaskScheduler:
         splitter: Callable[[object], Optional[Tuple[object, object]]],
         poisoner: Callable[[object, str, str], object],
         validator: Callable[[object], bool],
-        on_interim: Optional[Callable[[object], None]] = None,
+        on_interim: Optional[Callable[[object, object], bool]] = None,
     ) -> List[object]:
         """Dispatch ``tasks`` (``(shard_id, payload)``) under supervision.
 
@@ -532,15 +533,18 @@ class TaskScheduler:
         under ``repro.``).  ``splitter(payload)`` returns two halves for
         bisection, or None for an unsplittable singleton.
         ``poisoner(payload, outcome, error)`` converts an isolated
-        toxic singleton into a phase result (quarantine entry + empty
-        partial); it runs in the parent, so it may close over engine
-        state.  ``validator(result)`` rejects corrupt result payloads.
-        ``on_interim(item)`` runs in the parent for each item a worker
-        sends with :func:`send_interim` while its task is still in
-        flight, even if that attempt later fails.
+        toxic singleton into a phase result; it runs in the parent, so
+        it may close over engine state (the mining engine folds the
+        program's quarantine entry there).  ``validator(result)`` rejects corrupt result payloads.
+        ``on_interim(payload, item)`` runs in the parent for each item
+        a worker sends with :func:`send_interim` while its task is
+        still in flight, even if that attempt later fails; it returns
+        False for an item the task may not send, which drops the
+        worker and fails the attempt as a crash, like an undecodable
+        frame.
 
         Returns one result per surviving leaf task, in no particular
-        order — callers merge through the order-insensitive partials.
+        order.
         """
         state = _Phase(self._wire_runner(runner), splitter, poisoner,
                        validator, on_interim)
@@ -683,11 +687,15 @@ class TaskScheduler:
             if frame is not None and worker.lease is not None:
                 frame.lease_expiry = time.monotonic() + worker.lease
         elif kind == "interim":
-            # the frame is still running; its reply comes later
-            if (frame is not None and frame.phase is self._phase
-                    and len(message) == 2
-                    and frame.phase.on_interim is not None):
-                frame.phase.on_interim(message[1])
+            # the frame is still running; its reply comes later.  A
+            # stale frame's items are dropped, and an item its task may
+            # not send breaks the wire like an undecodable frame
+            live = frame is not None and frame.phase is self._phase
+            hook = frame.phase.on_interim if live else None
+            if hook is not None and not (
+                    len(message) == 2
+                    and hook(frame.task.payload, message[1])):
+                self._worker_lost(worker, "rejected interim")
         elif kind == "goodbye":
             self._worker_lost(worker, "goodbye", graceful=True)
         else:
@@ -851,13 +859,15 @@ class TaskScheduler:
         if frame is None or frame.phase is not state:
             return
         now = time.monotonic()
-        if worker.process is not None:
-            error = (f"worker died without reporting (exit code "
-                     f"{worker.process.exitcode})")
-        else:
+        if worker.process is None:
             label = "left" if graceful else "died"
             error = (f"worker {worker.label} {label} holding the lease "
                      f"({reason})")
+        elif reason == "connection closed":
+            error = (f"worker died without reporting (exit code "
+                     f"{worker.process.exitcode})")
+        else:  # the parent dropped it: its exit code is our SIGTERM
+            error = f"worker {worker.label} dropped ({reason})"
         self._attempt_failed(state, frame.task, OUTCOME_CRASH, error,
                              now - frame.started, now)
 

@@ -232,12 +232,12 @@ class SampleBlock:
 
     The form samples take from
     :func:`~repro.model.dataset.encode_bundle_samples` to training:
-    each program's samples are one block in a shard partial, a journal
-    record and the mergeable
-    :class:`~repro.model.logistic.SufficientStats`, and the training
-    stream is one block.  Per sample it holds a position-key id, a
-    label and a length, and its indices sit in one flat int32 array,
-    each a stdlib ``array``: about 4 bytes per index, where an
+    each program's samples are one block in its journal record (the
+    ``StoredProgram`` a worker streams to the parent) and in the
+    mergeable :class:`~repro.model.logistic.SufficientStats`, and the
+    training stream is one block.  Per sample it holds a position-key
+    id, a label and a length, and its indices sit in one flat int32
+    array, each a stdlib ``array``: about 4 bytes per index, where an
     :class:`EncodedSample` tuple holds a Python int per index.  A
     block pickles natively (an ``array`` pickles as its raw bytes),
     and the trainer reads its arrays as zero-copy numpy views.  An

@@ -64,17 +64,17 @@ class SufficientStats:
     """Mergeable sufficient statistics of the event-pair training set.
 
     The sharded mining engine cannot thread one RNG through the whole
-    corpus — shards finish in arbitrary order on arbitrary workers — so
-    each worker instead accumulates the *hashed samples of each
-    program*, one :class:`~repro.model.features.SampleBlock` under the
-    program's :func:`~repro.model.dataset.stream_key`.  ``merge`` is
-    the monoid operation (keys are disjoint across shards by
-    construction; duplicate keys concatenate defensively), and
-    :meth:`stream` linearises the blocks into the canonical training
-    order: keys sorted, then one seeded global shuffle.  The resulting
-    SGD stream is byte-identical regardless of worker count, shard
-    count, completion order or corpus order.  Blocks pickle as raw
-    arrays, so shard partials cross the worker pipes as they are.
+    corpus — programs settle in arbitrary order on arbitrary workers —
+    so it holds the *hashed samples of each program* instead, one
+    :class:`~repro.model.features.SampleBlock` under the program's
+    :func:`~repro.model.dataset.stream_key`, added in whatever order
+    programs arrive (a duplicate key concatenates, and ``merge`` adds
+    another instance's blocks).  :meth:`stream` linearises the blocks
+    into the canonical training order: keys sorted, then one seeded
+    global shuffle.  The resulting SGD stream is byte-identical
+    regardless of worker count, shard count, completion order or corpus
+    order.  Blocks pickle as raw arrays, so each program's samples
+    cross the worker pipe as they are.
     """
 
     blocks: Dict[Hashable, SampleBlock] = field(default_factory=dict)

@@ -157,10 +157,10 @@ class CorpusExecutor:
 
         ``sink(outcome, bundle, entry)`` is invoked after *each* program
         settles (exactly one of ``bundle``/``entry`` is non-None for a
-        success/quarantine).  The mining engine uses it to fold each
-        program into its shard result and, in-process, to journal it to
-        the store at once, so a run killed mid-shard keeps everything
-        completed before the kill.  A bundle handed to the sink is not
+        success/quarantine).  The mining engine uses it to settle each
+        program as one value that the parent folds, and journals, at
+        once, so a run killed mid-shard keeps everything completed
+        before the kill.  A bundle handed to the sink is not
         kept in the report, so each program's event graph is freed as
         soon as the sink is done with it.
 

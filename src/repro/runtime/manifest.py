@@ -89,16 +89,6 @@ class QuarantineManifest:
     def add(self, entry: QuarantineEntry) -> None:
         self.entries.append(entry)
 
-    def merge(self, other: "QuarantineManifest") -> "QuarantineManifest":
-        """Fold another manifest into this one (mergeable-monoid op).
-
-        Serialisation sorts by program key, so the merged manifest is
-        identical regardless of merge order — shard workers can report
-        quarantines in any completion order.
-        """
-        self.entries.extend(other.entries)
-        return self
-
     def by_kind(self) -> Dict[str, int]:
         """Taxonomy label → number of quarantined programs."""
         counts: Dict[str, int] = {}

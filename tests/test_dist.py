@@ -33,10 +33,9 @@ from repro.dist.protocol import pack_payload, unpack_payload
 from repro.mining import MiningConfig, MiningEngine
 from repro.mining.engine import (
     AnalyzeTask,
-    _poison_analyze,
     _split_analyze,
     _supervised_analyze,
-    _valid_partial,
+    _valid_reply,
 )
 from repro.mining.supervisor import (
     SupervisionConfig,
@@ -372,7 +371,7 @@ def test_stale_frame_cannot_answer_the_next_phase():
     def tasks(pairs, config=PipelineConfig()):
         return [(sid, AnalyzeTask(
             config, sid, ((i, f"{i:06d}:{programs[i].source}", programs[i]),),
-            stream=True)) for sid, i in pairs]
+        )) for sid, i in pairs]
 
     release = threading.Event()
 
@@ -421,8 +420,14 @@ def test_stale_frame_cannot_answer_the_next_phase():
     )
     real.start()
     phase = dict(runner=_supervised_analyze, splitter=_split_analyze,
-                 poisoner=_poison_analyze, validator=_valid_partial)
+                 poisoner=lambda payload, label, error: (
+                     payload.shard_id, 0.0),
+                 validator=_valid_reply)
     interims = []
+
+    def collect(payload, item):
+        interims.append(item)
+        return True
     try:
         coordinator.wait_for_workers(2, timeout=30.0)
         # the holder takes shard 0; shard 1 blows its budget on the
@@ -434,13 +439,13 @@ def test_stale_frame_cannot_answer_the_next_phase():
         release.set()  # the holder answers while phase 2 runs
         second = coordinator.run_phase(
             "analyze", tasks([(10, 4), (11, 5)]),
-            on_interim=interims.append, **phase)
+            on_interim=collect, **phase)
     finally:
         coordinator.close()
     peer.join(timeout=10)
     real.join(timeout=10)
-    assert sorted(p.metrics[0].shard_id for p in second) == [10, 11]
-    assert sorted(item[0] for item in interims) == [
+    assert sorted(shard_id for shard_id, _ in second) == [10, 11]
+    assert sorted(outcome.key for outcome, _ in interims) == [
         f"{i:06d}:{programs[i].source}" for i in (4, 5)]
 
 

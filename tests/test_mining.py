@@ -1,12 +1,16 @@
 """The sharded parallel mining engine: determinism across worker
-counts, the durable store as incremental cache, mergeable partials, and
-resume under sharding."""
+counts, the durable store as incremental cache, and resume under
+sharding."""
 
+import functools
 import json
 import pickle
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.corpus import (
@@ -20,23 +24,30 @@ from repro.ir import ProgramBuilder
 from repro.mining import (
     MiningConfig,
     MiningEngine,
-    ShardPartial,
     ShardPlan,
     shard_of,
 )
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint
-from repro.mining.partial import ShardMetrics
+from repro.mining.engine import (
+    AnalyzeTask,
+    _analyze_shard,
+    _Journal,
+    _poisoned,
+)
+from repro.mining.partial import ProgramFold
 from repro.model.features import FeatureConfig, SampleBlock
 from repro.model.logistic import SufficientStats
 from repro.runtime import (
+    WORKER_CRASH,
     Budget,
     BudgetExceeded,
     FaultPlan,
     RuntimeConfig,
     arm,
 )
-from repro.runtime.executor import ProgramOutcome
-from repro.specs.pipeline import PipelineConfig
+from repro.runtime.checkpoint import program_key
+from repro.specs.candidates import score_records
+from repro.specs.pipeline import PipelineConfig, USpecPipeline
 from repro.specs.serialize import specs_to_json
 from repro.store.stats import StatsStore
 
@@ -128,50 +139,7 @@ def test_mine_directory_shards_partition_the_tree(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# mergeable partials
-
-
-def make_partial(shard_id, key, n_samples=0):
-    partial = ShardPartial.empty(shard_id)
-    partial.outcomes.append(ProgramOutcome(key=key, source=key, tier="t"))
-    partial.records[key] = ()
-    partial.analyzed_keys.append(key)
-    partial.stats.add(key, [])
-    return partial
-
-
-def canonical_view(partial):
-    partial.canonicalize()
-    return (
-        [m.shard_id for m in partial.metrics],
-        [o.key for o in partial.outcomes],
-        [e.program for e in partial.manifest.entries],
-        sorted(partial.records),
-        partial.analyzed_keys,
-        sorted(partial.stats.blocks),
-    )
-
-
-def test_shard_partial_merge_is_associative_and_order_insensitive():
-    def fresh():
-        return [make_partial(0, "000001:a"), make_partial(1, "000000:b"),
-                make_partial(2, "000002:c")]
-
-    a, b, c = fresh()
-    left = a.merge(b).merge(c)
-    a2, b2, c2 = fresh()
-    right = a2.merge(b2.merge(c2))
-    assert canonical_view(left) == canonical_view(right)
-
-    a3, b3, c3 = fresh()
-    reordered = c3.merge(a3).merge(b3)
-    assert canonical_view(reordered) == canonical_view(left)
-
-
-def test_shard_partial_empty_is_identity():
-    partial = make_partial(0, "000000:a")
-    merged = ShardPartial().merge(partial).merge(ShardPartial())
-    assert canonical_view(merged) == canonical_view(make_partial(0, "000000:a"))
+# sufficient statistics
 
 
 def test_sufficient_stats_stream_is_merge_order_independent():
@@ -188,6 +156,103 @@ def test_sufficient_stats_stream_is_merge_order_independent():
     ba = SufficientStats().merge(b).merge(a)
     assert list(ab.stream(seed=13)) == list(ba.stream(seed=13))
     assert ab.n_samples == 3
+
+
+# ----------------------------------------------------------------------
+# one fold: every settled program, once, in any arrival order
+
+
+@functools.lru_cache(maxsize=None)
+def _settled_run():
+    """The settled programs of a real 10-file ``--jobs 1`` run (one of
+    them quarantined by a stage fault), each also as a store hit and as
+    a poisoned singleton; and each key's (corpus index, shard id)."""
+    config = PipelineConfig()
+    programs = java_corpus(10)
+    units = [(i, program_key(p, i), p) for i, p in enumerate(programs)]
+    executor = []
+    _analyze_shard(config, units, lambda *item: executor.append(item),
+                   faults=FaultPlan.parse("pointsto:corpus_00004"))
+    with tempfile.TemporaryDirectory() as store_dir:
+        store = StatsStore(store_dir, pipeline_fingerprint(config))
+        try:
+            journal = _Journal(store, units)
+            for _, record in executor:
+                journal.put(record)
+            held = [journal.held(unit) for unit in units]
+        finally:
+            store.close()
+    poisoned = [
+        _poisoned(AnalyzeTask(config, 0, (unit,)), WORKER_CRASH, "died")
+        for unit in units
+    ]
+    plan = ShardPlan.of([p.source for p in programs], 3)
+    places = {key: (index, plan.assignments[index])
+              for index, key, _ in units}
+    return {"executor": executor, "store": held,
+            "poisoned": poisoned}, places
+
+
+def _fold(items, places):
+    journaled = []
+    fold = ProgramFold(places, journal=journaled.append)
+    for item in items:
+        fold.fold(*item)
+    return fold, journaled
+
+
+def _canonical(fold, model):
+    return (
+        fold.outcomes,
+        fold.manifest.to_json(),
+        list(fold.stats.stream(13)),
+        list(fold.records()),
+        score_records(fold.records(), model),
+        fold.analyzed_keys,
+        [m.to_dict() for m in fold.shards],
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_model():
+    sources, places = _settled_run()
+    fold, _ = _fold(sources["executor"], places)
+    return USpecPipeline().train_from_stats(fold.stats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_fold_any_arrival_order(data):
+    """Folding a run's settled programs in any order, with copies that
+    arrive after the first, gives the in-order fold's canonical views
+    and journals each program once: the first copy of a key wins.
+
+    A retried or bisected attempt re-sends an equal copy of what its
+    failed attempt settled; a singleton poisoned after its program
+    settled sends a verdict of another kind."""
+    sources, places = _settled_run()
+    n = len(places)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(sources)),
+                               min_size=n, max_size=n))
+    items = [sources[kind][i] for i, kind in enumerate(kinds)]
+    arrivals = data.draw(st.permutations(items))
+    for _ in range(data.draw(st.integers(0, 6))):
+        first = data.draw(st.integers(0, len(arrivals) - 1))
+        later = data.draw(st.integers(first + 1, len(arrivals)))
+        index = places[arrivals[first][0].key][0]
+        copy = sources[data.draw(st.sampled_from(sorted(sources)))][index]
+        # a re-sent copy is equal, not the same object
+        arrivals.insert(later, pickle.loads(pickle.dumps(copy)))
+
+    model = _fold_model()
+    reference, reference_journal = _fold(items, places)
+    fold, journaled = _fold(arrivals, places)
+    assert _canonical(fold, model) == _canonical(reference, model)
+    assert sorted(r.key for r in journaled) \
+        == sorted(r.key for r in reference_journal) \
+        == sorted(o.key for o, _ in items if not o.cached)
+    assert fold.analyzed_keys == sorted(
+        o.key for o, _ in items if kinds[places[o.key][0]] == "executor")
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 corrupt), retry with backoff, poison-shard bisection, the failure
 ledger, store-backed warm runs, and spawn-context dispatch."""
 
+import functools
 import json
 import math
 import multiprocessing
@@ -17,7 +18,13 @@ from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.ir import ProgramBuilder
 from repro.mining import MiningConfig, MiningEngine, ShardPlan
-from repro.mining.supervisor import SupervisionConfig, TaskScheduler
+from repro.mining.engine import _supervised_analyze
+from repro.mining.supervisor import (
+    SupervisionConfig,
+    TaskScheduler,
+    send_interim,
+)
+from repro.model.features import SampleBlock
 from repro.runtime import (
     FaultPlan,
     RuntimeConfig,
@@ -27,8 +34,11 @@ from repro.runtime import (
     WorkerTimeout,
     arm,
 )
+from repro.runtime.executor import ProgramOutcome
+from repro.runtime.ladder import DEFAULT_LADDER
 from repro.specs.pipeline import PipelineConfig
 from repro.specs.serialize import specs_to_json
+from repro.store.stats import StoredProgram
 
 
 def java_corpus(n=8, seed=7):
@@ -126,6 +136,70 @@ def test_transient_corrupt_result_is_retried():
     ledger = learned.mining.ledger
     assert ledger.n_corrupt_results == 1
     assert ledger.n_poisoned == 0
+
+
+# ----------------------------------------------------------------------
+# interims: a worker streams only the settled programs of its own task
+
+#: the program whose task sends a rejected interim on its first attempt
+_VICTIM = "corpus_00003.java"
+
+
+def _rejected_interim(kind, task_keys):
+    if kind == "not-settled":
+        # the journal's tuple shape of earlier versions, cut short
+        return (task_keys[0], None, (), ())
+    foreign = next(f"{i:06d}:corpus_{i:05d}.java" for i in range(8)
+                   if f"{i:06d}:corpus_{i:05d}.java" not in task_keys)
+    return _doctored(foreign)
+
+
+def _doctored(key):
+    """A well-formed settled program for ``key`` with no samples and no
+    match records: folded first, it would change the specs."""
+    outcome = ProgramOutcome(key=key, source=key.split(":", 1)[1],
+                             tier=DEFAULT_LADDER[0].name)
+    return outcome, StoredProgram("", key, outcome.source, SampleBlock())
+
+
+def _bad_first_attempt(payload, attempt, kind):
+    """The engine's runner, except that attempt 0 of the victim's task
+    opens with a rejected interim of ``kind``, then a doctored copy of
+    one of its own programs that the parent must never read."""
+    task_keys = [key for _, key, _ in payload.items]
+    if attempt == 0 and any(key.endswith(_VICTIM) for key in task_keys):
+        send_interim(_rejected_interim(kind, task_keys))
+        send_interim(_doctored(task_keys[0]))
+    return _supervised_analyze(payload, attempt)
+
+
+@pytest.mark.parametrize("kind", ["not-settled", "foreign-key"])
+def test_rejected_interim_fails_its_attempt_not_the_run(
+        tmp_path, monkeypatch, kind):
+    """An interim that is not a settled program of its frame's own task
+    drops the worker like an undecodable frame: its attempt fails as a
+    crash and is retried, and the item reaches neither the fold nor the
+    journal."""
+    programs = java_corpus()
+    clean = learn(programs)
+    monkeypatch.setattr("repro.mining.engine._supervised_analyze",
+                        functools.partial(_bad_first_attempt, kind=kind))
+    store = tmp_path / "store"
+    learned = learn(programs, jobs=2, store_dir=store)
+    assert specs_text(learned) == specs_text(clean)
+    assert learned.run.manifest.to_json() == clean.run.manifest.to_json()
+    ledger = learned.mining.ledger
+    assert ledger.n_worker_crashes == 1
+    assert ledger.n_retries == 1 and ledger.n_poisoned == 0
+    (troubled,) = [t for t in ledger.tasks if t.n_failures]
+    assert [a.outcome for a in troubled.attempts] == ["crash", "ok"]
+    assert "dropped (rejected interim)" in troubled.attempts[0].error
+    assert learned.mining.n_analyzed == len(programs)
+    monkeypatch.undo()
+    # the journal holds the clean results, not the doctored ones
+    warm = learn(programs, store_dir=store)
+    assert warm.mining.n_from_store == len(programs)
+    assert specs_text(warm) == specs_text(clean)
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +537,18 @@ def test_each_shard_task_is_one_round_trip():
     # pipe traffic and serialisation time are observable
     assert dispatch["bytes_sent"] > 0 and dispatch["bytes_received"] > 0
     assert learned.mining.to_dict()["dispatch"] == dispatch
+
+
+def test_each_program_crosses_the_pipe_once(tmp_path):
+    """Workers stream every program they settle, with a store or
+    without, and an analyze reply carries only its shard's wall-clock:
+    journaling costs no second copy on the wire."""
+    programs = java_corpus(n=16)
+    plain = learn(programs, jobs=2)
+    stored = learn(programs, jobs=2, store_dir=tmp_path / "store")
+    assert stored.mining.n_analyzed == plain.mining.n_analyzed == 16
+    assert stored.mining.dispatch["bytes_received"] \
+        <= 1.1 * plain.mining.dispatch["bytes_received"]
 
 
 def test_batched_specs_byte_identical_to_sequential():
