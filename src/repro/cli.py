@@ -203,7 +203,6 @@ def _print_mining(mining) -> None:
               f"{ledger.n_worker_timeouts} timeouts, "
               f"{ledger.n_corrupt_results} corrupt, "
               f"{ledger.n_worker_errors} errors), "
-              f"{ledger.n_bisections} bisected, "
               f"{ledger.n_poisoned} poisoned")
 
 
@@ -555,7 +554,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             ledger = mining.ledger
             supervision = "clean" if ledger is None or ledger.clean else (
                 f"{ledger.n_retries} retried / "
-                f"{ledger.n_bisections} bisected / "
                 f"{ledger.n_poisoned} poisoned"
             )
             mining_rows.append([
@@ -667,8 +665,8 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                        metavar="N",
                        help="corpus shard count (default: 1 when "
                             "sequential, 4×jobs when parallel); "
-                            "programs map to shards by a stable hash "
-                            "of their source path")
+                            "program i of the corpus goes to shard "
+                            "i mod N")
     learn.add_argument("--store-dir", metavar="DIR",
                        help="durable store: journals every program's "
                             "samples and match records, or its "
@@ -687,9 +685,11 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "generation) as JSON; requires --store-dir")
     learn.add_argument("--max-retries", type=_non_negative_int, default=2,
                        metavar="N",
-                       help="retry a crashed/timed-out/corrupt shard "
-                            "task up to N times with exponential "
-                            "backoff before bisecting it (default 2)")
+                       help="a crashed/timed-out/corrupt shard task "
+                            "resumes at the program it failed on; "
+                            "retry it there up to N times with "
+                            "exponential backoff, then quarantine that "
+                            "program and go on (default 2)")
     learn.add_argument("--shard-deadline", type=_positive_float,
                        default=None, metavar="S",
                        help="wall-clock watchdog per shard-task "

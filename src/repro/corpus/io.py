@@ -86,35 +86,19 @@ def mine_directory(
     signatures: Optional[ApiSignatures] = None,
     suffixes: Sequence[str] = DEFAULT_SUFFIXES,
     limit: Optional[int] = None,
-    n_shards: Optional[int] = None,
-    shard_index: int = 0,
 ) -> MiningReport:
-    """Parse every source file under ``directory`` (recursively).
+    """Parse every source file under ``directory`` (recursively), in
+    sorted path order, the first ``limit`` of them if given.
 
     Unparsable files are collected in ``report.skipped`` with the error
     message — corpus mining must survive arbitrary repository content.
-
-    ``n_shards``/``shard_index`` restrict mining to one deterministic
-    shard of the tree: the same stable path hash the mining engine uses
-    (:func:`repro.mining.sharding.shard_of`), so separate invocations
-    over the shards of a directory partition it exactly, regardless of
-    invocation order or machine.  ``limit`` applies after sharding.
     """
-    from repro.mining.sharding import shard_of
-
     directory = Path(directory)
     report = MiningReport()
     paths = sorted(
         p for p in directory.rglob("*")
         if p.is_file() and p.suffix in suffixes
     )
-    if n_shards is not None:
-        if not 0 <= shard_index < n_shards:
-            raise ValueError(
-                f"shard_index {shard_index} out of range for "
-                f"{n_shards} shards"
-            )
-        paths = [p for p in paths if shard_of(str(p), n_shards) == shard_index]
     if limit is not None:
         paths = paths[:limit]
     for path in paths:

@@ -10,7 +10,7 @@ Workers run the unchanged in-process mining path (budget ladder, the
 fault plan each task carries) and stream each settled program back.
 The coordinator drives them with the one dispatch loop of local mining
 (:class:`~repro.mining.supervisor.TaskScheduler`): its leases,
-shard deadline and retry/bisection policy keep a loopback cluster
+shard deadline and retry policy keep a loopback cluster
 byte-identical to ``--jobs N`` local mining — see
 :mod:`repro.dist.coordinator` for the failure model.  Frames are
 pickle from the first byte and peers are not authenticated: bind to

@@ -5,9 +5,9 @@ The :class:`Coordinator` is the :class:`~repro.mining.supervisor.
 TaskScheduler` whose workers arrive over TCP instead of being spawned:
 worker daemons (:mod:`repro.dist.worker`) connect, register, and are
 leased shard tasks by the same loop that drives local worker processes.
-Reply classification, leases and deadlines, retries, backoff,
-poison-shard bisection, strict-mode fail-fast and the
-:class:`~repro.mining.supervisor.FailureLedger` are therefore
+Reply classification, leases and deadlines, retries that resume after
+the last settled program, backoff, poisoning, strict-mode fail-fast
+and the :class:`~repro.mining.supervisor.FailureLedger` are therefore
 byte-for-byte the same whether a worker is a local child process or a
 machine across the network.  This module adds only what accepting
 peers need: the listening socket, registration with its version check,
@@ -30,8 +30,9 @@ Failure model (mapping onto the existing taxonomy):
 
 * **worker death** — EOF / reset on the connection while a task is
   leased is the remote analogue of EOF on a result pipe: the attempt
-  is recorded as a *crash* and the task re-enters the queue
-  (eventually bisecting down to a ``worker-crash`` quarantine);
+  is recorded as a *crash* and the task re-enters the queue with the
+  programs the worker had not settled (a program that keeps failing
+  ends as a ``worker-crash`` quarantine);
 * **protocol violation** — a frame that is oversized, truncated or
   not a pickle, or any first message but ``hello``, drops the
   connection the same way;

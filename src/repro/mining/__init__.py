@@ -5,7 +5,6 @@ beyond what a single sequential pass handles comfortably.  This package
 turns :class:`~repro.specs.pipeline.USpecPipeline` into a deterministic
 map/reduce job:
 
-* :mod:`sharding` — stable hash-based corpus shards;
 * :mod:`partial` — the one fold every settled program goes through,
   once, whichever way it arrived, and the run's report;
 * :mod:`cache` — the (pipeline, program) fingerprints that key every
@@ -14,12 +13,13 @@ map/reduce job:
 * :mod:`supervisor` — the one fault-tolerant dispatch loop, over
   spawned worker processes or the ``uspec worker`` daemons a
   :class:`~repro.dist.coordinator.Coordinator` accepts: deadlines,
-  leases, bounded retry/backoff, poison-shard bisection, failure
-  ledger;
-* :mod:`engine` — the orchestrator: one analyse pass emits each
-  program's samples and Alg. 1 match records, the parent trains and
-  scores; byte-identical output for any worker count, with or without
-  injected worker faults (modulo quarantined toxic programs).
+  leases, retries that resume after the last settled program with
+  backoff, poisoned programs, failure ledger;
+* :mod:`engine` — the orchestrator: over round-robin corpus shards,
+  one analyse pass emits each program's samples and Alg. 1 match
+  records, the parent trains and scores; byte-identical output for any
+  worker count, with or without injected worker faults (modulo
+  quarantined toxic programs).
 """
 
 from repro._lazy import lazy_exports
@@ -31,12 +31,10 @@ _LAZY = {
     "MiningReport": "repro.mining.partial",
     "ProgramFold": "repro.mining.partial",
     "ShardMetrics": "repro.mining.partial",
-    "ShardPlan": "repro.mining.sharding",
     "SupervisionConfig": "repro.mining.supervisor",
     "TaskScheduler": "repro.mining.supervisor",
     "pipeline_fingerprint": "repro.mining.cache",
     "program_fingerprint": "repro.mining.cache",
-    "shard_of": "repro.mining.sharding",
 }
 
 __all__ = list(_LAZY)

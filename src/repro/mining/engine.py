@@ -1,8 +1,8 @@
 """The sharded parallel mining engine.
 
 Splits :meth:`~repro.specs.pipeline.USpecPipeline.learn` into explicit
-map/reduce phases over deterministic corpus shards
-(:mod:`repro.mining.sharding`):
+map/reduce phases over round-robin corpus shards (program *i* of *n*
+shards goes to shard *i* mod *n*):
 
 1. **map: analyse** — programs with a record in the durable
    :class:`~repro.store.stats.StatsStore` (same pipeline fingerprint,
@@ -41,10 +41,10 @@ results knob.
 
 Parallel runs dispatch shards through the
 :class:`~repro.mining.supervisor.TaskScheduler`: every task attempt
-runs in a worker process under a wall-clock deadline, dead or
-hung workers trigger bounded retries with exponential backoff, and a
-shard that keeps killing workers is bisected until the toxic program
-is isolated and quarantined with a ``worker-*`` taxonomy label.
+runs in a worker process under a wall-clock deadline, and a dead or
+hung worker's task resumes after the last program it settled, with
+bounded retries and exponential backoff; a program that keeps killing
+workers is quarantined with a ``worker-*`` taxonomy label.
 ``strict=True`` aborts propagate out of the workers with their type
 intact (exit codes 3/4 survive parallelism and supervision).
 """
@@ -89,7 +89,6 @@ from repro.mining.partial import (
     ProgramFold,
 )
 from repro.store.stats import SpecDrift, StatsStore, StoredProgram
-from repro.mining.sharding import ShardPlan
 from repro.mining.supervisor import (
     FailureLedger,
     SupervisionConfig,
@@ -102,8 +101,8 @@ if TYPE_CHECKING:  # engine → dist would close an import cycle at
     # so the coordinator is injected, never constructed here
     from repro.dist.coordinator import Coordinator
 
-#: default shards per worker; several shards per job keeps the pool
-#: busy when shard sizes are skewed, at negligible merge cost
+#: default shards per worker; several shards per job keep the pool
+#: busy when some programs cost more than others
 SHARDS_PER_JOB = 4
 
 #: one corpus unit: (global index, program key, program)
@@ -123,7 +122,7 @@ class MiningConfig:
     jobs: int = 1
     #: shard count; None = 1 for sequential runs, jobs×4 for parallel
     shards: Optional[int] = None
-    #: watchdog / retry / bisection policy
+    #: watchdog / retry policy
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig
     )
@@ -232,8 +231,8 @@ def _analyze_shard(
 
 
 # ----------------------------------------------------------------------
-# supervised runners / splitters / validators (module-level: they cross
-# the process boundary by pickle under the spawn start method)
+# supervised runners / validators (module-level: they cross the process
+# boundary by pickle under the spawn start method)
 
 
 def _supervised_analyze(payload: AnalyzeTask, attempt: int):
@@ -248,16 +247,6 @@ def _supervised_analyze(payload: AnalyzeTask, attempt: int):
     except CorruptResult as corrupt:
         # an ordinary reply that fails the parent's validator
         return str(corrupt)
-
-
-def _split_analyze(payload: AnalyzeTask):
-    if len(payload.items) <= 1:
-        return None
-    mid = len(payload.items) // 2
-    return (
-        replace(payload, items=payload.items[:mid]),
-        replace(payload, items=payload.items[mid:]),
-    )
 
 
 def _valid_reply(result) -> bool:
@@ -280,10 +269,10 @@ def _settles(payload: AnalyzeTask, item: object) -> bool:
             and any(key == outcome.key for _, key, _ in payload.items))
 
 
-def _poisoned(payload: AnalyzeTask, label: str, error: str) -> Settled:
-    """The settled value of a singleton task whose program kills its
-    worker: a ``worker-*`` quarantine the parent makes itself."""
-    ((_, key, program),) = payload.items
+def _poisoned(unit: Unit, label: str, error: str) -> Settled:
+    """The settled value of a program that kills its worker: a
+    ``worker-*`` quarantine the parent makes itself."""
+    _, key, program = unit
     entry = QuarantineEntry(
         program=key,
         source=program.source,
@@ -355,13 +344,6 @@ class MiningEngine:
             len(units),
             workers=self.coordinator.n_workers if distributed else None,
         )
-        plan = ShardPlan.of(
-            [program.source or key for _, key, program in units], n_shards
-        )
-        shard_items = [
-            (shard_id, [units[i] for i in plan.members(shard_id)])
-            for shard_id in range(n_shards)
-        ]
 
         store: Optional[StatsStore] = None
         journal: Optional[_Journal] = None
@@ -370,15 +352,15 @@ class MiningEngine:
                                pipeline_fingerprint(self.config))
             journal = _Journal(store, units)
         fold = ProgramFold(
-            {key: (index, sid) for sid, items in shard_items
-             for index, key, _ in items},
+            {key: (index, index % n_shards) for index, key, _ in units},
             journal=journal.put if journal is not None else None,
         )
-        # the one lookup: programs with a store record skip dispatch
+        # the one lookup: programs with a store record skip dispatch.
+        # Shards are round-robin slices: program i goes to shard i mod n
         tasks: List[Tuple[int, List[Unit]]] = []
-        for sid, items in shard_items:
+        for sid in range(n_shards):
             fresh = []
-            for unit in items:
+            for unit in units[sid::n_shards]:
                 held = journal.held(unit) if journal is not None else None
                 if held is None:
                     fresh.append(unit)
@@ -394,9 +376,15 @@ class MiningEngine:
             supervisor = self._local_scheduler(
                 jobs, ledger, faults.has_worker_faults)
 
-        def poison(payload: AnalyzeTask, label: str, error: str):
-            fold.fold(*_poisoned(payload, label, error))
-            return payload.shard_id, 0.0
+        def remaining(payload: AnalyzeTask) -> Optional[AnalyzeTask]:
+            items = tuple(unit for unit in payload.items
+                          if unit[1] not in fold)
+            return replace(payload, items=items) if items else None
+
+        def poison(payload: AnalyzeTask, label: str,
+                   error: str) -> Optional[AnalyzeTask]:
+            fold.fold(*_poisoned(payload.items[0], label, error))
+            return remaining(payload)
 
         def interim(payload: AnalyzeTask, item: object) -> bool:
             if not _settles(payload, item):
@@ -413,7 +401,7 @@ class MiningEngine:
                                        faults=faults))
                      for sid, items in tasks],
                     runner=_supervised_analyze,
-                    splitter=_split_analyze,
+                    remaining=remaining,
                     poisoner=poison,
                     validator=_valid_reply,
                     on_interim=interim,

@@ -7,16 +7,16 @@ training samples (one :class:`~repro.model.features.SampleBlock`), the
 Alg. 1 match records (:func:`repro.specs.candidates.match_records`)
 and the graph counts, or the quarantine entry.  The executor's sink
 builds it, in process or in a worker that streams it to the parent;
-the parent builds it for a store hit and for a poisoned singleton.
+the parent builds it for a store hit and for a poisoned program.
 :meth:`ProgramFold.fold` takes it whichever way it arrived, and is the
 only way a program enters a run's result.
 
-Determinism: the fold keeps the first copy of each program key (a
-retried or bisected attempt re-sends the programs its failed attempt
-already settled, with equal values), and every view sorts by program
-key: outcomes, the manifest, match records in the order the parent
-scores them, and ``SufficientStats.stream``.  Arrival order therefore
-never changes a byte of the specs or the quarantine manifest.
+Determinism: the fold keeps the first copy of each program key, and
+every view sorts by program key: outcomes, the manifest, match records
+in the order the parent scores them, and ``SufficientStats.stream``.
+Arrival order therefore never changes a byte of the specs or the
+quarantine manifest.  A retried attempt is sent only the programs the
+fold does not hold yet (``key in fold``).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class ProgramFold:
     def fold(self, outcome: ProgramOutcome,
              record: "StoredProgram") -> None:
         """Fold one settled program: the executor's, a store hit
-        (``outcome.cached``) or a poisoned singleton.
+        (``outcome.cached``) or a poisoned one.
 
         The first copy of a key wins and later ones are dropped before
         they reach the journal.  Anything not from the store is
@@ -130,9 +130,12 @@ class ProgramFold:
         metrics.n_events += record.n_events
         metrics.n_edges += record.n_edges
 
+    def __contains__(self, key: str) -> bool:
+        """Whether the program ``key`` is folded already."""
+        return key in self._outcomes
+
     def clock(self, shard_id: int, seconds: float) -> None:
-        """Add one task's wall-clock to its shard's (bisected halves
-        sum)."""
+        """Add one task's wall-clock to its shard's."""
         metrics = self._shards.setdefault(shard_id, ShardMetrics(shard_id))
         metrics.seconds += seconds
 
@@ -156,7 +159,7 @@ class ProgramFold:
     @property
     def analyzed_keys(self) -> List[str]:
         """Programs the executor settled this run, quarantined ones
-        included (not store hits, nor poisoned singletons)."""
+        included (not store hits, nor poisoned programs)."""
         return sorted(self._analyzed)
 
     @property
@@ -184,7 +187,7 @@ class MiningReport:
     seconds_total: float
     shards: List[ShardMetrics] = field(default_factory=list)
     analyzed_keys: List[str] = field(default_factory=list)
-    #: supervision history (retries, bisections, poisoned programs);
+    #: supervision history (retries, poisoned programs);
     #: None when the run was unsupervised (sequential, no worker
     #: faults, no deadline)
     ledger: Optional["FailureLedger"] = None

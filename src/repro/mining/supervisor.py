@@ -19,46 +19,46 @@ daemon holding a heartbeat lease); nothing else differs by kind:
   and its task fails as a *timeout*; a result that does not decode to
   the expected shape is *corrupt*.  Unread data is read before a
   deadline expires, and a task whose send fails goes back untouched;
-* **bounded retries with exponential backoff** — a failed task is
-  re-queued with a deterministic backoff (0.05 s before the first
-  retry, doubling, capped at 2 s); backoff is implemented as a
-  not-before timestamp so the scheduler keeps dispatching other work
-  while a retry cools down;
-* **poison-shard bisection** — a task that exhausts its retries is
-  split in half and both halves re-enter the queue with fresh retry
-  budgets; recursion isolates the toxic program in O(log shard)
-  rounds, at which point the singleton is *poisoned*: quarantined with
-  a ``worker-crash``/``worker-timeout`` taxonomy label (flowing into
-  the quarantine manifest and the durable store, so it is never
-  re-attempted) while every other program's results are kept;
-* **failure ledger** — the complete per-task attempt history (retries,
-  bisections, poisoned singletons) is recorded in a
-  :class:`FailureLedger` and merged into the
-  :class:`~repro.mining.partial.MiningReport`.
+* **resume after the last settled program** — a failed attempt's
+  task is re-queued with only the programs it left unsettled, the
+  first of which is the one the worker was running (a worker settles
+  each program before it starts the next);
+* **bounded retries with exponential backoff** — the re-queued task
+  cools down first (0.05 s after its first failure on a program,
+  doubling, capped at 2 s); backoff is implemented as a not-before
+  timestamp so the scheduler keeps dispatching other work meanwhile;
+* **poisoning** — once a task has failed ``max_retries`` + 1 times on
+  the same program, that program is *poisoned*: quarantined with a
+  ``worker-crash``/``worker-timeout`` taxonomy label (flowing into the
+  quarantine manifest and the durable store, so it is never
+  re-attempted) while the rest of the task goes on at once;
+* **failure ledger** — the complete per-task attempt history (retries
+  and poisoned programs) is recorded in a :class:`FailureLedger` and
+  merged into the :class:`~repro.mining.partial.MiningReport`.
 
 A task runs in at most one frame at a time, and an attempt that runs
 too long has one rule: ``shard_deadline`` seconds after dispatch (or
-when the lease lapses) it is reclaimed and the task goes down retry →
-bisect → poison, so only a program slower than the deadline on its own
-is quarantined.  Slow programs are the per-program budget's job, not
-the scheduler's.  A frame still in flight when its phase ends (only
-after a raise) stays on its worker, and its late reply and interims
-are dropped, so they can never settle a later phase's task.
+when the lease lapses) it is reclaimed and the task resumes at the
+program it was running, so a program is poisoned only after attempts
+that ran it failed ``max_retries`` + 1 times in a row.  Slow programs
+are the per-program budget's job, not the scheduler's.  A frame still
+in flight when its phase ends (only after a raise) stays on its
+worker, and its late reply and interims are dropped, so they can never
+settle a later phase's task.
 
 Determinism: supervision changes *scheduling*, never *results*.  A
-killed attempt contributes only the programs it settled before it died
+failed attempt contributes only the programs it settled before it died
 (workers never write to disk; the parent folds and persists each
-program as it settles), a retried attempt recomputes the same
-per-program values, and bisected halves settle the same programs the
-whole shard would have — so specs and manifest stay byte-identical with
-worker faults on or off, for any ``--jobs`` and ``--shards``, modulo
-the quarantined toxic programs.
+program as it settles), and the resumed attempt settles the rest with
+the same per-program values — so specs and manifest stay
+byte-identical with worker faults on or off, for any ``--jobs`` and
+``--shards``, modulo the poisoned toxic programs.
 
 ``strict=True`` keeps fail-fast semantics: a typed error shipped back
 by a worker re-raises in the parent with its type intact (``--strict``
 budget blow-ups still exit with code 3), and crash/timeout exhaustion
 raises :class:`~repro.runtime.errors.WorkerCrash` /
-:class:`~repro.runtime.errors.WorkerTimeout` instead of bisecting.
+:class:`~repro.runtime.errors.WorkerTimeout` instead of poisoning.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ _BACKOFF_CAP = 2.0
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    """Retry/deadline/bisection policy of one supervised mining run."""
+    """Retry/deadline policy of one supervised mining run."""
 
-    #: retries per task before bisection (strict mode: before raising)
+    #: retries of a task on one program before that program is poisoned
+    #: (strict mode: before raising)
     max_retries: int = 2
     #: wall-clock seconds one shard-task attempt may run, counted from
     #: dispatch; None = no watchdog (a hung spawned worker is then only
@@ -143,20 +144,14 @@ class AttemptRecord:
 
 @dataclass
 class TaskRecord:
-    """The full supervision history of one (possibly bisected) task.
+    """The full supervision history of one shard's task."""
 
-    ``task_id`` encodes the bisection lineage: shard 3 splits into
-    ``3.0`` and ``3.1``, which may split again (``3.1.0`` …) until a
-    singleton is isolated.
-    """
-
-    task_id: str
     shard_id: int
     phase: str
     n_programs: int
     attempts: List[AttemptRecord] = field(default_factory=list)
-    bisected: bool = False
-    poisoned: Optional[str] = None  # taxonomy label of the isolated toxin
+    #: taxonomy label of each program the task poisoned, in order
+    poisoned: List[str] = field(default_factory=list)
 
     @property
     def n_failures(self) -> int:
@@ -164,12 +159,10 @@ class TaskRecord:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "task_id": self.task_id,
             "shard_id": self.shard_id,
             "phase": self.phase,
             "n_programs": self.n_programs,
-            "bisected": self.bisected,
-            "poisoned": self.poisoned,
+            "poisoned": list(self.poisoned),
             "attempts": [a.to_dict() for a in self.attempts],
         }
 
@@ -199,7 +192,7 @@ class FailureLedger:
 
     @property
     def n_retries(self) -> int:
-        """Re-launches of the *same* task (excludes bisection children)."""
+        """Re-launches of a task after a failed attempt."""
         return sum(max(0, len(t.attempts) - 1) for t in self.tasks)
 
     @property
@@ -219,12 +212,8 @@ class FailureLedger:
         return self._count(OUTCOME_ERROR)
 
     @property
-    def n_bisections(self) -> int:
-        return sum(1 for t in self.tasks if t.bisected)
-
-    @property
     def n_poisoned(self) -> int:
-        return sum(1 for t in self.tasks if t.poisoned is not None)
+        return sum(len(t.poisoned) for t in self.tasks)
 
     @property
     def clean(self) -> bool:
@@ -242,9 +231,8 @@ class FailureLedger:
         ledgers stay small on healthy runs of many shards.
         """
         troubled = sorted(
-            (t for t in self.tasks
-             if t.bisected or t.poisoned or t.n_failures),
-            key=lambda t: (t.phase, t.shard_id, t.task_id),
+            (t for t in self.tasks if t.poisoned or t.n_failures),
+            key=lambda t: (t.phase, t.shard_id),
         )
         return {
             "n_tasks": self.n_tasks,
@@ -254,7 +242,6 @@ class FailureLedger:
             "n_worker_timeouts": self.n_worker_timeouts,
             "n_corrupt_results": self.n_corrupt_results,
             "n_worker_errors": self.n_worker_errors,
-            "n_bisections": self.n_bisections,
             "n_poisoned": self.n_poisoned,
             "tasks": [t.to_dict() for t in troubled],
         }
@@ -263,7 +250,7 @@ class FailureLedger:
         return (
             f"<FailureLedger {self.n_tasks} tasks / {self.n_attempts} "
             f"attempts: {self.n_retries} retries, "
-            f"{self.n_bisections} bisections, {self.n_poisoned} poisoned>"
+            f"{self.n_poisoned} poisoned>"
         )
 
 
@@ -423,29 +410,32 @@ class ClusterStats:
 class _Task:
     """One schedulable unit: a payload plus its supervision state."""
 
-    task_id: str
     shard_id: int
+    #: what the next attempt runs: the programs still unsettled
     payload: object
     record: TaskRecord
+    #: the next attempt's number: attempts launched so far
     attempt: int = 0
+    #: failed attempts in a row on the payload's first program
+    failures: int = 0
     ready_at: float = 0.0
     seq: int = 0  # launch-order tiebreak
 
 
 class _Phase:
-    """Mutable state of one ``run_phase`` call (task ids are unique
+    """Mutable state of one ``run_phase`` call (shard ids are unique
     within it)."""
 
-    def __init__(self, runner, splitter, poisoner, validator,
+    def __init__(self, runner, remaining, poisoner, validator,
                  on_interim) -> None:
         self.runner = runner  # as frames carry it
-        self.splitter = splitter
+        self.remaining = remaining
         self.poisoner = poisoner
         self.validator = validator
         self.on_interim = on_interim
         self.queue: List[_Task] = []
         self.results: List[object] = []
-        self.live: Dict[str, _Task] = {}
+        self.live: Dict[int, _Task] = {}
 
 
 @dataclass(eq=False)
@@ -520,8 +510,8 @@ class TaskScheduler:
         tasks: Sequence[Tuple[int, object]],
         *,
         runner: Callable,
-        splitter: Callable[[object], Optional[Tuple[object, object]]],
-        poisoner: Callable[[object, str, str], object],
+        remaining: Callable[[object], Optional[object]],
+        poisoner: Callable[[object, str, str], Optional[object]],
         validator: Callable[[object], bool],
         on_interim: Optional[Callable[[object, object], bool]] = None,
     ) -> List[object]:
@@ -530,12 +520,15 @@ class TaskScheduler:
         ``runner(payload, attempt)`` is the module-level function the
         worker executes (module-level so it pickles under any start
         method; an accepted worker imports it by name, so it must live
-        under ``repro.``).  ``splitter(payload)`` returns two halves for
-        bisection, or None for an unsplittable singleton.
-        ``poisoner(payload, outcome, error)`` converts an isolated
-        toxic singleton into a phase result; it runs in the parent, so
-        it may close over engine state (the mining engine folds the
-        program's quarantine entry there).  ``validator(result)`` rejects corrupt result payloads.
+        under ``repro.``).  ``remaining(payload)`` cuts ``payload``
+        down to the programs not settled yet, in order, or returns None
+        when none are left; after a failed attempt, the first of them
+        is the program the worker was running.  ``poisoner(payload,
+        label, error)`` quarantines the first program of such a
+        remainder and returns the rest, or None; it runs in the parent,
+        so it may close over engine state (the mining engine folds the
+        program's quarantine entry there).  ``validator(result)``
+        rejects corrupt result payloads.
         ``on_interim(payload, item)`` runs in the parent for each item
         a worker sends with :func:`send_interim` while its task is
         still in flight, even if that attempt later fails; it returns
@@ -543,15 +536,15 @@ class TaskScheduler:
         worker and fails the attempt as a crash, like an undecodable
         frame.
 
-        Returns one result per surviving leaf task, in no particular
-        order.
+        Returns the result of each task whose last attempt succeeded,
+        in no particular order.
         """
-        state = _Phase(self._wire_runner(runner), splitter, poisoner,
+        state = _Phase(self._wire_runner(runner), remaining, poisoner,
                        validator, on_interim)
         for shard_id, payload in tasks:
-            task = self._make_task(str(shard_id), shard_id, phase, payload)
+            task = self._make_task(shard_id, phase, payload)
             state.queue.append(task)
-            state.live[task.task_id] = task
+            state.live[shard_id] = task
         self._phase = state
         try:
             while state.live:
@@ -716,7 +709,7 @@ class TaskScheduler:
             return
         self.stats.credit(worker.label)
         state.results.append(value)
-        state.live.pop(task.task_id, None)
+        state.live.pop(task.shard_id, None)
 
     # ------------------------------------------------------------------
     # dispatch / expiry
@@ -812,42 +805,46 @@ class TaskScheduler:
         now: float,
         recorded: bool = False,
     ) -> None:
-        """One attempt of ``task`` failed: retry, bisect or poison it."""
+        """One attempt of ``task`` failed: re-queue the programs it left
+        unsettled, or poison the first of them once the task has failed
+        on it ``max_retries`` + 1 times in a row."""
         if not recorded:
             task.record.attempts.append(AttemptRecord(
                 attempt=task.attempt, outcome=outcome,
                 seconds=seconds, error=error,
             ))
-        if task.attempt < self.supervision.max_retries:
-            task.attempt += 1
+        task.attempt += 1
+        rest = state.remaining(task.payload)
+        if rest is None:  # every program settled before the failure
+            state.live.pop(task.shard_id, None)
+            return
+        # a remainder as long as the attempt's payload starts with the
+        # program that attempt started with
+        same = self._payload_size(rest) == self._payload_size(task.payload)
+        task.failures = task.failures + 1 if same else 1
+        task.payload = rest
+        if task.failures <= self.supervision.max_retries:
             task.ready_at = now + min(
-                _BACKOFF_CAP, _BACKOFF_FIRST * 2 ** (task.attempt - 1))
+                _BACKOFF_CAP, _BACKOFF_FIRST * 2 ** (task.failures - 1))
             state.queue.append(task)
             return
         if self.strict:
             cls = WorkerTimeout if outcome == OUTCOME_TIMEOUT else WorkerCrash
             raise cls(
-                f"task {task.task_id} ({task.record.phase}) failed "
-                f"{task.attempt + 1} attempt(s): {error}"
+                f"task {task.shard_id} ({task.record.phase}) failed "
+                f"{task.failures} attempt(s) on one program: {error}"
             )
-        state.live.pop(task.task_id, None)
-        halves = state.splitter(task.payload)
-        if halves is None:
-            # the toxic program is isolated: quarantine, keep the rest
-            label = WORKER_TIMEOUT if outcome == OUTCOME_TIMEOUT \
-                else WORKER_CRASH
-            task.record.poisoned = label
-            state.results.append(state.poisoner(task.payload, label, error))
+        # the toxic program is found: quarantine it, keep the rest going
+        label = WORKER_TIMEOUT if outcome == OUTCOME_TIMEOUT \
+            else WORKER_CRASH
+        task.record.poisoned.append(label)
+        task.payload = state.poisoner(rest, label, error)
+        if task.payload is None:
+            state.live.pop(task.shard_id, None)
             return
-        task.record.bisected = True
-        for half_index, half in enumerate(halves):
-            child = self._make_task(
-                f"{task.task_id}.{half_index}", task.shard_id,
-                task.record.phase, half,
-            )
-            child.ready_at = now
-            state.queue.append(child)
-            state.live[child.task_id] = child
+        task.failures = 0
+        task.ready_at = now
+        state.queue.append(task)
 
     def _worker_lost(
         self, worker: _Worker, reason: str, graceful: bool = False
@@ -898,16 +895,16 @@ class TaskScheduler:
     # ------------------------------------------------------------------
 
     def _make_task(
-        self, task_id: str, shard_id: int, phase: str, payload: object
+        self, shard_id: int, phase: str, payload: object
     ) -> _Task:
         self._seq += 1
         record = self.ledger.record(TaskRecord(
-            task_id=task_id, shard_id=shard_id, phase=phase,
+            shard_id=shard_id, phase=phase,
             n_programs=self._payload_size(payload),
         ))
         return _Task(
-            task_id=task_id, shard_id=shard_id, payload=payload,
-            record=record, seq=self._seq,
+            shard_id=shard_id, payload=payload, record=record,
+            seq=self._seq,
         )
 
     @staticmethod

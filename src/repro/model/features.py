@@ -234,7 +234,7 @@ class SampleBlock:
     :func:`~repro.model.dataset.encode_bundle_samples` to training:
     each program's samples are one block in its journal record (the
     ``StoredProgram`` a worker streams to the parent) and in the
-    mergeable :class:`~repro.model.logistic.SufficientStats`, and the
+    :class:`~repro.model.logistic.SufficientStats`, and the
     training stream is one block.  Per sample it holds a position-key
     id, a label and a length, and its indices sit in one flat int32
     array, each a stdlib ``array``: about 4 bytes per index, where an

@@ -61,20 +61,19 @@ def as_index_array(indices: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class SufficientStats:
-    """Mergeable sufficient statistics of the event-pair training set.
+    """Sufficient statistics of the event-pair training set.
 
     The sharded mining engine cannot thread one RNG through the whole
     corpus — programs settle in arbitrary order on arbitrary workers —
     so it holds the *hashed samples of each program* instead, one
     :class:`~repro.model.features.SampleBlock` under the program's
     :func:`~repro.model.dataset.stream_key`, added in whatever order
-    programs arrive (a duplicate key concatenates, and ``merge`` adds
-    another instance's blocks).  :meth:`stream` linearises the blocks
-    into the canonical training order: keys sorted, then one seeded
-    global shuffle.  The resulting SGD stream is byte-identical
-    regardless of worker count, shard count, completion order or corpus
-    order.  Blocks pickle as raw arrays, so each program's samples
-    cross the worker pipe as they are.
+    programs arrive (a duplicate key concatenates).  :meth:`stream`
+    linearises the blocks into the canonical training order: keys
+    sorted, then one seeded global shuffle.  The resulting SGD stream
+    is byte-identical regardless of worker count, shard count,
+    completion order or corpus order.  Blocks pickle as raw arrays, so
+    each program's samples cross the worker pipe as they are.
     """
 
     blocks: Dict[Hashable, SampleBlock] = field(default_factory=dict)
@@ -88,11 +87,6 @@ class SufficientStats:
         held = self.blocks.get(key)
         self.blocks[key] = block if held is None \
             else SampleBlock.concat([held, block])
-
-    def merge(self, other: "SufficientStats") -> "SufficientStats":
-        for key, block in other.blocks.items():
-            self.add(key, block)
-        return self
 
     @property
     def n_samples(self) -> int:

@@ -45,8 +45,8 @@ PARSE_FAILURE = "ParseFailure"
 LOWERING_FAILURE = "LoweringFailure"
 BUDGET_EXCEEDED = "BudgetExceeded"
 SOLVER_CRASH = "SolverCrash"
-#: process-level labels, assigned by the shard supervisor after
-#: poison-shard bisection isolates the toxic program
+#: process-level labels, assigned by the shard supervisor to a program
+#: its task failed on max_retries + 1 times in a row
 WORKER_CRASH = "worker-crash"
 WORKER_TIMEOUT = "worker-timeout"
 #: binary-frontend labels, raised by repro.frontend.classfile

@@ -64,13 +64,6 @@ class CandidateExtraction:
     def __len__(self) -> int:
         return len(self.stats)
 
-    def merge(self, other: "CandidateExtraction") -> None:
-        for spec, stats in other.stats.items():
-            mine = self.stats.setdefault(spec, CandidateStats())
-            mine.confidences.extend(stats.confidences)
-            mine.matches += stats.matches
-            mine.files |= stats.files
-
 
 def match_records(
     bundle: GraphBundle,

@@ -33,7 +33,6 @@ from repro.dist.protocol import pack_payload, unpack_payload
 from repro.mining import MiningConfig, MiningEngine
 from repro.mining.engine import (
     AnalyzeTask,
-    _split_analyze,
     _supervised_analyze,
     _valid_reply,
 )
@@ -419,9 +418,9 @@ def test_stale_frame_cannot_answer_the_next_phase():
         kwargs={"name": "real", "connect_retries": 60}, daemon=True,
     )
     real.start()
-    phase = dict(runner=_supervised_analyze, splitter=_split_analyze,
-                 poisoner=lambda payload, label, error: (
-                     payload.shard_id, 0.0),
+    phase = dict(runner=_supervised_analyze,
+                 remaining=lambda payload: payload,
+                 poisoner=lambda payload, label, error: None,
                  validator=_valid_reply)
     interims = []
 

@@ -13,27 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.corpus import (
-    CorpusConfig,
-    CorpusGenerator,
-    java_registry,
-    mine_directory,
-    save_corpus,
-)
+from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.ir import ProgramBuilder
-from repro.mining import (
-    MiningConfig,
-    MiningEngine,
-    ShardPlan,
-    shard_of,
-)
+from repro.mining import MiningConfig, MiningEngine
 from repro.mining.cache import pipeline_fingerprint, program_fingerprint
-from repro.mining.engine import (
-    AnalyzeTask,
-    _analyze_shard,
-    _Journal,
-    _poisoned,
-)
+from repro.mining.engine import _analyze_shard, _Journal, _poisoned
 from repro.mining.partial import ProgramFold
 from repro.model.features import FeatureConfig, SampleBlock
 from repro.model.logistic import SufficientStats
@@ -91,54 +75,6 @@ def stored_keys(store_dir, units):
 
 
 # ----------------------------------------------------------------------
-# sharding
-
-
-def test_shard_of_is_deterministic_and_in_range():
-    for n in (1, 2, 7, 64):
-        for name in ("a.java", "b.py", "dir/c.java", ""):
-            first = shard_of(name, n)
-            assert first == shard_of(name, n)  # pure function of inputs
-            assert 0 <= first < n
-    # different shard counts re-hash rather than truncate
-    assert shard_of("a.java", 1) == 0
-    with pytest.raises(ValueError):
-        shard_of("a.java", 0)
-
-
-def test_shard_plan_partitions_corpus_in_order():
-    identities = [f"corpus_{i:05d}.java" for i in range(40)]
-    plan = ShardPlan.of(identities, 5)
-    seen = []
-    for shard_id in range(5):
-        members = plan.members(shard_id)
-        assert members == sorted(members)  # corpus order preserved
-        seen.extend(members)
-    assert sorted(seen) == list(range(40))  # exact partition
-    # assignment ignores list order: identity → shard is stable
-    assert plan.assignments[3] == ShardPlan.of(identities[::-1], 5) \
-        .assignments[len(identities) - 1 - 3]
-
-
-def test_mine_directory_shards_partition_the_tree(tmp_path):
-    files = CorpusGenerator(
-        java_registry(), CorpusConfig(n_files=12, seed=7)).generate()
-    save_corpus(files, tmp_path)
-    sigs = java_registry().signatures()
-    full = {p.source for p in mine_directory(tmp_path, sigs).programs}
-    assert len(full) == 12
-    shards = [
-        {p.source for p in
-         mine_directory(tmp_path, sigs, n_shards=3, shard_index=i).programs}
-        for i in range(3)
-    ]
-    assert set().union(*shards) == full
-    assert sum(len(s) for s in shards) == len(full)  # disjoint
-    with pytest.raises(ValueError):
-        mine_directory(tmp_path, sigs, n_shards=3, shard_index=3)
-
-
-# ----------------------------------------------------------------------
 # sufficient statistics
 
 
@@ -148,12 +84,13 @@ def test_sufficient_stats_stream_is_merge_order_independent():
     def sample(tag):
         return EncodedSample(("ret", "ret"), (hash(tag) % 100,), 1)
 
-    a = SufficientStats()
-    a.add("000000:x", [sample("x")])
-    b = SufficientStats()
-    b.add("000001:y", [sample("y"), sample("z")])
-    ab = SufficientStats().merge(a).merge(b)
-    ba = SufficientStats().merge(b).merge(a)
+    blocks = [("000000:x", [sample("x")]),
+              ("000001:y", [sample("y"), sample("z")])]
+    ab, ba = SufficientStats(), SufficientStats()
+    for key, samples in blocks:
+        ab.add(key, samples)
+    for key, samples in reversed(blocks):
+        ba.add(key, samples)
     assert list(ab.stream(seed=13)) == list(ba.stream(seed=13))
     assert ab.n_samples == 3
 
@@ -166,7 +103,8 @@ def test_sufficient_stats_stream_is_merge_order_independent():
 def _settled_run():
     """The settled programs of a real 10-file ``--jobs 1`` run (one of
     them quarantined by a stage fault), each also as a store hit and as
-    a poisoned singleton; and each key's (corpus index, shard id)."""
+    a poisoned program; and each key's (corpus index, shard id) over 3
+    round-robin shards."""
     config = PipelineConfig()
     programs = java_corpus(10)
     units = [(i, program_key(p, i), p) for i, p in enumerate(programs)]
@@ -182,13 +120,8 @@ def _settled_run():
             held = [journal.held(unit) for unit in units]
         finally:
             store.close()
-    poisoned = [
-        _poisoned(AnalyzeTask(config, 0, (unit,)), WORKER_CRASH, "died")
-        for unit in units
-    ]
-    plan = ShardPlan.of([p.source for p in programs], 3)
-    places = {key: (index, plan.assignments[index])
-              for index, key, _ in units}
+    poisoned = [_poisoned(unit, WORKER_CRASH, "died") for unit in units]
+    places = {key: (index, index % 3) for index, key, _ in units}
     return {"executor": executor, "store": held,
             "poisoned": poisoned}, places
 
@@ -227,9 +160,8 @@ def test_one_fold_any_arrival_order(data):
     arrive after the first, gives the in-order fold's canonical views
     and journals each program once: the first copy of a key wins.
 
-    A retried or bisected attempt re-sends an equal copy of what its
-    failed attempt settled; a singleton poisoned after its program
-    settled sends a verdict of another kind."""
+    A later copy may be equal to the first or a verdict of another
+    kind; either way the fold keeps the first."""
     sources, places = _settled_run()
     n = len(places)
     kinds = data.draw(st.lists(st.sampled_from(sorted(sources)),

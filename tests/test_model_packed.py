@@ -164,15 +164,13 @@ def test_stream_iterates_to_the_list_based_stream():
     programs = _program_samples()
     keys = sorted(programs)
     assert len(keys) == 10 and all(programs.values())
-    first, second = SufficientStats(), SufficientStats()
-    for key in keys[::2]:
-        first.add(key, programs[key])
-    for key in keys[1::2]:
-        second.add(key, programs[key])
     expected = reference_stream(programs, 13)
-    for merged in (SufficientStats().merge(first).merge(second),
-                   SufficientStats().merge(second).merge(first)):
-        stream = merged.stream(13)
+    # keys added in two arrival orders give one stream
+    for order in (keys[::2] + keys[1::2], keys[1::2] + keys[::2]):
+        stats = SufficientStats()
+        for key in order:
+            stats.add(key, programs[key])
+        stream = stats.stream(13)
         assert list(stream) == expected
         # a stream's key table is in first-appearance order
         assert list(stream.keys) == list(dict.fromkeys(

@@ -137,10 +137,11 @@ def test_pipeline_config_disable_extension():
 # table renderers
 
 
-def _extraction_with(spec, matches=3, confs=(0.9, 0.8)):
+def _extraction_with(*specs, matches=3, confs=(0.9, 0.8)):
     e = CandidateExtraction()
-    e.stats[spec] = CandidateStats(confidences=list(confs), matches=matches,
-                                   files={"f.java"})
+    for spec in specs:
+        e.stats[spec] = CandidateStats(confidences=list(confs),
+                                       matches=matches, files={"f.java"})
     return e
 
 
@@ -148,8 +149,7 @@ def test_tab3_rows_marks_incorrect():
     registry = java_registry()
     good = RetArg("java.util.HashMap.get", "java.util.HashMap.put", 2)
     bad = RetSame("java.util.Iterator.next")
-    extraction = _extraction_with(good)
-    extraction.merge(_extraction_with(bad))
+    extraction = _extraction_with(good, bad)
     rows = tab3_rows({good: 0.9, bad: 0.8}, extraction, registry)
     flags = {row[1]: row[4] for row in rows}
     assert flags[str(good)] == ""
@@ -160,8 +160,7 @@ def test_tab3_rows_sorted_by_score():
     registry = java_registry()
     a = RetSame("A.x")
     b = RetSame("B.y")
-    extraction = _extraction_with(a)
-    extraction.merge(_extraction_with(b))
+    extraction = _extraction_with(a, b)
     rows = tab3_rows({a: 0.3, b: 0.9}, extraction, registry)
     assert rows[0][1] == str(b)
 

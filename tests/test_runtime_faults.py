@@ -436,16 +436,6 @@ def test_cli_clean_run_with_quarantine_manifest(tmp_path):
     assert json.loads(manifest_path.read_text())["n_quarantined"] == 0
 
 
-def test_cli_store_dir_resumes(tmp_path, capsys):
-    args = ["learn", "--files", "4", "--seed", "7",
-            "--store-dir", str(tmp_path / "store"),
-            "--out", str(tmp_path / "specs.json")]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert main(args) == 0
-    assert "analyzed 0, from store 4" in capsys.readouterr().out
-
-
 def test_cli_stage_fault_from_the_environment(tmp_path, monkeypatch,
                                              capsys):
     manifest_path = tmp_path / "quarantine.json"

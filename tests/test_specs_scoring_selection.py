@@ -105,13 +105,3 @@ def test_retarg_validates_index():
         RetArg("A.get", "A.put", 0)
 
 
-def test_candidate_extraction_merge():
-    a = CandidateExtraction()
-    b = CandidateExtraction()
-    spec = RetSame("A.get")
-    a.stats[spec] = CandidateStats(confidences=[0.5], matches=1, files={"x"})
-    b.stats[spec] = CandidateStats(confidences=[0.7], matches=2, files={"y"})
-    a.merge(b)
-    assert a.stats[spec].matches == 3
-    assert sorted(a.stats[spec].confidences) == [0.5, 0.7]
-    assert a.stats[spec].files == {"x", "y"}

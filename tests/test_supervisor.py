@@ -1,10 +1,10 @@
 """Fault-tolerant shard supervision: worker faults (kill / hang /
-corrupt), retry with backoff, poison-shard bisection, the failure
-ledger, store-backed warm runs, and spawn-context dispatch."""
+corrupt), retries that resume after the last settled program, poisoned
+programs, the failure ledger, store-backed warm runs, and
+spawn-context dispatch."""
 
 import functools
 import json
-import math
 import multiprocessing
 import os
 import signal
@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.ir import ProgramBuilder
-from repro.mining import MiningConfig, MiningEngine, ShardPlan
+from repro.mining import MiningConfig, MiningEngine
 from repro.mining.engine import _supervised_analyze
 from repro.mining.supervisor import (
     SupervisionConfig,
@@ -93,21 +93,20 @@ def test_transient_kill_is_retried_and_specs_match_clean():
     assert learned.mining.supervised
 
 
-def test_toxic_kill_is_bisected_and_quarantined():
+def test_toxic_kill_is_quarantined():
     programs = java_corpus()
     clean = learn(programs)
     faults = "kill:corpus_00003"
     learned = learn(programs, jobs=2, faults=faults)
     ledger = learned.mining.ledger
     assert ledger.n_poisoned == 1
-    assert ledger.n_bisections >= 1
     manifest = learned.run.manifest
     assert [e.program for e in manifest.entries] \
         == ["000003:corpus_00003.java"]
     assert manifest.entries[0].error_kind == WORKER_CRASH
     # a poisoned task's record carries the taxonomy label
     poisoned = [t for t in ledger.tasks if t.poisoned]
-    assert [t.poisoned for t in poisoned] == [WORKER_CRASH]
+    assert [t.poisoned for t in poisoned] == [[WORKER_CRASH]]
     # the surviving programs still learn something, and the clean run
     # proves the corpus was healthy before injection
     assert learned.specs and clean.specs
@@ -120,7 +119,9 @@ def test_hang_is_reclaimed_by_deadline_and_quarantined():
     learned = learn(programs, shards=1, faults=faults, max_retries=0,
                     shard_deadline=1.0)
     ledger = learned.mining.ledger
-    assert ledger.n_worker_timeouts >= 2  # whole shard, then singleton
+    # the task resumes after corpus_00000, and with no retries the
+    # program it timed out on is poisoned at once
+    assert ledger.n_worker_timeouts == 1
     assert ledger.n_poisoned == 1
     manifest = learned.run.manifest
     assert manifest.entries[0].error_kind == WORKER_TIMEOUT
@@ -203,34 +204,50 @@ def test_rejected_interim_fails_its_attempt_not_the_run(
 
 
 # ----------------------------------------------------------------------
-# bisection
+# retries resume after the last settled program
 
 
-def test_bisection_converges_in_logarithmic_attempts():
-    n = 8
-    programs = java_corpus(n=n)
-    faults = "kill:corpus_00005"
-    learned = learn(programs, shards=1, faults=faults, max_retries=0)
-    analyze = [t for t in learned.mining.ledger.tasks
-               if t.phase == "analyze"]
-    depth = int(math.log2(n))
-    # root + two children per bisection level; only the toxic half
-    # fails at each level
-    assert sum(len(t.attempts) for t in analyze) <= 2 * depth + 1
-    assert sum(1 for t in analyze if t.bisected) == depth
-    assert sum(1 for t in analyze if t.poisoned) == 1
-    assert learned.mining.n_quarantined == 1
+def test_toxic_program_is_poisoned_and_its_task_goes_on():
+    """A task that fails ``max_retries`` + 1 times on one program
+    poisons that program, and its remaining programs run in the next
+    attempt; the programs settled before the fault are never re-run."""
+    programs = java_corpus(n=8)
+    learned = learn(programs, shards=1, faults="kill:corpus_00005",
+                    max_retries=1)
+    (task,) = learned.mining.ledger.tasks
+    assert [a.outcome for a in task.attempts] == ["crash", "crash", "ok"]
+    assert [a.attempt for a in task.attempts] == [0, 1, 2]
+    assert task.poisoned == [WORKER_CRASH]
+    assert learned.mining.n_analyzed == 7
+    assert [e.program for e in learned.run.manifest.entries] \
+        == ["000005:corpus_00005.java"]
+    assert learned.mining.ledger.to_dict()["tasks"][0]["poisoned"] \
+        == [WORKER_CRASH]
 
 
-def test_bisection_lineage_is_recorded_in_ledger():
-    programs = java_corpus(n=4)
-    faults = "kill:corpus_00000"
-    learned = learn(programs, shards=1, faults=faults, max_retries=0)
-    payload = learned.mining.ledger.to_dict()
-    ids = {t["task_id"] for t in payload["tasks"]}
-    assert any("." in task_id for task_id in ids)  # e.g. "0.0"
-    assert payload["n_bisections"] >= 1
-    assert payload["n_poisoned"] == 1
+def test_transient_kill_sends_no_settled_program_twice():
+    """One shard holds every program, so a retry of the whole shard
+    would re-send the five programs settled before the kill."""
+    programs = java_corpus(n=8)
+    clean = learn(programs, jobs=2, shards=1)
+    learned = learn(programs, jobs=2, shards=1, faults="kill:corpus_00005:1")
+    assert learned.mining.ledger.n_worker_crashes == 1
+    assert specs_text(learned) == specs_text(clean)
+    assert learned.mining.dispatch["bytes_received"] \
+        == clean.mining.dispatch["bytes_received"]
+
+
+def test_counted_faults_on_two_programs_of_one_task_pass():
+    """Attempt 0 dies at corpus_00003; attempt 1 passes it and dies at
+    corpus_00011, a later program, so that program's failure count
+    starts at one and attempt 2 settles it: nothing is quarantined."""
+    programs = java_corpus(n=16)
+    clean = learn(programs)
+    learned = learn(programs, jobs=2, shards=1, max_retries=1,
+                    faults="kill:corpus_00003:1;kill:corpus_00011:2")
+    assert learned.mining.ledger.n_worker_crashes == 2
+    assert learned.mining.n_quarantined == 0
+    assert specs_text(learned) == specs_text(clean)
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +304,7 @@ def test_cli_prints_the_whole_supervision_line(tmp_path, capsys,
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("supervision:")]
     assert lines == ["supervision: 1 retried (1 crashes, 0 timeouts, "
-                     "0 corrupt, 0 errors), 0 bisected, 0 poisoned"]
+                     "0 corrupt, 0 errors), 0 poisoned"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -355,11 +372,9 @@ def test_strict_abort_keeps_what_the_other_worker_finished(tmp_path):
     # worker-fault runs send one shard per task: the hang's own task
     # lost the hung program and those after it, and nothing else
     keys = [f"{i:06d}:{p.source}" for i, p in enumerate(programs)]
-    plan = ShardPlan.of([p.source for p in programs], rerun.mining.n_shards)
+    n_shards = rerun.mining.n_shards
     hung = next(i for i, key in enumerate(keys) if "corpus_00005" in key)
-    task = next(m for m in map(plan.members, plan.non_empty())
-                if hung in m)
-    in_flight = [keys[i] for i in task[task.index(hung):]]
+    in_flight = keys[hung::n_shards]
     assert rerun.mining.analyzed_keys == sorted(in_flight)
     assert rerun.mining.n_from_store == 12 - len(in_flight)
     assert specs_text(rerun) == specs_text(learn(programs))
@@ -381,8 +396,8 @@ def test_worker_pool_persists_across_phases():
     supervisor = TaskScheduler(SupervisionConfig(), ctx=ctx, jobs=2)
     kwargs = dict(
         runner=_echo_pid,
-        splitter=lambda payload: None,
-        poisoner=lambda payload, kind, error: ("pid", -1),
+        remaining=lambda payload: payload,
+        poisoner=lambda payload, kind, error: None,
         validator=lambda result: (
             isinstance(result, tuple) and result[0] == "pid"),
     )
@@ -423,8 +438,8 @@ def test_strict_abort_leaves_no_stale_frame_for_the_next_phase():
         ctx=multiprocessing.get_context("fork"), jobs=2)
     kwargs = dict(
         runner=_tagged,
-        splitter=lambda payload: None,
-        poisoner=lambda payload, kind, error: ("tag", None),
+        remaining=lambda payload: payload,
+        poisoner=lambda payload, kind, error: None,
         validator=lambda result: (
             isinstance(result, tuple) and result[0] == "tag"),
     )
@@ -531,8 +546,9 @@ def test_each_shard_task_is_one_round_trip():
     learned = learn(programs, jobs=2, shards=8)
     dispatch = learned.mining.dispatch
     assert dispatch is not None
-    # 8 analyze tasks (the only phase), each in a frame of its own
-    assert len(learned.mining.shards) == 8
+    # 8 analyze tasks (the only phase), each in a frame of its own;
+    # program i goes to shard i mod 8, so every shard holds two
+    assert [m.n_programs for m in learned.mining.shards] == [2] * 8
     assert dispatch["n_round_trips"] == 8
     # pipe traffic and serialisation time are observable
     assert dispatch["bytes_sent"] > 0 and dispatch["bytes_received"] > 0
@@ -560,19 +576,6 @@ def test_batched_specs_byte_identical_to_sequential():
 
 
 # ----------------------------------------------------------------------
-# store hit-rate reporting
-
-
-def test_real_cache_dir_still_reports_hit_rate(tmp_path):
-    programs = java_corpus(n=4)
-    cold = learn(programs, jobs=2, store_dir=tmp_path)
-    assert cold.mining.cache_hit_rate == 0.0
-    warm = learn(programs, jobs=2, store_dir=tmp_path)
-    assert warm.mining.cache_hit_rate == 1.0
-    assert specs_text(warm) == specs_text(cold)
-
-
-# ----------------------------------------------------------------------
 # the warm path: pre-encoded samples from the store journal
 
 
@@ -580,20 +583,23 @@ def test_warm_run_absorbs_samples_from_sidecar(tmp_path):
     programs = java_corpus(n=6)
     cold = learn(programs, store_dir=tmp_path)
     assert cold.mining.n_from_store == 0
+    assert cold.mining.cache_hit_rate == 0.0
     warm = learn(programs, store_dir=tmp_path)
     assert warm.mining.n_analyzed == 0
-    assert warm.mining.n_from_store == len(programs)
     # statistics came from the journal records: nothing was analysed,
     # re-sampled or re-encoded
     assert warm.mining.n_from_store == len(programs)
+    assert warm.mining.cache_hit_rate == 1.0
     assert specs_text(warm) == specs_text(cold)
 
 
 def test_sidecar_warm_specs_match_for_parallel_jobs(tmp_path):
     programs = java_corpus(n=8)
     cold = learn(programs, store_dir=tmp_path)
+    assert cold.mining.cache_hit_rate == 0.0
     warm = learn(programs, jobs=4, store_dir=tmp_path)
     assert warm.mining.n_from_store == len(programs)
+    assert warm.mining.cache_hit_rate == 1.0
     assert specs_text(warm) == specs_text(cold)
 
 
